@@ -62,7 +62,7 @@ use std::time::Instant;
 
 use lotec_bench::runner;
 use lotec_core::config::FaultConfig;
-use lotec_core::engine::{run_engine, run_engine_instrumented, run_engine_with_probe, RunReport};
+use lotec_core::engine::{run_engine, Engine, RunReport};
 use lotec_core::oracle;
 use lotec_core::protocol::ProtocolKind;
 use lotec_core::{AdaptiveConfig, SystemConfig};
@@ -247,7 +247,8 @@ fn measure_gate_cell_recorded() -> Timed {
     let timed = time_cell(GATE_REPEATS, || {
         let mut recorder = recorder.borrow_mut();
         recorder.clear();
-        run_engine_with_probe(&config, &registry, &families, &mut *recorder)
+        Engine::with_probe(&config, &registry, &families, &mut *recorder)
+            .and_then(Engine::run)
             .expect("recorded gate cell runs")
     });
     oracle::verify(&timed.report).expect("recorded gate cell serializable");
@@ -703,7 +704,8 @@ fn run_gate() -> ! {
     let (registry, families) = scenario.generate().expect("gate workload generates");
     let config = fig3_config(&scenario, ProtocolKind::Lotec);
     let mut prof = WallProfiler::new();
-    run_engine_instrumented(&config, &registry, &families, NoopSink, &mut prof)
+    Engine::with_instruments(&config, &registry, &families, NoopSink, &mut prof)
+        .and_then(Engine::run)
         .expect("profiled gate cell runs");
     let profile = prof.into_profile();
     let total = profile.total_self_ns().max(1) as f64;
@@ -895,7 +897,9 @@ fn main() {
         let config = fig3_config(&scenario, ProtocolKind::Lotec);
         let timed = time_cell(repeats, || {
             let mut sink = RecordingSink::new();
-            run_engine_with_probe(&config, &registry, &families, &mut sink).expect("probed run")
+            Engine::with_probe(&config, &registry, &families, &mut sink)
+                .and_then(Engine::run)
+                .expect("probed run")
         });
         let (plain_min_ns, plain_hash) = lotec_plain.expect("LOTEC plain cell ran");
         assert_eq!(
@@ -933,7 +937,8 @@ fn main() {
             let alloc_before = alloc::snapshot();
             let wall_start = Instant::now();
             let report =
-                run_engine_instrumented(&config, &registry, &families, NoopSink, &mut prof)
+                Engine::with_instruments(&config, &registry, &families, NoopSink, &mut prof)
+                    .and_then(Engine::run)
                     .expect("profiled run");
             let wall_ns = wall_start.elapsed().as_nanos() as u64;
             let alloc_delta = alloc::snapshot().delta_since(&alloc_before);

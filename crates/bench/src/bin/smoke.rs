@@ -1,9 +1,10 @@
 //! Fast end-to-end sanity run. Prints per-protocol traffic for the quick
 //! fig2/fig3 scenarios and writes `BENCH_smoke.json` with per-protocol
 //! throughput/latency figures (`protocol -> {throughput, mean_latency_ns,
-//! p50, p99}`).
+//! p50, p99}`). Takes `repro`'s `--obs` / `--trace-out [path]` flags for
+//! the quick fig3 scenario.
 
-use lotec_bench::maybe_observe;
+use lotec_bench::experiments::Ctx;
 use lotec_core::compare::compare_protocols;
 use lotec_core::engine::run_engine;
 use lotec_core::protocol::ProtocolKind;
@@ -12,6 +13,17 @@ use lotec_obs::Json;
 use lotec_workload::presets;
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    // `Ctx` also knows `--quick` and `--csv`, which smoke has no use for:
+    // its scenarios are always quick and it writes no CSV.
+    let parsed = match args.iter().find(|a| *a == "--quick" || *a == "--csv") {
+        Some(flag) => Err(format!("unknown argument `{flag}`")),
+        None => Ctx::parse("smoke", &args),
+    };
+    let ctx = parsed.unwrap_or_else(|msg| {
+        eprintln!("smoke: {msg}\nusage: smoke [--obs] [--trace-out [path]]");
+        std::process::exit(2)
+    });
     for scenario in [
         presets::quick(presets::fig2()),
         presets::quick(presets::fig3()),
@@ -68,5 +80,6 @@ fn main() {
     std::fs::write("BENCH_smoke.json", json.render_pretty()).expect("write BENCH_smoke.json");
     println!("wrote BENCH_smoke.json");
 
-    maybe_observe("smoke", &presets::quick(presets::fig3()));
+    ctx.observe(&presets::quick(presets::fig3()), &mut std::io::stdout())
+        .expect("observability report written");
 }

@@ -1,0 +1,1604 @@
+//! The experiment registry behind the `repro` binary.
+//!
+//! Every figure and in-text claim of the paper's evaluation (§5), and every
+//! extension we measure, is one row of [`EXPERIMENTS`]: a name, a one-line
+//! summary, and a run function whose docs say why the experiment exists.
+//! `repro <name>` runs a row; `repro` alone lists them all.
+//!
+//! The flags are parsed once into a [`Ctx`]:
+//!
+//! * `--quick` — the reduced ([`presets::quick`]) variant of every preset
+//!   (`variance_check` always runs quick; `tune` has a fixed grid);
+//! * `--csv [path]` — `fig2`–`fig8` also write their data as CSV (default
+//!   `results/<name>.csv`); the other rows accept and ignore it;
+//! * `--obs` — the figures and `throughput_scaling` rerun their scenario
+//!   under a recording probe sink and print the structured-trace summary
+//!   (phase times, lock census, prediction quality);
+//! * `--trace-out [path]` — additionally export the recorded events as
+//!   JSONL (`path`, default `results/<name>.trace.jsonl`) and as a
+//!   Perfetto/`chrome://tracing`-loadable Chrome trace alongside it
+//!   (`<path minus .jsonl>.chrome.json`). Implies `--obs`.
+//!
+//! Any other argument is rejected with a usage message. Each row writes
+//! its report to a `dyn Write`, so tests run the registry in-process, and
+//! every committed `results/<name>.txt` is exactly `repro <name> --csv`.
+
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
+
+use lotec_core::analysis::TraceAnalysis;
+use lotec_core::compare::{compare_protocols, ProtocolComparison};
+use lotec_core::config::{GdoPlacement, RecoveryKind};
+use lotec_core::engine::{run_engine, Engine, RunReport};
+use lotec_core::protocol::ProtocolKind;
+use lotec_core::{oracle, FamilySpec, SystemConfig};
+use lotec_mem::ObjectId;
+use lotec_net::{Bandwidth, MessageKind, NetworkConfig, SoftwareCost};
+use lotec_object::{ClassId, ObjectRegistry};
+use lotec_obs::{chrome_trace, jsonl_encode, RecordingSink, TraceSummary};
+use lotec_sim::NodeId;
+use lotec_workload::schema::SchemaConfig;
+use lotec_workload::{presets, Scenario, WorkloadConfig};
+
+use crate::runner;
+
+/// One reproducible experiment: its name on the command line, what it
+/// reproduces, and the code that writes its report.
+#[derive(Debug)]
+pub struct Experiment {
+    /// The `repro` argument selecting this row, and its `results/` stem.
+    pub name: &'static str,
+    /// The one-line summary `repro`'s usage message lists.
+    pub about: &'static str,
+    /// Runs the experiment, writing its report to the sink.
+    pub run: fn(&Ctx, &mut dyn Write) -> io::Result<()>,
+}
+
+/// The command-line flags every experiment shares, parsed once.
+#[derive(Debug)]
+pub struct Ctx {
+    quick: bool,
+    csv: Option<PathBuf>,
+    /// Set by `--obs` and implied by `--trace-out`.
+    obs: bool,
+    trace_out: Option<PathBuf>,
+}
+
+impl Ctx {
+    /// Parses the flags that follow experiment `name` on the command line;
+    /// `name` is the stem of the default output paths.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first argument that is not one of
+    /// `--quick`, `--csv [path]`, `--obs` or `--trace-out [path]`.
+    pub fn parse(name: &str, flags: &[String]) -> Result<Ctx, String> {
+        let mut ctx = Ctx {
+            quick: false,
+            csv: None,
+            obs: false,
+            trace_out: None,
+        };
+        let mut args = flags.iter().peekable();
+        while let Some(flag) = args.next() {
+            // A path operand is optional: the next argument, unless it is
+            // itself a flag.
+            let mut path_or = |default: String| {
+                args.next_if(|a| !a.starts_with("--"))
+                    .map_or_else(|| PathBuf::from(default), PathBuf::from)
+            };
+            match flag.as_str() {
+                "--quick" => ctx.quick = true,
+                "--obs" => ctx.obs = true,
+                "--csv" => ctx.csv = Some(path_or(format!("results/{name}.csv"))),
+                "--trace-out" => {
+                    ctx.obs = true;
+                    ctx.trace_out = Some(path_or(format!("results/{name}.trace.jsonl")));
+                }
+                other => return Err(format!("unknown argument `{other}`")),
+            }
+        }
+        Ok(ctx)
+    }
+
+    /// `preset`, reduced if `--quick` was passed.
+    pub fn scenario(&self, preset: Scenario) -> Scenario {
+        if self.quick {
+            presets::quick(preset)
+        } else {
+            preset
+        }
+    }
+
+    /// Runs the engine, then checks the run with the serializability
+    /// oracle.
+    ///
+    /// # Panics
+    ///
+    /// Panics on engine failure or an oracle violation — an experiment
+    /// wants loud failure, not error plumbing.
+    pub fn run_verified(
+        &self,
+        config: &SystemConfig,
+        registry: &ObjectRegistry,
+        families: &[FamilySpec],
+    ) -> RunReport {
+        let report = run_engine(config, registry, families).expect("engine runs");
+        oracle::verify(&report).expect("serializable");
+        report
+    }
+
+    /// Writes the CSV that `fill` produces to the `--csv` path, if one was
+    /// given, and notes the path in `out`.
+    fn save_csv(
+        &self,
+        out: &mut dyn Write,
+        fill: impl FnOnce(&mut Vec<u8>) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let Some(path) = &self.csv else {
+            return Ok(());
+        };
+        let mut csv = Vec::new();
+        fill(&mut csv)?;
+        write_file(path, csv)?;
+        writeln!(out, "(csv written to {})", path.display())
+    }
+
+    /// Applies `--obs` / `--trace-out`: reruns `scenario` with a recording
+    /// sink, prints the structured-trace summary, and for `--trace-out`
+    /// exports the trace as JSONL plus a Chrome trace.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write errors on `out` or the trace files.
+    ///
+    /// # Panics
+    ///
+    /// Panics on generation or engine failure.
+    pub fn observe(&self, scenario: &Scenario, out: &mut dyn Write) -> io::Result<()> {
+        if !self.obs {
+            return Ok(());
+        }
+        let (registry, families) = generate(scenario);
+        let config = scenario.system_config();
+        let mut sink = RecordingSink::new();
+        let report = Engine::with_probe(&config, &registry, &families, &mut sink)
+            .and_then(Engine::run)
+            .unwrap_or_else(|e| panic!("{}: probed run failed: {e}", scenario.name));
+        let events = sink.into_events();
+        writeln!(out)?;
+        writeln!(
+            out,
+            "observability: {} ({} events recorded)",
+            scenario.name,
+            events.len()
+        )?;
+        write!(out, "{}", TraceSummary::of(&events).render())?;
+        if let Some(f) = report.stats.phases.fractions() {
+            writeln!(
+                out,
+                "phase fractions: lock-wait {:.1}% / transfer {:.1}% / compute {:.1}% / backoff {:.1}%",
+                f[0] * 100.0,
+                f[1] * 100.0,
+                f[2] * 100.0,
+                f[3] * 100.0
+            )?;
+        }
+        if let Some(path) = &self.trace_out {
+            let chrome = path.with_extension("chrome.json");
+            write_file(path, jsonl_encode(&events))?;
+            write_file(&chrome, chrome_trace(&events).render_pretty())?;
+            writeln!(
+                out,
+                "trace written: {} and {}",
+                path.display(),
+                chrome.display()
+            )?;
+        }
+        Ok(())
+    }
+}
+
+/// Resolves `repro`'s arguments: an experiment name, then its flags.
+///
+/// # Errors
+///
+/// Returns a message for a missing or unknown name or an unknown flag.
+pub fn parse(args: &[String]) -> Result<(&'static Experiment, Ctx), String> {
+    let (name, flags) = args
+        .split_first()
+        .ok_or_else(|| "missing experiment name".to_owned())?;
+    let experiment = EXPERIMENTS
+        .iter()
+        .find(|e| e.name == name)
+        .ok_or_else(|| format!("unknown experiment `{name}`"))?;
+    Ok((experiment, Ctx::parse(name, flags)?))
+}
+
+/// `repro`'s usage message, listing every experiment with its summary.
+pub fn usage() -> String {
+    let rows: String = EXPERIMENTS
+        .iter()
+        .map(|e| format!("  {:<26} {}\n", e.name, e.about))
+        .collect();
+    format!(
+        "usage: repro <name> [--quick] [--csv [path]] [--obs] [--trace-out [path]]\n\
+         \nexperiments:\n{rows}"
+    )
+}
+
+/// Every experiment, in the order the paper presents what it reproduces.
+pub static EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        name: "fig2",
+        about: "Fig. 2 — bytes per object O0–O19, medium objects (1–5 pages), high contention",
+        run: |ctx, out| {
+            bytes_figure(
+                ctx,
+                out,
+                presets::fig2(),
+                &FIG2_AXIS,
+                "Figure 2: Medium Sized Objects with High Contention (bytes per object)",
+            )
+        },
+    },
+    Experiment {
+        name: "fig3",
+        about: "Fig. 3 — bytes per object O10–O19, large objects (10–20 pages), high contention",
+        run: |ctx, out| {
+            bytes_figure(
+                ctx,
+                out,
+                presets::fig3(),
+                &FIG3_AXIS,
+                "Figure 3: Large Sized Objects with High Contention (bytes per object)",
+            )
+        },
+    },
+    Experiment {
+        name: "fig4",
+        about: "Fig. 4 — bytes per selected object of O9–O99, medium objects, moderate contention",
+        run: |ctx, out| {
+            bytes_figure(
+                ctx,
+                out,
+                presets::fig4(),
+                &FIG4_AXIS,
+                "Figure 4: Medium Sized Objects with Moderate Contention (bytes per object)",
+            )
+        },
+    },
+    Experiment {
+        name: "fig5",
+        about: "Fig. 5 — bytes per selected object of O9–O99, large objects, moderate contention",
+        run: |ctx, out| {
+            bytes_figure(
+                ctx,
+                out,
+                presets::fig5(),
+                &FIG5_AXIS,
+                "Figure 5: Large Sized Objects with Moderate Contention (bytes per object)",
+            )
+        },
+    },
+    Experiment {
+        name: "fig6",
+        about: "Fig. 6 — one object's message time over the five software costs at 10 Mbps",
+        run: |ctx, out| {
+            time_figure(
+                ctx,
+                out,
+                Bandwidth::ethernet10(),
+                "Figure 6: Example Transfer Time at 10Mbps",
+            )
+        },
+    },
+    Experiment {
+        name: "fig7",
+        about: "Fig. 7 — the Fig. 6 series at 100 Mbps",
+        run: |ctx, out| {
+            time_figure(
+                ctx,
+                out,
+                Bandwidth::fast_ethernet(),
+                "Figure 7: Example Transfer Time at 100Mbps",
+            )
+        },
+    },
+    Experiment {
+        name: "fig8",
+        about: "Fig. 8 — the Fig. 6 series at 1 Gbps",
+        run: |ctx, out| {
+            time_figure(
+                ctx,
+                out,
+                Bandwidth::gigabit(),
+                "Figure 8: Example Transfer Time at 1Gbps",
+            )
+        },
+    },
+    Experiment {
+        name: "intext_claims",
+        about: "§5's in-text byte/message-count claims",
+        run: intext_claims,
+    },
+    Experiment {
+        name: "ablation_prediction",
+        about: "LOTEC sensitivity to prediction quality",
+        run: ablation_prediction,
+    },
+    Experiment {
+        name: "ablation_rc",
+        about: "the RC extension vs the paper trio",
+        run: ablation_rc,
+    },
+    Experiment {
+        name: "ablation_recovery",
+        about: "undo-log vs shadow-page recovery",
+        run: ablation_recovery,
+    },
+    Experiment {
+        name: "ablation_per_class",
+        about: "per-class protocol assignment (§6)",
+        run: ablation_per_class,
+    },
+    Experiment {
+        name: "ablation_prefetch",
+        about: "optimistic lock prefetching (§6)",
+        run: ablation_prefetch,
+    },
+    Experiment {
+        name: "ablation_multicast",
+        about: "multicast-capable networks (§6)",
+        run: ablation_multicast,
+    },
+    Experiment {
+        name: "ablation_dsd",
+        about: "data-granularity (DSD) transfers (§4.2/§6)",
+        run: ablation_dsd,
+    },
+    Experiment {
+        name: "ablation_aggregation",
+        about: "object aggregation (§5.1)",
+        run: ablation_aggregation,
+    },
+    Experiment {
+        name: "ablation_gdo",
+        about: "GDO placement: partitioned vs central (§4.1)",
+        run: ablation_gdo,
+    },
+    Experiment {
+        name: "ablation_replication",
+        about: "GDO replication factor (§4.1)",
+        run: ablation_replication,
+    },
+    Experiment {
+        name: "locking_overhead",
+        about: "§5.1's locking-overhead discussion, measured",
+        run: locking_overhead,
+    },
+    Experiment {
+        name: "contention_profile",
+        about: "per-object reference patterns (§5)",
+        run: contention_profile,
+    },
+    Experiment {
+        name: "throughput_scaling",
+        about: "throughput retained under distribution (§2)",
+        run: throughput_scaling,
+    },
+    Experiment {
+        name: "ablation_active_messages",
+        about: "active messaging at 1 Gbps (§6)",
+        run: ablation_active_messages,
+    },
+    Experiment {
+        name: "variance_check",
+        about: "5-seed stability of the headline ratios",
+        run: variance_check,
+    },
+    Experiment {
+        name: "tune",
+        about: "internal knob-calibration sweep (how the presets were fit)",
+        run: tune,
+    },
+];
+
+/// Generates `scenario`'s workload.
+///
+/// # Panics
+///
+/// Panics with the scenario's name if generation fails.
+fn generate(scenario: &Scenario) -> (ObjectRegistry, Vec<FamilySpec>) {
+    scenario
+        .generate()
+        .unwrap_or_else(|e| panic!("{}: workload generation failed: {e}", scenario.name))
+}
+
+/// Runs `scenario` under its own system config and compares every
+/// protocol on the one schedule.
+///
+/// # Panics
+///
+/// Panics with the scenario's name on generation or engine failure.
+fn run_scenario(scenario: &Scenario) -> ProtocolComparison {
+    let (registry, families) = generate(scenario);
+    compare_protocols(&scenario.system_config(), &registry, &families)
+        .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", scenario.name))
+}
+
+/// Writes `contents` to `path`, creating its parent directory.
+fn write_file(path: &Path, contents: impl AsRef<[u8]>) -> io::Result<()> {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)?;
+    }
+    std::fs::write(path, contents)
+}
+
+/// The smallest and the largest of `xs` (the largest floored at 0).
+fn span(xs: impl Iterator<Item = f64> + Clone) -> (f64, f64) {
+    (
+        xs.clone().fold(f64::INFINITY, f64::min),
+        xs.fold(0.0, f64::max),
+    )
+}
+
+/// The message kinds of the lock protocol.
+const LOCK_KINDS: [MessageKind; 3] = [
+    MessageKind::LockRequest,
+    MessageKind::LockGrant,
+    MessageKind::LockRelease,
+];
+
+/// Figure 2's x-axis: every object, O0–O19.
+const FIG2_AXIS: [u32; 20] = [
+    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19,
+];
+/// Figure 3's x-axis: O10–O19 (the subset the paper shows).
+const FIG3_AXIS: [u32; 10] = [10, 11, 12, 13, 14, 15, 16, 17, 18, 19];
+/// Figure 4's x-axis: the paper's selected medium objects from O9–O99.
+const FIG4_AXIS: [u32; 15] = [9, 18, 25, 32, 37, 42, 46, 54, 64, 67, 71, 74, 83, 92, 99];
+/// Figure 5's x-axis: the paper's selected large objects from O9–O99.
+const FIG5_AXIS: [u32; 15] = [9, 12, 18, 31, 37, 39, 54, 56, 58, 70, 73, 77, 91, 96, 99];
+
+/// Figures 2–5: bytes transferred to maintain each `axis` object's
+/// consistency, per protocol.
+fn bytes_figure(
+    ctx: &Ctx,
+    out: &mut dyn Write,
+    preset: Scenario,
+    axis: &[u32],
+    title: &str,
+) -> io::Result<()> {
+    let scenario = ctx.scenario(preset);
+    let cmp = run_scenario(&scenario);
+    let bytes = |o: u32| ProtocolKind::PAPER_TRIO.map(|k| cmp.object(k, ObjectId::new(o)).bytes);
+    ctx.save_csv(out, |csv| {
+        writeln!(csv, "object,cotec_bytes,otec_bytes,lotec_bytes")?;
+        for &o in axis {
+            let [c, ot, l] = bytes(o);
+            writeln!(csv, "O{o},{c},{ot},{l}")?;
+        }
+        Ok(())
+    })?;
+    writeln!(out, "{title}")?;
+    writeln!(
+        out,
+        "{:>6} {:>14} {:>14} {:>14}",
+        "object", "COTEC", "OTEC", "LOTEC"
+    )?;
+    for &o in axis {
+        let [c, ot, l] = bytes(o);
+        writeln!(
+            out,
+            "{:>6} {c:>14} {ot:>14} {l:>14}",
+            ObjectId::new(o).to_string()
+        )?;
+    }
+    let [c, o, l] = ProtocolKind::PAPER_TRIO.map(|k| cmp.total(k));
+    writeln!(
+        out,
+        "{:>6} {:>14} {:>14} {:>14}",
+        "total", c.bytes, o.bytes, l.bytes
+    )?;
+    writeln!(
+        out,
+        "ratios: OTEC/COTEC = {:.3} (paper: ~0.75-0.80), LOTEC/OTEC = {:.3} (paper: ~0.90-0.95)",
+        o.bytes as f64 / c.bytes as f64,
+        l.bytes as f64 / o.bytes as f64
+    )?;
+    writeln!(
+        out,
+        "messages: COTEC {} / OTEC {} / LOTEC {} — LOTEC sends more, smaller messages",
+        c.messages, o.messages, l.messages
+    )?;
+    ctx.observe(&scenario, out)
+}
+
+/// The object whose consistency cost the Figures-6–8 series tracks: the
+/// paper plots "an arbitrary shared object"; we pick the busiest one under
+/// OTEC so the series is well exercised.
+fn busiest_object(cmp: &ProtocolComparison, num_objects: u32) -> ObjectId {
+    (0..num_objects)
+        .map(ObjectId::new)
+        .max_by_key(|&o| cmp.object(ProtocolKind::Otec, o).bytes)
+        .expect("at least one object")
+}
+
+/// Figures 6–8: total message time for the busiest object at `bandwidth`,
+/// for each of the paper's five software costs.
+fn time_figure(
+    ctx: &Ctx,
+    out: &mut dyn Write,
+    bandwidth: Bandwidth,
+    title: &str,
+) -> io::Result<()> {
+    let scenario = ctx.scenario(presets::network_sweep());
+    let cmp = run_scenario(&scenario);
+    let object = busiest_object(&cmp, scenario.config.num_objects);
+    let times = |sc: SoftwareCost| {
+        let net = NetworkConfig::new(bandwidth, sc);
+        ProtocolKind::PAPER_TRIO.map(|k| cmp.object_time(k, object, net))
+    };
+    ctx.save_csv(out, |csv| {
+        writeln!(csv, "software_cost_ns,cotec_us,otec_us,lotec_us")?;
+        for sc in SoftwareCost::paper_sweep() {
+            let [c, o, l] = times(sc).map(|t| t.as_micros_f64());
+            writeln!(csv, "{},{c:.3},{o:.3},{l:.3}", sc.duration().as_nanos())?;
+        }
+        Ok(())
+    })?;
+    writeln!(out, "{title}")?;
+    writeln!(out, "(object {object}, link {bandwidth})")?;
+    writeln!(
+        out,
+        "{:>10} {:>14} {:>14} {:>14}",
+        "sw cost", "COTEC", "OTEC", "LOTEC"
+    )?;
+    for sc in SoftwareCost::paper_sweep() {
+        let [c, o, l] = times(sc).map(|t| t.to_string());
+        writeln!(out, "{:>10} {c:>14} {o:>14} {l:>14}", sc.to_string())?;
+    }
+    ctx.observe(&scenario, out)
+}
+
+/// Reproduces the paper's in-text §5 claims across all four figure
+/// scenarios:
+///
+/// * "OTEC generally outperforms COTEC by approximately 20 - 25%" (bytes),
+/// * "LOTEC outperforms OTEC by another 5 - 10%" (bytes),
+/// * "In some cases, the difference is more dramatic",
+/// * "LOTEC also sends many more messages (albeit small ones) than OTEC or
+///   COTEC".
+fn intext_claims(ctx: &Ctx, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "In-text claims of §5, measured over the four figure scenarios:\n"
+    )?;
+    writeln!(
+        out,
+        "{:<45} {:>11} {:>11} {:>12} {:>12}",
+        "scenario", "OTEC/COTEC", "LOTEC/OTEC", "msgs L/O", "avg B/msg L"
+    )?;
+    let mut otec_savings = Vec::new();
+    let mut lotec_savings = Vec::new();
+    for scenario in presets::all_figures() {
+        let scenario = ctx.scenario(scenario);
+        let cmp = run_scenario(&scenario);
+        let [c, o, l] = ProtocolKind::PAPER_TRIO.map(|k| cmp.total(k));
+        let oc = o.bytes as f64 / c.bytes as f64;
+        let lo = l.bytes as f64 / o.bytes as f64;
+        otec_savings.push(1.0 - oc);
+        lotec_savings.push(1.0 - lo);
+        writeln!(
+            out,
+            "{:<45} {:>11.3} {:>11.3} {:>12.3} {:>12.0}",
+            scenario.name,
+            oc,
+            lo,
+            l.messages as f64 / o.messages as f64,
+            l.bytes as f64 / l.messages as f64,
+        )?;
+        assert!(
+            l.bytes <= o.bytes && o.bytes <= c.bytes,
+            "byte ordering violated"
+        );
+    }
+    let (otec_min, otec_max) = span(otec_savings.iter().copied());
+    let (lotec_min, lotec_max) = span(lotec_savings.iter().copied());
+    writeln!(
+        out,
+        "\nOTEC saves {:.0}-{:.0}% of COTEC's bytes across scenarios (paper: ~20-25%).",
+        100.0 * otec_min,
+        100.0 * otec_max,
+    )?;
+    writeln!(
+        out,
+        "LOTEC saves another {:.0}-{:.0}% over OTEC (paper: ~5-10%, sometimes more dramatic).",
+        100.0 * lotec_min,
+        100.0 * lotec_max,
+    )?;
+    writeln!(
+        out,
+        "LOTEC's message count exceeds OTEC's in every scenario while its \
+         mean message size is smaller — the paper's \"many more messages \
+         (albeit small ones)\"."
+    )
+}
+
+/// Ablation: LOTEC's sensitivity to prediction quality.
+///
+/// The paper's compiler predictions are *conservative* — they always cover
+/// the pages a method actually touches, so LOTEC never demand-fetches.
+/// This ablation degrades the prediction by randomly dropping pages from
+/// the prefetch plan with probability `miss`, forcing demand fetches
+/// (paper §4.3: "If additional parts turn out to be needed, these can be
+/// fetched on demand") and quantifying how much of LOTEC's win survives a
+/// sloppier analyzer.
+fn ablation_prediction(ctx: &Ctx, out: &mut dyn Write) -> io::Result<()> {
+    let scenario = ctx.scenario(presets::fig3());
+    let (registry, families) = generate(&scenario);
+    writeln!(
+        out,
+        "LOTEC under degraded access prediction ({}):\n",
+        scenario.name
+    )?;
+    writeln!(
+        out,
+        "{:>6} {:>14} {:>10} {:>14} {:>16}",
+        "miss", "bytes", "messages", "demand fetches", "msg time @100Mbps"
+    )?;
+    let net = NetworkConfig::default_cluster();
+    for miss in [0.0, 0.1, 0.25, 0.5] {
+        let config = SystemConfig {
+            protocol: ProtocolKind::Lotec,
+            prediction_miss_rate: miss,
+            ..scenario.system_config()
+        };
+        let report = ctx.run_verified(&config, &registry, &families);
+        let t = report.traffic.total();
+        writeln!(
+            out,
+            "{:>6.2} {:>14} {:>10} {:>14} {:>16}",
+            miss,
+            t.bytes,
+            t.messages,
+            report.stats.demand_fetches,
+            t.message_time(net).to_string(),
+        )?;
+    }
+    writeln!(
+        out,
+        "\nDemand fetches trade each missed prediction for an extra small \
+         round trip; bytes stay nearly flat (the page still moves once) \
+         while message count — and so software-cost-dominated time — grows."
+    )
+}
+
+/// Ablation: the release-consistency extension vs the paper trio.
+///
+/// The paper lists "the implementation of a simulated version of Release
+/// Consistency for nested objects" as work underway to compare against
+/// COTEC/OTEC/LOTEC. This experiment performs that comparison: RC pushes
+/// updates eagerly to every caching site at root commit, so it trades
+/// acquisition-time fetches for commit-time broadcast traffic — the more
+/// sites cache an object, the worse the trade.
+fn ablation_rc(ctx: &Ctx, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "Release consistency vs the paper trio (whole-run totals):\n"
+    )?;
+    let net = NetworkConfig::default_cluster();
+    for scenario in presets::all_figures() {
+        let scenario = ctx.scenario(scenario);
+        let cmp = run_scenario(&scenario);
+        writeln!(out, "{}:", scenario.name)?;
+        writeln!(
+            out,
+            "{:>8} {:>14} {:>10} {:>16} {:>14}",
+            "protocol", "bytes", "messages", "msg time @100M", "push msgs"
+        )?;
+        for kind in ProtocolKind::ALL {
+            let t = cmp.total(kind);
+            let pushes = cmp
+                .traffic(kind)
+                .ledger()
+                .kind(MessageKind::UpdatePush)
+                .messages;
+            writeln!(
+                out,
+                "{:>8} {:>14} {:>10} {:>16} {:>14}",
+                kind.to_string(),
+                t.bytes,
+                t.messages,
+                cmp.total_time(kind, net).to_string(),
+                pushes,
+            )?;
+        }
+        writeln!(out)?;
+    }
+    writeln!(
+        out,
+        "RC's eager pushes replicate every update to all caching sites; under \
+         the paper's contended workloads most pushed copies are overwritten \
+         before they are read, so lazy (entry-consistency-style) protocols \
+         dominate — the motivation for LOTEC's design."
+    )
+}
+
+/// Ablation: undo-log vs shadow-page recovery.
+///
+/// Paper §4.1: "the UNDO operations required by the `LocalLockRelease`
+/// routine may be done using either local UNDO logs or shadow pages. In
+/// either case, no network communication is required." This experiment runs a
+/// fault-injected workload under both mechanisms and demonstrates that
+/// they are semantically interchangeable: identical schedules, identical
+/// traffic, identical final state — and aborts never generate consistency
+/// traffic beyond the lock-release messages.
+fn ablation_recovery(ctx: &Ctx, out: &mut dyn Write) -> io::Result<()> {
+    let scenario = ctx.scenario(presets::ablation_faults());
+    let (registry, families) = generate(&scenario);
+    writeln!(out, "Recovery-mechanism ablation ({}):\n", scenario.name)?;
+
+    let mut reports = Vec::new();
+    for (label, recovery) in [
+        ("undo log", RecoveryKind::UndoLog),
+        ("shadow pages", RecoveryKind::ShadowPages),
+    ] {
+        let config = SystemConfig {
+            recovery,
+            ..scenario.system_config()
+        };
+        let report = ctx.run_verified(&config, &registry, &families);
+        let t = report.traffic.total();
+        writeln!(
+            out,
+            "{label:>14}: {} commits, {} sub-txn aborts, {} bytes, {} messages",
+            report.stats.committed_families, report.stats.subtxn_aborts, t.bytes, t.messages
+        )?;
+        reports.push(report);
+    }
+
+    assert_eq!(reports[0].trace, reports[1].trace, "schedules must match");
+    assert_eq!(
+        reports[0].final_chains, reports[1].final_chains,
+        "final state must match"
+    );
+    assert_eq!(
+        reports[0].traffic.total(),
+        reports[1].traffic.total(),
+        "traffic must match"
+    );
+    writeln!(
+        out,
+        "\nBoth mechanisms produce byte-identical schedules, traffic and final \
+         state: recovery is a purely local choice, exactly as §4.1 claims."
+    )
+}
+
+/// Ablation: per-class consistency protocols (paper §6 future work).
+///
+/// "Future research will include an exploration of extensions to support
+/// different consistency protocols … on a per-class basis." This experiment
+/// compares uniform protocol assignments against a mixed assignment on a
+/// workload whose classes have different sharing behaviour, showing the
+/// per-class knob lets the system pick the best protocol per class.
+fn ablation_per_class(ctx: &Ctx, out: &mut dyn Write) -> io::Result<()> {
+    let scenario = ctx.scenario(presets::fig3());
+    let (registry, families) = generate(&scenario);
+    let base = scenario.system_config();
+    let net = NetworkConfig::default_cluster();
+
+    writeln!(out, "Per-class protocol assignment ({}):\n", scenario.name)?;
+    writeln!(
+        out,
+        "{:<34} {:>14} {:>10} {:>16}",
+        "assignment", "bytes", "messages", "msg time @100M"
+    )?;
+
+    let mut rows: Vec<(String, SystemConfig)> = vec![
+        (
+            "uniform LOTEC".into(),
+            base.clone().with_protocol(ProtocolKind::Lotec),
+        ),
+        (
+            "uniform OTEC".into(),
+            base.clone().with_protocol(ProtocolKind::Otec),
+        ),
+        (
+            "uniform RC".into(),
+            base.clone().with_protocol(ProtocolKind::ReleaseConsistency),
+        ),
+    ];
+    // Mixed: run the last (leaf-most, most contended) class under OTEC —
+    // its objects are re-fetched whole anyway — and everything else under
+    // LOTEC.
+    let n_classes = scenario.config.schema.num_classes;
+    let mixed = base
+        .with_protocol(ProtocolKind::Lotec)
+        .with_class_protocol(ClassId::new(n_classes - 1), ProtocolKind::Otec);
+    rows.push((format!("LOTEC + OTEC for C{}", n_classes - 1), mixed));
+
+    for (label, config) in rows {
+        let report = ctx.run_verified(&config, &registry, &families);
+        let t = report.traffic.total();
+        writeln!(
+            out,
+            "{:<34} {:>14} {:>10} {:>16}",
+            label,
+            t.bytes,
+            t.messages,
+            t.message_time(net).to_string(),
+        )?;
+    }
+    writeln!(
+        out,
+        "\nThe per-class knob composes protocols within one run; every mix is \
+         oracle-verified serializable. Class-local sharing behaviour decides \
+         the best protocol per class, not a single global choice."
+    )
+}
+
+/// Ablation: optimistic lock prefetching (paper §6 future work).
+///
+/// "We can also predict which other objects a given method may invoke
+/// methods on. This information can then be used to permit optimistic
+/// pre-acquisition of locks in the GDO … Performing these operations in
+/// parallel with other operations effectively hides the latency of remote
+/// lock acquisition thereby improving overall performance."
+///
+/// The engine models the latency-hiding half: pending child invocations'
+/// lock requests are issued when the parent starts computing, so their GDO
+/// round trips overlap the parent's compute phase. For one fixed schedule
+/// the messages are identical and merely leave earlier; under contention,
+/// earlier arrivals can also *reorder* grants (a second-order effect this
+/// experiment reports rather than hides).
+fn ablation_prefetch(ctx: &Ctx, out: &mut dyn Write) -> io::Result<()> {
+    // Nesting is where prefetching pays; crank up the invoke probability.
+    let mut scenario = ctx.scenario(presets::fig3());
+    scenario.config.schema.invoke_prob = 0.85;
+    scenario.name = "fig3 variant with deep nesting".into();
+    let (registry, families) = generate(&scenario);
+    let base = scenario.system_config();
+
+    writeln!(out, "Optimistic lock prefetching ({}):\n", scenario.name)?;
+    writeln!(
+        out,
+        "{:>10} {:>14} {:>14} {:>10} {:>14}",
+        "prefetch", "mean latency", "makespan", "hits", "latency hidden"
+    )?;
+    let mut results = Vec::new();
+    for prefetch in [false, true] {
+        let config = SystemConfig {
+            lock_prefetch: prefetch,
+            ..base.clone()
+        };
+        let report = ctx.run_verified(&config, &registry, &families);
+        writeln!(
+            out,
+            "{:>10} {:>14} {:>14} {:>10} {:>14}",
+            if prefetch { "on" } else { "off" },
+            report
+                .stats
+                .mean_latency()
+                .expect("commits happened")
+                .to_string(),
+            report.stats.makespan.to_string(),
+            report.stats.prefetch_hits,
+            report.stats.prefetch_saved.to_string(),
+        )?;
+        results.push(report);
+    }
+    let (off, on) = (results[0].traffic.total(), results[1].traffic.total());
+    writeln!(
+        out,
+        "\ntraffic: off {} bytes/{} msgs, on {} bytes/{} msgs",
+        off.bytes, off.messages, on.bytes, on.messages
+    )?;
+    writeln!(
+        out,
+        "Prefetching absorbs GDO round-trip latency into the parent's \
+         compute phase. On an uncontended schedule traffic is byte-identical \
+         (see the engine unit test); under heavy contention the earlier \
+         requests can reorder grants, so totals may drift slightly — the \
+         latency win is the first-order effect."
+    )
+}
+
+/// Ablation: multicast-capable networks (paper §6 future work).
+///
+/// "We are also actively expanding our simulation system to verify LOTEC's
+/// compatibility with conventional DSM optimization techniques including
+/// the use of multicast-capable networks." Only the release-consistency
+/// extension generates one-to-many traffic (eager pushes to all caching
+/// sites), so multicast is RC's rescue line; the lazy protocols are
+/// unaffected — their traffic is point-to-point by construction.
+fn ablation_multicast(ctx: &Ctx, out: &mut dyn Write) -> io::Result<()> {
+    let scenario = ctx.scenario(presets::fig3());
+    let (registry, families) = generate(&scenario);
+    let base = scenario.system_config();
+    let net = NetworkConfig::default_cluster();
+
+    writeln!(out, "Multicast ablation ({}):\n", scenario.name)?;
+    writeln!(
+        out,
+        "{:<26} {:>14} {:>10} {:>16}",
+        "configuration", "bytes", "messages", "msg time @100M"
+    )?;
+    for (label, protocol, multicast) in [
+        (
+            "RC, unicast pushes",
+            ProtocolKind::ReleaseConsistency,
+            false,
+        ),
+        (
+            "RC, multicast pushes",
+            ProtocolKind::ReleaseConsistency,
+            true,
+        ),
+        ("LOTEC (reference)", ProtocolKind::Lotec, false),
+        ("LOTEC + multicast flag", ProtocolKind::Lotec, true),
+    ] {
+        let config = SystemConfig {
+            protocol,
+            multicast,
+            ..base.clone()
+        };
+        let report = ctx.run_verified(&config, &registry, &families);
+        let t = report.traffic.total();
+        writeln!(
+            out,
+            "{:<26} {:>14} {:>10} {:>16}",
+            label,
+            t.bytes,
+            t.messages,
+            t.message_time(net).to_string(),
+        )?;
+    }
+    writeln!(
+        out,
+        "\nMulticast collapses RC's per-site pushes into one transmission per \
+         commit; LOTEC's point-to-point traffic is untouched (identical rows), \
+         confirming the compatibility claim: LOTEC neither needs nor is harmed \
+         by a multicast fabric."
+    )
+}
+
+/// Ablation: DSM (page) vs DSD (data) transfer granularity (paper
+/// §4.2/§6).
+///
+/// "Although LOTEC is described as being a page-based DSM system in this
+/// paper, only updates to the objects (not the entire pages they are
+/// stored on) really need to be transmitted between nodes. In this
+/// respect, LOTEC is more like a Distributed Shared Data system." Future
+/// work (§6) lists "application of LOTEC to distributed shared data (DSD)
+/// rather than distributed shared memory (DSM) systems".
+///
+/// DSD mode ships only each page's occupied object bytes — the internal
+/// fragmentation of every object's final page disappears from the wire.
+fn ablation_dsd(ctx: &Ctx, out: &mut dyn Write) -> io::Result<()> {
+    let net = NetworkConfig::default_cluster();
+    writeln!(
+        out,
+        "Transfer granularity: page-based DSM vs data-based DSD (LOTEC):\n"
+    )?;
+    writeln!(
+        out,
+        "{:<46} {:>14} {:>14} {:>8} {:>14}",
+        "scenario", "DSM bytes", "DSD bytes", "saved", "DSD time @100M"
+    )?;
+    for scenario in presets::all_figures() {
+        let scenario = ctx.scenario(scenario);
+        let (registry, families) = generate(&scenario);
+        let [dsm, dsd] = [false, true].map(|dsd_transfers| {
+            let config = SystemConfig {
+                dsd_transfers,
+                ..scenario.system_config()
+            };
+            ctx.run_verified(&config, &registry, &families)
+                .traffic
+                .total()
+        });
+        writeln!(
+            out,
+            "{:<46} {:>14} {:>14} {:>7.1}% {:>14}",
+            scenario.name,
+            dsm.bytes,
+            dsd.bytes,
+            100.0 * (1.0 - dsd.bytes as f64 / dsm.bytes as f64),
+            dsd.message_time(net).to_string(),
+        )?;
+    }
+    writeln!(
+        out,
+        "\nObjects rarely fill their final page, so data-granularity transfers \
+         shave the fragmentation off every page movement — larger relative \
+         savings for the medium (1-5 page) objects, whose last page is a \
+         bigger share of the object."
+    )
+}
+
+/// Ablation: object granularity / aggregation (paper §5.1).
+///
+/// "The LOTEC protocol, as described, has a natural preference for
+/// coarse-grained concurrency since the larger objects are, the fewer lock
+/// operations are necessary. … Heavily object-based environments can
+/// sometimes aggregate related small objects into larger objects for the
+/// purpose of decreasing the cost of concurrency control and consistency
+/// maintenance."
+///
+/// This experiment contrasts the same volume of shared data exposed as 80
+/// fine-grained single-page objects (deeply nested multi-object
+/// transactions) vs. 20 coarse 4-page aggregates, under LOTEC.
+fn ablation_aggregation(ctx: &Ctx, out: &mut dyn Write) -> io::Result<()> {
+    let (fine, coarse) = presets::aggregation_pair();
+    let net = NetworkConfig::default_cluster();
+    writeln!(out, "Object aggregation under LOTEC:\n")?;
+    writeln!(
+        out,
+        "{:<46} {:>10} {:>10} {:>12} {:>14}",
+        "granularity", "lock msgs", "xfer msgs", "total bytes", "msg time @100M"
+    )?;
+    for scenario in [fine, coarse] {
+        let scenario = ctx.scenario(scenario);
+        let cmp = run_scenario(&scenario);
+        let traffic = cmp.traffic(ProtocolKind::Lotec);
+        let ledger = traffic.ledger();
+        let lock_msgs: u64 = LOCK_KINDS.iter().map(|&k| ledger.kind(k).messages).sum();
+        let xfer_msgs = ledger.kind(MessageKind::PageTransfer).messages
+            + ledger.kind(MessageKind::PageRequest).messages;
+        let total = traffic.total();
+        writeln!(
+            out,
+            "{:<46} {:>10} {:>10} {:>12} {:>14}",
+            scenario.name,
+            lock_msgs,
+            xfer_msgs,
+            total.bytes,
+            total.message_time(net).to_string(),
+        )?;
+    }
+    writeln!(
+        out,
+        "\nFine granularity multiplies lock operations per unit of data — the \
+         §5.1 overhead aggregation avoids (lock messages drop sharply with \
+         coarse objects). The flip side is also visible: aggregates move more \
+         bytes per acquisition, which is why the paper pairs aggregation with \
+         LOTEC's predicted-page transfers rather than whole-object protocols \
+         — under COTEC the coarse configuration would pay the full object on \
+         every grant."
+    )
+}
+
+/// Ablation: GDO placement — partitioned vs central directory.
+///
+/// §4.1: "To ensure efficiency and reliability, the GDO design is
+/// partitioned and replicated as well as being partially cacheable at
+/// local sites." This experiment measures the partitioning half of that
+/// sentence: hash-partitioning the directory over all nodes versus
+/// concentrating it on one directory server. Partitioning gives each node
+/// a 1/N share of zero-message directory operations and spreads the
+/// directory's message load; a central directory pays a round trip for
+/// nearly every lock operation and concentrates it all on one site.
+fn ablation_gdo(ctx: &Ctx, out: &mut dyn Write) -> io::Result<()> {
+    let scenario = ctx.scenario(presets::fig3());
+    let (registry, families) = generate(&scenario);
+    let base = scenario.system_config();
+    let net = NetworkConfig::default_cluster();
+
+    writeln!(out, "GDO placement ({}):\n", scenario.name)?;
+    writeln!(
+        out,
+        "{:<24} {:>10} {:>14} {:>16} {:>14}",
+        "placement", "lock msgs", "lock bytes", "total msg time", "makespan"
+    )?;
+    for (label, placement) in [
+        ("partitioned (paper)", GdoPlacement::Partitioned),
+        ("central @ N0", GdoPlacement::Central(NodeId::new(0))),
+    ] {
+        let config = SystemConfig {
+            gdo_placement: placement,
+            ..base.clone()
+        };
+        let report = ctx.run_verified(&config, &registry, &families);
+        let ledger = report.traffic.ledger();
+        let lock_msgs: u64 = LOCK_KINDS.iter().map(|&k| ledger.kind(k).messages).sum();
+        let lock_bytes: u64 = LOCK_KINDS.iter().map(|&k| ledger.kind(k).bytes).sum();
+        writeln!(
+            out,
+            "{:<24} {:>10} {:>14} {:>16} {:>14}",
+            label,
+            lock_msgs,
+            lock_bytes,
+            report.traffic.total().message_time(net).to_string(),
+            report.stats.makespan.to_string(),
+        )?;
+    }
+    writeln!(
+        out,
+        "\nExpected message counts are nearly identical: under either design \
+         ~1/N of lock operations happen to be requester-local. What \
+         partitioning buys — and what an analytic (non-queueing) cost model \
+         cannot price — is load spreading: the central design funnels every \
+         directory message through one node, which saturates first and is a \
+         single point of failure. That, plus replication, is §4.1's \
+         'efficiency and reliability' argument."
+    )
+}
+
+/// Ablation: GDO replication factor (§4.1 "partitioned and replicated …
+/// to ensure efficiency and reliability").
+///
+/// Replication buys failover for the directory; its cost is a small
+/// write-behind message to each backup per directory mutation (grant or
+/// release). This experiment sweeps the replication factor and shows the cost
+/// is linear, small relative to page traffic, and entirely off the
+/// critical path (the schedule — and therefore makespan — is unchanged).
+fn ablation_replication(ctx: &Ctx, out: &mut dyn Write) -> io::Result<()> {
+    let scenario = ctx.scenario(presets::fig3());
+    let (registry, families) = generate(&scenario);
+    let base = scenario.system_config();
+    let net = NetworkConfig::default_cluster();
+
+    writeln!(out, "GDO replication cost ({}):\n", scenario.name)?;
+    writeln!(
+        out,
+        "{:>7} {:>12} {:>14} {:>10} {:>16} {:>12}",
+        "factor", "repl msgs", "repl bytes", "% of total", "total msg time", "makespan"
+    )?;
+    let mut schedules = Vec::new();
+    for factor in [1u32, 2, 3, 4] {
+        let config = SystemConfig {
+            gdo_replication: factor,
+            ..base.clone()
+        };
+        let report = ctx.run_verified(&config, &registry, &families);
+        let repl = report.traffic.ledger().kind(MessageKind::GdoReplicate);
+        let total = report.traffic.total();
+        writeln!(
+            out,
+            "{:>7} {:>12} {:>14} {:>9.2}% {:>16} {:>12}",
+            factor,
+            repl.messages,
+            repl.bytes,
+            100.0 * repl.bytes as f64 / total.bytes as f64,
+            total.message_time(net).to_string(),
+            report.stats.makespan.to_string(),
+        )?;
+        schedules.push(report.trace);
+    }
+    assert!(
+        schedules.windows(2).all(|w| w[0] == w[1]),
+        "write-behind replication must never perturb the schedule"
+    );
+    writeln!(
+        out,
+        "\nReplication messages are tiny relative to page traffic, scale \
+         linearly with the factor, and never touch the schedule (asserted \
+         identical across factors) — reliability at a bounded, predictable \
+         price, as §4.1's design intends."
+    )
+}
+
+/// Reproduces §5.1's "Locking Overhead" discussion with measurements.
+///
+/// "Each lock acquisition performed at a site other than where the
+/// corresponding object was last updated will require a message to the
+/// GDO. While such messages are small, the time required to send each one
+/// and receive a reply is typically much greater than the time required to
+/// perform a local operation. … The LOTEC protocol, as described, has a
+/// natural preference for coarse-grained concurrency since the larger
+/// objects are, the fewer lock operations are necessary."
+///
+/// This experiment quantifies, per scenario, how many lock operations a
+/// transaction family performs, how many are served locally (a retaining
+/// ancestor at the same site — zero messages) versus globally (a GDO round
+/// trip), and how the lock-op budget shifts with object granularity.
+fn locking_overhead(ctx: &Ctx, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "Locking overhead (§5.1) across scenarios:\n")?;
+    writeln!(
+        out,
+        "{:<46} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "scenario", "local", "global", "queued", "ops/txn", "% local"
+    )?;
+    let (fine, coarse) = presets::aggregation_pair();
+    for scenario in presets::all_figures().into_iter().chain([fine, coarse]) {
+        let scenario = ctx.scenario(scenario);
+        let (registry, families) = generate(&scenario);
+        let report = ctx.run_verified(&scenario.system_config(), &registry, &families);
+        let s = &report.stats;
+        writeln!(
+            out,
+            "{:<46} {:>9} {:>9} {:>9} {:>9.2} {:>8.1}%",
+            scenario.name,
+            s.local_lock_grants,
+            s.global_lock_grants,
+            s.queued_lock_requests,
+            s.total_lock_ops() as f64 / s.committed_families.max(1) as f64,
+            100.0 * s.local_lock_fraction().unwrap_or(0.0),
+        )?;
+    }
+    writeln!(
+        out,
+        "\nGlobal operations dominate under contention (families rarely \
+         reacquire what an ancestor retains), which is why §5.1 stresses \
+         small lock messages and motivates both coarse granularity (fewer \
+         ops/txn — compare the aggregation rows) and the lock-prefetching \
+         future work (`ablation_prefetch`)."
+    )
+}
+
+/// Reference-pattern profile of the figure workloads.
+///
+/// The paper's figures show objects "selected to reflect a variety of
+/// reference patterns that arose in the randomized nested transactions"
+/// (§5). This experiment recovers those patterns from the schedule trace:
+/// object heat (grants), read/write mix, sharing spread across families
+/// and nodes, and the retained-lock locality the nested structure buys.
+fn contention_profile(ctx: &Ctx, out: &mut dyn Write) -> io::Result<()> {
+    for scenario in [presets::fig2(), presets::fig4()] {
+        let scenario = ctx.scenario(scenario);
+        let (registry, families) = generate(&scenario);
+        let report = ctx.run_verified(&scenario.system_config(), &registry, &families);
+        let analysis = TraceAnalysis::of(&report.trace);
+
+        writeln!(out, "== {} ==", scenario.name)?;
+        writeln!(
+            out,
+            "{} commits, {} aborted attempts (deadlock restarts), mean lock tenure {}",
+            analysis.commits(),
+            analysis.aborts(),
+            analysis
+                .mean_family_span()
+                .map_or_else(|| "n/a".into(), |d| d.to_string()),
+        )?;
+        writeln!(
+            out,
+            "{:>7} {:>8} {:>8} {:>8} {:>9} {:>9} {:>8}",
+            "object", "grants", "writes", "local", "families", "nodes", "w-frac"
+        )?;
+        for (object, grants) in analysis.hottest().into_iter().take(8) {
+            let p = analysis.object(object);
+            writeln!(
+                out,
+                "{:>7} {:>8} {:>8} {:>8} {:>9} {:>9} {:>7.0}%",
+                object.to_string(),
+                grants,
+                p.write_grants,
+                p.local_grants,
+                p.distinct_families,
+                p.distinct_nodes,
+                100.0 * p.write_fraction().unwrap_or(0.0),
+            )?;
+        }
+        writeln!(out)?;
+    }
+    writeln!(
+        out,
+        "Zipf skew concentrates grants on low-numbered objects (the paper's \
+         hot O0/O1/...); high contention spreads each hot object across most \
+         nodes, which is precisely where entry-consistency-style laziness \
+         pays."
+    )
+}
+
+/// Throughput scaling: the paper's §2 motivation measured.
+///
+/// "An important characteristic of transaction processing systems is that
+/// their computational requirements typically come not from the complexity
+/// of a single transaction but rather from the volume of transactions
+/// which must be concurrently processed. … the available transactions need
+/// only be distributed across the available processors to balance the
+/// computational load."
+///
+/// This experiment fixes a transaction volume and sweeps the cluster size,
+/// reporting committed transactions per simulated second under each
+/// protocol. The engine does not model CPU contention (transaction
+/// latency, not node compute, is the bottleneck it simulates), so the
+/// single-node row — where every page and GDO partition is local and no
+/// consistency message ever hits a wire — is the *ideal*: the interesting
+/// quantity is how much of that ideal each protocol retains once the data
+/// is distributed, i.e. the throughput cost of consistency maintenance.
+fn throughput_scaling(ctx: &Ctx, out: &mut dyn Write) -> io::Result<()> {
+    const NODE_COUNTS: [u32; 5] = [1, 2, 4, 8, 16];
+    writeln!(
+        out,
+        "Throughput retained under distribution (fig4-style workload):\n"
+    )?;
+    writeln!(
+        out,
+        "{:>6} {:>14} {:>14} {:>14} {:>12}",
+        "nodes", "LOTEC txn/s", "OTEC txn/s", "COTEC txn/s", "deadlocks"
+    )?;
+    // Each cluster-size row is an independent workload + trio of runs;
+    // compute them across the sweep runner's workers and print after the
+    // merge so the table reads identically to a serial sweep.
+    let rows = runner::run_indexed(NODE_COUNTS.len(), |i| {
+        let mut scenario = ctx.scenario(presets::fig4());
+        scenario.config.num_nodes = NODE_COUNTS[i];
+        let (registry, families) = generate(&scenario);
+        let mut deadlocks = 0;
+        // rev() so LOTEC prints first.
+        let row: Vec<f64> = ProtocolKind::PAPER_TRIO
+            .iter()
+            .rev()
+            .map(|&protocol| {
+                let config = scenario.system_config().with_protocol(protocol);
+                let report = ctx.run_verified(&config, &registry, &families);
+                deadlocks = deadlocks.max(report.stats.deadlocks);
+                report.stats.throughput_per_sec()
+            })
+            .collect();
+        (row, deadlocks)
+    });
+    let mut ideal = None;
+    for (nodes, (row, deadlocks)) in NODE_COUNTS.into_iter().zip(&rows) {
+        if nodes == 1 {
+            ideal = Some(row[0]);
+        }
+        writeln!(
+            out,
+            "{:>6} {:>14.0} {:>14.0} {:>14.0} {:>12}",
+            nodes, row[0], row[1], row[2], deadlocks
+        )?;
+        if let Some(ideal) = ideal.filter(|_| nodes > 1) {
+            writeln!(
+                out,
+                "{:>6} {:>13.1}% {:>13.1}% {:>13.1}%",
+                "",
+                100.0 * row[0] / ideal,
+                100.0 * row[1] / ideal,
+                100.0 * row[2] / ideal
+            )?;
+        }
+    }
+    writeln!(
+        out,
+        "\nThe single-node row is the zero-network ideal (the engine models \
+         message latency, not CPU contention). Distribution taxes every \
+         protocol; LOTEC retains the most of the ideal because it moves the \
+         fewest bytes per lock handoff, COTEC the least — the throughput \
+         face of the byte savings in Figures 2-5."
+    )?;
+    ctx.observe(&ctx.scenario(presets::fig4()), out)
+}
+
+/// Ablation: active messaging on gigabit networks (paper §6).
+///
+/// "Future research will include … the integration of active messaging
+/// into LOTEC to improve its performance for gigabit networks." The Fig. 8
+/// problem is that LOTEC sends *more, smaller* messages, so a heavyweight
+/// per-message stack erases its byte savings at 1 Gbps. Active messages
+/// fix precisely that: small handler-dispatched control messages (lock
+/// traffic, page requests, directory updates) bypass the protocol stack,
+/// while bulk page transfers still pay it.
+///
+/// This experiment recomputes Figure 8's series with the active-message path
+/// enabled (control messages at 500 ns), quantifying how much of the
+/// gigabit gap active messaging closes — and how much it cannot, because
+/// LOTEC's scattered-source gathers also split the *bulk* transfers into
+/// more messages.
+fn ablation_active_messages(ctx: &Ctx, out: &mut dyn Write) -> io::Result<()> {
+    let scenario = ctx.scenario(presets::network_sweep());
+    let cmp = run_scenario(&scenario);
+    let object = busiest_object(&cmp, scenario.config.num_objects);
+    writeln!(
+        out,
+        "Active messaging at 1Gbps (object {object}, control messages at 500ns):\n"
+    )?;
+    writeln!(
+        out,
+        "{:>10} | {:>12} {:>12} {:>8} | {:>12} {:>12} {:>8}",
+        "bulk cost", "OTEC", "LOTEC", "winner", "OTEC+AM", "LOTEC+AM", "winner"
+    )?;
+    for sc in SoftwareCost::paper_sweep() {
+        let plain = NetworkConfig::new(Bandwidth::gigabit(), sc);
+        let am = plain.with_active_messages(SoftwareCost::NANOS_500);
+        let row = |net: NetworkConfig| {
+            let o = cmp.object_time(ProtocolKind::Otec, object, net);
+            let l = cmp.object_time(ProtocolKind::Lotec, object, net);
+            (o, l, if l <= o { "LOTEC" } else { "OTEC" })
+        };
+        let (po, pl, pw) = row(plain);
+        let (ao, al, aw) = row(am);
+        writeln!(
+            out,
+            "{:>10} | {:>12} {:>12} {:>8} | {:>12} {:>12} {:>8}",
+            sc.to_string(),
+            po.to_string(),
+            pl.to_string(),
+            pw,
+            ao.to_string(),
+            al.to_string(),
+            aw
+        )?;
+    }
+    writeln!(
+        out,
+        "\nActive messages shrink LOTEC's gigabit penalty dramatically (the \
+         100us row drops ~2x) and pull the LOTEC/OTEC crossover toward \
+         heavier stacks, because LOTEC's *control*-message surplus now rides \
+         the 500ns path. The residual gap at heavyweight stacks comes from \
+         LOTEC's scattered-source gathers splitting bulk transfers into more \
+         messages — so §6's full prescription stands: gigabit LOTEC wants \
+         efficient transmission for the bulk path too, with active messaging \
+         as the first and cheapest step."
+    )
+}
+
+/// Multi-seed robustness check for the reproduction's headline ratios.
+///
+/// The paper hedges: "with a synthetic workload of transactions we do not
+/// want to speculate on the importance of these results" (§5). This experiment
+/// quantifies how much the key ratios move across workload seeds: if the
+/// orderings held for one lucky seed only, the reproduction would be
+/// worthless. Five seeds per scenario, run in parallel.
+fn variance_check(_ctx: &Ctx, out: &mut dyn Write) -> io::Result<()> {
+    let seeds: Vec<u64> = (0..5).map(|i| 0x5EED + i * 7919).collect();
+    writeln!(
+        out,
+        "Ratio stability across {} workload seeds:\n",
+        seeds.len()
+    )?;
+    writeln!(
+        out,
+        "{:<46} {:>22} {:>22} {:>10}",
+        "scenario", "OTEC/COTEC (min..max)", "LOTEC/OTEC (min..max)", "ordering"
+    )?;
+    for scenario in presets::all_figures() {
+        let base = presets::quick(scenario);
+        let results: Vec<(f64, f64, bool)> = runner::run_indexed(seeds.len(), |i| {
+            let mut s = base.clone();
+            s.config.seed = seeds[i];
+            let cmp = run_scenario(&s);
+            let [c, o, l] = ProtocolKind::PAPER_TRIO.map(|k| cmp.total(k).bytes as f64);
+            (o / c, l / o, l <= o && o <= c)
+        });
+        let (min_oc, max_oc) = span(results.iter().map(|r| r.0));
+        let (min_lo, max_lo) = span(results.iter().map(|r| r.1));
+        let all_ordered = results.iter().all(|r| r.2);
+        writeln!(
+            out,
+            "{:<46} {:>10.3}..{:<10.3} {:>10.3}..{:<10.3} {:>10}",
+            base.name,
+            min_oc,
+            max_oc,
+            min_lo,
+            max_lo,
+            if all_ordered { "5/5" } else { "VIOLATED" }
+        )?;
+        assert!(
+            all_ordered,
+            "{}: byte ordering must hold on every seed",
+            base.name
+        );
+    }
+    writeln!(
+        out,
+        "\nThe byte ordering LOTEC <= OTEC <= COTEC held on every seed of \
+         every scenario (asserted); the ratios move with the draw — exactly \
+         the scenario-dependence the paper reports — but stay in the same \
+         bands."
+    )
+}
+
+/// Internal knob-tuning aid: prints protocol byte ratios for a grid of
+/// workload parameters so the figure presets can be calibrated against the
+/// paper's in-text claims (OTEC saves ~20–25% vs COTEC, LOTEC another
+/// 5–10% vs OTEC).
+fn tune(_ctx: &Ctx, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "{:>6} {:>6} {:>6} {:>6} | {:>12} {:>12} {:>12}",
+        "touch", "write", "paths", "theta", "OTEC/COTEC", "LOTEC/OTEC", "LOTEC msgs/OTEC"
+    )?;
+    let (write, theta) = (0.9, 0.9);
+    for touch in [0.2, 0.25, 0.3, 0.35] {
+        for paths in [2u32, 3] {
+            let config = WorkloadConfig {
+                schema: SchemaConfig {
+                    num_classes: 4,
+                    pages_min: 1,
+                    pages_max: 5,
+                    page_size: 4096,
+                    attrs_min: 4,
+                    attrs_max: 8,
+                    methods_per_class: 4,
+                    paths_per_method: paths,
+                    attr_touch_prob: touch,
+                    write_prob: write,
+                    read_only_method_prob: 0.25,
+                    invoke_prob: 0.5,
+                    max_sites_per_path: 2,
+                },
+                num_objects: 20,
+                num_families: 150,
+                num_nodes: 8,
+                zipf_theta: theta,
+                mean_arrival_gap: lotec_sim::SimDuration::from_micros(60),
+                abort_prob: 0.0,
+                seed: 7,
+            };
+            let cmp = run_scenario(&Scenario::new("tune", config));
+            let [c, o, l] = ProtocolKind::PAPER_TRIO.map(|k| cmp.total(k));
+            writeln!(
+                out,
+                "{:>6.2} {:>6.2} {:>6} {:>6.2} | {:>12.3} {:>12.3} {:>12.3}",
+                touch,
+                write,
+                paths,
+                theta,
+                o.bytes as f64 / c.bytes as f64,
+                l.bytes as f64 / o.bytes as f64,
+                l.messages as f64 / o.messages as f64,
+            )?;
+        }
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    #[test]
+    fn flags_parse_with_optional_paths() {
+        let (e, ctx) = parse(&args(&[
+            "fig3",
+            "--csv",
+            "--quick",
+            "--trace-out",
+            "t.jsonl",
+        ]))
+        .expect("valid arguments");
+        assert_eq!(e.name, "fig3");
+        assert!(ctx.quick && ctx.obs);
+        assert_eq!(ctx.csv, Some(PathBuf::from("results/fig3.csv")));
+        assert_eq!(ctx.trace_out, Some(PathBuf::from("t.jsonl")));
+        let (_, ctx) = parse(&args(&["fig6", "--csv", "out.csv", "--obs"])).expect("valid");
+        assert_eq!(ctx.csv, Some(PathBuf::from("out.csv")));
+        assert!(ctx.obs && !ctx.quick && ctx.trace_out.is_none());
+    }
+
+    #[test]
+    fn unknown_flags_and_names_are_rejected() {
+        let err = parse(&args(&["fig3", "--qiuck"])).unwrap_err();
+        assert!(err.contains("--qiuck"), "{err}");
+        let err = parse(&args(&["fig9"])).unwrap_err();
+        assert!(err.contains("fig9"), "{err}");
+        assert!(parse(&args(&["fig3", "extra"])).is_err());
+        assert!(parse(&args(&["--quick", "fig3"])).is_err());
+        assert!(parse(&[]).is_err());
+        let usage = usage();
+        assert!(EXPERIMENTS.iter().all(|e| usage.contains(e.name)));
+    }
+
+    #[test]
+    fn axes_match_paper_labels() {
+        assert_eq!(FIG2_AXIS.to_vec(), (0..20).collect::<Vec<_>>());
+        assert_eq!(FIG3_AXIS.to_vec(), (10..20).collect::<Vec<_>>());
+        assert_eq!(FIG4_AXIS.len(), 15);
+        assert_eq!(FIG5_AXIS.len(), 15);
+        assert!(FIG4_AXIS.iter().all(|&o| o < 100));
+        assert!(FIG5_AXIS.iter().all(|&o| o < 100));
+    }
+
+    #[test]
+    fn quick_scenarios_run_and_order_correctly() {
+        let cmp = run_scenario(&presets::quick(presets::fig2()));
+        let [c, o, l] = ProtocolKind::PAPER_TRIO.map(|k| cmp.total(k).bytes);
+        assert!(l <= o && o <= c);
+    }
+
+    #[test]
+    fn busiest_object_is_stable() {
+        let cmp = run_scenario(&presets::quick(presets::fig3()));
+        let a = busiest_object(&cmp, 20);
+        assert_eq!(a, busiest_object(&cmp, 20));
+        assert!(cmp.object(ProtocolKind::Otec, a).bytes > 0);
+    }
+}

@@ -1,379 +1,20 @@
-//! Shared harness code for the figure-reproduction binaries.
+//! Shared harness code for the benchmark binaries of the LOTEC
+//! reproduction:
 //!
-//! Every figure and in-text claim of the paper's evaluation (§5) has a
-//! binary in `src/bin/` that regenerates it:
-//!
-//! | Binary | Reproduces |
-//! |--------|------------|
-//! | `fig2` | Fig. 2 — bytes/object, medium objects, high contention |
-//! | `fig3` | Fig. 3 — bytes/object, large objects, high contention |
-//! | `fig4` | Fig. 4 — bytes/object, medium objects, moderate contention |
-//! | `fig5` | Fig. 5 — bytes/object, large objects, moderate contention |
-//! | `fig6` | Fig. 6 — transfer time vs software cost at 10 Mbps |
-//! | `fig7` | Fig. 7 — same at 100 Mbps |
-//! | `fig8` | Fig. 8 — same at 1 Gbps |
-//! | `intext_claims` | §5's in-text byte/message-count claims |
-//! | `ablation_prediction` | LOTEC sensitivity to prediction quality |
-//! | `ablation_rc` | the RC extension vs the paper trio |
-//! | `ablation_recovery` | undo-log vs shadow-page recovery |
-//! | `ablation_per_class` | per-class protocol assignment (§6) |
-//! | `ablation_prefetch` | optimistic lock prefetching (§6) |
-//! | `ablation_multicast` | multicast-capable networks (§6) |
-//! | `ablation_dsd` | data-granularity (DSD) transfers (§4.2/§6) |
-//! | `ablation_aggregation` | object aggregation (§5.1) |
-//! | `ablation_gdo` | GDO placement: partitioned vs central (§4.1) |
-//! | `ablation_replication` | GDO replication factor (§4.1) |
-//! | `locking_overhead` | §5.1's locking-overhead discussion, measured |
-//! | `contention_profile` | per-object reference patterns (§5) |
-//! | `throughput_scaling` | throughput retained under distribution (§2) |
-//! | `ablation_active_messages` | active messaging at 1 Gbps (§6) |
-//! | `variance_check` | 5-seed stability of the headline ratios |
-//! | `tune` | internal knob-calibration sweep (how the presets were fit) |
-//! | `smoke` | fast end-to-end sanity run |
+//! | Binary | Purpose |
+//! |--------|---------|
+//! | `repro` | regenerates one figure, in-text claim or ablation of the paper's evaluation — a row of the [`experiments`] registry (`repro <name>`; `repro` alone lists them) |
+//! | `smoke` | fast end-to-end sanity run (`BENCH_smoke.json`) |
 //! | `chaos` | fault-injection sweep: drop rates and node crashes, oracle-checked (`BENCH_chaos.json`) |
 //! | `perf` | wall-clock baseline: engine events/sec and parallel-sweep speedup (`BENCH_perf.json`) |
 //! | `scenarios` | workload-zoo matrix: scenario families × protocols × static/adaptive, oracle-checked with success criteria (`BENCH_scenarios.json`; `--full` for production scale) |
+//! | `obs_report` | re-summarizes a saved JSONL trace offline — span trees, per-root critical paths, and the metrics registry's top-K contention/transfer tables; `--demo` runs the seeded fig3 observability sweep that produces `BENCH_obs.json` |
 //!
-//! Pass `--quick` to any figure binary for a reduced run; `--csv [path]`
-//! additionally writes the figure's data as CSV (default
-//! `results/<fig>.csv`).
-//!
-//! Observability flags (figure binaries and `smoke`):
-//!
-//! * `--obs` — rerun the scenario under a recording probe sink and print
-//!   the structured-trace summary (phase times, lock census, prediction
-//!   quality);
-//! * `--trace-out [path]` — additionally export the recorded events as
-//!   JSONL (`path`, default `results/<name>.trace.jsonl`) and as a
-//!   Perfetto/`chrome://tracing`-loadable Chrome trace alongside it
-//!   (`<path minus .jsonl>.chrome.json`). Implies `--obs`.
-//!
-//! The `obs_report` binary re-summarizes a saved JSONL trace offline —
-//! span trees, per-root critical paths, and the metrics registry's top-K
-//! contention/transfer tables — and `obs_report --demo` runs the seeded
-//! fig3 observability sweep that produces `BENCH_obs.json`.
+//! `repro` and `smoke` take the observability flags `--obs` and
+//! `--trace-out [path]` (see [`experiments`]).
 
-use lotec_core::compare::{compare_protocols, ProtocolComparison};
-use lotec_core::engine::run_engine_with_probe;
-use lotec_core::protocol::ProtocolKind;
-use lotec_mem::ObjectId;
-use lotec_net::{Bandwidth, NetworkConfig, SoftwareCost};
-use lotec_obs::{chrome_trace, jsonl_encode, RecordingSink, TraceSummary};
-use lotec_workload::{presets, Scenario};
-
+pub mod experiments;
 pub mod harness;
 pub mod obs;
 pub mod runner;
 pub mod scenarios;
-
-/// Runs a scenario end-to-end and returns the protocol comparison.
-///
-/// # Panics
-///
-/// Panics with a diagnostic on generation or engine failure — figure
-/// binaries want loud failure, not error plumbing.
-pub fn run_scenario(scenario: &Scenario) -> ProtocolComparison {
-    let (registry, families) = scenario
-        .generate()
-        .unwrap_or_else(|e| panic!("{}: workload generation failed: {e}", scenario.name));
-    let config = scenario.system_config();
-    compare_protocols(&config, &registry, &families)
-        .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", scenario.name))
-}
-
-/// Applies the `--quick` flag from the command line.
-pub fn maybe_quick(scenario: Scenario) -> Scenario {
-    if std::env::args().any(|a| a == "--quick") {
-        presets::quick(scenario)
-    } else {
-        scenario
-    }
-}
-
-/// Returns the CSV output path when `--csv [path]` was passed: an explicit
-/// path if one follows the flag, else `results/<stem>.csv`.
-pub fn csv_path(stem: &str) -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    let idx = args.iter().position(|a| a == "--csv")?;
-    match args.get(idx + 1) {
-        Some(p) if !p.starts_with("--") => Some(p.into()),
-        _ => Some(format!("results/{stem}.csv").into()),
-    }
-}
-
-/// Reruns `scenario` under its own system config with a recording probe
-/// sink attached, returning the run report and the recorded event stream.
-///
-/// # Panics
-///
-/// Panics with a diagnostic on generation or engine failure, like
-/// [`run_scenario`].
-pub fn observe_scenario(scenario: &Scenario) -> (lotec_core::RunReport, Vec<lotec_obs::ObsEvent>) {
-    let (registry, families) = scenario
-        .generate()
-        .unwrap_or_else(|e| panic!("{}: workload generation failed: {e}", scenario.name));
-    let config = scenario.system_config();
-    let mut sink = RecordingSink::new();
-    let report = run_engine_with_probe(&config, &registry, &families, &mut sink)
-        .unwrap_or_else(|e| panic!("{}: probed run failed: {e}", scenario.name));
-    (report, sink.into_events())
-}
-
-/// Writes a recorded event stream as JSONL to `path` and as a
-/// Perfetto-loadable Chrome trace next to it (`.jsonl` → `.chrome.json`).
-///
-/// # Errors
-///
-/// Propagates I/O errors from writing either file.
-pub fn write_trace(path: &std::path::Path, events: &[lotec_obs::ObsEvent]) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    std::fs::write(path, jsonl_encode(events))?;
-    let chrome_path = path.with_extension("chrome.json");
-    std::fs::write(&chrome_path, chrome_trace(events).render_pretty())
-}
-
-/// Applies the `--obs` / `--trace-out [path]` flags: when either is
-/// present, reruns the scenario with a recording sink, prints the
-/// structured-trace summary, and (for `--trace-out`) exports the trace as
-/// JSONL plus a Chrome trace (default path `results/<stem>.trace.jsonl`).
-pub fn maybe_observe(stem: &str, scenario: &Scenario) {
-    let args: Vec<String> = std::env::args().collect();
-    let trace_out =
-        args.iter()
-            .position(|a| a == "--trace-out")
-            .map(|idx| match args.get(idx + 1) {
-                Some(p) if !p.starts_with("--") => std::path::PathBuf::from(p),
-                _ => std::path::PathBuf::from(format!("results/{stem}.trace.jsonl")),
-            });
-    if trace_out.is_none() && !args.iter().any(|a| a == "--obs") {
-        return;
-    }
-    let (report, events) = observe_scenario(scenario);
-    println!();
-    println!(
-        "observability: {} ({} events recorded)",
-        scenario.name,
-        events.len()
-    );
-    print!("{}", TraceSummary::of(&events).render());
-    if let Some(f) = report.stats.phases.fractions() {
-        println!(
-            "phase fractions: lock-wait {:.1}% / transfer {:.1}% / compute {:.1}% / backoff {:.1}%",
-            f[0] * 100.0,
-            f[1] * 100.0,
-            f[2] * 100.0,
-            f[3] * 100.0
-        );
-    }
-    if let Some(path) = trace_out {
-        write_trace(&path, &events)
-            .unwrap_or_else(|e| panic!("writing trace to {}: {e}", path.display()));
-        println!(
-            "trace written: {} and {}",
-            path.display(),
-            path.with_extension("chrome.json").display()
-        );
-    }
-}
-
-/// Writes a Figures-2–5-style byte table as CSV
-/// (`object,cotec_bytes,otec_bytes,lotec_bytes`).
-///
-/// # Errors
-///
-/// Propagates I/O errors from writing `path`.
-pub fn write_bytes_csv(
-    path: &std::path::Path,
-    cmp: &ProtocolComparison,
-    objects: &[u32],
-) -> std::io::Result<()> {
-    use std::io::Write;
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut out = std::fs::File::create(path)?;
-    writeln!(out, "object,cotec_bytes,otec_bytes,lotec_bytes")?;
-    for &o in objects {
-        let id = ObjectId::new(o);
-        writeln!(
-            out,
-            "O{o},{},{},{}",
-            cmp.object(ProtocolKind::Cotec, id).bytes,
-            cmp.object(ProtocolKind::Otec, id).bytes,
-            cmp.object(ProtocolKind::Lotec, id).bytes,
-        )?;
-    }
-    Ok(())
-}
-
-/// Writes a Figures-6–8-style series as CSV
-/// (`software_cost_ns,cotec_us,otec_us,lotec_us`).
-///
-/// # Errors
-///
-/// Propagates I/O errors from writing `path`.
-pub fn write_time_csv(
-    path: &std::path::Path,
-    cmp: &ProtocolComparison,
-    object: ObjectId,
-    bandwidth: Bandwidth,
-) -> std::io::Result<()> {
-    use std::io::Write;
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut out = std::fs::File::create(path)?;
-    writeln!(out, "software_cost_ns,cotec_us,otec_us,lotec_us")?;
-    for sc in SoftwareCost::paper_sweep() {
-        let net = NetworkConfig::new(bandwidth, sc);
-        writeln!(
-            out,
-            "{},{:.3},{:.3},{:.3}",
-            sc.duration().as_nanos(),
-            cmp.object_time(ProtocolKind::Cotec, object, net)
-                .as_micros_f64(),
-            cmp.object_time(ProtocolKind::Otec, object, net)
-                .as_micros_f64(),
-            cmp.object_time(ProtocolKind::Lotec, object, net)
-                .as_micros_f64(),
-        )?;
-    }
-    Ok(())
-}
-
-/// Prints a Figures-2–5-style table: bytes transferred to maintain each of
-/// `objects`' consistency, per protocol.
-pub fn print_bytes_figure(title: &str, cmp: &ProtocolComparison, objects: &[u32]) {
-    println!("{title}");
-    println!(
-        "{:>6} {:>14} {:>14} {:>14}",
-        "object", "COTEC", "OTEC", "LOTEC"
-    );
-    for &o in objects {
-        let id = ObjectId::new(o);
-        println!(
-            "{:>6} {:>14} {:>14} {:>14}",
-            id.to_string(),
-            cmp.object(ProtocolKind::Cotec, id).bytes,
-            cmp.object(ProtocolKind::Otec, id).bytes,
-            cmp.object(ProtocolKind::Lotec, id).bytes,
-        );
-    }
-    let (c, o, l) = (
-        cmp.total(ProtocolKind::Cotec),
-        cmp.total(ProtocolKind::Otec),
-        cmp.total(ProtocolKind::Lotec),
-    );
-    println!(
-        "{:>6} {:>14} {:>14} {:>14}",
-        "total", c.bytes, o.bytes, l.bytes
-    );
-    println!(
-        "ratios: OTEC/COTEC = {:.3} (paper: ~0.75-0.80), LOTEC/OTEC = {:.3} (paper: ~0.90-0.95)",
-        o.bytes as f64 / c.bytes as f64,
-        l.bytes as f64 / o.bytes as f64
-    );
-    println!(
-        "messages: COTEC {} / OTEC {} / LOTEC {} — LOTEC sends more, smaller messages",
-        c.messages, o.messages, l.messages
-    );
-}
-
-/// The object whose consistency cost the Figures-6–8 series tracks: the
-/// paper plots "an arbitrary shared object"; we pick the busiest one under
-/// OTEC so the series is well exercised.
-pub fn busiest_object(cmp: &ProtocolComparison, num_objects: u32) -> ObjectId {
-    (0..num_objects)
-        .map(ObjectId::new)
-        .max_by_key(|&o| cmp.object(ProtocolKind::Otec, o).bytes)
-        .expect("at least one object")
-}
-
-/// Prints a Figures-6–8-style table: total message time for `object` at
-/// `bandwidth`, for each of the paper's five software costs.
-pub fn print_time_figure(
-    title: &str,
-    cmp: &ProtocolComparison,
-    object: ObjectId,
-    bandwidth: Bandwidth,
-) {
-    println!("{title}");
-    println!("(object {object}, link {bandwidth})");
-    println!(
-        "{:>10} {:>14} {:>14} {:>14}",
-        "sw cost", "COTEC", "OTEC", "LOTEC"
-    );
-    for sc in SoftwareCost::paper_sweep() {
-        let net = NetworkConfig::new(bandwidth, sc);
-        println!(
-            "{:>10} {:>14} {:>14} {:>14}",
-            sc.to_string(),
-            cmp.object_time(ProtocolKind::Cotec, object, net)
-                .to_string(),
-            cmp.object_time(ProtocolKind::Otec, object, net).to_string(),
-            cmp.object_time(ProtocolKind::Lotec, object, net)
-                .to_string(),
-        );
-    }
-}
-
-/// The paper's figure-axis object lists (the "selected objects" on the
-/// x-axes of Figures 2–5).
-pub mod axis {
-    /// Figure 2: every object, O0–O19.
-    pub fn fig2() -> Vec<u32> {
-        (0..20).collect()
-    }
-
-    /// Figure 3: O10–O19 (the subset the paper shows).
-    pub fn fig3() -> Vec<u32> {
-        (10..20).collect()
-    }
-
-    /// Figure 4: the paper's selected medium objects from O9–O99.
-    pub fn fig4() -> Vec<u32> {
-        vec![9, 18, 25, 32, 37, 42, 46, 54, 64, 67, 71, 74, 83, 92, 99]
-    }
-
-    /// Figure 5: the paper's selected large objects from O9–O99.
-    pub fn fig5() -> Vec<u32> {
-        vec![9, 12, 18, 31, 37, 39, 54, 56, 58, 70, 73, 77, 91, 96, 99]
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_scenarios_run_and_order_correctly() {
-        let cmp = run_scenario(&presets::quick(presets::fig2()));
-        let l = cmp.total(ProtocolKind::Lotec).bytes;
-        let o = cmp.total(ProtocolKind::Otec).bytes;
-        let c = cmp.total(ProtocolKind::Cotec).bytes;
-        assert!(l <= o && o <= c);
-    }
-
-    #[test]
-    fn busiest_object_is_stable() {
-        let cmp = run_scenario(&presets::quick(presets::fig3()));
-        let a = busiest_object(&cmp, 20);
-        let b = busiest_object(&cmp, 20);
-        assert_eq!(a, b);
-        assert!(cmp.object(ProtocolKind::Otec, a).bytes > 0);
-    }
-
-    #[test]
-    fn axes_match_paper_labels() {
-        assert_eq!(axis::fig2().len(), 20);
-        assert_eq!(axis::fig3(), vec![10, 11, 12, 13, 14, 15, 16, 17, 18, 19]);
-        assert_eq!(axis::fig4().len(), 15);
-        assert_eq!(axis::fig5().len(), 15);
-        assert!(axis::fig4().iter().all(|&o| o < 100));
-        assert!(axis::fig5().iter().all(|&o| o < 100));
-    }
-}

@@ -11,7 +11,7 @@
 //! count.
 
 use lotec_core::config::FaultConfig;
-use lotec_core::engine::{run_engine_with_probe, RunReport};
+use lotec_core::engine::{Engine, RunReport};
 use lotec_core::protocol::ProtocolKind;
 use lotec_core::{AdaptiveConfig, SystemConfig};
 use lotec_obs::{
@@ -244,7 +244,8 @@ pub fn run_obs_demo(workers: usize, top: usize) -> ObsDemo {
             ..SystemConfig::default()
         };
         let mut sink = RecordingSink::new();
-        let report = run_engine_with_probe(&config, &registry, &families, &mut sink)
+        let report = Engine::with_probe(&config, &registry, &families, &mut sink)
+            .and_then(Engine::run)
             .unwrap_or_else(|e| panic!("{protocol} lossy={lossy} adaptive={adaptive}: {e}"));
         DemoCell {
             protocol,

@@ -1,4 +1,4 @@
-//! Bounded parallel sweep runner for the figure/ablation/chaos binaries.
+//! Bounded parallel sweep runner for the experiments and the chaos binary.
 //!
 //! Sweep cells are independent seeded simulations, so wall-clock scales
 //! with cores — but every binary's *output* must stay byte-identical to a

@@ -13,7 +13,7 @@
 
 use lotec_bench::runner;
 use lotec_core::config::SystemConfig;
-use lotec_core::engine::{run_engine, run_engine_instrumented, run_engine_with_probe, RunReport};
+use lotec_core::engine::{run_engine, Engine, RunReport};
 use lotec_core::protocol::ProtocolKind;
 use lotec_obs::{jsonl_encode, HostProfile, NoopSink, ObsEventKind, RecordingSink, WallProfiler};
 use lotec_sim::SimDuration;
@@ -53,7 +53,8 @@ fn wall_profiler_does_not_perturb_the_simulation() {
     let (config, registry, families) = cell_inputs(7);
     let plain = run_engine(&config, &registry, &families).expect("plain run");
     let mut prof = WallProfiler::new();
-    let profiled = run_engine_instrumented(&config, &registry, &families, NoopSink, &mut prof)
+    let profiled = Engine::with_instruments(&config, &registry, &families, NoopSink, &mut prof)
+        .and_then(Engine::run)
         .expect("profiled run");
     assert_eq!(sim_outputs(&plain), sim_outputs(&profiled));
     assert_eq!(plain.final_chains, profiled.final_chains);
@@ -89,7 +90,8 @@ fn profile_structure_is_identical_at_1_and_8_workers() {
         let profiles = runner::run_indexed_profiled_on(workers, 6, |i| {
             let (config, registry, families) = cell_inputs(i as u64);
             let mut prof = WallProfiler::new();
-            run_engine_instrumented(&config, &registry, &families, NoopSink, &mut prof)
+            Engine::with_instruments(&config, &registry, &families, NoopSink, &mut prof)
+                .and_then(Engine::run)
                 .expect("cell runs");
             prof.into_profile()
         })
@@ -121,7 +123,9 @@ fn state_sample_series_is_identical_across_worker_counts() {
             let (mut config, registry, families) = cell_inputs(i as u64);
             config.state_sample_interval = SimDuration::from_micros(50);
             let mut sink = RecordingSink::new();
-            run_engine_with_probe(&config, &registry, &families, &mut sink).expect("sampled run");
+            Engine::with_probe(&config, &registry, &families, &mut sink)
+                .and_then(Engine::run)
+                .expect("sampled run");
             let samples: Vec<_> = sink
                 .events()
                 .iter()
@@ -143,7 +147,8 @@ fn state_sampling_does_not_perturb_the_simulation() {
     let mut sampled_config = config;
     sampled_config.state_sample_interval = SimDuration::from_micros(20);
     let mut sink = RecordingSink::new();
-    let sampled = run_engine_with_probe(&sampled_config, &registry, &families, &mut sink)
+    let sampled = Engine::with_probe(&sampled_config, &registry, &families, &mut sink)
+        .and_then(Engine::run)
         .expect("sampled run");
     assert_eq!(sim_outputs(&plain), sim_outputs(&sampled));
     assert_eq!(plain.final_chains, sampled.final_chains);

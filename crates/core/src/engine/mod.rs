@@ -265,8 +265,24 @@ impl<'a> Engine<'a> {
 }
 
 impl<'a, S: EventSink> Engine<'a, S> {
-    /// Builds an engine whose probe sites report to `sink` (pass a
-    /// [`lotec_obs::RecordingSink`] to capture a structured trace).
+    /// Builds an engine whose probe sites report to `sink`. Lend a
+    /// [`lotec_obs::RecordingSink`] (`&mut sink`) to keep the recorded
+    /// events after [`Engine::run`] consumes the engine:
+    ///
+    /// ```
+    /// use lotec_core::engine::Engine;
+    /// use lotec_core::spec::demo_workload;
+    /// use lotec_core::SystemConfig;
+    /// use lotec_obs::RecordingSink;
+    ///
+    /// let config = SystemConfig::default();
+    /// let (registry, families) = demo_workload(&config, 7);
+    /// let mut sink = RecordingSink::new();
+    /// let report = Engine::with_probe(&config, &registry, &families, &mut sink)?.run()?;
+    /// assert_eq!(report.stats.committed_families as usize, families.len());
+    /// assert!(!sink.is_empty(), "a run emits events");
+    /// # Ok::<(), lotec_core::CoreError>(())
+    /// ```
     ///
     /// # Errors
     ///
@@ -287,6 +303,28 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
     /// self-profiling (lend a [`lotec_obs::WallProfiler`] via `&mut` to
     /// keep the profile after [`Engine::run`] consumes the engine).
     /// Construction itself is attributed to [`HostRegion::Setup`].
+    ///
+    /// ```
+    /// use lotec_core::engine::Engine;
+    /// use lotec_core::spec::demo_workload;
+    /// use lotec_core::SystemConfig;
+    /// use lotec_obs::{NoopSink, WallProfiler};
+    ///
+    /// let config = SystemConfig::default();
+    /// let (registry, families) = demo_workload(&config, 7);
+    /// let mut prof = WallProfiler::new();
+    /// let report =
+    ///     Engine::with_instruments(&config, &registry, &families, NoopSink, &mut prof)?.run()?;
+    /// assert_eq!(report.stats.committed_families as usize, families.len());
+    /// assert!(prof.into_profile().total_count() > 0, "a run records host regions");
+    /// # Ok::<(), lotec_core::CoreError>(())
+    /// ```
+    ///
+    /// To additionally time the sink's own recording cost
+    /// ([`HostRegion`]`::ObsRecord`), wrap the sink in a
+    /// [`lotec_obs::ProfiledSink`] backed by a *second* `WallProfiler` and
+    /// [`merge`](lotec_obs::HostProfile::merge) the two profiles afterwards
+    /// (the engine and the sink wrapper each need exclusive access to theirs).
     ///
     /// # Errors
     ///
@@ -2189,37 +2227,6 @@ pub fn run_engine(
     Engine::new(config, registry, workload)?.run()
 }
 
-/// Like [`run_engine`], but with probe instrumentation delivered to
-/// `sink`. Lend a [`lotec_obs::RecordingSink`] (`&mut sink`) to keep the
-/// recorded events after the run:
-///
-/// ```
-/// use lotec_core::engine::run_engine_with_probe;
-/// use lotec_core::spec::demo_workload;
-/// use lotec_core::SystemConfig;
-/// use lotec_obs::RecordingSink;
-///
-/// let config = SystemConfig::default();
-/// let (registry, families) = demo_workload(&config, 7);
-/// let mut sink = RecordingSink::new();
-/// let report = run_engine_with_probe(&config, &registry, &families, &mut sink)?;
-/// assert_eq!(report.stats.committed_families as usize, families.len());
-/// assert!(!sink.is_empty(), "a run emits events");
-/// # Ok::<(), lotec_core::CoreError>(())
-/// ```
-///
-/// # Errors
-///
-/// See [`Engine::new`] and [`Engine::run`].
-pub fn run_engine_with_probe<S: EventSink>(
-    config: &SystemConfig,
-    registry: &ObjectRegistry,
-    workload: &[FamilySpec],
-    sink: S,
-) -> Result<RunReport, CoreError> {
-    Engine::with_probe(config, registry, workload, sink)?.run()
-}
-
 /// Like [`run_engine`], but with an always-on black box: the run records
 /// into a [`FlightRecorder`] ring sized by
 /// [`SystemConfig::flight_recorder`], and any anomaly (deadlock-victim
@@ -2252,47 +2259,6 @@ pub fn run_engine_recorded(
     let mut recorder = FlightRecorder::new(config.flight_recorder.slots as usize);
     let report = Engine::with_probe(config, registry, workload, &mut recorder)?.run()?;
     Ok((report, recorder))
-}
-
-/// Like [`run_engine_with_probe`], but with both instrumentation planes:
-/// `sink` for sim-time probe events, `prof` for host-plane wall-clock
-/// self-profiling. Lend a [`lotec_obs::WallProfiler`] (`&mut prof`) to
-/// keep the profile after the run:
-///
-/// ```
-/// use lotec_core::engine::run_engine_instrumented;
-/// use lotec_core::spec::demo_workload;
-/// use lotec_core::SystemConfig;
-/// use lotec_obs::{NoopSink, WallProfiler};
-///
-/// let config = SystemConfig::default();
-/// let (registry, families) = demo_workload(&config, 7);
-/// let mut prof = WallProfiler::new();
-/// let report =
-///     run_engine_instrumented(&config, &registry, &families, NoopSink, &mut prof)?;
-/// assert_eq!(report.stats.committed_families as usize, families.len());
-/// let profile = prof.into_profile();
-/// assert!(profile.total_count() > 0, "a run records host regions");
-/// # Ok::<(), lotec_core::CoreError>(())
-/// ```
-///
-/// To additionally time the sink's own recording cost
-/// ([`lotec_obs::HostRegion`]`::ObsRecord`), wrap the sink in a
-/// [`lotec_obs::ProfiledSink`] backed by a *second* `WallProfiler` and
-/// [`merge`](lotec_obs::HostProfile::merge) the two profiles afterwards
-/// (the engine and the sink wrapper each need exclusive access to theirs).
-///
-/// # Errors
-///
-/// See [`Engine::new`] and [`Engine::run`].
-pub fn run_engine_instrumented<S: EventSink, P: HostProfiler>(
-    config: &SystemConfig,
-    registry: &ObjectRegistry,
-    workload: &[FamilySpec],
-    sink: S,
-    prof: P,
-) -> Result<RunReport, CoreError> {
-    Engine::with_instruments(config, registry, workload, sink, prof)?.run()
 }
 
 #[cfg(test)]
@@ -2667,7 +2633,9 @@ mod tests {
         let (registry, families) = demo_workload(&config, 7);
         let plain = run_engine(&config, &registry, &families).unwrap();
         let mut sink = lotec_obs::RecordingSink::new();
-        let probed = run_engine_with_probe(&config, &registry, &families, &mut sink).unwrap();
+        let probed = Engine::with_probe(&config, &registry, &families, &mut sink)
+            .and_then(Engine::run)
+            .unwrap();
 
         // Attaching a recording sink must not perturb the simulation.
         assert_eq!(plain.trace, probed.trace);

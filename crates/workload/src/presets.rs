@@ -18,7 +18,7 @@ use lotec_sim::SimDuration;
 use crate::gen::{Scenario, WorkloadConfig};
 use crate::schema::SchemaConfig;
 
-// Knob calibration (see `lotec-bench --bin tune`): the attribute
+// Knob calibration (see `repro tune`, `results/tune.txt`): the attribute
 // granularity and per-path touch probability are chosen per object-size
 // band so the byte ratios land near the paper's in-text claims — OTEC
 // saves ~20–25% over COTEC, LOTEC another ~5–10% over OTEC, while sending

@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // `NoopSink` every probe site compiles away; with a recording sink the
     // run is still bit-identical (a facade test proves it), just observed.
     let mut sink = RecordingSink::new();
-    let report = run_engine_with_probe(&config, &registry, &families, &mut sink)?;
+    let report = Engine::with_probe(&config, &registry, &families, &mut sink)?.run()?;
     println!(
         "engine: {} commits, {} deadlocks, {} events recorded\n",
         report.stats.committed_families,

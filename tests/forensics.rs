@@ -7,7 +7,7 @@
 //! a configuration verified to break exactly one deadlock — so every
 //! assertion here is exact, not probabilistic.
 
-use lotec_core::engine::{run_engine, run_engine_with_probe, MAX_FORENSICS_DUMPS};
+use lotec_core::engine::{run_engine, Engine, MAX_FORENSICS_DUMPS};
 use lotec_core::protocol::ProtocolKind;
 use lotec_core::{oracle, run_engine_recorded, SystemConfig};
 use lotec_obs::{find_cycle, Anomaly, CompactRecord, ForensicsDump, RecordingSink};
@@ -130,7 +130,9 @@ fn tiny_ring_keeps_exactly_the_tail() {
     let (config, scenario) = deadlock_config(4096);
     let (registry, families) = scenario.generate().expect("workload generates");
     let mut full = RecordingSink::new();
-    run_engine_with_probe(&config, &registry, &families, &mut full).expect("full-capture run");
+    Engine::with_probe(&config, &registry, &families, &mut full)
+        .and_then(Engine::run)
+        .expect("full-capture run");
     let all = full.into_events();
     assert!(
         all.len() > 8,

@@ -21,8 +21,9 @@ fn recording_sink_does_not_perturb_the_simulation() {
     let (config, registry, families) = quickstart();
     let plain = run_engine(&config, &registry, &families).expect("plain run");
     let mut sink = RecordingSink::new();
-    let probed =
-        run_engine_with_probe(&config, &registry, &families, &mut sink).expect("probed run");
+    let probed = Engine::with_probe(&config, &registry, &families, &mut sink)
+        .and_then(Engine::run)
+        .expect("probed run");
     assert!(!sink.is_empty(), "a real run must record events");
 
     // Counters, one by one (RunStats holds histograms, so no blanket Eq).
@@ -59,7 +60,9 @@ fn recording_sink_does_not_perturb_the_simulation() {
 fn jsonl_round_trips_an_engine_trace() {
     let (config, registry, families) = quickstart();
     let mut sink = RecordingSink::new();
-    run_engine_with_probe(&config, &registry, &families, &mut sink).expect("runs");
+    Engine::with_probe(&config, &registry, &families, &mut sink)
+        .and_then(Engine::run)
+        .expect("runs");
     let events = sink.into_events();
     assert!(
         events.len() > families.len(),
@@ -78,7 +81,9 @@ fn jsonl_round_trips_an_engine_trace() {
 fn chrome_trace_is_valid_and_monotonic() {
     let (config, registry, families) = quickstart();
     let mut sink = RecordingSink::new();
-    let report = run_engine_with_probe(&config, &registry, &families, &mut sink).expect("runs");
+    let report = Engine::with_probe(&config, &registry, &families, &mut sink)
+        .and_then(Engine::run)
+        .expect("runs");
     let events = sink.into_events();
     let trace = chrome_trace(&events);
 
@@ -130,7 +135,9 @@ fn chrome_trace_is_valid_and_monotonic() {
 fn span_tree_mirrors_transaction_families() {
     let (config, registry, families) = quickstart();
     let mut sink = RecordingSink::new();
-    let report = run_engine_with_probe(&config, &registry, &families, &mut sink).expect("runs");
+    let report = Engine::with_probe(&config, &registry, &families, &mut sink)
+        .and_then(Engine::run)
+        .expect("runs");
     let tree = lotec::obs::SpanTree::build(sink.events());
     assert!(!tree.is_empty(), "a real run opens spans");
 
@@ -165,7 +172,9 @@ fn span_tree_mirrors_transaction_families() {
 fn critical_paths_tile_commit_windows() {
     let (config, registry, families) = quickstart();
     let mut sink = RecordingSink::new();
-    let report = run_engine_with_probe(&config, &registry, &families, &mut sink).expect("runs");
+    let report = Engine::with_probe(&config, &registry, &families, &mut sink)
+        .and_then(Engine::run)
+        .expect("runs");
     let paths = lotec::obs::critical_paths(sink.events());
     assert_eq!(paths.len() as u64, report.stats.committed_families);
 
@@ -193,7 +202,9 @@ fn critical_paths_tile_commit_windows() {
 fn trace_summary_agrees_with_engine_accounting() {
     let (config, registry, families) = quickstart();
     let mut sink = RecordingSink::new();
-    let report = run_engine_with_probe(&config, &registry, &families, &mut sink).expect("runs");
+    let report = Engine::with_probe(&config, &registry, &families, &mut sink)
+        .and_then(Engine::run)
+        .expect("runs");
     let summary = TraceSummary::of(sink.events());
     assert_eq!(summary.aggregate, report.stats.phases.aggregate);
     // Every recorded event kind census entry is non-zero by construction.

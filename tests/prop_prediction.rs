@@ -107,8 +107,9 @@ fn prop_touched_pages_are_covered() {
         };
         let (registry, families) = demo_workload(&config, seed);
         let mut sink = RecordingSink::new();
-        let report =
-            run_engine_with_probe(&config, &registry, &families, &mut sink).expect("adaptive run");
+        let report = Engine::with_probe(&config, &registry, &families, &mut sink)
+            .and_then(Engine::run)
+            .expect("adaptive run");
         oracle::verify(&report).expect("adaptive run stays serializable");
 
         // Demand events keyed by (time, node, family, object) — they are
@@ -238,8 +239,9 @@ fn prop_stable_pattern_converges_to_zero_demand_fetches() {
         })
         .collect();
     let mut sink = RecordingSink::new();
-    let report =
-        run_engine_with_probe(&config, &registry, &families, &mut sink).expect("stable run");
+    let report = Engine::with_probe(&config, &registry, &families, &mut sink)
+        .and_then(Engine::run)
+        .expect("stable run");
     oracle::verify(&report).expect("serializable");
     assert_eq!(report.stats.committed_families as usize, families.len());
     assert!(
