@@ -65,31 +65,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if workers <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(n) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let value = f(i);
-                *slots[i].lock().expect("result slot poisoned") = Some(value);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker filled every slot")
-        })
-        .collect()
+    run_indexed_profiled_on(workers, n, f).0
 }
 
 /// What one sweep worker did: how many cells it claimed and how its wall
@@ -148,8 +124,8 @@ impl SweepTelemetry {
 /// [`run_indexed_on`] plus per-worker telemetry: the same index-ordered
 /// results, and one [`ThreadTelemetry`] row per worker saying how many
 /// cells it claimed and how much of its wall time was spent computing
-/// them. Results are bitwise-identical to [`run_indexed_on`]; only the
-/// measurement rides along.
+/// them. This is the one work-stealing loop; [`run_indexed_on`] drops the
+/// telemetry.
 ///
 /// # Panics
 ///

@@ -259,10 +259,9 @@ pub struct SystemConfig {
     /// at end of run. On (the default) each family contributes one
     /// `FamilyPhases` row — O(families) memory that the forensics and
     /// observability reports consume. Production-scale scenario sweeps
-    /// turn it off to stay memory-flat; the aggregate phase totals and
-    /// histograms are unaffected either way, and the flag is consulted
-    /// only in end-of-run bookkeeping, so it cannot perturb simulated
-    /// behaviour.
+    /// turn it off to stay memory-flat; the aggregate phase totals are
+    /// unaffected either way, and the flag is consulted only in
+    /// end-of-run bookkeeping, so it cannot perturb simulated behaviour.
     pub per_family_phases: bool,
 }
 

@@ -35,7 +35,8 @@ use lotec_net::{plan_delivery, Message, MessageKind, TrafficLedger};
 use lotec_object::{AdaptivePredictor, ObjectRegistry, PageSet};
 use lotec_obs::{
     Anomaly, EventSink, FamilySnapshot, FlightRecorder, ForensicsDump, HostProfiler, HostRegion,
-    NoopHostProfiler, NoopSink, ObsEvent, ObsEventKind, ObsPhase, OccupancySnapshot, SpanOutcome,
+    NoopHostProfiler, NoopSink, ObsEvent, ObsEventKind, ObsLockMode, ObsPhase, OccupancySnapshot,
+    ReleaseCause, SpanOutcome,
 };
 use lotec_sim::{NodeId, SimDuration, SimRng, SimTime, Simulator};
 use lotec_txn::{Acquire, Grant, LockMode, LockTable, TxnId, TxnTree};
@@ -245,6 +246,14 @@ fn obs_phase(phase: &Phase) -> Option<ObsPhase> {
         Phase::Restarting => Some(ObsPhase::Backoff),
         Phase::Done => Some(ObsPhase::Committed),
         Phase::Failed => Some(ObsPhase::Failed),
+    }
+}
+
+/// Projects a [`LockMode`] into the probe layer's mirror enum.
+fn obs_mode(mode: LockMode) -> ObsLockMode {
+    match mode {
+        LockMode::Read => ObsLockMode::Read,
+        LockMode::Write => ObsLockMode::Write,
     }
 }
 
@@ -506,6 +515,53 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         }
     }
 
+    /// The engine's one probe point: every event reaches the sink through
+    /// here. `kind` builds the payload and runs only when the sink is
+    /// recording, so with a [`NoopSink`] the whole call compiles away. It
+    /// reads engine state through its argument, since it cannot borrow
+    /// `self` while the gate holds it mutably.
+    #[inline(always)]
+    fn probe(&mut self, at: SimTime, node: u32, kind: impl FnOnce(&Self) -> ObsEventKind) {
+        if self.sink.enabled() {
+            let kind = kind(self);
+            self.sink.emit(ObsEvent { at, node, kind });
+        }
+    }
+
+    /// Probes one `LockGranted` event per request of each deferred grant.
+    fn probe_grants(&mut self, at: SimTime, grants: &[Grant]) {
+        for grant in grants {
+            for req in &grant.requests {
+                self.probe(at, req.node.index(), |_| ObsEventKind::LockGranted {
+                    object: grant.object.index(),
+                    txn: req.txn.get(),
+                    mode: obs_mode(req.mode),
+                    global: true,
+                    holders: grant.holders as u32,
+                });
+            }
+        }
+    }
+
+    /// Probes one `LockReleased` event per object `txn` released globally
+    /// at `node`.
+    fn probe_released(
+        &mut self,
+        at: SimTime,
+        node: NodeId,
+        txn: TxnId,
+        cause: ReleaseCause,
+        released: &[ObjectId],
+    ) {
+        for object in released {
+            self.probe(at, node.index(), |_| ObsEventKind::LockReleased {
+                object: object.index(),
+                txn: txn.get(),
+                cause,
+            });
+        }
+    }
+
     /// Schedules an engine event, attributed to
     /// [`HostRegion::EventPush`]. Every in-run scheduling site goes
     /// through here; only constructor-time seeding (family arrivals,
@@ -536,19 +592,14 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                     _ => {}
                 }
             }
-            let cache_bytes: Vec<u64> = self.stores.iter().map(PageStore::cached_bytes).collect();
-            self.sink.emit(ObsEvent {
-                at,
-                node: 0,
-                kind: ObsEventKind::StateSample {
-                    queue_depth: self.sim.pending() as u64,
-                    locks_held: occ.held,
-                    locks_retained: occ.retained,
-                    locks_waiting: occ.waiting,
-                    inflight_messages: inflight,
-                    blocked_families: blocked,
-                    cache_bytes,
-                },
+            self.probe(at, 0, |e| ObsEventKind::StateSample {
+                queue_depth: e.sim.pending() as u64,
+                locks_held: occ.held,
+                locks_retained: occ.retained,
+                locks_waiting: occ.waiting,
+                inflight_messages: inflight,
+                blocked_families: blocked,
+                cache_bytes: e.stores.iter().map(PageStore::cached_bytes).collect(),
             });
             self.next_sample = at + interval;
             self.prof.exit(HostRegion::StateSample);
@@ -635,17 +686,13 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                 runtime.fresh_retransmit_wait += report.retransmit_wait;
             }
         }
-        if self.sink.enabled() && (report.attempts > 1 || report.duplicates > 0) {
-            self.sink.emit(ObsEvent {
-                at: now,
-                node: src.index(),
-                kind: ObsEventKind::Retransmit {
-                    dst: dst.index(),
-                    attempts: report.attempts,
-                    duplicates: report.duplicates,
-                    wait_ns: report.retransmit_wait.as_nanos(),
-                    family: fam.map(|f| f as u64),
-                },
+        if report.attempts > 1 || report.duplicates > 0 {
+            self.probe(now, src.index(), |_| ObsEventKind::Retransmit {
+                dst: dst.index(),
+                attempts: report.attempts,
+                duplicates: report.duplicates,
+                wait_ns: report.retransmit_wait.as_nanos(),
+                family: fam.map(|f| f as u64),
             });
         }
         base + report.latency_penalty()
@@ -694,15 +741,11 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         let new = obs_phase(&phase);
         runtime.phase = phase;
         runtime.phase_entered = now;
-        if self.sink.enabled() && new != old {
+        if new != old {
             if let Some(entered) = new {
-                self.sink.emit(ObsEvent {
-                    at: now,
-                    node,
-                    kind: ObsEventKind::PhaseEnter {
-                        family: fam as u64,
-                        phase: entered,
-                    },
+                self.probe(now, node, |_| ObsEventKind::PhaseEnter {
+                    family: fam as u64,
+                    phase: entered,
                 });
             }
         }
@@ -734,20 +777,6 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                 );
             }
             stats.phases.aggregate.merge(&f.phase_times);
-            if committed {
-                stats
-                    .phases
-                    .lock_wait_histogram
-                    .record(f.phase_times.lock_wait.as_nanos());
-                stats
-                    .phases
-                    .transfer_wait_histogram
-                    .record(f.phase_times.transfer_wait.as_nanos());
-                stats
-                    .phases
-                    .compute_histogram
-                    .record(f.phase_times.running.as_nanos());
-            }
             if self.config.per_family_phases {
                 stats.phases.per_family.push(crate::metrics::FamilyPhases {
                     family_index: f.index,
@@ -811,18 +840,14 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             num_children: spec.children.len(),
             abort: spec.abort,
         };
-        if self.sink.enabled() {
-            self.sink.emit(ObsEvent {
-                at: now,
-                node: self.workload[fam].node.index(),
-                kind: ObsEventKind::SpanOpen {
-                    family: fam as u64,
-                    txn: txn.get(),
-                    parent: parent.map(|p| p.get()),
-                    object: frame.object.index(),
-                },
-            });
-        }
+        self.probe(now, self.workload[fam].node.index(), |_| {
+            ObsEventKind::SpanOpen {
+                family: fam as u64,
+                txn: txn.get(),
+                parent: parent.map(|p| p.get()),
+                object: frame.object.index(),
+            }
+        });
         self.families[fam].frames.push(frame);
         self.request_lock(now, fam)
     }
@@ -839,9 +864,41 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             LockMode::Write
         };
         self.prof.enter(HostRegion::LockAcquire);
-        let outcome = self
-            .table
-            .acquire_probed(object, txn, mode, &self.tree, now, &mut self.sink);
+        let outcome = self.table.acquire(object, txn, mode, &self.tree);
+        match &outcome {
+            Ok(Acquire::Queued) => {
+                self.probe(now, node.index(), |e| ObsEventKind::LockQueued {
+                    object: object.index(),
+                    txn: txn.get(),
+                    mode: obs_mode(mode),
+                    waiters: e.table.entry(object).expect("just queued").num_waiting() as u32,
+                });
+                self.probe(now, node.index(), |e| {
+                    let (holders, retainers, queued_behind) =
+                        e.table.blockers(object, txn, mode, &e.tree);
+                    ObsEventKind::LockBlocked {
+                        object: object.index(),
+                        txn: txn.get(),
+                        holders: holders.into_iter().map(TxnId::get).collect(),
+                        retainers: retainers.into_iter().map(TxnId::get).collect(),
+                        queued_behind: queued_behind.into_iter().map(TxnId::get).collect(),
+                    }
+                });
+            }
+            Ok(grant) => {
+                self.probe(now, node.index(), |e| ObsEventKind::LockGranted {
+                    object: object.index(),
+                    txn: txn.get(),
+                    mode: obs_mode(mode),
+                    global: matches!(grant, Acquire::GlobalGrant { .. }),
+                    holders: match grant {
+                        Acquire::GlobalGrant { holders } => *holders as u32,
+                        _ => e.table.entry(object).expect("just granted").holders().len() as u32,
+                    },
+                });
+            }
+            Err(_) => {}
+        }
         self.prof.exit(HostRegion::LockAcquire);
         match outcome? {
             Acquire::LocalGrant => {
@@ -1054,35 +1111,27 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             };
             plan_transfer(kind, &view, node, object, &prefetch)
         };
-        if self.sink.enabled() {
-            self.sink.emit(ObsEvent {
-                at: now,
-                node: node.index(),
-                kind: ObsEventKind::GrantPlan {
-                    family: fam as u64,
-                    object: object.index(),
-                    predicted: predicted.iter().map(|p| p.get()).collect(),
-                    actual_reads: actual_reads.iter().map(|p| p.get()).collect(),
-                    actual_writes: actual_writes.iter().map(|p| p.get()).collect(),
-                    planned_pages: plan.num_pages() as u32,
-                    sources: plan.num_sources() as u32,
-                },
-            });
-            if kind.uses_prediction() {
+        self.probe(now, node.index(), |_| ObsEventKind::GrantPlan {
+            family: fam as u64,
+            object: object.index(),
+            predicted: predicted.iter().map(|p| p.get()).collect(),
+            actual_reads: actual_reads.iter().map(|p| p.get()).collect(),
+            actual_writes: actual_writes.iter().map(|p| p.get()).collect(),
+            planned_pages: plan.num_pages() as u32,
+            sources: plan.num_sources() as u32,
+        });
+        if kind.uses_prediction() {
+            self.probe(now, node.index(), |_| {
                 let actual_set = actual_reads.union(actual_writes);
-                let tp = predicted.iter().filter(|&p| actual_set.contains(p)).count() as u32;
-                self.sink.emit(ObsEvent {
-                    at: now,
-                    node: node.index(),
-                    kind: ObsEventKind::PredictionSample {
-                        class: class.index(),
-                        method: method.index(),
-                        predicted: predicted.len() as u32,
-                        actual: actual_set.len() as u32,
-                        true_positives: tp,
-                    },
-                });
-            }
+                ObsEventKind::PredictionSample {
+                    class: class.index(),
+                    method: method.index(),
+                    predicted: predicted.len() as u32,
+                    actual: actual_set.len() as u32,
+                    true_positives: predicted.iter().filter(|&p| actual_set.contains(p)).count()
+                        as u32,
+                }
+            });
         }
         self.last_holder[object.index() as usize] = node;
         self.table
@@ -1125,20 +1174,14 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                 Some(fam),
             );
             max_delay = max_delay.max(d);
-            if self.sink.enabled() {
-                self.sink.emit(ObsEvent {
-                    at: now,
-                    node: node.index(),
-                    kind: ObsEventKind::GatherBatch {
-                        family: fam as u64,
-                        object: object.index(),
-                        source: source.index(),
-                        pages: pages.len() as u32,
-                        bytes: xfer,
-                        delay_ns: d.as_nanos(),
-                    },
-                });
-            }
+            self.probe(now, node.index(), |_| ObsEventKind::GatherBatch {
+                family: fam as u64,
+                object: object.index(),
+                source: source.index(),
+                pages: pages.len() as u32,
+                bytes: xfer,
+                delay_ns: d.as_nanos(),
+            });
             for &page in pages {
                 to_install.push(self.current_page_copy(object, page));
             }
@@ -1218,20 +1261,14 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                         Some(fam),
                     );
                     demand_delay = demand_delay.max(d);
-                    if self.sink.enabled() {
-                        self.sink.emit(ObsEvent {
-                            at: now,
-                            node: node.index(),
-                            kind: ObsEventKind::DemandBatch {
-                                family: fam as u64,
-                                object: object.index(),
-                                source: source.index(),
-                                pages: pages.iter().map(|p| p.get()).collect(),
-                                bytes: xfer,
-                                delay_ns: d.as_nanos(),
-                            },
-                        });
-                    }
+                    self.probe(now, node.index(), |_| ObsEventKind::DemandBatch {
+                        family: fam as u64,
+                        object: object.index(),
+                        source: source.index(),
+                        pages: pages.iter().map(|p| p.get()).collect(),
+                        bytes: xfer,
+                        delay_ns: d.as_nanos(),
+                    });
                     for &page in &pages {
                         demand_installs.push(self.current_page_copy(object, page));
                         self.stats.demand_fetches += 1;
@@ -1243,19 +1280,13 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                 for &(page, source) in &stale_fetches {
                     let req = self.config.sizes.page_request(1);
                     let xfer = transfer_message_bytes(self.config, self.registry, object, &[page]);
-                    if self.sink.enabled() {
-                        self.sink.emit(ObsEvent {
-                            at: now,
-                            node: node.index(),
-                            kind: ObsEventKind::DemandFetch {
-                                family: fam as u64,
-                                object: object.index(),
-                                page: page.get(),
-                                source: source.index(),
-                                bytes: xfer,
-                            },
-                        });
-                    }
+                    self.probe(now, node.index(), |_| ObsEventKind::DemandFetch {
+                        family: fam as u64,
+                        object: object.index(),
+                        page: page.get(),
+                        source: source.index(),
+                        bytes: xfer,
+                    });
                     demand_delay = demand_delay
                         + self.send_lossy(
                             MessageKind::DemandPageRequest,
@@ -1433,33 +1464,23 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                 .rollback(txn.get(), &mut self.stores[node.index() as usize]);
             let undo_delay = self.config.costs.undo_per_page * restored.len() as u64;
             self.prof.enter(HostRegion::LockRelease);
-            let rel = self
-                .table
-                .release_abort_probed(txn, &self.tree, now, &mut self.sink);
+            let rel = self.table.release_abort(txn, &self.tree);
+            self.probe_released(now, node, txn, ReleaseCause::Abort, &rel.released);
+            self.probe_grants(now, &rel.grants);
             self.prof.exit(HostRegion::LockRelease);
             self.tree.abort(txn);
             self.families[fam].discard_subtree_effects(&subtree);
             self.stats.subtxn_aborts += 1;
-            if self.sink.enabled() {
-                self.sink.emit(ObsEvent {
-                    at: now,
-                    node: node.index(),
-                    kind: ObsEventKind::SubAbort {
-                        family: fam as u64,
-                        txn: txn.get(),
-                        released: rel.released.len() as u32,
-                    },
-                });
-                self.sink.emit(ObsEvent {
-                    at: now,
-                    node: node.index(),
-                    kind: ObsEventKind::SpanClose {
-                        family: fam as u64,
-                        txn: txn.get(),
-                        outcome: SpanOutcome::Abort,
-                    },
-                });
-            }
+            self.probe(now, node.index(), |_| ObsEventKind::SubAbort {
+                family: fam as u64,
+                txn: txn.get(),
+                released: rel.released.len() as u32,
+            });
+            self.probe(now, node.index(), |_| ObsEventKind::SpanClose {
+                family: fam as u64,
+                txn: txn.get(),
+                outcome: SpanOutcome::Abort,
+            });
             // Globally released locks (no retaining ancestor) forward to
             // GlobalLockRelease with no dirty info (Alg. 4.3).
             if !rel.released.is_empty() {
@@ -1498,20 +1519,20 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         // purely local.
         let parent = self.tree.parent(txn).expect("non-root has a parent");
         self.prof.enter(HostRegion::LockRelease);
-        self.table
-            .release_pre_commit_probed(txn, &self.tree, now, &mut self.sink);
-        self.prof.exit(HostRegion::LockRelease);
-        if self.sink.enabled() {
-            self.sink.emit(ObsEvent {
-                at: now,
-                node: node.index(),
-                kind: ObsEventKind::SpanClose {
-                    family: fam as u64,
-                    txn: txn.get(),
-                    outcome: SpanOutcome::PreCommit,
-                },
+        let pre = self.table.release_pre_commit(txn, &self.tree);
+        for object in &pre.inherited {
+            self.probe(now, node.index(), |_| ObsEventKind::LockRetained {
+                object: object.index(),
+                txn: txn.get(),
+                parent: parent.get(),
             });
         }
+        self.prof.exit(HostRegion::LockRelease);
+        self.probe(now, node.index(), |_| ObsEventKind::SpanClose {
+            family: fam as u64,
+            txn: txn.get(),
+            outcome: SpanOutcome::PreCommit,
+        });
         self.recovery.inherit(txn.get(), parent.get());
         self.tree.pre_commit(txn);
         self.families[fam].frames.pop();
@@ -1552,25 +1573,21 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             .observe(class, method, &actual);
         self.stats.profile_expansions += delta.expanded.len() as u64;
         self.stats.profile_shrinks += delta.shrunk.len() as u64;
-        if !delta.is_empty() && self.sink.enabled() {
-            let profile = self
-                .predictor
-                .as_ref()
-                .expect("checked above")
-                .profile(class, method);
-            let (predicted, observations) =
-                (profile.predicted().len() as u32, profile.observations());
-            self.sink.emit(ObsEvent {
-                at: now,
-                node: self.workload[fam].node.index(),
-                kind: ObsEventKind::ProfileUpdate {
+        if !delta.is_empty() {
+            self.probe(now, self.workload[fam].node.index(), |e| {
+                let profile = e
+                    .predictor
+                    .as_ref()
+                    .expect("checked above")
+                    .profile(class, method);
+                ObsEventKind::ProfileUpdate {
                     class: class.index(),
                     method: method.index(),
                     expanded: delta.expanded.iter().map(|p| p.get()).collect(),
                     shrunk: delta.shrunk.iter().map(|p| p.get()).collect(),
-                    predicted,
-                    observations,
-                },
+                    predicted: profile.predicted().len() as u32,
+                    observations: profile.observations(),
+                }
             });
         }
     }
@@ -1581,14 +1598,11 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         let dirty = self.families[fam].surviving_dirty();
 
         self.prof.enter(HostRegion::LockRelease);
-        let rel = self.table.release_root_commit_probed(
-            root,
-            &self.tree,
-            &dirty,
-            node,
-            now,
-            &mut self.sink,
-        );
+        let rel = self
+            .table
+            .release_root_commit(root, &self.tree, &dirty, node);
+        self.probe_released(now, node, root, ReleaseCause::RootCommit, &rel.released);
+        self.probe_grants(now, &rel.grants);
         self.prof.exit(HostRegion::LockRelease);
 
         // Publish local pages at their new per-page versions.
@@ -1676,17 +1690,11 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             self.deliver_grant(now, grant);
         }
 
-        if self.sink.enabled() {
-            self.sink.emit(ObsEvent {
-                at: now,
-                node: node.index(),
-                kind: ObsEventKind::SpanClose {
-                    family: fam as u64,
-                    txn: root.get(),
-                    outcome: SpanOutcome::Commit,
-                },
-            });
-        }
+        self.probe(now, node.index(), |_| ObsEventKind::SpanClose {
+            family: fam as u64,
+            txn: root.get(),
+            outcome: SpanOutcome::Commit,
+        });
         self.set_phase(now, fam, Phase::Done);
         let runtime = &mut self.families[fam];
         runtime.frames.clear();
@@ -1794,7 +1802,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
     /// O(1) in-edge lookup in the incremental graph) rules that out, the
     /// detector is skipped entirely; otherwise the first search walks
     /// only the nodes that can reach `enqueued`
-    /// ([`lotec_txn::find_deadlock_cycle_through_probed`]). Once a victim
+    /// ([`lotec_txn::find_deadlock_cycle_through`]). Once a victim
     /// has been aborted the regrants invalidate that reasoning, so
     /// subsequent loop iterations run the full detector.
     fn break_deadlocks(
@@ -1809,28 +1817,19 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         let mut scoped = true;
         loop {
             let found = if scoped {
-                lotec_txn::find_deadlock_cycle_through_probed(
-                    &self.table,
-                    &self.tree,
-                    enqueued,
-                    now,
-                    detector.index(),
-                    &mut self.sink,
-                )
+                lotec_txn::find_deadlock_cycle_through(&self.table, &self.tree, enqueued)
             } else {
-                lotec_txn::find_deadlock_cycle_probed(
-                    &self.table,
-                    &self.tree,
-                    now,
-                    detector.index(),
-                    &mut self.sink,
-                )
+                lotec_txn::find_deadlock_cycle(&self.table, &self.tree)
             };
             scoped = false;
             let Some(cycle) = found else {
                 return Ok(());
             };
             let victim_root = lotec_txn::pick_victim(&cycle);
+            self.probe(now, detector.index(), |_| ObsEventKind::Deadlock {
+                cycle: cycle.iter().map(|t| t.get()).collect(),
+                victim: victim_root.get(),
+            });
             self.stats.deadlocks += 1;
             let fam = self.root_to_family[victim_root.get() as usize] as usize;
             debug_assert_ne!(fam, u32::MAX as usize, "victim family known");
@@ -1873,36 +1872,29 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             self.recovery
                 .rollback(txn.get(), &mut self.stores[node.index() as usize]);
             self.prof.enter(HostRegion::LockRelease);
-            let rel = self
-                .table
-                .release_abort_probed(txn, &self.tree, now, &mut self.sink);
+            let rel = self.table.release_abort(txn, &self.tree);
+            self.probe_released(now, node, txn, ReleaseCause::Abort, &rel.released);
+            self.probe_grants(now, &rel.grants);
             self.prof.exit(HostRegion::LockRelease);
             released.extend(rel.released);
             grants.extend(rel.grants);
             self.tree.abort(txn);
-            if self.sink.enabled() {
-                self.sink.emit(ObsEvent {
-                    at: now,
-                    node: node.index(),
-                    kind: ObsEventKind::SpanClose {
-                        family: fam as u64,
-                        txn: txn.get(),
-                        outcome: if node_alive {
-                            SpanOutcome::Abort
-                        } else {
-                            SpanOutcome::CrashAbort
-                        },
-                    },
-                });
-            }
+            self.probe(now, node.index(), |_| ObsEventKind::SpanClose {
+                family: fam as u64,
+                txn: txn.get(),
+                outcome: if node_alive {
+                    SpanOutcome::Abort
+                } else {
+                    SpanOutcome::CrashAbort
+                },
+            });
         }
         self.prof.enter(HostRegion::LockRelease);
         let touched = self.table.cancel_family_waiters(root, &self.tree);
         debug_assert!(touched.len() <= 1, "a family has one outstanding request");
-        grants.extend(
-            self.table
-                .regrant_probed(&touched, &self.tree, now, &mut self.sink),
-        );
+        let regranted = self.table.regrant(&touched, &self.tree);
+        self.probe_grants(now, &regranted);
+        grants.extend(regranted);
         self.prof.exit(HostRegion::LockRelease);
         // Each globally released lock costs an (empty) release message to
         // its GDO partition — unless the node is dead, in which case the
@@ -1946,17 +1938,11 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             let base = self.config.costs.retry_backoff_base;
             let backoff = base * (1u64 << (restarts - 1).min(10))
                 + SimDuration::from_nanos(self.jitter_rng.next_below(base.as_nanos().max(1)));
-            if self.sink.enabled() {
-                self.sink.emit(ObsEvent {
-                    at: now,
-                    node: node.index(),
-                    kind: ObsEventKind::Restart {
-                        family: fam as u64,
-                        attempt: restarts,
-                        backoff_ns: backoff.as_nanos(),
-                    },
-                });
-            }
+            self.probe(now, node.index(), |_| ObsEventKind::Restart {
+                family: fam as u64,
+                attempt: restarts,
+                backoff_ns: backoff.as_nanos(),
+            });
             // Scheduled after `reset_for_restart`, so the event carries the
             // *new* generation and survives the staleness check.
             let gen = self.generation(fam);
@@ -1993,22 +1979,17 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         self.prof.enter(HostRegion::LockRelease);
         let touched = self.table.cancel_family_waiters(root, &self.tree);
         debug_assert_eq!(touched, vec![object], "family waits on its top object");
-        let grants = self
-            .table
-            .regrant_probed(&touched, &self.tree, now, &mut self.sink);
+        let grants = self.table.regrant(&touched, &self.tree);
+        self.probe_grants(now, &grants);
         self.prof.exit(HostRegion::LockRelease);
         self.stats.lock_timeouts += 1;
-        if self.sink.enabled() {
-            self.sink.emit(ObsEvent {
-                at: now,
-                node: self.workload[fam].node.index(),
-                kind: ObsEventKind::LockTimeout {
-                    object: object.index(),
-                    txn: txn.get(),
-                    waited_ns: waited.as_nanos(),
-                },
-            });
-        }
+        self.probe(now, self.workload[fam].node.index(), |_| {
+            ObsEventKind::LockTimeout {
+                object: object.index(),
+                txn: txn.get(),
+                waited_ns: waited.as_nanos(),
+            }
+        });
         if self.sink.recorder().is_some() {
             self.capture_forensics(
                 now,
@@ -2102,18 +2083,12 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                 .expect("registered")
                 .page_map_mut()
                 .reassign_owner(page, survivor);
-            if self.sink.enabled() {
-                self.sink.emit(ObsEvent {
-                    at: now,
-                    node: node.index(),
-                    kind: ObsEventKind::PageMapRepaired {
-                        object: object.index(),
-                        page: page.get(),
-                        from: node.index(),
-                        to: survivor.index(),
-                    },
-                });
-            }
+            self.probe(now, node.index(), |_| ObsEventKind::PageMapRepaired {
+                object: object.index(),
+                page: page.get(),
+                from: node.index(),
+                to: survivor.index(),
+            });
         }
 
         // Cold caches: evict every page the node no longer owns and fix
@@ -2147,15 +2122,9 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             }
         }
 
-        if self.sink.enabled() {
-            self.sink.emit(ObsEvent {
-                at: now,
-                node: node.index(),
-                kind: ObsEventKind::NodeCrashed {
-                    aborted_families: victims.len() as u32,
-                },
-            });
-        }
+        self.probe(now, node.index(), |_| ObsEventKind::NodeCrashed {
+            aborted_families: victims.len() as u32,
+        });
         if self.sink.recorder().is_some() {
             self.capture_forensics(
                 now,
@@ -2174,15 +2143,9 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
     /// the blackout arithmetic itself lives in the fault plan.
     fn on_node_recover(&mut self, _now: SimTime, window: usize) {
         let w = self.config.faults.plan.crashes[window];
-        if self.sink.enabled() {
-            self.sink.emit(ObsEvent {
-                at: w.until,
-                node: w.node.index(),
-                kind: ObsEventKind::NodeRecovered {
-                    outage_ns: w.until.duration_since(w.at).as_nanos(),
-                },
-            });
-        }
+        self.probe(w.until, w.node.index(), |_| ObsEventKind::NodeRecovered {
+            outage_ns: w.until.duration_since(w.at).as_nanos(),
+        });
     }
 
     // ---- reporting ----------------------------------------------------

@@ -29,12 +29,6 @@ pub struct PhaseBreakdown {
     pub aggregate: PhaseTimes,
     /// Per-family breakdown, in workload order.
     pub per_family: Vec<FamilyPhases>,
-    /// Distribution of per-family lock-wait time (committed families), ns.
-    pub lock_wait_histogram: Histogram,
-    /// Distribution of per-family transfer-wait time (committed), ns.
-    pub transfer_wait_histogram: Histogram,
-    /// Distribution of per-family compute time (committed), ns.
-    pub compute_histogram: Histogram,
 }
 
 impl PhaseBreakdown {

@@ -18,7 +18,7 @@ use lotec_sim::{SimDuration, SimTime};
 
 use crate::event::{ObsEvent, ObsEventKind, ObsPhase};
 use crate::json::Json;
-use crate::report::PhaseTimes;
+use crate::report::{PhaseTimes, RetransmitStalls};
 
 /// Why a critical-path edge took the time it did.
 #[derive(Debug, Clone, PartialEq)]
@@ -263,12 +263,7 @@ struct FamState {
     // demand fetches (demand latency is served inside compute).
     pending_gathers: Vec<(u32, u32, u32, u64, u64)>,
     pending_demand: (u32, u64),
-    // Retransmit stalls, mirroring the engine's two-stage accounting:
-    // wait accrued *at* a transition instant has not elapsed yet and
-    // carries into the next segment; promoted wait is carved out of the
-    // closing segment's tail, remainder carried forward.
-    retrans_fresh: Vec<(SimTime, u64)>,
-    retrans_carry_ns: u64,
+    stalls: RetransmitStalls,
 }
 
 impl FamState {
@@ -276,25 +271,10 @@ impl FamState {
         let Some((phase, since)) = self.open.take() else {
             return;
         };
-        let seg = now.saturating_duration_since(since);
-        // Promote stalls whose accrual instant the clock has passed — the
-        // delayed delivery fired inside this segment — and carve them out
-        // of the segment's tail into an explicit edge, mirroring the
-        // engine (stall time is booked as backoff, not as the phase it
-        // interrupted). Wait accrued at `now` itself elapses later.
-        self.retrans_fresh.retain(|&(at, wait_ns)| {
-            if at < now {
-                self.retrans_carry_ns += wait_ns;
-                false
-            } else {
-                true
-            }
-        });
-        let stall = SimDuration::from_nanos(self.retrans_carry_ns.min(seg.as_nanos()));
-        self.retrans_carry_ns -= stall.as_nanos();
+        // Stalls that elapsed inside this segment come off its tail as an
+        // explicit edge.
+        let stall = self.stalls.close(&mut self.self_time, phase, since, now);
         let body_end = now - stall;
-        self.self_time.add(phase, seg - stall);
-        self.self_time.add(ObsPhase::Backoff, stall);
         if body_end > since {
             let kind = match phase {
                 ObsPhase::LockWait => PathEdgeKind::LockWait {
@@ -499,8 +479,8 @@ fn fold_paths(
                 states
                     .entry(*family)
                     .or_default()
-                    .retrans_fresh
-                    .push((event.at, *wait_ns));
+                    .stalls
+                    .accrue(event.at, *wait_ns);
             }
             ObsEventKind::Restart {
                 family, attempt, ..
@@ -512,8 +492,7 @@ fn fold_paths(
                 st.attempt = *attempt;
                 st.pending_gathers.clear();
                 st.pending_demand = (0, 0);
-                st.retrans_fresh.clear();
-                st.retrans_carry_ns = 0;
+                st.stalls.clear();
             }
             _ => {}
         }

@@ -6,8 +6,8 @@
 //! probe layer that makes those questions answerable on any run:
 //!
 //! * [`EventSink`] / [`NoopSink`] / [`RecordingSink`] — the probe trait
-//!   the engine, lock table and transfer planner are generic over. The
-//!   no-op default monomorphizes to nothing (zero cost when disabled).
+//!   the engine is generic over. The no-op default monomorphizes to
+//!   nothing (zero cost when disabled).
 //! * [`ObsEvent`] — structured, sim-time-stamped events with primitive
 //!   ids, so this crate sits below `txn`/`core` in the dependency graph.
 //! * [`export`] — lossless JSONL round-trip plus Chrome trace-event JSON

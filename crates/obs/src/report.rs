@@ -47,6 +47,61 @@ impl PhaseTimes {
     }
 }
 
+/// One family's retransmission stalls, booked the way the engine books
+/// them: as backoff, not as the lock or transfer wait they interrupted.
+/// A stall accrued *at* an instant has not elapsed yet (its delayed
+/// delivery fires later), so it carries over once the clock passes that
+/// instant. At each segment close the carried stall is carved from the
+/// tail of the closing segment, any remainder carried forward; a restart
+/// drops it, as the engine resets an aborted attempt's stalls.
+#[derive(Debug, Default)]
+pub(crate) struct RetransmitStalls {
+    /// Stalls not yet elapsed: `(accrued at, wait in ns)`.
+    fresh: Vec<(SimTime, u64)>,
+    /// Elapsed stall time not yet carved from a segment, in ns.
+    carry_ns: u64,
+}
+
+impl RetransmitStalls {
+    /// Records a stall of `wait_ns` accrued at `at`.
+    pub(crate) fn accrue(&mut self, at: SimTime, wait_ns: u64) {
+        self.fresh.push((at, wait_ns));
+    }
+
+    /// Closes the segment `phase` held from `since` to `now`: books it into
+    /// `times` with the elapsed stalls carved from its tail as backoff,
+    /// and returns the carved stall.
+    pub(crate) fn close(
+        &mut self,
+        times: &mut PhaseTimes,
+        phase: ObsPhase,
+        since: SimTime,
+        now: SimTime,
+    ) -> SimDuration {
+        let carry = &mut self.carry_ns;
+        self.fresh.retain(|&(at, wait_ns)| {
+            if at < now {
+                *carry += wait_ns;
+                false
+            } else {
+                true
+            }
+        });
+        let seg = now.saturating_duration_since(since);
+        let stall = SimDuration::from_nanos(self.carry_ns.min(seg.as_nanos()));
+        self.carry_ns -= stall.as_nanos();
+        times.add(phase, seg - stall);
+        times.add(ObsPhase::Backoff, stall);
+        stall
+    }
+
+    /// Drops every stall (the family restarted).
+    pub(crate) fn clear(&mut self) {
+        self.fresh.clear();
+        self.carry_ns = 0;
+    }
+}
+
 /// Aggregated prediction quality of the compile-time page analysis.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PredictionTotals {
@@ -107,6 +162,7 @@ impl TraceSummary {
         let mut s = TraceSummary::default();
         // family -> (phase, entered-at).
         let mut open: BTreeMap<u64, (ObsPhase, SimTime)> = BTreeMap::new();
+        let mut stalls: BTreeMap<u64, RetransmitStalls> = BTreeMap::new();
         for event in events {
             *s.kind_counts.entry(event.kind.name()).or_default() += 1;
             *s.node_counts.entry(event.node).or_default() += 1;
@@ -114,16 +170,29 @@ impl TraceSummary {
             match &event.kind {
                 ObsEventKind::PhaseEnter { family, phase } => {
                     if let Some((prev, since)) = open.remove(family) {
-                        s.family_phases
-                            .entry(*family)
-                            .or_default()
-                            .add(prev, event.at.saturating_duration_since(since));
+                        stalls.entry(*family).or_default().close(
+                            s.family_phases.entry(*family).or_default(),
+                            prev,
+                            since,
+                            event.at,
+                        );
                     }
                     if phase.is_terminal() {
                         s.family_outcome.insert(*family, *phase);
                     } else {
                         open.insert(*family, (*phase, event.at));
                     }
+                }
+                ObsEventKind::Retransmit {
+                    wait_ns,
+                    family: Some(family),
+                    ..
+                } => stalls
+                    .entry(*family)
+                    .or_default()
+                    .accrue(event.at, *wait_ns),
+                ObsEventKind::Restart { family, .. } => {
+                    stalls.remove(family);
                 }
                 ObsEventKind::Deadlock { victim, .. } => s.deadlock_victims.push(*victim),
                 ObsEventKind::DemandFetch { object, .. } => {
@@ -156,10 +225,12 @@ impl TraceSummary {
         }
         // Attribute still-open phases up to the end of the recording.
         for (family, (phase, since)) in open {
-            s.family_phases
-                .entry(family)
-                .or_default()
-                .add(phase, s.end.saturating_duration_since(since));
+            stalls.entry(family).or_default().close(
+                s.family_phases.entry(family).or_default(),
+                phase,
+                since,
+                s.end,
+            );
         }
         let mut aggregate = PhaseTimes::default();
         for times in s.family_phases.values() {

@@ -1,13 +1,13 @@
 //! Event sinks: where probes deliver their events.
 //!
-//! The engine, lock table and transfer planner are generic over
-//! [`EventSink`], defaulting to [`NoopSink`]. Because `NoopSink::enabled`
-//! is a `const false` and every emission site is guarded by
-//! `sink.enabled()`, the disabled configuration monomorphizes to *zero*
-//! instructions — no branch, no allocation, no event construction. That is
-//! the zero-overhead-when-disabled guarantee DESIGN.md documents; a
-//! property test (`tests/obs_trace.rs` in the facade crate) additionally
-//! proves that *enabling* a recording sink changes no simulation outcome.
+//! The engine is generic over [`EventSink`], defaulting to [`NoopSink`].
+//! Because `NoopSink::enabled` is a `const false` and every emission is
+//! guarded by `sink.enabled()`, the disabled configuration monomorphizes
+//! to *zero* instructions — no branch, no allocation, no event
+//! construction. That is the zero-overhead-when-disabled guarantee
+//! DESIGN.md documents; a property test (`tests/obs_trace.rs` in the
+//! facade crate) additionally proves that *enabling* a recording sink
+//! changes no simulation outcome.
 
 use crate::event::ObsEvent;
 use crate::recorder::FlightRecorder;

@@ -278,55 +278,6 @@ pub fn find_deadlock_cycle_through(
     cycle
 }
 
-fn emit_deadlock_event<S: lotec_obs::EventSink>(
-    cycle: &[TxnId],
-    at: lotec_sim::SimTime,
-    node: u32,
-    sink: &mut S,
-) {
-    if sink.enabled() {
-        sink.emit(lotec_obs::ObsEvent {
-            at,
-            node,
-            kind: lotec_obs::ObsEventKind::Deadlock {
-                cycle: cycle.iter().map(|t| t.get()).collect(),
-                victim: pick_victim(cycle).get(),
-            },
-        });
-    }
-}
-
-/// [`find_deadlock_cycle`] with probe instrumentation: when a cycle is
-/// found, emits a `Deadlock` event naming the cycle members and the
-/// victim [`pick_victim`] would select. `node` is the site running the
-/// detector (by convention the GDO partition that noticed the wait).
-pub fn find_deadlock_cycle_probed<S: lotec_obs::EventSink>(
-    table: &LockTable,
-    tree: &TxnTree,
-    at: lotec_sim::SimTime,
-    node: u32,
-    sink: &mut S,
-) -> Option<Vec<TxnId>> {
-    let cycle = find_deadlock_cycle(table, tree)?;
-    emit_deadlock_event(&cycle, at, node, sink);
-    Some(cycle)
-}
-
-/// [`find_deadlock_cycle_through`] with probe instrumentation; emits the
-/// same `Deadlock` event as the unscoped probed search.
-pub fn find_deadlock_cycle_through_probed<S: lotec_obs::EventSink>(
-    table: &LockTable,
-    tree: &TxnTree,
-    family: TxnId,
-    at: lotec_sim::SimTime,
-    node: u32,
-    sink: &mut S,
-) -> Option<Vec<TxnId>> {
-    let cycle = find_deadlock_cycle_through(table, tree, family)?;
-    emit_deadlock_event(&cycle, at, node, sink);
-    Some(cycle)
-}
-
 /// Chooses the victim of a deadlock cycle: the youngest family (largest
 /// root transaction id — least work lost on restart).
 ///
@@ -589,33 +540,6 @@ mod tests {
         assert!(may_deadlock_through(&table, &tree, w));
         assert!(!may_deadlock_through(&table, &tree, r));
         assert_eq!(find_deadlock_cycle(&table, &tree), None);
-    }
-
-    #[test]
-    fn probed_scoped_search_emits_same_event_as_full() {
-        use lotec_obs::{ObsEventKind, RecordingSink};
-        let mut tree = TxnTree::new();
-        let mut table = table_with_validation(2);
-        let a = tree.begin_root(n(1));
-        let b = tree.begin_root(n(2));
-        table.acquire(obj(0), a, LockMode::Write, &tree).unwrap();
-        table.acquire(obj(1), b, LockMode::Write, &tree).unwrap();
-        table.acquire(obj(1), a, LockMode::Write, &tree).unwrap();
-        table.acquire(obj(0), b, LockMode::Write, &tree).unwrap();
-        let at = lotec_sim::SimTime::ZERO;
-        let mut full_sink = RecordingSink::new();
-        let full = find_deadlock_cycle_probed(&table, &tree, at, 0, &mut full_sink);
-        let mut scoped_sink = RecordingSink::new();
-        let scoped = find_deadlock_cycle_through_probed(&table, &tree, b, at, 0, &mut scoped_sink);
-        assert_eq!(full, scoped);
-        assert_eq!(full_sink.events(), scoped_sink.events());
-        match &full_sink.events()[0].kind {
-            ObsEventKind::Deadlock { cycle, victim } => {
-                assert_eq!(cycle.len(), 2);
-                assert_eq!(*victim, b.get());
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
     }
 
     #[test]

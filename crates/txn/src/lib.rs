@@ -61,15 +61,14 @@ pub mod tree;
 pub mod waits_for;
 
 pub use deadlock::{
-    find_deadlock_cycle, find_deadlock_cycle_probed, find_deadlock_cycle_through,
-    find_deadlock_cycle_through_probed, may_deadlock_through, pick_victim,
+    find_deadlock_cycle, find_deadlock_cycle_through, may_deadlock_through, pick_victim,
 };
 pub use gdo::{gdo_home, GdoEntry, LockState, QueuedRequest};
 pub use lock::LockMode;
 pub use smallq::SmallQueue;
 pub use table::{
-    emit_grant_events, obs_mode, AbortRelease, Acquire, CommitRelease, Grant, LockError,
-    LockOccupancy, LockTable, PreCommitRelease,
+    AbortRelease, Acquire, CommitRelease, Grant, LockError, LockOccupancy, LockTable,
+    PreCommitRelease,
 };
 pub use tree::{TxnId, TxnState, TxnTree};
 pub use waits_for::WaitsFor;

@@ -30,45 +30,12 @@
 use std::fmt;
 
 use lotec_mem::{ObjectId, PageIndex};
-use lotec_obs::{EventSink, ObsEvent, ObsEventKind, ObsLockMode, ReleaseCause};
-use lotec_sim::{NodeId, SimTime};
+use lotec_sim::NodeId;
 
 use crate::gdo::{GdoEntry, Holder, QueuedRequest};
 use crate::lock::LockMode;
 use crate::tree::{TxnId, TxnTree};
 use crate::waits_for::WaitsFor;
-
-/// Projects a [`LockMode`] into the probe layer's mirror enum.
-pub fn obs_mode(mode: LockMode) -> ObsLockMode {
-    match mode {
-        LockMode::Read => ObsLockMode::Read,
-        LockMode::Write => ObsLockMode::Write,
-    }
-}
-
-/// Emits one `LockGranted` event per request of each deferred [`Grant`].
-/// Used by the probed release operations; public so the engine can reuse
-/// it for grants it materializes itself.
-pub fn emit_grant_events<S: EventSink>(grants: &[Grant], at: SimTime, sink: &mut S) {
-    if !sink.enabled() {
-        return;
-    }
-    for grant in grants {
-        for req in &grant.requests {
-            sink.emit(ObsEvent {
-                at,
-                node: req.node.index(),
-                kind: ObsEventKind::LockGranted {
-                    object: grant.object.index(),
-                    txn: req.txn.get(),
-                    mode: obs_mode(req.mode),
-                    global: true,
-                    holders: grant.holders as u32,
-                },
-            });
-        }
-    }
-}
 
 /// Outcome of a successful (non-erroring) acquisition attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -519,91 +486,47 @@ impl LockTable {
         }
     }
 
-    /// [`LockTable::acquire`] with probe instrumentation: emits a
-    /// `LockQueued` or `LockGranted` event describing the outcome. The
-    /// sink's `enabled()` gate makes this identical to plain `acquire`
-    /// when observation is off.
-    pub fn acquire_probed<S: EventSink>(
-        &mut self,
+    /// Who stands between `txn`'s `mode` request on `object` and its
+    /// grant, as `(holders, retainers, queued_behind)`: the holders whose
+    /// mode conflicts with `mode`, the retainers that block it, and every
+    /// other family queued on `object`, in queue order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `object` is not registered.
+    pub fn blockers(
+        &self,
         object: ObjectId,
         txn: TxnId,
         mode: LockMode,
         tree: &TxnTree,
-        at: SimTime,
-        sink: &mut S,
-    ) -> Result<Acquire, LockError> {
-        let result = self.acquire(object, txn, mode, tree);
-        if sink.enabled() {
-            let node = tree.node_of(txn).index();
-            match &result {
-                Ok(Acquire::Queued) => {
-                    let entry = self.entry(object).expect("just acquired");
-                    let waiters = entry.num_waiting() as u32;
-                    sink.emit(ObsEvent {
-                        at,
-                        node,
-                        kind: ObsEventKind::LockQueued {
-                            object: object.index(),
-                            txn: txn.get(),
-                            mode: obs_mode(mode),
-                            waiters,
-                        },
-                    });
-                    // Waits-for provenance: who actually stands between this
-                    // request and the grant. Holders/retainers filter to the
-                    // conflicting modes (an ancestor's retained lock never
-                    // blocks — rule 2 lets descendants re-acquire it), and
-                    // `queued_behind` lists the families already in line.
-                    let family = tree.root_of(txn);
-                    let holders: Vec<u64> = entry
-                        .holders()
-                        .iter()
-                        .filter(|h| h.mode.conflicts_with(mode))
-                        .map(|h| h.txn.get())
-                        .collect();
-                    let retainers: Vec<u64> = entry
-                        .retainers()
-                        .filter(|&(r, m)| m.conflicts_with(mode) && !tree.is_ancestor(r, txn))
-                        .map(|(r, _)| r.get())
-                        .collect();
-                    let queued_behind: Vec<u64> = entry
-                        .waiting()
-                        .filter(|fw| fw.family != family)
-                        .map(|fw| fw.family.get())
-                        .collect();
-                    sink.emit(ObsEvent {
-                        at,
-                        node,
-                        kind: ObsEventKind::LockBlocked {
-                            object: object.index(),
-                            txn: txn.get(),
-                            holders,
-                            retainers,
-                            queued_behind,
-                        },
-                    });
-                }
-                Ok(grant @ (Acquire::LocalGrant | Acquire::GlobalGrant { .. })) => {
-                    let holders = match grant {
-                        Acquire::GlobalGrant { holders } => *holders,
-                        _ => self.entry(object).expect("just acquired").holders().len(),
-                    };
-                    sink.emit(ObsEvent {
-                        at,
-                        node,
-                        kind: ObsEventKind::LockGranted {
-                            object: object.index(),
-                            txn: txn.get(),
-                            mode: obs_mode(mode),
-                            global: matches!(grant, Acquire::GlobalGrant { .. }),
-                            holders: holders as u32,
-                        },
-                    });
-                }
-                Err(_) => {}
-            }
-        }
-        result
+    ) -> (Vec<TxnId>, Vec<TxnId>, Vec<TxnId>) {
+        let entry = self
+            .entry(object)
+            .expect("blockers of an unregistered object");
+        // Waits-for provenance: who actually stands between this request
+        // and the grant. Holders/retainers filter to the conflicting modes
+        // (an ancestor's retained lock never blocks — rule 2 lets
+        // descendants re-acquire it), and `queued_behind` lists the
+        // families already in line.
+        let family = tree.root_of(txn);
+        let holders = entry
+            .holders()
+            .iter()
+            .filter(|h| h.mode.conflicts_with(mode))
+            .map(|h| h.txn)
+            .collect();
+        let retainers = entry
+            .retainers()
+            .filter(|&(r, m)| m.conflicts_with(mode) && !tree.is_ancestor(r, txn))
+            .map(|(r, _)| r)
+            .collect();
+        let queued_behind = entry
+            .waiting()
+            .filter(|fw| fw.family != family)
+            .map(|fw| fw.family)
+            .collect();
+        (holders, retainers, queued_behind)
     }
 
     // ---------------------------------------------------------------
@@ -659,35 +582,6 @@ impl LockTable {
         PreCommitRelease { inherited }
     }
 
-    /// [`LockTable::release_pre_commit`] with probe instrumentation: one
-    /// `LockRetained` event per inherited object.
-    pub fn release_pre_commit_probed<S: EventSink>(
-        &mut self,
-        txn: TxnId,
-        tree: &TxnTree,
-        at: SimTime,
-        sink: &mut S,
-    ) -> PreCommitRelease {
-        let parent = tree.parent(txn);
-        let out = self.release_pre_commit(txn, tree);
-        if sink.enabled() {
-            let node = tree.node_of(txn).index();
-            let parent = parent.expect("pre-commit of a root transaction").get();
-            for &object in &out.inherited {
-                sink.emit(ObsEvent {
-                    at,
-                    node,
-                    kind: ObsEventKind::LockRetained {
-                        object: object.index(),
-                        txn: txn.get(),
-                        parent,
-                    },
-                });
-            }
-        }
-        out
-    }
-
     /// Abort of [sub-]transaction `txn` (rule 4): locks return to a
     /// retaining ancestor when one exists, otherwise they are released —
     /// possibly unblocking waiting families.
@@ -729,35 +623,6 @@ impl LockTable {
         // Collect grants after all of txn's presence is gone.
         for &object in &out.released {
             self.try_grant_next(object, tree, &mut out.grants);
-        }
-        out
-    }
-
-    /// [`LockTable::release_abort`] with probe instrumentation: one
-    /// `LockReleased` event per globally released object, plus
-    /// `LockGranted` events for any unblocked waiters.
-    pub fn release_abort_probed<S: EventSink>(
-        &mut self,
-        txn: TxnId,
-        tree: &TxnTree,
-        at: SimTime,
-        sink: &mut S,
-    ) -> AbortRelease {
-        let out = self.release_abort(txn, tree);
-        if sink.enabled() {
-            let node = tree.node_of(txn).index();
-            for &object in &out.released {
-                sink.emit(ObsEvent {
-                    at,
-                    node,
-                    kind: ObsEventKind::LockReleased {
-                        object: object.index(),
-                        txn: txn.get(),
-                        cause: ReleaseCause::Abort,
-                    },
-                });
-            }
-            emit_grant_events(&out.grants, at, sink);
         }
         out
     }
@@ -816,36 +681,6 @@ impl LockTable {
         }
         for &object in &out.released {
             self.try_grant_next(object, tree, &mut out.grants);
-        }
-        out
-    }
-
-    /// [`LockTable::release_root_commit`] with probe instrumentation: one
-    /// `LockReleased` event per released object, plus `LockGranted`
-    /// events for unblocked waiters.
-    pub fn release_root_commit_probed<S: EventSink>(
-        &mut self,
-        root: TxnId,
-        tree: &TxnTree,
-        dirty: &[(ObjectId, Vec<PageIndex>)],
-        node: NodeId,
-        at: SimTime,
-        sink: &mut S,
-    ) -> CommitRelease {
-        let out = self.release_root_commit(root, tree, dirty, node);
-        if sink.enabled() {
-            for &object in &out.released {
-                sink.emit(ObsEvent {
-                    at,
-                    node: node.index(),
-                    kind: ObsEventKind::LockReleased {
-                        object: object.index(),
-                        txn: root.get(),
-                        cause: ReleaseCause::RootCommit,
-                    },
-                });
-            }
-            emit_grant_events(&out.grants, at, sink);
         }
         out
     }
@@ -947,20 +782,6 @@ impl LockTable {
         for &object in objects {
             self.try_grant_next(object, tree, &mut grants);
         }
-        grants
-    }
-
-    /// [`LockTable::regrant`] with probe instrumentation: `LockGranted`
-    /// events for every grant materialized.
-    pub fn regrant_probed<S: EventSink>(
-        &mut self,
-        objects: &[ObjectId],
-        tree: &TxnTree,
-        at: SimTime,
-        sink: &mut S,
-    ) -> Vec<Grant> {
-        let grants = self.regrant(objects, tree);
-        emit_grant_events(&grants, at, sink);
         grants
     }
 
@@ -1446,94 +1267,72 @@ mod tests {
     }
 
     #[test]
-    fn probed_ops_match_plain_ops_and_record_events() {
-        use lotec_obs::{NoopSink, ObsEventKind, RecordingSink};
-        let t0 = SimTime::ZERO;
-
-        // Drive the same schedule through plain and probed paths.
-        let run = |probed: bool, sink: &mut RecordingSink| {
-            let (mut tree, mut table) = setup(1);
-            let a = tree.begin_root(n(1));
-            let b = tree.begin_root(n(2));
-            let c = tree.begin_child(a);
-            let acquire =
-                |table: &mut LockTable, tree: &TxnTree, sink: &mut RecordingSink, txn, mode| {
-                    if probed {
-                        table
-                            .acquire_probed(obj(0), txn, mode, tree, t0, sink)
-                            .unwrap()
-                    } else {
-                        table.acquire(obj(0), txn, mode, tree).unwrap()
-                    }
-                };
-            let g1 = acquire(&mut table, &tree, sink, c, LockMode::Write);
-            let q = acquire(&mut table, &tree, sink, b, LockMode::Read);
-            tree.pre_commit(c);
-            let pre = if probed {
-                table.release_pre_commit_probed(c, &tree, t0, sink)
-            } else {
-                table.release_pre_commit(c, &tree)
-            };
-            tree.commit_root(a);
-            let rel = if probed {
-                table.release_root_commit_probed(a, &tree, &[], n(1), t0, sink)
-            } else {
-                table.release_root_commit(a, &tree, &[], n(1))
-            };
-            (g1, q, pre, rel)
-        };
-
-        let mut ignored = RecordingSink::new();
-        let plain = run(false, &mut ignored);
-        assert!(ignored.is_empty(), "plain path must not emit");
-        let mut sink = RecordingSink::new();
-        let probed = run(true, &mut sink);
-        assert_eq!(plain, probed, "probing must not change outcomes");
-
-        let kinds: Vec<&str> = sink.events().iter().map(|e| e.kind.name()).collect();
+    fn blockers_name_exactly_who_stands_between_request_and_grant() {
+        let (mut tree, mut table) = setup(2);
+        // O0: `w` holds Write; `x` then `y` queue for Read behind it.
+        let w = tree.begin_root(n(1));
+        let x = tree.begin_root(n(2));
+        let y = tree.begin_root(n(3));
+        table.acquire(obj(0), w, LockMode::Write, &tree).unwrap();
+        for reader in [x, y] {
+            assert_eq!(
+                table
+                    .acquire(obj(0), reader, LockMode::Read, &tree)
+                    .unwrap(),
+                Acquire::Queued
+            );
+        }
+        // The conflicting holder is named, and so is the other queued
+        // family — but not the requester's own.
         assert_eq!(
-            kinds,
-            vec![
-                "lock_granted",
-                "lock_queued",
-                "lock_blocked",
-                "lock_retained",
-                "lock_released",
-                "lock_granted"
-            ]
+            table.blockers(obj(0), x, LockMode::Read, &tree),
+            (vec![w], vec![], vec![y])
         );
-        // The blocked event names the conflicting writer and nobody else.
-        match &sink.events()[2].kind {
-            ObsEventKind::LockBlocked {
-                holders,
-                retainers,
-                queued_behind,
-                ..
-            } => {
-                assert_eq!(holders.len(), 1, "one conflicting write holder");
-                assert!(retainers.is_empty());
-                assert!(queued_behind.is_empty());
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
-        // The deferred grant names the queued reader.
-        match &sink.events().last().unwrap().kind {
-            ObsEventKind::LockGranted { global, mode, .. } => {
-                assert!(*global);
-                assert_eq!(*mode, lotec_obs::ObsLockMode::Read);
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
 
-        // A NoopSink through the probed path also records nothing and
-        // still returns identical results.
-        let (mut tree, mut table) = setup(1);
-        let r = tree.begin_root(n(1));
-        let mut noop = NoopSink;
-        let got = table
-            .acquire_probed(obj(0), r, LockMode::Write, &tree, t0, &mut noop)
-            .unwrap();
-        assert_eq!(got, Acquire::GlobalGrant { holders: 1 });
+        // O1: root `r` retains Read through a pre-committed child, and a
+        // foreign reader `f` holds Read.
+        let r = tree.begin_root(n(4));
+        let c1 = tree.begin_child(r);
+        table.acquire(obj(1), c1, LockMode::Read, &tree).unwrap();
+        tree.pre_commit(c1);
+        table.release_pre_commit(c1, &tree);
+        let f = tree.begin_root(n(5));
+        assert!(table
+            .acquire(obj(1), f, LockMode::Read, &tree)
+            .unwrap()
+            .is_granted());
+        // r's next child wants Write: f's read blocks it, while the
+        // ancestor r's conflicting read retention does not.
+        let c2 = tree.begin_child(r);
+        assert_eq!(
+            table.acquire(obj(1), c2, LockMode::Write, &tree).unwrap(),
+            Acquire::Queued
+        );
+        assert_eq!(
+            table.blockers(obj(1), c2, LockMode::Write, &tree),
+            (vec![f], vec![], vec![])
+        );
+        // A foreign reader queues by FIFO alone: the compatible read
+        // holder and read retainer are not named, r's queued family is.
+        let g = tree.begin_root(n(6));
+        assert_eq!(
+            table.acquire(obj(1), g, LockMode::Read, &tree).unwrap(),
+            Acquire::Queued
+        );
+        assert_eq!(
+            table.blockers(obj(1), g, LockMode::Read, &tree),
+            (vec![], vec![], vec![r])
+        );
+        // A foreign writer is blocked by both, and by r's retention too.
+        let h = tree.begin_root(n(7));
+        assert_eq!(
+            table.acquire(obj(1), h, LockMode::Write, &tree).unwrap(),
+            Acquire::Queued
+        );
+        assert_eq!(
+            table.blockers(obj(1), h, LockMode::Write, &tree),
+            (vec![f], vec![r], vec![r, g])
+        );
     }
 
     #[test]

@@ -8,13 +8,22 @@
 //! counters, and the per-protocol transfer totals, across all four
 //! protocols fault-free and under a sample of the chaos-suite seeds.
 //!
-//! To regenerate the table after an *intentional* behaviour change (a new
+//! A second table, `EVENT_STREAMS`, pins the probe layer's output: each
+//! row is one cell's recorded event count and a fold of its JSONL bytes,
+//! so moving an emission site cannot reorder, drop or reshape an event
+//! unnoticed.
+//!
+//! To regenerate the tables after an *intentional* behaviour change (a new
 //! protocol rule, a workload change — never a perf PR), run
 //! `LOTEC_PRINT_GOLDEN=1 cargo test --test differential_seed -- --nocapture`
-//! and paste the printed rows over `GOLDEN`.
+//! and paste the printed rows over `GOLDEN` and `EVENT_STREAMS`.
 
+use std::collections::BTreeSet;
+use std::fmt::Debug;
+
+use lotec::obs::jsonl_encode;
 use lotec::prelude::*;
-use lotec::sim::FaultPlan;
+use lotec::sim::{CrashWindow, FaultPlan};
 use lotec_core::config::FaultConfig;
 use lotec_core::engine::RunReport;
 use lotec_core::spec::demo_workload;
@@ -169,16 +178,25 @@ fn print_golden(label: &str, fp: &Fingerprint) {
 }
 
 fn check(label: String, fp: Fingerprint) {
+    check_row(label, fp, GOLDEN, print_golden);
+}
+
+fn check_row<T: PartialEq + Debug>(
+    label: String,
+    got: T,
+    table: &[(&str, T)],
+    print: fn(&str, &T),
+) {
     if std::env::var("LOTEC_PRINT_GOLDEN").is_ok() {
-        print_golden(&label, &fp);
+        print(&label, &got);
         return;
     }
-    let expected = GOLDEN
+    let expected = table
         .iter()
         .find(|(l, _)| *l == label)
         .unwrap_or_else(|| panic!("no golden row for {label}"));
     assert_eq!(
-        fp, expected.1,
+        got, expected.1,
         "{label}: behaviour diverged from the seed build"
     );
 }
@@ -230,6 +248,191 @@ fn zoo_tiny_cells_match_their_goldens() {
         check(format!("zoo/{}", scenario.family), zoo_cell(&scenario));
     }
 }
+
+/// One cell's probe output: how many events a recording sink saw, and
+/// every byte of their JSONL encoding folded in order.
+#[derive(Debug, PartialEq, Eq)]
+struct EventStream {
+    events: u64,
+    jsonl_hash: u64,
+}
+
+fn print_stream(label: &str, stream: &EventStream) {
+    println!(
+        "    (\"{label}\", EventStream {{ events: {}, jsonl_hash: {:#018x} }}),",
+        stream.events, stream.jsonl_hash
+    );
+}
+
+/// Every `ObsEventKind` wire name. The event-stream cells must emit all of
+/// them between them, so each emission site is pinned by some row.
+const ALL_KINDS: [&str; 23] = [
+    "lock_queued",
+    "lock_granted",
+    "lock_retained",
+    "lock_blocked",
+    "lock_released",
+    "deadlock",
+    "span_open",
+    "span_close",
+    "phase_enter",
+    "sub_abort",
+    "restart",
+    "grant_plan",
+    "gather_batch",
+    "prediction_sample",
+    "profile_update",
+    "demand_batch",
+    "demand_fetch",
+    "retransmit",
+    "node_crashed",
+    "node_recovered",
+    "state_sample",
+    "lock_timeout",
+    "page_map_repaired",
+];
+
+/// Runs one cell with a recording sink and folds its event stream; adds
+/// the kinds it emitted to `kinds`.
+fn stream_cell(
+    config: &SystemConfig,
+    registry: &ObjectRegistry,
+    families: &[FamilySpec],
+    kinds: &mut BTreeSet<&'static str>,
+) -> EventStream {
+    let mut sink = RecordingSink::new();
+    let report = Engine::with_probe(config, registry, families, &mut sink)
+        .and_then(Engine::run)
+        .expect("recorded run");
+    oracle::verify(&report).expect("serializable");
+    kinds.extend(sink.events().iter().map(|e| e.kind.name()));
+    let jsonl_hash = jsonl_encode(sink.events())
+        .bytes()
+        .fold(0u64, |h, b| mix(h, u64::from(b)));
+    EventStream {
+        events: sink.len() as u64,
+        jsonl_hash,
+    }
+}
+
+/// The chaos suite's combined mode on the demo workload: lossy links, two
+/// crash windows placed inside the fault-free makespan, lock-request
+/// timeouts, and the state sampler on.
+fn combined_chaos_config(seed: u64) -> SystemConfig {
+    let base = SystemConfig {
+        seed,
+        ..SystemConfig::default()
+    };
+    let (registry, families) = demo_workload(&base, seed);
+    let makespan = run_engine(&base, &registry, &families)
+        .expect("calibration run")
+        .stats
+        .makespan;
+    let nodes = u64::from(base.num_nodes);
+    let plan = FaultPlan {
+        drop_prob: 0.08,
+        duplicate_prob: 0.04,
+        delay_prob: 0.08,
+        max_extra_delay: SimDuration::from_micros(20),
+        rto: SimDuration::from_micros(50),
+        crashes: vec![
+            CrashWindow {
+                node: NodeId::new((seed % nodes) as u32),
+                at: SimTime::ZERO + makespan / 8,
+                until: SimTime::ZERO + makespan / 3,
+            },
+            CrashWindow {
+                node: NodeId::new(((seed + 1) % nodes) as u32),
+                at: SimTime::ZERO + makespan / 2,
+                until: SimTime::ZERO + makespan * 3 / 4,
+            },
+        ],
+    };
+    SystemConfig {
+        faults: FaultConfig {
+            plan,
+            lock_timeout: SimDuration::from_micros(150),
+        },
+        state_sample_interval: SimDuration::from_micros(100),
+        ..base
+    }
+}
+
+/// Probe event streams of four cells that between them emit every event
+/// kind: combined chaos (crash, repair, retransmit, timeout, sampler),
+/// fig3-quick with degraded prediction under the adaptive predictor
+/// (batched demand repair, profile updates) and under static prediction
+/// (serial demand fetches), and the fig3-quick sub-transaction fault
+/// ablation (sub-aborts).
+#[test]
+fn probe_event_streams_match_their_goldens() {
+    let mut kinds = BTreeSet::new();
+
+    let seed = 138;
+    let config = combined_chaos_config(seed);
+    let (registry, families) = demo_workload(&config, seed);
+    let stream = stream_cell(&config, &registry, &families, &mut kinds);
+    check_row(
+        format!("chaos-combined/LOTEC/{seed}"),
+        stream,
+        EVENT_STREAMS,
+        print_stream,
+    );
+
+    let scenario = presets::quick(presets::fig3());
+    let (registry, families) = scenario.generate().expect("fig3 generates");
+    for adaptive in [true, false] {
+        let config = SystemConfig {
+            prediction_miss_rate: 0.25,
+            adaptive: if adaptive {
+                AdaptiveConfig::on()
+            } else {
+                AdaptiveConfig::default()
+            },
+            faults: FaultConfig {
+                lock_timeout: SimDuration::from_millis(2),
+                ..FaultConfig::default()
+            },
+            ..scenario.system_config()
+        };
+        let stream = stream_cell(&config, &registry, &families, &mut kinds);
+        let label = if adaptive { "adaptive" } else { "static" };
+        check_row(
+            format!("fig3-quick/LOTEC+{label}/miss25"),
+            stream,
+            EVENT_STREAMS,
+            print_stream,
+        );
+    }
+
+    let scenario = presets::quick(presets::ablation_faults());
+    let (registry, families) = scenario.generate().expect("ablation generates");
+    let stream = stream_cell(&scenario.system_config(), &registry, &families, &mut kinds);
+    check_row(
+        "ablation_faults-quick/LOTEC".to_string(),
+        stream,
+        EVENT_STREAMS,
+        print_stream,
+    );
+
+    let missing: Vec<&str> = ALL_KINDS
+        .iter()
+        .copied()
+        .filter(|k| !kinds.contains(k))
+        .collect();
+    assert!(missing.is_empty(), "no cell emits {missing:?}");
+    assert_eq!(kinds.len(), ALL_KINDS.len(), "unlisted kinds: {kinds:?}");
+}
+
+/// Probe event streams, captured before the lock and deadlock events moved
+/// from the lock table into the engine.
+#[rustfmt::skip]
+const EVENT_STREAMS: &[(&str, EventStream)] = &[
+    ("chaos-combined/LOTEC/138", EventStream { events: 144, jsonl_hash: 0x923ea9e130039641 }),
+    ("fig3-quick/LOTEC+adaptive/miss25", EventStream { events: 3215, jsonl_hash: 0xd2dc134b0769f9ef }),
+    ("fig3-quick/LOTEC+static/miss25", EventStream { events: 3477, jsonl_hash: 0x4bb9a71467bdd936 }),
+    ("ablation_faults-quick/LOTEC", EventStream { events: 1318, jsonl_hash: 0xf0bda48c68cea9c0 }),
+];
 
 /// Golden fingerprints captured from the pre-overhaul build.
 #[rustfmt::skip]

@@ -5,6 +5,9 @@
 
 use lotec::obs::{chrome_trace, jsonl_decode, jsonl_encode, Json, ObsEventKind};
 use lotec::prelude::*;
+use lotec::sim::FaultPlan;
+use lotec_core::config::FaultConfig;
+use lotec_core::spec::demo_workload;
 
 fn quickstart() -> (SystemConfig, ObjectRegistry, Vec<FamilySpec>) {
     let scenario = lotec::workload::presets::quick(lotec::workload::presets::fig2());
@@ -197,7 +200,9 @@ fn critical_paths_tile_commit_windows() {
 }
 
 /// The trace's phase events replay to exactly the engine's own
-/// phase-attributed accounting.
+/// phase-attributed accounting — on lossy links too, where both book
+/// retransmission stalls as backoff rather than as the wait they
+/// interrupted.
 #[test]
 fn trace_summary_agrees_with_engine_accounting() {
     let (config, registry, families) = quickstart();
@@ -220,4 +225,44 @@ fn trace_summary_agrees_with_engine_accounting() {
     let immediate = report.stats.local_lock_grants + report.stats.global_lock_grants;
     assert!(grants >= immediate);
     assert!(grants <= immediate + report.stats.queued_lock_requests);
+
+    // The chaos goldens' drop plan over the demo workload.
+    let mut backoff = SimDuration::ZERO;
+    for protocol in ProtocolKind::ALL {
+        for seed in [101, 138, 175] {
+            let plan = FaultPlan {
+                drop_prob: 0.10 + 0.02 * (seed % 5) as f64,
+                duplicate_prob: 0.05,
+                delay_prob: 0.10,
+                max_extra_delay: SimDuration::from_micros(25),
+                rto: SimDuration::from_micros(50),
+                crashes: Vec::new(),
+            };
+            let config = SystemConfig {
+                protocol,
+                seed,
+                faults: FaultConfig {
+                    plan,
+                    ..FaultConfig::default()
+                },
+                ..SystemConfig::default()
+            };
+            let (registry, families) = demo_workload(&config, seed);
+            let mut sink = RecordingSink::new();
+            let report = Engine::with_probe(&config, &registry, &families, &mut sink)
+                .and_then(Engine::run)
+                .expect("lossy run");
+            let engine = report.stats.phases.aggregate;
+            assert_eq!(
+                TraceSummary::of(sink.events()).aggregate,
+                engine,
+                "{protocol}/{seed}"
+            );
+            backoff += engine.backoff;
+        }
+    }
+    assert!(
+        backoff > SimDuration::ZERO,
+        "no retransmit stall was booked"
+    );
 }
