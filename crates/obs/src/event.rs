@@ -1,14 +1,33 @@
-//! Structured, sim-time-stamped observability events.
+//! Structured, sim-time-stamped observability events, and their one wire
+//! schema.
 //!
 //! Events deliberately carry *primitive* identifiers (`u64` transaction
 //! ids, `u32` node/object indices, `u16` page indices) rather than the
 //! newtypes from the `txn`/`mem` crates: the probe layer sits *below*
-//! those crates in the dependency graph so that the lock table itself can
-//! emit events without a dependency cycle. The emitting site is
-//! responsible for unwrapping its ids (`TxnId::get()`, `ObjectId::index()`,
-//! …) — a one-way, lossless projection.
+//! `txn` and `core` in the dependency graph, so it cannot name their
+//! types without a cycle. The engine emits every event — lock and
+//! deadlock events included, built from the outcomes the lock table
+//! returns — and unwraps its ids (`TxnId::get()`, `ObjectId::index()`, …)
+//! as it does: a one-way, lossless projection.
+//!
+//! Each kind's wire schema — field names, order and types — is written
+//! once, as the walk pair [`ObsEventKind::write_fields`] /
+//! [`ObsEventKind::read_fields`] over a [`FieldSink`] / [`FieldSource`].
+//! JSONL export and the flight recorder's fixed-width slots are each one
+//! sink/source pair over these walks.
 
 use lotec_sim::SimTime;
+
+/// A field-less enum on the probe wire. JSONL carries its
+/// [`name`](WireEnum::name); a flight-recorder slot carries its index in
+/// [`ALL`](WireEnum::ALL).
+pub trait WireEnum: Copy + PartialEq + 'static {
+    /// Every variant, in declaration order.
+    const ALL: &'static [Self];
+
+    /// Stable wire name.
+    fn name(self) -> &'static str;
+}
 
 /// Lock mode as seen by the probe layer (mirrors `lotec_txn::LockMode`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,21 +38,13 @@ pub enum ObsLockMode {
     Write,
 }
 
-impl ObsLockMode {
-    /// Stable wire name.
-    pub const fn name(self) -> &'static str {
+impl WireEnum for ObsLockMode {
+    const ALL: &'static [Self] = &[ObsLockMode::Read, ObsLockMode::Write];
+
+    fn name(self) -> &'static str {
         match self {
             ObsLockMode::Read => "read",
             ObsLockMode::Write => "write",
-        }
-    }
-
-    /// Parses a wire name.
-    pub fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "read" => Some(ObsLockMode::Read),
-            "write" => Some(ObsLockMode::Write),
-            _ => None,
         }
     }
 }
@@ -47,21 +58,13 @@ pub enum ReleaseCause {
     Abort,
 }
 
-impl ReleaseCause {
-    /// Stable wire name.
-    pub const fn name(self) -> &'static str {
+impl WireEnum for ReleaseCause {
+    const ALL: &'static [Self] = &[ReleaseCause::RootCommit, ReleaseCause::Abort];
+
+    fn name(self) -> &'static str {
         match self {
             ReleaseCause::RootCommit => "root_commit",
             ReleaseCause::Abort => "abort",
-        }
-    }
-
-    /// Parses a wire name.
-    pub fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "root_commit" => Some(ReleaseCause::RootCommit),
-            "abort" => Some(ReleaseCause::Abort),
-            _ => None,
         }
     }
 }
@@ -81,25 +84,20 @@ pub enum SpanOutcome {
     CrashAbort,
 }
 
-impl SpanOutcome {
-    /// Stable wire name.
-    pub const fn name(self) -> &'static str {
+impl WireEnum for SpanOutcome {
+    const ALL: &'static [Self] = &[
+        SpanOutcome::PreCommit,
+        SpanOutcome::Commit,
+        SpanOutcome::Abort,
+        SpanOutcome::CrashAbort,
+    ];
+
+    fn name(self) -> &'static str {
         match self {
             SpanOutcome::PreCommit => "pre_commit",
             SpanOutcome::Commit => "commit",
             SpanOutcome::Abort => "abort",
             SpanOutcome::CrashAbort => "crash_abort",
-        }
-    }
-
-    /// Parses a wire name.
-    pub fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "pre_commit" => Some(SpanOutcome::PreCommit),
-            "commit" => Some(SpanOutcome::Commit),
-            "abort" => Some(SpanOutcome::Abort),
-            "crash_abort" => Some(SpanOutcome::CrashAbort),
-            _ => None,
         }
     }
 }
@@ -122,9 +120,18 @@ pub enum ObsPhase {
     Failed,
 }
 
-impl ObsPhase {
+impl WireEnum for ObsPhase {
+    const ALL: &'static [Self] = &[
+        ObsPhase::LockWait,
+        ObsPhase::TransferWait,
+        ObsPhase::Running,
+        ObsPhase::Backoff,
+        ObsPhase::Committed,
+        ObsPhase::Failed,
+    ];
+
     /// Stable wire name (also the Perfetto slice name).
-    pub const fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             ObsPhase::LockWait => "lock_wait",
             ObsPhase::TransferWait => "transfer_wait",
@@ -134,27 +141,71 @@ impl ObsPhase {
             ObsPhase::Failed => "failed",
         }
     }
+}
 
-    /// Parses a wire name.
-    pub fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "lock_wait" => Some(ObsPhase::LockWait),
-            "transfer_wait" => Some(ObsPhase::TransferWait),
-            "running" => Some(ObsPhase::Running),
-            "backoff" => Some(ObsPhase::Backoff),
-            "committed" => Some(ObsPhase::Committed),
-            "failed" => Some(ObsPhase::Failed),
-            _ => None,
-        }
-    }
-
+impl ObsPhase {
     /// True for phases a family never leaves.
     pub const fn is_terminal(self) -> bool {
         matches!(self, ObsPhase::Committed | ObsPhase::Failed)
     }
 }
 
-/// What happened. See module docs for the id conventions.
+/// Receives an event kind's fields from [`ObsEventKind::write_fields`],
+/// in declaration order. Keys are the JSONL field names.
+pub trait FieldSink {
+    /// An integer field (`u16`, `u32` or `u64`).
+    fn uint(&mut self, key: &'static str, value: u64);
+    /// A bool field.
+    fn flag(&mut self, key: &'static str, value: bool);
+    /// A wire-enum field.
+    fn wire<T: WireEnum>(&mut self, key: &'static str, value: T);
+    /// An optional `u64` field.
+    fn opt(&mut self, key: &'static str, value: Option<u64>);
+    /// A list of `u64` values (transaction ids, byte counts).
+    fn u64s(&mut self, key: &'static str, values: &[u64]);
+    /// A list of `u16` page indices.
+    fn pages(&mut self, key: &'static str, values: &[u16]);
+}
+
+/// Supplies an event kind's fields to [`ObsEventKind::read_fields`], in
+/// the order [`FieldSink`] received them.
+pub trait FieldSource {
+    /// Why a field could not be read.
+    type Error;
+
+    /// An integer field `bits` wide (16, 32 or 64). The value returned
+    /// fits in `bits`; a source that cannot guarantee it errors, naming
+    /// the key.
+    fn uint(&mut self, key: &'static str, bits: u32) -> Result<u64, Self::Error>;
+    /// A bool field.
+    fn flag(&mut self, key: &'static str) -> Result<bool, Self::Error>;
+    /// A wire-enum field.
+    fn wire<T: WireEnum>(&mut self, key: &'static str) -> Result<T, Self::Error>;
+    /// An optional `u64` field.
+    fn opt(&mut self, key: &'static str) -> Result<Option<u64>, Self::Error>;
+    /// A list of `u64` values.
+    fn u64s(&mut self, key: &'static str) -> Result<Vec<u64>, Self::Error>;
+    /// A list of `u16` page indices.
+    fn pages(&mut self, key: &'static str) -> Result<Vec<u16>, Self::Error>;
+
+    /// A `u64` field.
+    fn u64(&mut self, key: &'static str) -> Result<u64, Self::Error> {
+        self.uint(key, 64)
+    }
+
+    /// A `u32` field.
+    fn u32(&mut self, key: &'static str) -> Result<u32, Self::Error> {
+        self.uint(key, 32).map(|v| v as u32)
+    }
+
+    /// A `u16` field.
+    fn u16(&mut self, key: &'static str) -> Result<u16, Self::Error> {
+        self.uint(key, 16).map(|v| v as u16)
+    }
+}
+
+/// What happened. See module docs for the id conventions. Each kind's
+/// [`tag`](ObsEventKind::tag) is its declaration index.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ObsEventKind {
     /// A lock request had to queue behind conflicting holders at the GDO.
@@ -193,8 +244,9 @@ pub enum ObsEventKind {
         parent: u64,
     },
     /// Waits-for provenance for a queued request: who exactly blocked it.
-    /// Emitted alongside `LockQueued` by the lock table, which is the only
-    /// layer that can see the holder/retainer/queue state at queue time.
+    /// The engine emits it right after `LockQueued`, from
+    /// `LockTable::blockers` — the lock table's holder, retainer and queue
+    /// state at queue time.
     LockBlocked {
         /// Object index.
         object: u32,
@@ -441,34 +493,467 @@ pub enum ObsEventKind {
     },
 }
 
+/// Wire names of the event kinds, indexed by [`ObsEventKind::tag`].
+pub const KIND_NAMES: [&str; 23] = [
+    "lock_queued",
+    "lock_granted",
+    "lock_retained",
+    "lock_blocked",
+    "lock_released",
+    "deadlock",
+    "span_open",
+    "span_close",
+    "phase_enter",
+    "sub_abort",
+    "restart",
+    "grant_plan",
+    "gather_batch",
+    "prediction_sample",
+    "profile_update",
+    "demand_batch",
+    "demand_fetch",
+    "retransmit",
+    "node_crashed",
+    "node_recovered",
+    "lock_timeout",
+    "state_sample",
+    "page_map_repaired",
+];
+
 impl ObsEventKind {
+    /// The kind's tag: its declaration index, which indexes
+    /// [`KIND_NAMES`] and is what a flight-recorder slot stores.
+    pub const fn tag(&self) -> u8 {
+        match self {
+            ObsEventKind::LockQueued { .. } => 0,
+            ObsEventKind::LockGranted { .. } => 1,
+            ObsEventKind::LockRetained { .. } => 2,
+            ObsEventKind::LockBlocked { .. } => 3,
+            ObsEventKind::LockReleased { .. } => 4,
+            ObsEventKind::Deadlock { .. } => 5,
+            ObsEventKind::SpanOpen { .. } => 6,
+            ObsEventKind::SpanClose { .. } => 7,
+            ObsEventKind::PhaseEnter { .. } => 8,
+            ObsEventKind::SubAbort { .. } => 9,
+            ObsEventKind::Restart { .. } => 10,
+            ObsEventKind::GrantPlan { .. } => 11,
+            ObsEventKind::GatherBatch { .. } => 12,
+            ObsEventKind::PredictionSample { .. } => 13,
+            ObsEventKind::ProfileUpdate { .. } => 14,
+            ObsEventKind::DemandBatch { .. } => 15,
+            ObsEventKind::DemandFetch { .. } => 16,
+            ObsEventKind::Retransmit { .. } => 17,
+            ObsEventKind::NodeCrashed { .. } => 18,
+            ObsEventKind::NodeRecovered { .. } => 19,
+            ObsEventKind::LockTimeout { .. } => 20,
+            ObsEventKind::StateSample { .. } => 21,
+            ObsEventKind::PageMapRepaired { .. } => 22,
+        }
+    }
+
     /// Stable wire name for the event kind.
     pub const fn name(&self) -> &'static str {
+        KIND_NAMES[self.tag() as usize]
+    }
+
+    /// Writes the kind's fields to `out` in declaration order. With
+    /// [`read_fields`](Self::read_fields), this is the one definition of
+    /// each kind's wire schema.
+    pub fn write_fields(&self, out: &mut impl FieldSink) {
         match self {
-            ObsEventKind::LockQueued { .. } => "lock_queued",
-            ObsEventKind::LockGranted { .. } => "lock_granted",
-            ObsEventKind::LockRetained { .. } => "lock_retained",
-            ObsEventKind::LockBlocked { .. } => "lock_blocked",
-            ObsEventKind::LockReleased { .. } => "lock_released",
-            ObsEventKind::Deadlock { .. } => "deadlock",
-            ObsEventKind::SpanOpen { .. } => "span_open",
-            ObsEventKind::SpanClose { .. } => "span_close",
-            ObsEventKind::PhaseEnter { .. } => "phase_enter",
-            ObsEventKind::SubAbort { .. } => "sub_abort",
-            ObsEventKind::Restart { .. } => "restart",
-            ObsEventKind::GrantPlan { .. } => "grant_plan",
-            ObsEventKind::GatherBatch { .. } => "gather_batch",
-            ObsEventKind::PredictionSample { .. } => "prediction_sample",
-            ObsEventKind::ProfileUpdate { .. } => "profile_update",
-            ObsEventKind::DemandBatch { .. } => "demand_batch",
-            ObsEventKind::DemandFetch { .. } => "demand_fetch",
-            ObsEventKind::Retransmit { .. } => "retransmit",
-            ObsEventKind::NodeCrashed { .. } => "node_crashed",
-            ObsEventKind::NodeRecovered { .. } => "node_recovered",
-            ObsEventKind::StateSample { .. } => "state_sample",
-            ObsEventKind::LockTimeout { .. } => "lock_timeout",
-            ObsEventKind::PageMapRepaired { .. } => "page_map_repaired",
+            ObsEventKind::LockQueued {
+                object,
+                txn,
+                mode,
+                waiters,
+            } => {
+                out.uint("object", (*object).into());
+                out.uint("txn", *txn);
+                out.wire("mode", *mode);
+                out.uint("waiters", (*waiters).into());
+            }
+            ObsEventKind::LockGranted {
+                object,
+                txn,
+                mode,
+                global,
+                holders,
+            } => {
+                out.uint("object", (*object).into());
+                out.uint("txn", *txn);
+                out.wire("mode", *mode);
+                out.flag("global", *global);
+                out.uint("holders", (*holders).into());
+            }
+            ObsEventKind::LockRetained {
+                object,
+                txn,
+                parent,
+            } => {
+                out.uint("object", (*object).into());
+                out.uint("txn", *txn);
+                out.uint("parent", *parent);
+            }
+            ObsEventKind::LockBlocked {
+                object,
+                txn,
+                holders,
+                retainers,
+                queued_behind,
+            } => {
+                out.uint("object", (*object).into());
+                out.uint("txn", *txn);
+                out.u64s("holders", holders);
+                out.u64s("retainers", retainers);
+                out.u64s("queued_behind", queued_behind);
+            }
+            ObsEventKind::LockReleased { object, txn, cause } => {
+                out.uint("object", (*object).into());
+                out.uint("txn", *txn);
+                out.wire("cause", *cause);
+            }
+            ObsEventKind::Deadlock { cycle, victim } => {
+                out.u64s("cycle", cycle);
+                out.uint("victim", *victim);
+            }
+            ObsEventKind::SpanOpen {
+                family,
+                txn,
+                parent,
+                object,
+            } => {
+                out.uint("family", *family);
+                out.uint("txn", *txn);
+                out.opt("parent", *parent);
+                out.uint("object", (*object).into());
+            }
+            ObsEventKind::SpanClose {
+                family,
+                txn,
+                outcome,
+            } => {
+                out.uint("family", *family);
+                out.uint("txn", *txn);
+                out.wire("outcome", *outcome);
+            }
+            ObsEventKind::PhaseEnter { family, phase } => {
+                out.uint("family", *family);
+                out.wire("phase", *phase);
+            }
+            ObsEventKind::SubAbort {
+                family,
+                txn,
+                released,
+            } => {
+                out.uint("family", *family);
+                out.uint("txn", *txn);
+                out.uint("released", (*released).into());
+            }
+            ObsEventKind::Restart {
+                family,
+                attempt,
+                backoff_ns,
+            } => {
+                out.uint("family", *family);
+                out.uint("attempt", (*attempt).into());
+                out.uint("backoff_ns", *backoff_ns);
+            }
+            ObsEventKind::GrantPlan {
+                family,
+                object,
+                predicted,
+                actual_reads,
+                actual_writes,
+                planned_pages,
+                sources,
+            } => {
+                out.uint("family", *family);
+                out.uint("object", (*object).into());
+                out.pages("predicted", predicted);
+                out.pages("actual_reads", actual_reads);
+                out.pages("actual_writes", actual_writes);
+                out.uint("planned_pages", (*planned_pages).into());
+                out.uint("sources", (*sources).into());
+            }
+            ObsEventKind::GatherBatch {
+                family,
+                object,
+                source,
+                pages,
+                bytes,
+                delay_ns,
+            } => {
+                out.uint("family", *family);
+                out.uint("object", (*object).into());
+                out.uint("source", (*source).into());
+                out.uint("pages", (*pages).into());
+                out.uint("bytes", *bytes);
+                out.uint("delay_ns", *delay_ns);
+            }
+            ObsEventKind::PredictionSample {
+                class,
+                method,
+                predicted,
+                actual,
+                true_positives,
+            } => {
+                out.uint("class", (*class).into());
+                out.uint("method", (*method).into());
+                out.uint("predicted", (*predicted).into());
+                out.uint("actual", (*actual).into());
+                out.uint("true_positives", (*true_positives).into());
+            }
+            ObsEventKind::ProfileUpdate {
+                class,
+                method,
+                expanded,
+                shrunk,
+                predicted,
+                observations,
+            } => {
+                out.uint("class", (*class).into());
+                out.uint("method", (*method).into());
+                out.pages("expanded", expanded);
+                out.pages("shrunk", shrunk);
+                out.uint("predicted", (*predicted).into());
+                out.uint("observations", *observations);
+            }
+            ObsEventKind::DemandBatch {
+                family,
+                object,
+                source,
+                pages,
+                bytes,
+                delay_ns,
+            } => {
+                out.uint("family", *family);
+                out.uint("object", (*object).into());
+                out.uint("source", (*source).into());
+                out.pages("pages", pages);
+                out.uint("bytes", *bytes);
+                out.uint("delay_ns", *delay_ns);
+            }
+            ObsEventKind::DemandFetch {
+                family,
+                object,
+                page,
+                source,
+                bytes,
+            } => {
+                out.uint("family", *family);
+                out.uint("object", (*object).into());
+                out.uint("page", (*page).into());
+                out.uint("source", (*source).into());
+                out.uint("bytes", *bytes);
+            }
+            ObsEventKind::Retransmit {
+                dst,
+                attempts,
+                duplicates,
+                wait_ns,
+                family,
+            } => {
+                out.uint("dst", (*dst).into());
+                out.uint("attempts", (*attempts).into());
+                out.uint("duplicates", (*duplicates).into());
+                out.uint("wait_ns", *wait_ns);
+                out.opt("family", *family);
+            }
+            ObsEventKind::NodeCrashed { aborted_families } => {
+                out.uint("aborted_families", (*aborted_families).into());
+            }
+            ObsEventKind::NodeRecovered { outage_ns } => out.uint("outage_ns", *outage_ns),
+            ObsEventKind::LockTimeout {
+                object,
+                txn,
+                waited_ns,
+            } => {
+                out.uint("object", (*object).into());
+                out.uint("txn", *txn);
+                out.uint("waited_ns", *waited_ns);
+            }
+            ObsEventKind::StateSample {
+                queue_depth,
+                locks_held,
+                locks_retained,
+                locks_waiting,
+                inflight_messages,
+                blocked_families,
+                cache_bytes,
+            } => {
+                out.uint("queue_depth", *queue_depth);
+                out.uint("locks_held", (*locks_held).into());
+                out.uint("locks_retained", (*locks_retained).into());
+                out.uint("locks_waiting", (*locks_waiting).into());
+                out.uint("inflight_messages", (*inflight_messages).into());
+                out.uint("blocked_families", (*blocked_families).into());
+                out.u64s("cache_bytes", cache_bytes);
+            }
+            ObsEventKind::PageMapRepaired {
+                object,
+                page,
+                from,
+                to,
+            } => {
+                out.uint("object", (*object).into());
+                out.uint("page", (*page).into());
+                out.uint("from", (*from).into());
+                out.uint("to", (*to).into());
+            }
         }
+    }
+
+    /// Rebuilds the kind tagged `tag` from `src`. Each arm reads its
+    /// fields in the order [`write_fields`](Self::write_fields) writes
+    /// them (struct-literal fields evaluate in source order), so a
+    /// positional source sees them in declaration order too.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `tag` is not an index of [`KIND_NAMES`].
+    pub fn read_fields<S: FieldSource>(tag: u8, src: &mut S) -> Result<Self, S::Error> {
+        Ok(match tag {
+            0 => ObsEventKind::LockQueued {
+                object: src.u32("object")?,
+                txn: src.u64("txn")?,
+                mode: src.wire("mode")?,
+                waiters: src.u32("waiters")?,
+            },
+            1 => ObsEventKind::LockGranted {
+                object: src.u32("object")?,
+                txn: src.u64("txn")?,
+                mode: src.wire("mode")?,
+                global: src.flag("global")?,
+                holders: src.u32("holders")?,
+            },
+            2 => ObsEventKind::LockRetained {
+                object: src.u32("object")?,
+                txn: src.u64("txn")?,
+                parent: src.u64("parent")?,
+            },
+            3 => ObsEventKind::LockBlocked {
+                object: src.u32("object")?,
+                txn: src.u64("txn")?,
+                holders: src.u64s("holders")?,
+                retainers: src.u64s("retainers")?,
+                queued_behind: src.u64s("queued_behind")?,
+            },
+            4 => ObsEventKind::LockReleased {
+                object: src.u32("object")?,
+                txn: src.u64("txn")?,
+                cause: src.wire("cause")?,
+            },
+            5 => ObsEventKind::Deadlock {
+                cycle: src.u64s("cycle")?,
+                victim: src.u64("victim")?,
+            },
+            6 => ObsEventKind::SpanOpen {
+                family: src.u64("family")?,
+                txn: src.u64("txn")?,
+                parent: src.opt("parent")?,
+                object: src.u32("object")?,
+            },
+            7 => ObsEventKind::SpanClose {
+                family: src.u64("family")?,
+                txn: src.u64("txn")?,
+                outcome: src.wire("outcome")?,
+            },
+            8 => ObsEventKind::PhaseEnter {
+                family: src.u64("family")?,
+                phase: src.wire("phase")?,
+            },
+            9 => ObsEventKind::SubAbort {
+                family: src.u64("family")?,
+                txn: src.u64("txn")?,
+                released: src.u32("released")?,
+            },
+            10 => ObsEventKind::Restart {
+                family: src.u64("family")?,
+                attempt: src.u32("attempt")?,
+                backoff_ns: src.u64("backoff_ns")?,
+            },
+            11 => ObsEventKind::GrantPlan {
+                family: src.u64("family")?,
+                object: src.u32("object")?,
+                predicted: src.pages("predicted")?,
+                actual_reads: src.pages("actual_reads")?,
+                actual_writes: src.pages("actual_writes")?,
+                planned_pages: src.u32("planned_pages")?,
+                sources: src.u32("sources")?,
+            },
+            12 => ObsEventKind::GatherBatch {
+                family: src.u64("family")?,
+                object: src.u32("object")?,
+                source: src.u32("source")?,
+                pages: src.u32("pages")?,
+                bytes: src.u64("bytes")?,
+                delay_ns: src.u64("delay_ns")?,
+            },
+            13 => ObsEventKind::PredictionSample {
+                class: src.u32("class")?,
+                method: src.u32("method")?,
+                predicted: src.u32("predicted")?,
+                actual: src.u32("actual")?,
+                true_positives: src.u32("true_positives")?,
+            },
+            14 => ObsEventKind::ProfileUpdate {
+                class: src.u32("class")?,
+                method: src.u32("method")?,
+                expanded: src.pages("expanded")?,
+                shrunk: src.pages("shrunk")?,
+                predicted: src.u32("predicted")?,
+                observations: src.u64("observations")?,
+            },
+            15 => ObsEventKind::DemandBatch {
+                family: src.u64("family")?,
+                object: src.u32("object")?,
+                source: src.u32("source")?,
+                pages: src.pages("pages")?,
+                bytes: src.u64("bytes")?,
+                delay_ns: src.u64("delay_ns")?,
+            },
+            16 => ObsEventKind::DemandFetch {
+                family: src.u64("family")?,
+                object: src.u32("object")?,
+                page: src.u16("page")?,
+                source: src.u32("source")?,
+                bytes: src.u64("bytes")?,
+            },
+            17 => ObsEventKind::Retransmit {
+                dst: src.u32("dst")?,
+                attempts: src.u32("attempts")?,
+                duplicates: src.u32("duplicates")?,
+                wait_ns: src.u64("wait_ns")?,
+                family: src.opt("family")?,
+            },
+            18 => ObsEventKind::NodeCrashed {
+                aborted_families: src.u32("aborted_families")?,
+            },
+            19 => ObsEventKind::NodeRecovered {
+                outage_ns: src.u64("outage_ns")?,
+            },
+            20 => ObsEventKind::LockTimeout {
+                object: src.u32("object")?,
+                txn: src.u64("txn")?,
+                waited_ns: src.u64("waited_ns")?,
+            },
+            21 => ObsEventKind::StateSample {
+                queue_depth: src.u64("queue_depth")?,
+                locks_held: src.u32("locks_held")?,
+                locks_retained: src.u32("locks_retained")?,
+                locks_waiting: src.u32("locks_waiting")?,
+                inflight_messages: src.u32("inflight_messages")?,
+                blocked_families: src.u32("blocked_families")?,
+                cache_bytes: src.u64s("cache_bytes")?,
+            },
+            22 => ObsEventKind::PageMapRepaired {
+                object: src.u32("object")?,
+                page: src.u16("page")?,
+                from: src.u32("from")?,
+                to: src.u32("to")?,
+            },
+            other => panic!("no event kind has tag {other}"),
+        })
     }
 }
 
@@ -481,4 +966,266 @@ pub struct ObsEvent {
     pub node: u32,
     /// The event payload.
     pub kind: ObsEventKind,
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
+    /// One event of every kind, in tag order: the fixture both codecs
+    /// round-trip. `SpanOpen` carries its option and `Retransmit` leaves
+    /// its out, so each codec sees both option states.
+    pub(crate) fn every_kind() -> Vec<ObsEvent> {
+        let ev = |at: u64, node: u32, kind: ObsEventKind| ObsEvent {
+            at: SimTime::from_nanos(at),
+            node,
+            kind,
+        };
+        vec![
+            ev(
+                10,
+                0,
+                ObsEventKind::LockQueued {
+                    object: 3,
+                    txn: 7,
+                    mode: ObsLockMode::Write,
+                    waiters: 2,
+                },
+            ),
+            ev(
+                20,
+                1,
+                ObsEventKind::LockGranted {
+                    object: 3,
+                    txn: 7,
+                    mode: ObsLockMode::Read,
+                    global: true,
+                    holders: 4,
+                },
+            ),
+            ev(
+                25,
+                1,
+                ObsEventKind::LockRetained {
+                    object: 3,
+                    txn: 7,
+                    parent: 5,
+                },
+            ),
+            ev(
+                30,
+                2,
+                ObsEventKind::LockBlocked {
+                    object: 9,
+                    txn: 11,
+                    holders: vec![1, 2],
+                    retainers: vec![3],
+                    queued_behind: vec![4, 5, 6],
+                },
+            ),
+            ev(
+                35,
+                0,
+                ObsEventKind::LockReleased {
+                    object: 9,
+                    txn: 11,
+                    cause: ReleaseCause::Abort,
+                },
+            ),
+            ev(
+                40,
+                0,
+                ObsEventKind::Deadlock {
+                    cycle: vec![12, 15, 12],
+                    victim: 15,
+                },
+            ),
+            ev(
+                45,
+                1,
+                ObsEventKind::SpanOpen {
+                    family: 2,
+                    txn: 17,
+                    parent: Some(16),
+                    object: 4,
+                },
+            ),
+            ev(
+                50,
+                1,
+                ObsEventKind::SpanClose {
+                    family: 2,
+                    txn: 17,
+                    outcome: SpanOutcome::PreCommit,
+                },
+            ),
+            ev(
+                55,
+                1,
+                ObsEventKind::PhaseEnter {
+                    family: 2,
+                    phase: ObsPhase::TransferWait,
+                },
+            ),
+            ev(
+                60,
+                2,
+                ObsEventKind::SubAbort {
+                    family: 2,
+                    txn: 17,
+                    released: 3,
+                },
+            ),
+            ev(
+                65,
+                2,
+                ObsEventKind::Restart {
+                    family: 2,
+                    attempt: 1,
+                    backoff_ns: 500,
+                },
+            ),
+            ev(
+                70,
+                0,
+                ObsEventKind::GrantPlan {
+                    family: 2,
+                    object: 4,
+                    predicted: vec![0, 1, 2],
+                    actual_reads: vec![0, 1],
+                    actual_writes: vec![2],
+                    planned_pages: 3,
+                    sources: 1,
+                },
+            ),
+            ev(
+                75,
+                0,
+                ObsEventKind::GatherBatch {
+                    family: 2,
+                    object: 4,
+                    source: 1,
+                    pages: 3,
+                    bytes: 12288,
+                    delay_ns: 9000,
+                },
+            ),
+            ev(
+                80,
+                0,
+                ObsEventKind::PredictionSample {
+                    class: 1,
+                    method: 2,
+                    predicted: 3,
+                    actual: 2,
+                    true_positives: 2,
+                },
+            ),
+            ev(
+                85,
+                0,
+                ObsEventKind::ProfileUpdate {
+                    class: 1,
+                    method: 2,
+                    expanded: vec![7],
+                    shrunk: vec![8, 9],
+                    predicted: 4,
+                    observations: 11,
+                },
+            ),
+            ev(
+                90,
+                0,
+                ObsEventKind::DemandBatch {
+                    family: 2,
+                    object: 4,
+                    source: 3,
+                    pages: vec![5, 6],
+                    bytes: 8192,
+                    delay_ns: 700,
+                },
+            ),
+            ev(
+                95,
+                0,
+                ObsEventKind::DemandFetch {
+                    family: 2,
+                    object: 4,
+                    page: 6,
+                    source: 3,
+                    bytes: 4096,
+                },
+            ),
+            ev(
+                100,
+                1,
+                ObsEventKind::Retransmit {
+                    dst: 2,
+                    attempts: 3,
+                    duplicates: 1,
+                    wait_ns: 1500,
+                    family: None,
+                },
+            ),
+            ev(
+                101,
+                1,
+                ObsEventKind::NodeCrashed {
+                    aborted_families: 2,
+                },
+            ),
+            ev(102, 1, ObsEventKind::NodeRecovered { outage_ns: 999 }),
+            ev(
+                103,
+                2,
+                ObsEventKind::LockTimeout {
+                    object: 9,
+                    txn: 11,
+                    waited_ns: 150_000,
+                },
+            ),
+            ev(
+                104,
+                0,
+                ObsEventKind::StateSample {
+                    queue_depth: 17,
+                    locks_held: 4,
+                    locks_retained: 2,
+                    locks_waiting: 1,
+                    inflight_messages: 3,
+                    blocked_families: 1,
+                    cache_bytes: vec![4096, 0, 8192],
+                },
+            ),
+            ev(
+                105,
+                2,
+                ObsEventKind::PageMapRepaired {
+                    object: 4,
+                    page: 1,
+                    from: 2,
+                    to: 0,
+                },
+            ),
+        ]
+    }
+
+    #[test]
+    fn every_kind_lists_each_kind_once_in_tag_order() {
+        // The slot codec's capacity (six scalars, three lists) is checked
+        // only when a kind is encoded, so this list must reach every kind.
+        let names: Vec<&str> = every_kind().iter().map(|e| e.kind.name()).collect();
+        assert_eq!(names, KIND_NAMES);
+    }
+
+    #[test]
+    fn wire_enums_list_variants_in_declaration_order() {
+        fn indices<T: WireEnum>(index: fn(T) -> usize) -> Vec<usize> {
+            T::ALL.iter().map(|&v| index(v)).collect()
+        }
+        assert_eq!(indices(|m: ObsLockMode| m as usize), [0, 1]);
+        assert_eq!(indices(|c: ReleaseCause| c as usize), [0, 1]);
+        assert_eq!(indices(|o: SpanOutcome| o as usize), [0, 1, 2, 3]);
+        assert_eq!(indices(|p: ObsPhase| p as usize), [0, 1, 2, 3, 4, 5]);
+    }
 }

@@ -13,514 +13,147 @@ use std::collections::BTreeMap;
 use lotec_sim::SimTime;
 
 use crate::critical_path::{critical_paths, PathEdgeKind};
-use crate::event::{ObsEvent, ObsEventKind, ObsLockMode, ObsPhase, ReleaseCause, SpanOutcome};
+use crate::event::{
+    FieldSink, FieldSource, ObsEvent, ObsEventKind, ObsPhase, SpanOutcome, WireEnum, KIND_NAMES,
+};
 use crate::json::{Json, JsonError};
 
-fn txns_json(txns: &[u64]) -> Json {
-    Json::Arr(txns.iter().map(|&t| Json::U64(t)).collect())
+/// The JSONL side of the wire schema, writing: each field becomes an
+/// object pair, an enum its wire name, and a `None` option no pair at all.
+impl FieldSink for Vec<(&'static str, Json)> {
+    fn uint(&mut self, key: &'static str, value: u64) {
+        self.push((key, Json::U64(value)));
+    }
+
+    fn flag(&mut self, key: &'static str, value: bool) {
+        self.push((key, Json::Bool(value)));
+    }
+
+    fn wire<T: WireEnum>(&mut self, key: &'static str, value: T) {
+        self.push((key, Json::str(value.name())));
+    }
+
+    fn opt(&mut self, key: &'static str, value: Option<u64>) {
+        if let Some(value) = value {
+            self.uint(key, value);
+        }
+    }
+
+    fn u64s(&mut self, key: &'static str, values: &[u64]) {
+        let list = values.iter().map(|&v| Json::U64(v)).collect();
+        self.push((key, Json::Arr(list)));
+    }
+
+    fn pages(&mut self, key: &'static str, values: &[u16]) {
+        let pages = values.iter().map(|&p| Json::U64(p.into())).collect();
+        self.push((key, Json::Arr(pages)));
+    }
 }
 
-fn txns_from(json: &Json, key: &str) -> Result<Vec<u64>, JsonError> {
-    json.require(key)?
-        .as_array()
-        .ok_or_else(|| JsonError::new(format!("`{key}` must be an array")))?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .ok_or_else(|| JsonError::new(format!("`{key}` entries must be u64")))
-        })
-        .collect()
+/// The JSONL side of the wire schema, reading: typed getters over one
+/// JSON object, which check types and ranges and name the key in every
+/// error. Forensics parses its dump header through them too.
+#[derive(Clone, Copy)]
+pub(crate) struct JsonFields<'j>(pub(crate) &'j Json);
+
+impl<'j> JsonFields<'j> {
+    /// A required string field.
+    pub(crate) fn str(self, key: &str) -> Result<&'j str, JsonError> {
+        self.0
+            .require(key)?
+            .as_str()
+            .ok_or_else(|| JsonError::new(format!("`{key}` must be a string")))
+    }
+
+    /// A required array field.
+    pub(crate) fn array(self, key: &str) -> Result<&'j [Json], JsonError> {
+        self.0
+            .require(key)?
+            .as_array()
+            .ok_or_else(|| JsonError::new(format!("`{key}` must be an array")))
+    }
+
+    /// A required array of integers that each fit in `T`.
+    fn list<T: TryFrom<u64>>(self, key: &str) -> Result<Vec<T>, JsonError> {
+        self.array(key)?
+            .iter()
+            .map(|v| {
+                v.as_u64().and_then(|n| T::try_from(n).ok()).ok_or_else(|| {
+                    let ty = std::any::type_name::<T>();
+                    JsonError::new(format!("`{key}` entries must be {ty}"))
+                })
+            })
+            .collect()
+    }
 }
 
-fn pages_json(pages: &[u16]) -> Json {
-    Json::Arr(pages.iter().map(|&p| Json::U64(p as u64)).collect())
+impl FieldSource for JsonFields<'_> {
+    type Error = JsonError;
+
+    fn uint(&mut self, key: &'static str, bits: u32) -> Result<u64, JsonError> {
+        let value = self
+            .0
+            .require(key)?
+            .as_u64()
+            .ok_or_else(|| JsonError::new(format!("`{key}` must be a non-negative integer")))?;
+        if bits < 64 && value >> bits != 0 {
+            return Err(JsonError::new(format!("`{key}` out of u{bits} range")));
+        }
+        Ok(value)
+    }
+
+    fn flag(&mut self, key: &'static str) -> Result<bool, JsonError> {
+        self.0
+            .require(key)?
+            .as_bool()
+            .ok_or_else(|| JsonError::new(format!("`{key}` must be a bool")))
+    }
+
+    fn wire<T: WireEnum>(&mut self, key: &'static str) -> Result<T, JsonError> {
+        let name = self.str(key)?;
+        T::ALL
+            .iter()
+            .copied()
+            .find(|v| v.name() == name)
+            .ok_or_else(|| JsonError::new(format!("unknown {key} `{name}`")))
+    }
+
+    fn opt(&mut self, key: &'static str) -> Result<Option<u64>, JsonError> {
+        self.0.get(key).map(|_| self.u64(key)).transpose()
+    }
+
+    fn u64s(&mut self, key: &'static str) -> Result<Vec<u64>, JsonError> {
+        self.list(key)
+    }
+
+    fn pages(&mut self, key: &'static str) -> Result<Vec<u16>, JsonError> {
+        self.list(key)
+    }
 }
 
-fn pages_from(json: &Json, key: &str) -> Result<Vec<u16>, JsonError> {
-    json.require(key)?
-        .as_array()
-        .ok_or_else(|| JsonError::new(format!("`{key}` must be an array")))?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .and_then(|n| u16::try_from(n).ok())
-                .ok_or_else(|| JsonError::new(format!("`{key}` entries must be u16")))
-        })
-        .collect()
-}
-
-fn u64_field(json: &Json, key: &str) -> Result<u64, JsonError> {
-    json.require(key)?
-        .as_u64()
-        .ok_or_else(|| JsonError::new(format!("`{key}` must be a non-negative integer")))
-}
-
-fn u32_field(json: &Json, key: &str) -> Result<u32, JsonError> {
-    u64_field(json, key).and_then(|v| {
-        u32::try_from(v).map_err(|_| JsonError::new(format!("`{key}` out of u32 range")))
-    })
-}
-
-fn u16_field(json: &Json, key: &str) -> Result<u16, JsonError> {
-    u64_field(json, key).and_then(|v| {
-        u16::try_from(v).map_err(|_| JsonError::new(format!("`{key}` out of u16 range")))
-    })
-}
-
-fn str_field<'j>(json: &'j Json, key: &str) -> Result<&'j str, JsonError> {
-    json.require(key)?
-        .as_str()
-        .ok_or_else(|| JsonError::new(format!("`{key}` must be a string")))
-}
-
-/// Converts one event to its JSONL object form.
+/// Converts one event to its JSONL object form: `at`, `node` and `kind`,
+/// then the kind's fields in declaration order.
 pub fn event_to_json(event: &ObsEvent) -> Json {
     let mut pairs = vec![
         ("at", Json::U64(event.at.as_nanos())),
-        ("node", Json::U64(event.node as u64)),
+        ("node", Json::U64(event.node.into())),
         ("kind", Json::str(event.kind.name())),
     ];
-    match &event.kind {
-        ObsEventKind::LockQueued {
-            object,
-            txn,
-            mode,
-            waiters,
-        } => {
-            pairs.push(("object", Json::U64(*object as u64)));
-            pairs.push(("txn", Json::U64(*txn)));
-            pairs.push(("mode", Json::str(mode.name())));
-            pairs.push(("waiters", Json::U64(*waiters as u64)));
-        }
-        ObsEventKind::LockGranted {
-            object,
-            txn,
-            mode,
-            global,
-            holders,
-        } => {
-            pairs.push(("object", Json::U64(*object as u64)));
-            pairs.push(("txn", Json::U64(*txn)));
-            pairs.push(("mode", Json::str(mode.name())));
-            pairs.push(("global", Json::Bool(*global)));
-            pairs.push(("holders", Json::U64(*holders as u64)));
-        }
-        ObsEventKind::LockRetained {
-            object,
-            txn,
-            parent,
-        } => {
-            pairs.push(("object", Json::U64(*object as u64)));
-            pairs.push(("txn", Json::U64(*txn)));
-            pairs.push(("parent", Json::U64(*parent)));
-        }
-        ObsEventKind::LockBlocked {
-            object,
-            txn,
-            holders,
-            retainers,
-            queued_behind,
-        } => {
-            pairs.push(("object", Json::U64(*object as u64)));
-            pairs.push(("txn", Json::U64(*txn)));
-            pairs.push(("holders", txns_json(holders)));
-            pairs.push(("retainers", txns_json(retainers)));
-            pairs.push(("queued_behind", txns_json(queued_behind)));
-        }
-        ObsEventKind::LockReleased { object, txn, cause } => {
-            pairs.push(("object", Json::U64(*object as u64)));
-            pairs.push(("txn", Json::U64(*txn)));
-            pairs.push(("cause", Json::str(cause.name())));
-        }
-        ObsEventKind::Deadlock { cycle, victim } => {
-            pairs.push((
-                "cycle",
-                Json::Arr(cycle.iter().map(|&t| Json::U64(t)).collect()),
-            ));
-            pairs.push(("victim", Json::U64(*victim)));
-        }
-        ObsEventKind::SpanOpen {
-            family,
-            txn,
-            parent,
-            object,
-        } => {
-            pairs.push(("family", Json::U64(*family)));
-            pairs.push(("txn", Json::U64(*txn)));
-            if let Some(parent) = parent {
-                pairs.push(("parent", Json::U64(*parent)));
-            }
-            pairs.push(("object", Json::U64(*object as u64)));
-        }
-        ObsEventKind::SpanClose {
-            family,
-            txn,
-            outcome,
-        } => {
-            pairs.push(("family", Json::U64(*family)));
-            pairs.push(("txn", Json::U64(*txn)));
-            pairs.push(("outcome", Json::str(outcome.name())));
-        }
-        ObsEventKind::PhaseEnter { family, phase } => {
-            pairs.push(("family", Json::U64(*family)));
-            pairs.push(("phase", Json::str(phase.name())));
-        }
-        ObsEventKind::SubAbort {
-            family,
-            txn,
-            released,
-        } => {
-            pairs.push(("family", Json::U64(*family)));
-            pairs.push(("txn", Json::U64(*txn)));
-            pairs.push(("released", Json::U64(*released as u64)));
-        }
-        ObsEventKind::Restart {
-            family,
-            attempt,
-            backoff_ns,
-        } => {
-            pairs.push(("family", Json::U64(*family)));
-            pairs.push(("attempt", Json::U64(*attempt as u64)));
-            pairs.push(("backoff_ns", Json::U64(*backoff_ns)));
-        }
-        ObsEventKind::GrantPlan {
-            family,
-            object,
-            predicted,
-            actual_reads,
-            actual_writes,
-            planned_pages,
-            sources,
-        } => {
-            pairs.push(("family", Json::U64(*family)));
-            pairs.push(("object", Json::U64(*object as u64)));
-            pairs.push(("predicted", pages_json(predicted)));
-            pairs.push(("actual_reads", pages_json(actual_reads)));
-            pairs.push(("actual_writes", pages_json(actual_writes)));
-            pairs.push(("planned_pages", Json::U64(*planned_pages as u64)));
-            pairs.push(("sources", Json::U64(*sources as u64)));
-        }
-        ObsEventKind::GatherBatch {
-            family,
-            object,
-            source,
-            pages,
-            bytes,
-            delay_ns,
-        } => {
-            pairs.push(("family", Json::U64(*family)));
-            pairs.push(("object", Json::U64(*object as u64)));
-            pairs.push(("source", Json::U64(*source as u64)));
-            pairs.push(("pages", Json::U64(*pages as u64)));
-            pairs.push(("bytes", Json::U64(*bytes)));
-            pairs.push(("delay_ns", Json::U64(*delay_ns)));
-        }
-        ObsEventKind::PredictionSample {
-            class,
-            method,
-            predicted,
-            actual,
-            true_positives,
-        } => {
-            pairs.push(("class", Json::U64(*class as u64)));
-            pairs.push(("method", Json::U64(*method as u64)));
-            pairs.push(("predicted", Json::U64(*predicted as u64)));
-            pairs.push(("actual", Json::U64(*actual as u64)));
-            pairs.push(("true_positives", Json::U64(*true_positives as u64)));
-        }
-        ObsEventKind::ProfileUpdate {
-            class,
-            method,
-            expanded,
-            shrunk,
-            predicted,
-            observations,
-        } => {
-            pairs.push(("class", Json::U64(*class as u64)));
-            pairs.push(("method", Json::U64(*method as u64)));
-            pairs.push(("expanded", pages_json(expanded)));
-            pairs.push(("shrunk", pages_json(shrunk)));
-            pairs.push(("predicted", Json::U64(*predicted as u64)));
-            pairs.push(("observations", Json::U64(*observations)));
-        }
-        ObsEventKind::DemandBatch {
-            family,
-            object,
-            source,
-            pages,
-            bytes,
-            delay_ns,
-        } => {
-            pairs.push(("family", Json::U64(*family)));
-            pairs.push(("object", Json::U64(*object as u64)));
-            pairs.push(("source", Json::U64(*source as u64)));
-            pairs.push(("pages", pages_json(pages)));
-            pairs.push(("bytes", Json::U64(*bytes)));
-            pairs.push(("delay_ns", Json::U64(*delay_ns)));
-        }
-        ObsEventKind::DemandFetch {
-            family,
-            object,
-            page,
-            source,
-            bytes,
-        } => {
-            pairs.push(("family", Json::U64(*family)));
-            pairs.push(("object", Json::U64(*object as u64)));
-            pairs.push(("page", Json::U64(*page as u64)));
-            pairs.push(("source", Json::U64(*source as u64)));
-            pairs.push(("bytes", Json::U64(*bytes)));
-        }
-        ObsEventKind::Retransmit {
-            dst,
-            attempts,
-            duplicates,
-            wait_ns,
-            family,
-        } => {
-            pairs.push(("dst", Json::U64(*dst as u64)));
-            pairs.push(("attempts", Json::U64(*attempts as u64)));
-            pairs.push(("duplicates", Json::U64(*duplicates as u64)));
-            pairs.push(("wait_ns", Json::U64(*wait_ns)));
-            if let Some(family) = family {
-                pairs.push(("family", Json::U64(*family)));
-            }
-        }
-        ObsEventKind::NodeCrashed { aborted_families } => {
-            pairs.push(("aborted_families", Json::U64(*aborted_families as u64)));
-        }
-        ObsEventKind::NodeRecovered { outage_ns } => {
-            pairs.push(("outage_ns", Json::U64(*outage_ns)));
-        }
-        ObsEventKind::LockTimeout {
-            object,
-            txn,
-            waited_ns,
-        } => {
-            pairs.push(("object", Json::U64(*object as u64)));
-            pairs.push(("txn", Json::U64(*txn)));
-            pairs.push(("waited_ns", Json::U64(*waited_ns)));
-        }
-        ObsEventKind::PageMapRepaired {
-            object,
-            page,
-            from,
-            to,
-        } => {
-            pairs.push(("object", Json::U64(*object as u64)));
-            pairs.push(("page", Json::U64(*page as u64)));
-            pairs.push(("from", Json::U64(*from as u64)));
-            pairs.push(("to", Json::U64(*to as u64)));
-        }
-        ObsEventKind::StateSample {
-            queue_depth,
-            locks_held,
-            locks_retained,
-            locks_waiting,
-            inflight_messages,
-            blocked_families,
-            cache_bytes,
-        } => {
-            pairs.push(("queue_depth", Json::U64(*queue_depth)));
-            pairs.push(("locks_held", Json::U64(*locks_held as u64)));
-            pairs.push(("locks_retained", Json::U64(*locks_retained as u64)));
-            pairs.push(("locks_waiting", Json::U64(*locks_waiting as u64)));
-            pairs.push(("inflight_messages", Json::U64(*inflight_messages as u64)));
-            pairs.push(("blocked_families", Json::U64(*blocked_families as u64)));
-            pairs.push(("cache_bytes", txns_json(cache_bytes)));
-        }
-    }
+    event.kind.write_fields(&mut pairs);
     Json::obj(pairs)
 }
 
 /// Parses one JSONL object back into an event.
 pub fn event_from_json(json: &Json) -> Result<ObsEvent, JsonError> {
-    let at = SimTime::from_nanos(u64_field(json, "at")?);
-    let node = u32_field(json, "node")?;
-    let kind_name = str_field(json, "kind")?;
-    let mode = |j: &Json| -> Result<ObsLockMode, JsonError> {
-        let name = str_field(j, "mode")?;
-        ObsLockMode::from_name(name)
-            .ok_or_else(|| JsonError::new(format!("unknown lock mode `{name}`")))
-    };
-    let kind = match kind_name {
-        "lock_queued" => ObsEventKind::LockQueued {
-            object: u32_field(json, "object")?,
-            txn: u64_field(json, "txn")?,
-            mode: mode(json)?,
-            waiters: u32_field(json, "waiters")?,
-        },
-        "lock_granted" => ObsEventKind::LockGranted {
-            object: u32_field(json, "object")?,
-            txn: u64_field(json, "txn")?,
-            mode: mode(json)?,
-            global: json
-                .require("global")?
-                .as_bool()
-                .ok_or_else(|| JsonError::new("`global` must be a bool"))?,
-            holders: u32_field(json, "holders")?,
-        },
-        "lock_retained" => ObsEventKind::LockRetained {
-            object: u32_field(json, "object")?,
-            txn: u64_field(json, "txn")?,
-            parent: u64_field(json, "parent")?,
-        },
-        "lock_blocked" => ObsEventKind::LockBlocked {
-            object: u32_field(json, "object")?,
-            txn: u64_field(json, "txn")?,
-            holders: txns_from(json, "holders")?,
-            retainers: txns_from(json, "retainers")?,
-            queued_behind: txns_from(json, "queued_behind")?,
-        },
-        "lock_released" => ObsEventKind::LockReleased {
-            object: u32_field(json, "object")?,
-            txn: u64_field(json, "txn")?,
-            cause: {
-                let name = str_field(json, "cause")?;
-                ReleaseCause::from_name(name)
-                    .ok_or_else(|| JsonError::new(format!("unknown release cause `{name}`")))?
-            },
-        },
-        "deadlock" => ObsEventKind::Deadlock {
-            cycle: json
-                .require("cycle")?
-                .as_array()
-                .ok_or_else(|| JsonError::new("`cycle` must be an array"))?
-                .iter()
-                .map(|v| {
-                    v.as_u64()
-                        .ok_or_else(|| JsonError::new("`cycle` entries must be u64"))
-                })
-                .collect::<Result<_, _>>()?,
-            victim: u64_field(json, "victim")?,
-        },
-        "span_open" => ObsEventKind::SpanOpen {
-            family: u64_field(json, "family")?,
-            txn: u64_field(json, "txn")?,
-            parent: match json.get("parent") {
-                Some(v) => Some(
-                    v.as_u64()
-                        .ok_or_else(|| JsonError::new("`parent` must be a u64"))?,
-                ),
-                None => None,
-            },
-            object: u32_field(json, "object")?,
-        },
-        "span_close" => ObsEventKind::SpanClose {
-            family: u64_field(json, "family")?,
-            txn: u64_field(json, "txn")?,
-            outcome: {
-                let name = str_field(json, "outcome")?;
-                SpanOutcome::from_name(name)
-                    .ok_or_else(|| JsonError::new(format!("unknown span outcome `{name}`")))?
-            },
-        },
-        "phase_enter" => ObsEventKind::PhaseEnter {
-            family: u64_field(json, "family")?,
-            phase: {
-                let name = str_field(json, "phase")?;
-                ObsPhase::from_name(name)
-                    .ok_or_else(|| JsonError::new(format!("unknown phase `{name}`")))?
-            },
-        },
-        "sub_abort" => ObsEventKind::SubAbort {
-            family: u64_field(json, "family")?,
-            txn: u64_field(json, "txn")?,
-            released: u32_field(json, "released")?,
-        },
-        "restart" => ObsEventKind::Restart {
-            family: u64_field(json, "family")?,
-            attempt: u32_field(json, "attempt")?,
-            backoff_ns: u64_field(json, "backoff_ns")?,
-        },
-        "grant_plan" => ObsEventKind::GrantPlan {
-            family: u64_field(json, "family")?,
-            object: u32_field(json, "object")?,
-            predicted: pages_from(json, "predicted")?,
-            actual_reads: pages_from(json, "actual_reads")?,
-            actual_writes: pages_from(json, "actual_writes")?,
-            planned_pages: u32_field(json, "planned_pages")?,
-            sources: u32_field(json, "sources")?,
-        },
-        "gather_batch" => ObsEventKind::GatherBatch {
-            family: u64_field(json, "family")?,
-            object: u32_field(json, "object")?,
-            source: u32_field(json, "source")?,
-            pages: u32_field(json, "pages")?,
-            bytes: u64_field(json, "bytes")?,
-            delay_ns: u64_field(json, "delay_ns")?,
-        },
-        "prediction_sample" => ObsEventKind::PredictionSample {
-            class: u32_field(json, "class")?,
-            method: u32_field(json, "method")?,
-            predicted: u32_field(json, "predicted")?,
-            actual: u32_field(json, "actual")?,
-            true_positives: u32_field(json, "true_positives")?,
-        },
-        "profile_update" => ObsEventKind::ProfileUpdate {
-            class: u32_field(json, "class")?,
-            method: u32_field(json, "method")?,
-            expanded: pages_from(json, "expanded")?,
-            shrunk: pages_from(json, "shrunk")?,
-            predicted: u32_field(json, "predicted")?,
-            observations: u64_field(json, "observations")?,
-        },
-        "demand_batch" => ObsEventKind::DemandBatch {
-            family: u64_field(json, "family")?,
-            object: u32_field(json, "object")?,
-            source: u32_field(json, "source")?,
-            pages: pages_from(json, "pages")?,
-            bytes: u64_field(json, "bytes")?,
-            delay_ns: u64_field(json, "delay_ns")?,
-        },
-        "demand_fetch" => ObsEventKind::DemandFetch {
-            family: u64_field(json, "family")?,
-            object: u32_field(json, "object")?,
-            page: u16_field(json, "page")?,
-            source: u32_field(json, "source")?,
-            bytes: u64_field(json, "bytes")?,
-        },
-        "retransmit" => ObsEventKind::Retransmit {
-            dst: u32_field(json, "dst")?,
-            attempts: u32_field(json, "attempts")?,
-            duplicates: u32_field(json, "duplicates")?,
-            wait_ns: u64_field(json, "wait_ns")?,
-            family: match json.get("family") {
-                Some(v) => Some(
-                    v.as_u64()
-                        .ok_or_else(|| JsonError::new("`family` must be a u64"))?,
-                ),
-                None => None,
-            },
-        },
-        "node_crashed" => ObsEventKind::NodeCrashed {
-            aborted_families: u32_field(json, "aborted_families")?,
-        },
-        "node_recovered" => ObsEventKind::NodeRecovered {
-            outage_ns: u64_field(json, "outage_ns")?,
-        },
-        "lock_timeout" => ObsEventKind::LockTimeout {
-            object: u32_field(json, "object")?,
-            txn: u64_field(json, "txn")?,
-            waited_ns: u64_field(json, "waited_ns")?,
-        },
-        "page_map_repaired" => ObsEventKind::PageMapRepaired {
-            object: u32_field(json, "object")?,
-            page: u16_field(json, "page")?,
-            from: u32_field(json, "from")?,
-            to: u32_field(json, "to")?,
-        },
-        "state_sample" => ObsEventKind::StateSample {
-            queue_depth: u64_field(json, "queue_depth")?,
-            locks_held: u32_field(json, "locks_held")?,
-            locks_retained: u32_field(json, "locks_retained")?,
-            locks_waiting: u32_field(json, "locks_waiting")?,
-            inflight_messages: u32_field(json, "inflight_messages")?,
-            blocked_families: u32_field(json, "blocked_families")?,
-            cache_bytes: txns_from(json, "cache_bytes")?,
-        },
-        other => return Err(JsonError::new(format!("unknown event kind `{other}`"))),
-    };
+    let mut fields = JsonFields(json);
+    let at = SimTime::from_nanos(fields.u64("at")?);
+    let node = fields.u32("node")?;
+    let name = fields.str("kind")?;
+    let tag = KIND_NAMES
+        .iter()
+        .position(|&kind| kind == name)
+        .ok_or_else(|| JsonError::new(format!("unknown event kind `{name}`")))?;
+    let kind = ObsEventKind::read_fields(tag as u8, &mut fields)?;
     Ok(ObsEvent { at, node, kind })
 }
 
@@ -937,6 +570,8 @@ pub fn chrome_trace(events: &[ObsEvent]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::tests::every_kind;
+    use crate::event::ObsLockMode;
 
     fn sample_events() -> Vec<ObsEvent> {
         vec![
@@ -1162,10 +797,11 @@ mod tests {
 
     #[test]
     fn jsonl_round_trips_exactly() {
-        let events = sample_events();
-        let text = jsonl_encode(&events);
-        let back = jsonl_decode(&text).unwrap();
-        assert_eq!(events, back);
+        for events in [every_kind(), sample_events()] {
+            let text = jsonl_encode(&events);
+            let back = jsonl_decode(&text).unwrap();
+            assert_eq!(events, back);
+        }
     }
 
     #[test]
@@ -1174,6 +810,38 @@ mod tests {
         assert!(jsonl_decode("not json\n").is_err());
         let missing_field = "{\"at\":1,\"node\":0,\"kind\":\"phase_enter\",\"family\":1}";
         assert!(jsonl_decode(missing_field).is_err());
+    }
+
+    #[test]
+    fn jsonl_errors_name_the_offending_key() {
+        let fetch = r#"{"at":1,"node":0,"kind":"demand_fetch","family":2,"object":4,"page":6,"source":3,"bytes":9}"#;
+        assert!(jsonl_decode(fetch).is_ok());
+        for (from, to, error) in [
+            (
+                r#""object":4"#,
+                r#""object":4294967297"#,
+                "`object` out of u32 range",
+            ),
+            (r#""page":6"#, r#""page":65536"#, "`page` out of u16 range"),
+            (
+                r#""bytes":9"#,
+                r#""bytes":-9"#,
+                "`bytes` must be a non-negative integer",
+            ),
+            (
+                r#""node":0"#,
+                r#""node":"0""#,
+                "`node` must be a non-negative integer",
+            ),
+        ] {
+            let err = jsonl_decode(&fetch.replace(from, to))
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(error), "{to}: {err}");
+        }
+        let queued = r#"{"at":1,"node":0,"kind":"lock_queued","object":3,"txn":7,"mode":"upgrade","waiters":2}"#;
+        let err = jsonl_decode(queued).unwrap_err().to_string();
+        assert!(err.contains("unknown mode `upgrade`"), "{err}");
     }
 
     #[test]

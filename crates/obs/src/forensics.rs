@@ -31,8 +31,8 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::critical_path::partial_paths;
-use crate::event::{ObsEvent, ObsEventKind, ObsPhase};
-use crate::export::{chrome_trace, event_from_json, event_to_json};
+use crate::event::{FieldSink, FieldSource, ObsEvent, ObsEventKind, ObsPhase, WireEnum};
+use crate::export::{chrome_trace, event_from_json, event_to_json, JsonFields};
 use crate::json::{Json, JsonError};
 use crate::recorder::FlightRecorder;
 
@@ -154,10 +154,10 @@ impl Anomaly {
                 victim,
                 family,
             } => {
-                pairs.push(("cycle", u64_arr(cycle)));
-                pairs.push(("cycle_families", u64_arr(cycle_families)));
-                pairs.push(("victim", Json::U64(*victim)));
-                pairs.push(("family", Json::U64(*family)));
+                pairs.u64s("cycle", cycle);
+                pairs.u64s("cycle_families", cycle_families);
+                pairs.uint("victim", *victim);
+                pairs.uint("family", *family);
             }
             Anomaly::LockTimeout {
                 object,
@@ -165,19 +165,19 @@ impl Anomaly {
                 family,
                 waited_ns,
             } => {
-                pairs.push(("object", Json::U64(u64::from(*object))));
-                pairs.push(("txn", Json::U64(*txn)));
-                pairs.push(("family", Json::U64(*family)));
-                pairs.push(("waited_ns", Json::U64(*waited_ns)));
+                pairs.uint("object", (*object).into());
+                pairs.uint("txn", *txn);
+                pairs.uint("family", *family);
+                pairs.uint("waited_ns", *waited_ns);
             }
             Anomaly::CrashRepair {
                 node,
                 aborted_families,
                 repairs,
             } => {
-                pairs.push(("node", Json::U64(u64::from(*node))));
-                pairs.push(("aborted_families", Json::U64(u64::from(*aborted_families))));
-                pairs.push(("repairs", Json::U64(u64::from(*repairs))));
+                pairs.uint("node", (*node).into());
+                pairs.uint("aborted_families", (*aborted_families).into());
+                pairs.uint("repairs", (*repairs).into());
             }
             Anomaly::OracleViolation { detail } => {
                 pairs.push(("detail", Json::str(detail)));
@@ -188,53 +188,40 @@ impl Anomaly {
                 floor,
             } => {
                 pairs.push(("metric", Json::str(metric)));
-                pairs.push(("current", Json::U64(*current)));
-                pairs.push(("floor", Json::U64(*floor)));
+                pairs.uint("current", *current);
+                pairs.uint("floor", *floor);
             }
         }
         Json::obj(pairs)
     }
 
     fn from_json(json: &Json) -> Result<Anomaly, JsonError> {
-        let ty = json.require("type")?.as_str().unwrap_or_default();
-        let u = |key: &str| -> Result<u64, JsonError> {
-            json.require(key)?
-                .as_u64()
-                .ok_or_else(|| JsonError::new(format!("anomaly field `{key}` not a u64")))
-        };
-        Ok(match ty {
+        let mut j = JsonFields(json);
+        Ok(match j.str("type")? {
             "deadlock_victim" => Anomaly::DeadlockVictim {
-                cycle: u64_arr_from(json.require("cycle")?)?,
-                cycle_families: u64_arr_from(json.require("cycle_families")?)?,
-                victim: u("victim")?,
-                family: u("family")?,
+                cycle: j.u64s("cycle")?,
+                cycle_families: j.u64s("cycle_families")?,
+                victim: j.u64("victim")?,
+                family: j.u64("family")?,
             },
             "lock_timeout" => Anomaly::LockTimeout {
-                object: u("object")? as u32,
-                txn: u("txn")?,
-                family: u("family")?,
-                waited_ns: u("waited_ns")?,
+                object: j.u32("object")?,
+                txn: j.u64("txn")?,
+                family: j.u64("family")?,
+                waited_ns: j.u64("waited_ns")?,
             },
             "crash_repair" => Anomaly::CrashRepair {
-                node: u("node")? as u32,
-                aborted_families: u("aborted_families")? as u32,
-                repairs: u("repairs")? as u32,
+                node: j.u32("node")?,
+                aborted_families: j.u32("aborted_families")?,
+                repairs: j.u32("repairs")?,
             },
             "oracle_violation" => Anomaly::OracleViolation {
-                detail: json
-                    .require("detail")?
-                    .as_str()
-                    .unwrap_or_default()
-                    .to_string(),
+                detail: j.str("detail")?.to_string(),
             },
             "perf_gate_breach" => Anomaly::PerfGateBreach {
-                metric: json
-                    .require("metric")?
-                    .as_str()
-                    .unwrap_or_default()
-                    .to_string(),
-                current: u("current")?,
-                floor: u("floor")?,
+                metric: j.str("metric")?.to_string(),
+                current: j.u64("current")?,
+                floor: j.u64("floor")?,
             },
             other => return Err(JsonError::new(format!("unknown anomaly type `{other}`"))),
         })
@@ -290,18 +277,6 @@ pub struct ForensicsDump {
     pub events: Vec<ObsEvent>,
 }
 
-fn u64_arr(values: &[u64]) -> Json {
-    Json::Arr(values.iter().copied().map(Json::U64).collect())
-}
-
-fn u64_arr_from(json: &Json) -> Result<Vec<u64>, JsonError> {
-    json.as_array()
-        .ok_or_else(|| JsonError::new("expected array"))?
-        .iter()
-        .map(|v| v.as_u64().ok_or_else(|| JsonError::new("expected u64")))
-        .collect()
-}
-
 impl ForensicsDump {
     /// A post-run dump for a serializability-oracle violation: by the
     /// time the oracle runs the engine (and its lock table) is gone, so
@@ -347,10 +322,9 @@ impl ForensicsDump {
                     self.waits_for
                         .iter()
                         .map(|(waiter, blockers)| {
-                            Json::obj(vec![
-                                ("waiter", Json::U64(*waiter)),
-                                ("blockers", u64_arr(blockers)),
-                            ])
+                            let mut edge = vec![("waiter", Json::U64(*waiter))];
+                            edge.u64s("blockers", blockers);
+                            Json::obj(edge)
                         })
                         .collect(),
                 ),
@@ -410,82 +384,48 @@ impl ForensicsDump {
         if header.get("kind").and_then(Json::as_str) != Some("forensics") {
             return Err(JsonError::new("not a forensics dump (missing kind header)"));
         }
-        let u = |key: &str| -> Result<u64, JsonError> {
-            header
-                .require(key)?
-                .as_u64()
-                .ok_or_else(|| JsonError::new(format!("header field `{key}` not a u64")))
+        let mut h = JsonFields(&header);
+        let mut occ = JsonFields(header.require("occupancy")?);
+        let occupancy = OccupancySnapshot {
+            held: occ.u32("held")?,
+            retained: occ.u32("retained")?,
+            waiting: occ.u32("waiting")?,
         };
-        let occupancy = {
-            let occ = header.require("occupancy")?;
-            let f = |key: &str| -> Result<u32, JsonError> {
-                Ok(occ
-                    .require(key)?
-                    .as_u64()
-                    .ok_or_else(|| JsonError::new(format!("occupancy `{key}` not a u64")))?
-                    as u32)
-            };
-            OccupancySnapshot {
-                held: f("held")?,
-                retained: f("retained")?,
-                waiting: f("waiting")?,
-            }
-        };
-        let waits_for = header
-            .require("waits_for")?
-            .as_array()
-            .ok_or_else(|| JsonError::new("waits_for not an array"))?
+        let waits_for = h
+            .array("waits_for")?
             .iter()
             .map(|edge| {
-                let waiter = edge
-                    .require("waiter")?
-                    .as_u64()
-                    .ok_or_else(|| JsonError::new("edge waiter not a u64"))?;
-                Ok((waiter, u64_arr_from(edge.require("blockers")?)?))
+                let mut edge = JsonFields(edge);
+                Ok((edge.u64("waiter")?, edge.u64s("blockers")?))
             })
             .collect::<Result<Vec<_>, JsonError>>()?;
-        let root_families = header
-            .require("root_families")?
-            .as_array()
-            .ok_or_else(|| JsonError::new("root_families not an array"))?
+        let root_families = h
+            .array("root_families")?
             .iter()
+            .map(|pair| match pair.as_array() {
+                Some([root, family]) => root.as_u64().zip(family.as_u64()),
+                _ => None,
+            })
             .map(|pair| {
-                let pair = u64_arr_from(pair)?;
-                if pair.len() != 2 {
-                    return Err(JsonError::new("root_families entry not a pair"));
-                }
-                Ok((pair[0], pair[1]))
+                pair.ok_or_else(|| JsonError::new("`root_families` entries must be u64 pairs"))
             })
             .collect::<Result<Vec<_>, JsonError>>()?;
-        let families = header
-            .require("families")?
-            .as_array()
-            .ok_or_else(|| JsonError::new("families not an array"))?
+        let families = h
+            .array("families")?
             .iter()
             .map(|f| {
-                let family = f
-                    .require("family")?
-                    .as_u64()
-                    .ok_or_else(|| JsonError::new("family index not a u64"))?;
-                let phase = match f.require("phase")? {
-                    Json::Null => None,
-                    p => Some(p.as_str().and_then(ObsPhase::from_name).ok_or_else(|| {
-                        JsonError::new(format!("unknown phase for family {family}"))
-                    })?),
-                };
-                let restarts = f
-                    .require("restarts")?
-                    .as_u64()
-                    .ok_or_else(|| JsonError::new("restarts not a u64"))?
-                    as u32;
+                let mut f = JsonFields(f);
                 Ok(FamilySnapshot {
-                    family,
-                    phase,
-                    restarts,
+                    family: f.u64("family")?,
+                    phase: match f.0.require("phase")? {
+                        Json::Null => None,
+                        _ => Some(f.wire("phase")?),
+                    },
+                    restarts: f.u32("restarts")?,
                 })
             })
             .collect::<Result<Vec<_>, JsonError>>()?;
-        let expected_events = u("events")?;
+        let expected_events = h.u64("events")?;
         let events = lines
             .map(|line| event_from_json(&Json::parse(line)?))
             .collect::<Result<Vec<_>, JsonError>>()?;
@@ -496,11 +436,11 @@ impl ForensicsDump {
             )));
         }
         Ok(ForensicsDump {
-            seq: u("seq")?,
-            at_ns: u("at_ns")?,
+            seq: h.u64("seq")?,
+            at_ns: h.u64("at_ns")?,
             anomaly: Anomaly::from_json(header.require("anomaly")?)?,
-            recorded: u("recorded")?,
-            dropped: u("dropped")?,
+            recorded: h.u64("recorded")?,
+            dropped: h.u64("dropped")?,
             occupancy,
             waits_for,
             root_families,
@@ -874,6 +814,56 @@ mod tests {
         let cut = text[..cut].rfind('\n').unwrap();
         text.truncate(cut + 1);
         assert!(ForensicsDump::parse(&text).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_out_of_range_and_mistyped_fields() {
+        // A dump comes from outside the program: a field that does not
+        // fit its type is refused with an error naming it, never
+        // truncated or defaulted.
+        let timeout = ForensicsDump {
+            anomaly: Anomaly::LockTimeout {
+                object: 4,
+                txn: 20,
+                family: 2,
+                waited_ns: 500,
+            },
+            ..sample_dump()
+        };
+        let oracle = ForensicsDump {
+            anomaly: Anomaly::OracleViolation {
+                detail: "chains differ".into(),
+            },
+            ..sample_dump()
+        };
+        for (dump, from, to, key) in [
+            (
+                &timeout,
+                r#""object":4,"#,
+                r#""object":4294967297,"#,
+                "`object`",
+            ),
+            (&timeout, r#""held":2"#, r#""held":4294967296"#, "`held`"),
+            (
+                &timeout,
+                r#""restarts":1"#,
+                r#""restarts":4294967298"#,
+                "`restarts`",
+            ),
+            (
+                &oracle,
+                r#""detail":"chains differ""#,
+                r#""detail":42"#,
+                "`detail`",
+            ),
+        ] {
+            let text = dump.to_jsonl();
+            let (header, events) = text.split_once('\n').unwrap();
+            assert!(header.contains(from), "{from} not in {header}");
+            let tampered = format!("{}\n{events}", header.replacen(from, to, 1));
+            let err = ForensicsDump::parse(&tampered).unwrap_err().to_string();
+            assert!(err.contains(key), "{to}: {err}");
+        }
     }
 
     #[test]

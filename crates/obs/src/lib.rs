@@ -55,7 +55,9 @@ pub use alloc::{AllocSnapshot, CountingAlloc};
 pub use critical_path::{
     critical_paths, critical_paths_json, partial_paths, CriticalPath, PathEdge, PathEdgeKind,
 };
-pub use event::{ObsEvent, ObsEventKind, ObsLockMode, ObsPhase, ReleaseCause, SpanOutcome};
+pub use event::{
+    ObsEvent, ObsEventKind, ObsLockMode, ObsPhase, ReleaseCause, SpanOutcome, WireEnum,
+};
 pub use export::{chrome_trace, event_from_json, event_to_json, jsonl_decode, jsonl_encode};
 pub use forensics::{find_cycle, Anomaly, FamilySnapshot, ForensicsDump, OccupancySnapshot};
 pub use host::{

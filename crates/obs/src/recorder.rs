@@ -10,8 +10,10 @@
 //! ring always holds the *most recent* history — exactly what a
 //! post-mortem wants.
 //!
-//! The record path is allocation-free: encoding is a `match` that copies
-//! scalars into fixed arrays (variable-length event payloads are
+//! The record path is allocation-free. Encoding walks the event's fields
+//! through the same schema walk JSONL export uses
+//! ([`ObsEventKind::write_fields`]), with a slot cursor as the sink that
+//! copies scalars into fixed arrays (variable-length event payloads are
 //! truncated to the record's inline capacity, with the original length
 //! preserved so a dump can report the truncation), and the ring slot is
 //! overwritten in place. Capacity comes from
@@ -23,7 +25,9 @@
 //! trace export, the critical-path walker, and the triage report all
 //! consume the snapshot unchanged.
 
-use crate::event::{ObsEvent, ObsEventKind, ObsLockMode, ObsPhase, ReleaseCause, SpanOutcome};
+use std::convert::Infallible;
+
+use crate::event::{FieldSink, FieldSource, ObsEvent, ObsEventKind, WireEnum};
 use crate::sink::EventSink;
 use lotec_sim::SimTime;
 
@@ -43,13 +47,13 @@ const SEGS: usize = 3;
 
 /// One fixed-width encoded event. 176 bytes, `Copy`, no heap pointers —
 /// the ring is a flat `Vec<CompactRecord>` written in place.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactRecord {
     /// Simulated time, nanoseconds.
     at_ns: u64,
     /// Site the event occurred at.
     node: u32,
-    /// Event-kind discriminant (enum declaration order).
+    /// The kind's [`ObsEventKind::tag`] (enum declaration order).
     tag: u8,
     /// Captured entries per variable segment.
     seg_len: [u8; SEGS],
@@ -62,507 +66,28 @@ pub struct CompactRecord {
     args: [u64; ARGS],
 }
 
-impl Default for CompactRecord {
-    fn default() -> Self {
-        CompactRecord {
-            at_ns: 0,
-            node: 0,
-            tag: 0,
-            seg_len: [0; SEGS],
-            seg_total: [0; SEGS],
-            scalars: [0; SCALARS],
-            args: [0; ARGS],
-        }
-    }
-}
-
 /// Ring slots must stay compact — the whole point of the recorder is a
 /// small, always-resident arena (4096 slots ≈ 704 KiB).
 const _: () = assert!(std::mem::size_of::<CompactRecord>() <= 176);
 
 impl CompactRecord {
     /// Encodes an event. Allocation-free; list payloads are truncated to
-    /// the record's inline capacity (originals lengths preserved).
+    /// the record's inline capacity (original lengths preserved).
     pub fn encode(event: &ObsEvent) -> CompactRecord {
-        let mut r = CompactRecord {
+        let mut slots = Slots::new(CompactRecord {
             at_ns: event.at.as_nanos(),
             node: event.node,
+            tag: event.kind.tag(),
             ..CompactRecord::default()
-        };
-        // Fills segment `seg` from `values`, truncating to the remaining
-        // inline capacity; returns the next free arg slot.
-        fn seg(r: &mut CompactRecord, seg: usize, at: usize, values: &[u64]) -> usize {
-            let take = values.len().min(ARGS - at);
-            r.args[at..at + take].copy_from_slice(&values[..take]);
-            r.seg_len[seg] = take as u8;
-            r.seg_total[seg] = values.len() as u32;
-            at + take
-        }
-        fn seg16(r: &mut CompactRecord, s: usize, at: usize, values: &[u16]) -> usize {
-            let take = values.len().min(ARGS - at);
-            for (slot, &v) in r.args[at..at + take].iter_mut().zip(values.iter()) {
-                *slot = u64::from(v);
-            }
-            r.seg_len[s] = take as u8;
-            r.seg_total[s] = values.len() as u32;
-            at + take
-        }
-        match &event.kind {
-            ObsEventKind::LockQueued {
-                object,
-                txn,
-                mode,
-                waiters,
-            } => {
-                r.tag = 0;
-                r.scalars = [
-                    u64::from(*object),
-                    *txn,
-                    mode_code(*mode),
-                    u64::from(*waiters),
-                    0,
-                    0,
-                ];
-            }
-            ObsEventKind::LockGranted {
-                object,
-                txn,
-                mode,
-                global,
-                holders,
-            } => {
-                r.tag = 1;
-                r.scalars = [
-                    u64::from(*object),
-                    *txn,
-                    mode_code(*mode),
-                    u64::from(*global),
-                    u64::from(*holders),
-                    0,
-                ];
-            }
-            ObsEventKind::LockRetained {
-                object,
-                txn,
-                parent,
-            } => {
-                r.tag = 2;
-                r.scalars = [u64::from(*object), *txn, *parent, 0, 0, 0];
-            }
-            ObsEventKind::LockBlocked {
-                object,
-                txn,
-                holders,
-                retainers,
-                queued_behind,
-            } => {
-                r.tag = 3;
-                r.scalars = [u64::from(*object), *txn, 0, 0, 0, 0];
-                let at = seg(&mut r, 0, 0, holders);
-                let at = seg(&mut r, 1, at, retainers);
-                seg(&mut r, 2, at, queued_behind);
-            }
-            ObsEventKind::LockReleased { object, txn, cause } => {
-                r.tag = 4;
-                r.scalars = [
-                    u64::from(*object),
-                    *txn,
-                    matches!(cause, ReleaseCause::Abort) as u64,
-                    0,
-                    0,
-                    0,
-                ];
-            }
-            ObsEventKind::Deadlock { cycle, victim } => {
-                r.tag = 5;
-                r.scalars = [*victim, 0, 0, 0, 0, 0];
-                seg(&mut r, 0, 0, cycle);
-            }
-            ObsEventKind::SpanOpen {
-                family,
-                txn,
-                parent,
-                object,
-            } => {
-                r.tag = 6;
-                r.scalars = [
-                    *family,
-                    *txn,
-                    parent.is_some() as u64,
-                    parent.unwrap_or(0),
-                    u64::from(*object),
-                    0,
-                ];
-            }
-            ObsEventKind::SpanClose {
-                family,
-                txn,
-                outcome,
-            } => {
-                r.tag = 7;
-                r.scalars = [*family, *txn, outcome_code(*outcome), 0, 0, 0];
-            }
-            ObsEventKind::PhaseEnter { family, phase } => {
-                r.tag = 8;
-                r.scalars = [*family, phase_code(*phase), 0, 0, 0, 0];
-            }
-            ObsEventKind::SubAbort {
-                family,
-                txn,
-                released,
-            } => {
-                r.tag = 9;
-                r.scalars = [*family, *txn, u64::from(*released), 0, 0, 0];
-            }
-            ObsEventKind::Restart {
-                family,
-                attempt,
-                backoff_ns,
-            } => {
-                r.tag = 10;
-                r.scalars = [*family, u64::from(*attempt), *backoff_ns, 0, 0, 0];
-            }
-            ObsEventKind::GrantPlan {
-                family,
-                object,
-                predicted,
-                actual_reads,
-                actual_writes,
-                planned_pages,
-                sources,
-            } => {
-                r.tag = 11;
-                r.scalars = [
-                    *family,
-                    u64::from(*object),
-                    u64::from(*planned_pages),
-                    u64::from(*sources),
-                    0,
-                    0,
-                ];
-                let at = seg16(&mut r, 0, 0, predicted);
-                let at = seg16(&mut r, 1, at, actual_reads);
-                seg16(&mut r, 2, at, actual_writes);
-            }
-            ObsEventKind::GatherBatch {
-                family,
-                object,
-                source,
-                pages,
-                bytes,
-                delay_ns,
-            } => {
-                r.tag = 12;
-                r.scalars = [
-                    *family,
-                    u64::from(*object),
-                    u64::from(*source),
-                    u64::from(*pages),
-                    *bytes,
-                    *delay_ns,
-                ];
-            }
-            ObsEventKind::PredictionSample {
-                class,
-                method,
-                predicted,
-                actual,
-                true_positives,
-            } => {
-                r.tag = 13;
-                r.scalars = [
-                    u64::from(*class),
-                    u64::from(*method),
-                    u64::from(*predicted),
-                    u64::from(*actual),
-                    u64::from(*true_positives),
-                    0,
-                ];
-            }
-            ObsEventKind::ProfileUpdate {
-                class,
-                method,
-                expanded,
-                shrunk,
-                predicted,
-                observations,
-            } => {
-                r.tag = 14;
-                r.scalars = [
-                    u64::from(*class),
-                    u64::from(*method),
-                    u64::from(*predicted),
-                    *observations,
-                    0,
-                    0,
-                ];
-                let at = seg16(&mut r, 0, 0, expanded);
-                seg16(&mut r, 1, at, shrunk);
-            }
-            ObsEventKind::DemandBatch {
-                family,
-                object,
-                source,
-                pages,
-                bytes,
-                delay_ns,
-            } => {
-                r.tag = 15;
-                r.scalars = [
-                    *family,
-                    u64::from(*object),
-                    u64::from(*source),
-                    *bytes,
-                    *delay_ns,
-                    0,
-                ];
-                seg16(&mut r, 0, 0, pages);
-            }
-            ObsEventKind::DemandFetch {
-                family,
-                object,
-                page,
-                source,
-                bytes,
-            } => {
-                r.tag = 16;
-                r.scalars = [
-                    *family,
-                    u64::from(*object),
-                    u64::from(*page),
-                    u64::from(*source),
-                    *bytes,
-                    0,
-                ];
-            }
-            ObsEventKind::Retransmit {
-                dst,
-                attempts,
-                duplicates,
-                wait_ns,
-                family,
-            } => {
-                r.tag = 17;
-                r.scalars = [
-                    u64::from(*dst),
-                    u64::from(*attempts),
-                    u64::from(*duplicates),
-                    *wait_ns,
-                    family.is_some() as u64,
-                    family.unwrap_or(0),
-                ];
-            }
-            ObsEventKind::NodeCrashed { aborted_families } => {
-                r.tag = 18;
-                r.scalars = [u64::from(*aborted_families), 0, 0, 0, 0, 0];
-            }
-            ObsEventKind::NodeRecovered { outage_ns } => {
-                r.tag = 19;
-                r.scalars = [*outage_ns, 0, 0, 0, 0, 0];
-            }
-            ObsEventKind::StateSample {
-                queue_depth,
-                locks_held,
-                locks_retained,
-                locks_waiting,
-                inflight_messages,
-                blocked_families,
-                cache_bytes,
-            } => {
-                r.tag = 20;
-                r.scalars = [
-                    *queue_depth,
-                    u64::from(*locks_held),
-                    u64::from(*locks_retained),
-                    u64::from(*locks_waiting),
-                    u64::from(*inflight_messages),
-                    u64::from(*blocked_families),
-                ];
-                seg(&mut r, 0, 0, cache_bytes);
-            }
-            ObsEventKind::LockTimeout {
-                object,
-                txn,
-                waited_ns,
-            } => {
-                r.tag = 21;
-                r.scalars = [u64::from(*object), *txn, *waited_ns, 0, 0, 0];
-            }
-            ObsEventKind::PageMapRepaired {
-                object,
-                page,
-                from,
-                to,
-            } => {
-                r.tag = 22;
-                r.scalars = [
-                    u64::from(*object),
-                    u64::from(*page),
-                    u64::from(*from),
-                    u64::from(*to),
-                    0,
-                    0,
-                ];
-            }
-        }
-        r
+        });
+        event.kind.write_fields(&mut slots);
+        slots.record
     }
 
     /// Decodes back into an [`ObsEvent`]. Lists that were truncated at
     /// encode time come back truncated (check [`CompactRecord::truncated`]).
     pub fn decode(&self) -> ObsEvent {
-        let s = &self.scalars;
-        // Segment `i` as owned u64s / u16s.
-        let segment = |i: usize| -> Vec<u64> {
-            let start: usize = self.seg_len[..i].iter().map(|&l| l as usize).sum();
-            self.args[start..start + self.seg_len[i] as usize].to_vec()
-        };
-        let segment16 =
-            |i: usize| -> Vec<u16> { segment(i).into_iter().map(|v| v as u16).collect() };
-        let kind = match self.tag {
-            0 => ObsEventKind::LockQueued {
-                object: s[0] as u32,
-                txn: s[1],
-                mode: mode_from(s[2]),
-                waiters: s[3] as u32,
-            },
-            1 => ObsEventKind::LockGranted {
-                object: s[0] as u32,
-                txn: s[1],
-                mode: mode_from(s[2]),
-                global: s[3] != 0,
-                holders: s[4] as u32,
-            },
-            2 => ObsEventKind::LockRetained {
-                object: s[0] as u32,
-                txn: s[1],
-                parent: s[2],
-            },
-            3 => ObsEventKind::LockBlocked {
-                object: s[0] as u32,
-                txn: s[1],
-                holders: segment(0),
-                retainers: segment(1),
-                queued_behind: segment(2),
-            },
-            4 => ObsEventKind::LockReleased {
-                object: s[0] as u32,
-                txn: s[1],
-                cause: if s[2] != 0 {
-                    ReleaseCause::Abort
-                } else {
-                    ReleaseCause::RootCommit
-                },
-            },
-            5 => ObsEventKind::Deadlock {
-                cycle: segment(0),
-                victim: s[0],
-            },
-            6 => ObsEventKind::SpanOpen {
-                family: s[0],
-                txn: s[1],
-                parent: (s[2] != 0).then_some(s[3]),
-                object: s[4] as u32,
-            },
-            7 => ObsEventKind::SpanClose {
-                family: s[0],
-                txn: s[1],
-                outcome: outcome_from(s[2]),
-            },
-            8 => ObsEventKind::PhaseEnter {
-                family: s[0],
-                phase: phase_from(s[1]),
-            },
-            9 => ObsEventKind::SubAbort {
-                family: s[0],
-                txn: s[1],
-                released: s[2] as u32,
-            },
-            10 => ObsEventKind::Restart {
-                family: s[0],
-                attempt: s[1] as u32,
-                backoff_ns: s[2],
-            },
-            11 => ObsEventKind::GrantPlan {
-                family: s[0],
-                object: s[1] as u32,
-                predicted: segment16(0),
-                actual_reads: segment16(1),
-                actual_writes: segment16(2),
-                planned_pages: s[2] as u32,
-                sources: s[3] as u32,
-            },
-            12 => ObsEventKind::GatherBatch {
-                family: s[0],
-                object: s[1] as u32,
-                source: s[2] as u32,
-                pages: s[3] as u32,
-                bytes: s[4],
-                delay_ns: s[5],
-            },
-            13 => ObsEventKind::PredictionSample {
-                class: s[0] as u32,
-                method: s[1] as u32,
-                predicted: s[2] as u32,
-                actual: s[3] as u32,
-                true_positives: s[4] as u32,
-            },
-            14 => ObsEventKind::ProfileUpdate {
-                class: s[0] as u32,
-                method: s[1] as u32,
-                expanded: segment16(0),
-                shrunk: segment16(1),
-                predicted: s[2] as u32,
-                observations: s[3],
-            },
-            15 => ObsEventKind::DemandBatch {
-                family: s[0],
-                object: s[1] as u32,
-                source: s[2] as u32,
-                pages: segment16(0),
-                bytes: s[3],
-                delay_ns: s[4],
-            },
-            16 => ObsEventKind::DemandFetch {
-                family: s[0],
-                object: s[1] as u32,
-                page: s[2] as u16,
-                source: s[3] as u32,
-                bytes: s[4],
-            },
-            17 => ObsEventKind::Retransmit {
-                dst: s[0] as u32,
-                attempts: s[1] as u32,
-                duplicates: s[2] as u32,
-                wait_ns: s[3],
-                family: (s[4] != 0).then_some(s[5]),
-            },
-            18 => ObsEventKind::NodeCrashed {
-                aborted_families: s[0] as u32,
-            },
-            19 => ObsEventKind::NodeRecovered { outage_ns: s[0] },
-            20 => ObsEventKind::StateSample {
-                queue_depth: s[0],
-                locks_held: s[1] as u32,
-                locks_retained: s[2] as u32,
-                locks_waiting: s[3] as u32,
-                inflight_messages: s[4] as u32,
-                blocked_families: s[5] as u32,
-                cache_bytes: segment(0),
-            },
-            21 => ObsEventKind::LockTimeout {
-                object: s[0] as u32,
-                txn: s[1],
-                waited_ns: s[2],
-            },
-            22 => ObsEventKind::PageMapRepaired {
-                object: s[0] as u32,
-                page: s[1] as u16,
-                from: s[2] as u32,
-                to: s[3] as u32,
-            },
-            other => unreachable!("corrupt record tag {other}"),
-        };
+        let Ok(kind) = ObsEventKind::read_fields(self.tag, &mut Slots::new(self));
         ObsEvent {
             at: SimTime::from_nanos(self.at_ns),
             node: self.node,
@@ -577,55 +102,125 @@ impl CompactRecord {
     }
 }
 
-fn mode_code(mode: ObsLockMode) -> u64 {
-    matches!(mode, ObsLockMode::Write) as u64
+/// The slot side of the wire schema: a cursor walking one record in field
+/// order. An integer, bool or enum index takes the next scalar slot, an
+/// option takes two (present, value); each list takes the next segment,
+/// filling the shared inline args greedily. A kind with more than
+/// [`SCALARS`] scalars or [`SEGS`] lists panics on its first encode.
+struct Slots<R> {
+    record: R,
+    scalar: usize,
+    seg: usize,
+    arg: usize,
 }
 
-fn mode_from(code: u64) -> ObsLockMode {
-    if code != 0 {
-        ObsLockMode::Write
-    } else {
-        ObsLockMode::Read
+impl<R> Slots<R> {
+    fn new(record: R) -> Self {
+        Slots {
+            record,
+            scalar: 0,
+            seg: 0,
+            arg: 0,
+        }
     }
 }
 
-fn outcome_code(outcome: SpanOutcome) -> u64 {
-    match outcome {
-        SpanOutcome::PreCommit => 0,
-        SpanOutcome::Commit => 1,
-        SpanOutcome::Abort => 2,
-        SpanOutcome::CrashAbort => 3,
+impl Slots<CompactRecord> {
+    fn push(&mut self, value: u64) {
+        self.record.scalars[self.scalar] = value;
+        self.scalar += 1;
+    }
+
+    /// Fills the next segment from `values`, truncating to the remaining
+    /// inline capacity.
+    fn push_list(&mut self, values: impl ExactSizeIterator<Item = u64>) {
+        let total = values.len();
+        let take = total.min(ARGS - self.arg);
+        for (slot, value) in self.record.args[self.arg..self.arg + take]
+            .iter_mut()
+            .zip(values)
+        {
+            *slot = value;
+        }
+        self.record.seg_len[self.seg] = take as u8;
+        self.record.seg_total[self.seg] = total as u32;
+        self.arg += take;
+        self.seg += 1;
     }
 }
 
-fn outcome_from(code: u64) -> SpanOutcome {
-    match code {
-        0 => SpanOutcome::PreCommit,
-        1 => SpanOutcome::Commit,
-        2 => SpanOutcome::Abort,
-        _ => SpanOutcome::CrashAbort,
+impl FieldSink for Slots<CompactRecord> {
+    fn uint(&mut self, _: &'static str, value: u64) {
+        self.push(value);
+    }
+
+    fn flag(&mut self, _: &'static str, value: bool) {
+        self.push(value.into());
+    }
+
+    fn wire<T: WireEnum>(&mut self, _: &'static str, value: T) {
+        let index = T::ALL.iter().position(|&v| v == value);
+        self.push(index.expect("`ALL` lists every variant") as u64);
+    }
+
+    fn opt(&mut self, _: &'static str, value: Option<u64>) {
+        self.push(value.is_some().into());
+        self.push(value.unwrap_or(0));
+    }
+
+    fn u64s(&mut self, _: &'static str, values: &[u64]) {
+        self.push_list(values.iter().copied());
+    }
+
+    fn pages(&mut self, _: &'static str, values: &[u16]) {
+        self.push_list(values.iter().map(|&page| u64::from(page)));
     }
 }
 
-fn phase_code(phase: ObsPhase) -> u64 {
-    match phase {
-        ObsPhase::LockWait => 0,
-        ObsPhase::TransferWait => 1,
-        ObsPhase::Running => 2,
-        ObsPhase::Backoff => 3,
-        ObsPhase::Committed => 4,
-        ObsPhase::Failed => 5,
+impl<'r> Slots<&'r CompactRecord> {
+    fn pop(&mut self) -> u64 {
+        let value = self.record.scalars[self.scalar];
+        self.scalar += 1;
+        value
+    }
+
+    fn pop_list(&mut self) -> &'r [u64] {
+        let len = usize::from(self.record.seg_len[self.seg]);
+        let list = &self.record.args[self.arg..self.arg + len];
+        self.arg += len;
+        self.seg += 1;
+        list
     }
 }
 
-fn phase_from(code: u64) -> ObsPhase {
-    match code {
-        0 => ObsPhase::LockWait,
-        1 => ObsPhase::TransferWait,
-        2 => ObsPhase::Running,
-        3 => ObsPhase::Backoff,
-        4 => ObsPhase::Committed,
-        _ => ObsPhase::Failed,
+/// Reading never fails: a record only ever holds what `encode` wrote.
+impl FieldSource for Slots<&CompactRecord> {
+    type Error = Infallible;
+
+    fn uint(&mut self, _: &'static str, _: u32) -> Result<u64, Infallible> {
+        Ok(self.pop())
+    }
+
+    fn flag(&mut self, _: &'static str) -> Result<bool, Infallible> {
+        Ok(self.pop() != 0)
+    }
+
+    fn wire<T: WireEnum>(&mut self, _: &'static str) -> Result<T, Infallible> {
+        Ok(T::ALL[self.pop() as usize])
+    }
+
+    fn opt(&mut self, _: &'static str) -> Result<Option<u64>, Infallible> {
+        let present = self.pop() != 0;
+        let value = self.pop();
+        Ok(present.then_some(value))
+    }
+
+    fn u64s(&mut self, _: &'static str) -> Result<Vec<u64>, Infallible> {
+        Ok(self.pop_list().to_vec())
+    }
+
+    fn pages(&mut self, _: &'static str) -> Result<Vec<u16>, Infallible> {
+        Ok(self.pop_list().iter().map(|&page| page as u16).collect())
     }
 }
 
@@ -728,255 +323,11 @@ impl EventSink for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_events() -> Vec<ObsEvent> {
-        let ev = |at: u64, node: u32, kind: ObsEventKind| ObsEvent {
-            at: SimTime::from_nanos(at),
-            node,
-            kind,
-        };
-        vec![
-            ev(
-                10,
-                0,
-                ObsEventKind::LockQueued {
-                    object: 3,
-                    txn: 7,
-                    mode: ObsLockMode::Write,
-                    waiters: 2,
-                },
-            ),
-            ev(
-                20,
-                1,
-                ObsEventKind::LockGranted {
-                    object: 3,
-                    txn: 7,
-                    mode: ObsLockMode::Read,
-                    global: true,
-                    holders: 4,
-                },
-            ),
-            ev(
-                25,
-                1,
-                ObsEventKind::LockRetained {
-                    object: 3,
-                    txn: 7,
-                    parent: 5,
-                },
-            ),
-            ev(
-                30,
-                2,
-                ObsEventKind::LockBlocked {
-                    object: 9,
-                    txn: 11,
-                    holders: vec![1, 2],
-                    retainers: vec![3],
-                    queued_behind: vec![4, 5, 6],
-                },
-            ),
-            ev(
-                35,
-                0,
-                ObsEventKind::LockReleased {
-                    object: 9,
-                    txn: 11,
-                    cause: ReleaseCause::Abort,
-                },
-            ),
-            ev(
-                40,
-                0,
-                ObsEventKind::Deadlock {
-                    cycle: vec![12, 15, 12],
-                    victim: 15,
-                },
-            ),
-            ev(
-                45,
-                1,
-                ObsEventKind::SpanOpen {
-                    family: 2,
-                    txn: 17,
-                    parent: Some(16),
-                    object: 4,
-                },
-            ),
-            ev(
-                46,
-                1,
-                ObsEventKind::SpanOpen {
-                    family: 2,
-                    txn: 16,
-                    parent: None,
-                    object: 4,
-                },
-            ),
-            ev(
-                50,
-                1,
-                ObsEventKind::SpanClose {
-                    family: 2,
-                    txn: 17,
-                    outcome: SpanOutcome::PreCommit,
-                },
-            ),
-            ev(
-                55,
-                1,
-                ObsEventKind::PhaseEnter {
-                    family: 2,
-                    phase: ObsPhase::TransferWait,
-                },
-            ),
-            ev(
-                60,
-                2,
-                ObsEventKind::SubAbort {
-                    family: 2,
-                    txn: 17,
-                    released: 3,
-                },
-            ),
-            ev(
-                65,
-                2,
-                ObsEventKind::Restart {
-                    family: 2,
-                    attempt: 1,
-                    backoff_ns: 500,
-                },
-            ),
-            ev(
-                70,
-                0,
-                ObsEventKind::GrantPlan {
-                    family: 2,
-                    object: 4,
-                    predicted: vec![0, 1, 2],
-                    actual_reads: vec![0, 1],
-                    actual_writes: vec![2],
-                    planned_pages: 3,
-                    sources: 1,
-                },
-            ),
-            ev(
-                75,
-                0,
-                ObsEventKind::GatherBatch {
-                    family: 2,
-                    object: 4,
-                    source: 1,
-                    pages: 3,
-                    bytes: 12288,
-                    delay_ns: 9000,
-                },
-            ),
-            ev(
-                80,
-                0,
-                ObsEventKind::PredictionSample {
-                    class: 1,
-                    method: 2,
-                    predicted: 3,
-                    actual: 2,
-                    true_positives: 2,
-                },
-            ),
-            ev(
-                85,
-                0,
-                ObsEventKind::ProfileUpdate {
-                    class: 1,
-                    method: 2,
-                    expanded: vec![7],
-                    shrunk: vec![8, 9],
-                    predicted: 4,
-                    observations: 11,
-                },
-            ),
-            ev(
-                90,
-                0,
-                ObsEventKind::DemandBatch {
-                    family: 2,
-                    object: 4,
-                    source: 3,
-                    pages: vec![5, 6],
-                    bytes: 8192,
-                    delay_ns: 700,
-                },
-            ),
-            ev(
-                95,
-                0,
-                ObsEventKind::DemandFetch {
-                    family: 2,
-                    object: 4,
-                    page: 6,
-                    source: 3,
-                    bytes: 4096,
-                },
-            ),
-            ev(
-                100,
-                1,
-                ObsEventKind::Retransmit {
-                    dst: 2,
-                    attempts: 3,
-                    duplicates: 1,
-                    wait_ns: 1500,
-                    family: Some(2),
-                },
-            ),
-            ev(
-                101,
-                1,
-                ObsEventKind::NodeCrashed {
-                    aborted_families: 2,
-                },
-            ),
-            ev(102, 1, ObsEventKind::NodeRecovered { outage_ns: 999 }),
-            ev(
-                103,
-                0,
-                ObsEventKind::StateSample {
-                    queue_depth: 17,
-                    locks_held: 4,
-                    locks_retained: 2,
-                    locks_waiting: 1,
-                    inflight_messages: 3,
-                    blocked_families: 1,
-                    cache_bytes: vec![4096, 0, 8192],
-                },
-            ),
-            ev(
-                104,
-                2,
-                ObsEventKind::LockTimeout {
-                    object: 9,
-                    txn: 11,
-                    waited_ns: 150_000,
-                },
-            ),
-            ev(
-                105,
-                2,
-                ObsEventKind::PageMapRepaired {
-                    object: 4,
-                    page: 1,
-                    from: 2,
-                    to: 0,
-                },
-            ),
-        ]
-    }
+    use crate::event::tests::every_kind;
 
     #[test]
     fn every_kind_round_trips() {
-        for event in sample_events() {
+        for event in every_kind() {
             let record = CompactRecord::encode(&event);
             assert!(
                 !record.truncated(),
@@ -1021,7 +372,7 @@ mod tests {
     fn ring_keeps_the_newest_events_at_tiny_capacities() {
         for cap in [1usize, 2, 3, 5] {
             let mut rec = FlightRecorder::new(cap);
-            let events = sample_events();
+            let events = every_kind();
             for e in &events {
                 rec.emit(e.clone());
             }
@@ -1037,7 +388,7 @@ mod tests {
     #[test]
     fn snapshot_before_wraparound_is_in_emit_order() {
         let mut rec = FlightRecorder::new(100);
-        let events = sample_events();
+        let events = every_kind();
         for e in &events {
             rec.emit(e.clone());
         }

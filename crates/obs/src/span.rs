@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 
 use lotec_sim::{SimDuration, SimTime};
 
-use crate::event::{ObsEvent, ObsEventKind, SpanOutcome};
+use crate::event::{ObsEvent, ObsEventKind, SpanOutcome, WireEnum};
 
 /// A typed annotation attached to a span.
 #[derive(Debug, Clone, PartialEq)]
