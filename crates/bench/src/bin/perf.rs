@@ -18,7 +18,7 @@
 //!   binary installs [`CountingAlloc`]; one relaxed atomic load per
 //!   allocation when the variable is unset).
 //! * `queue` — a microbench of the calendar [`EventQueue`] against the
-//!   retained [`reference::HeapQueue`] on an identical mixed-horizon
+//!   retained [`reference::HeapQueue`](HeapQueue) on an identical mixed-horizon
 //!   schedule/pop stream (near-future, timestamp ties, ring-span, and
 //!   overflow pushes), asserting identical pop checksums.
 //! * `lock_paths` — microbenches of the lock table's attacked paths: the

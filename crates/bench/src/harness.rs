@@ -2,7 +2,7 @@
 //!
 //! The workspace builds offline, so the benches under `benches/` use this
 //! instead of an external harness: each is a plain `fn main()` (the
-//! manifest sets `harness = false`) that calls [`bench`] per case. The
+//! manifest sets `harness = false`) that calls [`bench()`] per case. The
 //! runner warms up, picks a batch size so one measurement batch takes a
 //! few milliseconds (amortizing timer overhead), then reports the mean
 //! and the per-batch minimum over a fixed measurement budget — the min is

@@ -359,7 +359,8 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             table.enable_graph_validation();
         }
         // One dense page numbering over the fixed object layout, shared by
-        // every node's store: page state lives in flat slot-indexed Vecs.
+        // every node's store: each store indexes it into an arena of the
+        // pages that node caches.
         let atlas = std::sync::Arc::new(registry.page_atlas());
         let mut stores: Vec<PageStore> = (0..config.num_nodes)
             .map(|_| {
@@ -2151,16 +2152,21 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
     // ---- reporting ----------------------------------------------------
 
     fn collect_final_chains(&self) -> BTreeMap<(ObjectId, PageIndex), u64> {
-        let mut out = BTreeMap::new();
-        for inst in self.registry.objects() {
-            let entry = self.table.entry(inst.id).expect("registered");
-            for (page, loc) in entry.page_map().entries() {
-                let chain =
-                    self.stores[loc.node.index() as usize].chain(PageId::new(inst.id, page.get()));
-                out.insert((inst.id, page), chain);
-            }
-        }
-        out
+        // Objects ascend and pages ascend within each, so the pairs arrive
+        // in key order and `collect` bulk-builds the map in one pass.
+        self.registry
+            .objects()
+            .flat_map(|inst| {
+                let entry = self.table.entry(inst.id).expect("registered");
+                entry.page_map().entries().map(move |(page, loc)| {
+                    let store = &self.stores[loc.node.index() as usize];
+                    (
+                        (inst.id, page),
+                        store.chain(PageId::new(inst.id, page.get())),
+                    )
+                })
+            })
+            .collect()
     }
 }
 

@@ -7,8 +7,12 @@
 //! placement because partial transfers (LOTEC) leave different nodes with
 //! different staleness than full transfers (COTEC/OTEC) or eager pushes
 //! (RC).
-
-use std::collections::{BTreeMap, BTreeSet};
+//!
+//! Placement is created on first touch. An object no grant has reached is
+//! still whole, at version 0, at its home node, so the model answers for
+//! it from the registry and builds its state only when the first grant
+//! (or demand fetch) changes something. A schedule that touches a few
+//! thousand of a registry's objects pays for those few thousand.
 
 use lotec_mem::{ObjectId, PageIndex, Version};
 use lotec_object::{ObjectRegistry, PageSet};
@@ -16,16 +20,51 @@ use lotec_sim::NodeId;
 
 use crate::protocol::{plan_transfer, PlacementView, ProtocolKind, TransferPlan};
 
+/// A touched object's placement.
 #[derive(Debug, Clone)]
 struct ObjectPlacement {
-    kind: ProtocolKind,
-    num_pages: u16,
     last_holder: NodeId,
-    global: Vec<Version>,
-    owner: Vec<NodeId>,
-    caching: BTreeSet<NodeId>,
-    /// node -> per-page cached version (`None` = no copy).
-    local: BTreeMap<NodeId, Vec<Option<Version>>>,
+    /// Per page: the newest committed version and the node holding it.
+    global: Vec<(Version, NodeId)>,
+    /// The caching sites in node order, each with its per-page cached
+    /// versions (`None` = no copy).
+    local: Vec<(NodeId, Vec<Option<Version>>)>,
+}
+
+impl ObjectPlacement {
+    /// The state an untouched object implies: whole at `home`, version 0.
+    fn initial(home: NodeId, num_pages: u16) -> Self {
+        let np = usize::from(num_pages);
+        ObjectPlacement {
+            last_holder: home,
+            global: vec![(Version::INITIAL, home); np],
+            local: vec![(home, vec![Some(Version::INITIAL); np])],
+        }
+    }
+
+    fn row(&self, node: NodeId) -> Option<&[Option<Version>]> {
+        self.local
+            .binary_search_by_key(&node, |&(n, _)| n)
+            .ok()
+            .map(|i| self.local[i].1.as_slice())
+    }
+}
+
+/// `node`'s cached versions in `local`, adding an empty row (no copies) in
+/// node order if `node` caches nothing yet.
+fn row_mut(
+    local: &mut Vec<(NodeId, Vec<Option<Version>>)>,
+    node: NodeId,
+    num_pages: usize,
+) -> &mut [Option<Version>] {
+    let i = match local.binary_search_by_key(&node, |&(n, _)| n) {
+        Ok(i) => i,
+        Err(i) => {
+            local.insert(i, (node, vec![None; num_pages]));
+            i
+        }
+    };
+    &mut local[i].1
 }
 
 /// The pages pushed at a commit under RC: `(destination, pages)` pairs.
@@ -44,15 +83,21 @@ impl PushPlan {
 
 /// One protocol's evolving view of page placement.
 #[derive(Debug, Clone)]
-pub struct PlacementModel {
+pub struct PlacementModel<'r> {
     kind: ProtocolKind,
-    objects: Vec<ObjectPlacement>,
+    registry: &'r ObjectRegistry,
+    /// The governing protocol of each class.
+    class_kind: Vec<ProtocolKind>,
+    /// Per object: 0 while untouched, else 1 + its index in `placed`.
+    /// Zero-initialised, so an untouched stretch costs no written memory.
+    slot: Vec<u32>,
+    placed: Vec<ObjectPlacement>,
 }
 
-impl PlacementModel {
+impl<'r> PlacementModel<'r> {
     /// Initial placement: every object whole, at version 0, at its home
     /// node; every object governed by `kind`.
-    pub fn new(kind: ProtocolKind, registry: &ObjectRegistry) -> Self {
+    pub fn new(kind: ProtocolKind, registry: &'r ObjectRegistry) -> Self {
         Self::with_assignment(kind, registry, |_| kind)
     }
 
@@ -62,30 +107,18 @@ impl PlacementModel {
     /// [`PlacementModel::kind`].
     pub fn with_assignment(
         default: ProtocolKind,
-        registry: &ObjectRegistry,
+        registry: &'r ObjectRegistry,
         protocol_of: impl Fn(lotec_object::ClassId) -> ProtocolKind,
     ) -> Self {
-        let objects = registry
-            .objects()
-            .map(|inst| {
-                let num_pages = registry.num_pages(inst.id);
-                ObjectPlacement {
-                    kind: protocol_of(inst.class),
-                    num_pages,
-                    last_holder: inst.home,
-                    global: vec![Version::INITIAL; num_pages as usize],
-                    owner: vec![inst.home; num_pages as usize],
-                    caching: BTreeSet::from([inst.home]),
-                    local: BTreeMap::from([(
-                        inst.home,
-                        vec![Some(Version::INITIAL); num_pages as usize],
-                    )]),
-                }
-            })
+        let class_kind = (0..registry.num_classes())
+            .map(|c| protocol_of(lotec_object::ClassId::new(c as u32)))
             .collect();
         PlacementModel {
             kind: default,
-            objects,
+            registry,
+            class_kind,
+            slot: vec![0; registry.num_objects()],
+            placed: Vec::new(),
         }
     }
 
@@ -101,15 +134,30 @@ impl PlacementModel {
     ///
     /// Panics if `object` is out of range.
     pub fn kind_of(&self, object: ObjectId) -> ProtocolKind {
-        self.obj(object).kind
+        self.class_kind[self.registry.object(object).class.index() as usize]
     }
 
-    fn obj(&self, object: ObjectId) -> &ObjectPlacement {
-        &self.objects[object.index() as usize]
+    /// The placement of `object`, or `None` while nothing has touched it.
+    fn placed(&self, object: ObjectId) -> Option<&ObjectPlacement> {
+        match self.slot[object.index() as usize] {
+            0 => None,
+            s => Some(&self.placed[s as usize - 1]),
+        }
     }
 
-    fn obj_mut(&mut self, object: ObjectId) -> &mut ObjectPlacement {
-        &mut self.objects[object.index() as usize]
+    /// The placement of `object`, created from its initial state on first
+    /// touch.
+    fn placed_mut(&mut self, object: ObjectId) -> &mut ObjectPlacement {
+        let slot = &mut self.slot[object.index() as usize];
+        if *slot == 0 {
+            let home = self.registry.object(object).home;
+            self.placed.push(ObjectPlacement::initial(
+                home,
+                self.registry.num_pages(object),
+            ));
+            *slot = self.placed.len() as u32;
+        }
+        &mut self.placed[*slot as usize - 1]
     }
 
     /// Advances the model over a lock grant: plans the transfer the
@@ -119,37 +167,35 @@ impl PlacementModel {
     ///
     /// Returns the plan so the caller can charge messages and bytes.
     pub fn on_grant(&mut self, node: NodeId, object: ObjectId, prefetch: &PageSet) -> TransferPlan {
-        let kind = self.obj(object).kind;
+        let kind = self.kind_of(object);
         let plan = plan_transfer(kind, &*self, node, object, prefetch);
-        self.apply_fetch(node, object, &plan);
-        // Under COTEC/OTEC the acquirer also demand-zeroes any never-written
-        // pages, making it a complete current copy; record its cached
-        // versions for every page.
-        let o = self.obj_mut(object);
+        let o = self.placed_mut(object);
+        let row = row_mut(&mut o.local, node, o.global.len());
         match kind {
+            // Under COTEC/OTEC the acquirer fetches every stale page and
+            // demand-zeroes any never-written one, making it a complete
+            // current copy.
             ProtocolKind::Cotec | ProtocolKind::Otec | ProtocolKind::ReleaseConsistency => {
-                let versions: Vec<Option<Version>> = o.global.iter().map(|&v| Some(v)).collect();
-                o.local.insert(node, versions);
+                for (cached, &(global, _)) in row.iter_mut().zip(&o.global) {
+                    *cached = Some(global);
+                }
             }
             ProtocolKind::Lotec => {
                 // Only fetched pages (plus demand-zeroed v0 pages within the
-                // prefetch set) become current; apply_fetch already recorded
-                // the fetched ones. Materialize demand-zero copies for
-                // prefetched v0 pages the node lacks.
-                let np = o.num_pages as usize;
-                let entry = o.local.entry(node).or_insert_with(|| vec![None; np]);
+                // prefetch set) become current.
+                for page in plan.sources().flat_map(|(_, pages)| pages) {
+                    let idx = page.get() as usize;
+                    row[idx] = Some(o.global[idx].0);
+                }
                 for page in prefetch.iter() {
                     let idx = page.get() as usize;
-                    if idx < entry.len()
-                        && entry[idx].is_none()
-                        && o.global[idx] == Version::INITIAL
+                    if idx < row.len() && row[idx].is_none() && o.global[idx].0 == Version::INITIAL
                     {
-                        entry[idx] = Some(Version::INITIAL);
+                        row[idx] = Some(Version::INITIAL);
                     }
                 }
             }
         }
-        o.caching.insert(node);
         o.last_holder = node;
         plan
     }
@@ -163,38 +209,18 @@ impl PlacementModel {
         object: ObjectId,
         page: PageIndex,
     ) -> Option<NodeId> {
-        let o = self.obj(object);
+        // An untouched object's pages are all at version 0: demand-zeroable.
+        let o = self.placed(object)?;
         let idx = page.get() as usize;
-        let global = o.global[idx];
-        let local = o
-            .local
-            .get(&node)
-            .and_then(|v| v[idx])
-            .unwrap_or(Version::INITIAL);
+        let (global, source) = o.global[idx];
+        let local = o.row(node).and_then(|r| r[idx]).unwrap_or(Version::INITIAL);
         if !global.is_newer_than(local) {
             return None;
         }
-        let source = o.owner[idx];
         debug_assert_ne!(source, node, "owner cannot be stale at itself");
-        let o = self.obj_mut(object);
-        let np = o.num_pages as usize;
-        o.local.entry(node).or_insert_with(|| vec![None; np])[idx] = Some(global);
+        let o = self.placed_mut(object);
+        row_mut(&mut o.local, node, o.global.len())[idx] = Some(global);
         Some(source)
-    }
-
-    fn apply_fetch(&mut self, node: NodeId, object: ObjectId, plan: &TransferPlan) {
-        let pages: Vec<PageIndex> = plan
-            .sources()
-            .flat_map(|(_, pages)| pages.iter().copied())
-            .collect();
-        let o = self.obj_mut(object);
-        let np = o.num_pages as usize;
-        let globals = o.global.clone();
-        let entry = o.local.entry(node).or_insert_with(|| vec![None; np]);
-        for page in pages {
-            let idx = page.get() as usize;
-            entry[idx] = Some(globals[idx]);
-        }
     }
 
     /// Advances the model over a root commit: `node` committed updates to
@@ -202,16 +228,18 @@ impl PlacementModel {
     /// under RC also computes the eager pushes to every other caching
     /// site and applies them.
     pub fn on_commit(&mut self, node: NodeId, object: ObjectId, dirty: &[PageIndex]) -> PushPlan {
-        let o = self.obj_mut(object);
-        let kind = o.kind;
-        debug_assert!(o.caching.contains(&node), "committer must cache the object");
-        let np = o.num_pages as usize;
-        for &page in dirty {
-            let idx = page.get() as usize;
-            o.global[idx] = o.global[idx].next();
-            o.owner[idx] = node;
-            let new_v = o.global[idx];
-            o.local.entry(node).or_insert_with(|| vec![None; np])[idx] = Some(new_v);
+        let pushes = self.kind_of(object).pushes_on_commit();
+        let o = self.placed_mut(object);
+        debug_assert!(o.row(node).is_some(), "committer must cache the object");
+        if !dirty.is_empty() {
+            let row = row_mut(&mut o.local, node, o.global.len());
+            for &page in dirty {
+                let idx = page.get() as usize;
+                let (version, owner) = &mut o.global[idx];
+                *version = version.next();
+                *owner = node;
+                row[idx] = Some(*version);
+            }
         }
         // `last_holder` is NOT updated here: it tracks the last *grantee*.
         // A write committer is necessarily the last grantee already (the
@@ -221,32 +249,30 @@ impl PlacementModel {
         // diverge from the grant-ordered view the engine maintains.
 
         let mut push = PushPlan::default();
-        if kind.pushes_on_commit() && !dirty.is_empty() {
-            let sites: Vec<NodeId> = o.caching.iter().copied().filter(|&s| s != node).collect();
-            let globals = o.global.clone();
-            for site in sites {
-                let entry = o.local.entry(site).or_insert_with(|| vec![None; np]);
-                let mut pushed = Vec::with_capacity(dirty.len());
+        if pushes && !dirty.is_empty() {
+            for (site, row) in o.local.iter_mut().filter(|(site, _)| *site != node) {
                 for &page in dirty {
                     let idx = page.get() as usize;
-                    entry[idx] = Some(globals[idx]);
-                    pushed.push(page);
+                    row[idx] = Some(o.global[idx].0);
                 }
-                push.destinations.push((site, pushed));
+                push.destinations.push((*site, dirty.to_vec()));
             }
         }
         push
     }
 
     /// Checks internal coherence: owners hold what the map claims; local
-    /// versions never exceed the global version. Used by tests.
+    /// versions never exceed the global version. Used by tests. Untouched
+    /// objects are coherent by construction.
     pub fn check_coherence(&self) -> Result<(), String> {
-        for (i, o) in self.objects.iter().enumerate() {
-            for (idx, (&global, &owner)) in o.global.iter().zip(&o.owner).enumerate() {
+        for i in 0..self.slot.len() as u32 {
+            let Some(o) = self.placed(ObjectId::new(i)) else {
+                continue;
+            };
+            for (idx, &(global, owner)) in o.global.iter().enumerate() {
                 let at_owner = o
-                    .local
-                    .get(&owner)
-                    .and_then(|v| v[idx])
+                    .row(owner)
+                    .and_then(|r| r[idx])
                     .unwrap_or(Version::INITIAL);
                 if at_owner != global {
                     return Err(format!(
@@ -268,28 +294,38 @@ impl PlacementModel {
     }
 }
 
-impl PlacementView for PlacementModel {
+impl PlacementView for PlacementModel<'_> {
     fn local_version(&self, node: NodeId, object: ObjectId, page: PageIndex) -> Option<Version> {
-        self.obj(object)
-            .local
-            .get(&node)
-            .and_then(|v| v[page.get() as usize])
+        match self.placed(object) {
+            Some(o) => o.row(node).and_then(|r| r[page.get() as usize]),
+            None => (node == self.registry.object(object).home).then_some(Version::INITIAL),
+        }
     }
 
     fn global_version(&self, object: ObjectId, page: PageIndex) -> Version {
-        self.obj(object).global[page.get() as usize]
+        self.placed(object)
+            .map_or(Version::INITIAL, |o| o.global[page.get() as usize].0)
     }
 
     fn page_owner(&self, object: ObjectId, page: PageIndex) -> NodeId {
-        self.obj(object).owner[page.get() as usize]
+        match self.placed(object) {
+            Some(o) => o.global[page.get() as usize].1,
+            None => self.registry.object(object).home,
+        }
     }
 
     fn last_holder(&self, object: ObjectId) -> NodeId {
-        self.obj(object).last_holder
+        match self.placed(object) {
+            Some(o) => o.last_holder,
+            None => self.registry.object(object).home,
+        }
     }
 
     fn num_pages(&self, object: ObjectId) -> u16 {
-        self.obj(object).num_pages
+        match self.placed(object) {
+            Some(o) => o.global.len() as u16,
+            None => self.registry.num_pages(object),
+        }
     }
 }
 
@@ -328,7 +364,8 @@ mod tests {
 
     #[test]
     fn fresh_object_needs_no_transfer_under_otec() {
-        let mut m = PlacementModel::new(ProtocolKind::Otec, &registry());
+        let reg = registry();
+        let mut m = PlacementModel::new(ProtocolKind::Otec, &reg);
         let plan = m.on_grant(n(1), obj(), &all());
         assert!(plan.is_empty(), "all pages are version 0");
         m.check_coherence().unwrap();
@@ -336,7 +373,8 @@ mod tests {
 
     #[test]
     fn commit_then_foreign_grant_moves_dirty_pages() {
-        let mut m = PlacementModel::new(ProtocolKind::Otec, &registry());
+        let reg = registry();
+        let mut m = PlacementModel::new(ProtocolKind::Otec, &reg);
         m.on_grant(n(1), obj(), &all());
         let push = m.on_commit(n(1), obj(), &pages(&[0, 2]));
         assert!(push.is_empty(), "OTEC never pushes");
@@ -348,7 +386,8 @@ mod tests {
 
     #[test]
     fn cotec_moves_whole_object_every_time() {
-        let mut m = PlacementModel::new(ProtocolKind::Cotec, &registry());
+        let reg = registry();
+        let mut m = PlacementModel::new(ProtocolKind::Cotec, &reg);
         let plan = m.on_grant(n(1), obj(), &all());
         assert_eq!(plan.num_pages(), 4, "COTEC ships v0 pages too");
         m.on_commit(n(1), obj(), &pages(&[0]));
@@ -363,7 +402,8 @@ mod tests {
 
     #[test]
     fn lotec_fetches_predicted_intersection_and_scatters() {
-        let mut m = PlacementModel::new(ProtocolKind::Lotec, &registry());
+        let reg = registry();
+        let mut m = PlacementModel::new(ProtocolKind::Lotec, &reg);
         // N1 updates p0+p1; N2 updates p2.
         m.on_grant(n(1), obj(), &all());
         m.on_commit(n(1), obj(), &pages(&[0, 1]));
@@ -380,7 +420,8 @@ mod tests {
 
     #[test]
     fn lotec_unfetched_pages_stay_stale_and_cost_later() {
-        let mut m = PlacementModel::new(ProtocolKind::Lotec, &registry());
+        let reg = registry();
+        let mut m = PlacementModel::new(ProtocolKind::Lotec, &reg);
         m.on_grant(n(1), obj(), &all());
         m.on_commit(n(1), obj(), &pages(&[0, 1, 2, 3]));
         // N2 predicted only p0.
@@ -398,7 +439,8 @@ mod tests {
 
     #[test]
     fn rc_pushes_to_all_caching_sites() {
-        let mut m = PlacementModel::new(ProtocolKind::ReleaseConsistency, &registry());
+        let reg = registry();
+        let mut m = PlacementModel::new(ProtocolKind::ReleaseConsistency, &reg);
         m.on_grant(n(1), obj(), &all());
         m.on_commit(n(1), obj(), &pages(&[0]));
         m.on_grant(n(2), obj(), &all());
@@ -413,7 +455,8 @@ mod tests {
 
     #[test]
     fn demand_fetch_updates_local_copy() {
-        let mut m = PlacementModel::new(ProtocolKind::Lotec, &registry());
+        let reg = registry();
+        let mut m = PlacementModel::new(ProtocolKind::Lotec, &reg);
         m.on_grant(n(1), obj(), &all());
         m.on_commit(n(1), obj(), &pages(&[3]));
         // N2 acquires predicting nothing, then touches p3 -> demand fetch.

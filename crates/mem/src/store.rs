@@ -15,11 +15,13 @@ use crate::page::{Page, PageData};
 ///
 /// Two storage layouts sit behind one API. A store built with
 /// [`PageStore::new`] keeps ordered maps (any [`PageId`] goes). A store
-/// built with [`PageStore::with_atlas`] — what the engine uses — keeps flat
-/// `Vec`s indexed by the atlas's dense global page numbering, so every
-/// lookup on the simulation hot path is an array index instead of a tree
-/// walk. Slot order equals `PageId` order, so iteration — and therefore
-/// the simulation — is deterministic in both layouts.
+/// built with [`PageStore::with_atlas`] — what the engine uses — keeps a
+/// flat slot index over the atlas's dense global page numbering into a
+/// compact arena of the pages actually cached, so every lookup on the
+/// simulation hot path is two array indexes instead of a tree walk, and a
+/// node pays four bytes per page of the layout plus one arena entry per
+/// page it caches. Slot order equals `PageId` order, so iteration — and
+/// therefore the simulation — is deterministic in both layouts.
 #[derive(Debug, Clone)]
 pub struct PageStore {
     page_size: usize,
@@ -33,14 +35,26 @@ enum Slots {
         pages: BTreeMap<PageId, Page>,
         dirty: BTreeSet<PageId>,
     },
-    /// Flat layout over a fixed object layout; `cached` counts `Some`
-    /// entries so `len` stays O(1).
+    /// Slot index over a fixed object layout.
     Dense {
         atlas: Arc<PageAtlas>,
-        pages: Vec<Option<Page>>,
-        dirty: Vec<bool>,
-        cached: usize,
+        /// Per atlas slot: 0 when the page is not cached, else 1 + its
+        /// entry in `arena`. Zero-initialised, so the allocator can hand
+        /// out untouched zero pages and a stretch of the layout this node
+        /// never caches costs no resident memory.
+        index: Vec<u32>,
+        /// The cached pages, in no particular order.
+        arena: Vec<Cached>,
+        /// Arena entries freed by [`PageStore::evict`], reused first.
+        free: Vec<u32>,
     },
+}
+
+/// One arena entry of the dense layout.
+#[derive(Debug, Clone)]
+struct Cached {
+    page: Page,
+    dirty: bool,
 }
 
 /// Iterator over a store's dirty pages, in `PageId` order.
@@ -54,7 +68,8 @@ enum DirtyInner<'a> {
     Sparse(std::collections::btree_set::Iter<'a, PageId>),
     Dense {
         atlas: &'a PageAtlas,
-        flags: std::iter::Enumerate<std::slice::Iter<'a, bool>>,
+        arena: &'a [Cached],
+        index: std::iter::Enumerate<std::slice::Iter<'a, u32>>,
     },
 }
 
@@ -64,16 +79,50 @@ impl Iterator for DirtyPages<'_> {
     fn next(&mut self) -> Option<PageId> {
         match &mut self.inner {
             DirtyInner::Sparse(it) => it.next().copied(),
-            DirtyInner::Dense { atlas, flags } => {
-                for (slot, &dirty) in flags.by_ref() {
-                    if dirty {
-                        return Some(atlas.page_id(slot));
-                    }
-                }
-                None
-            }
+            DirtyInner::Dense {
+                atlas,
+                arena,
+                index,
+            } => index
+                .find(|&(_, &entry)| entry != 0 && arena[entry as usize - 1].dirty)
+                .map(|(slot, _)| atlas.page_id(slot)),
         }
     }
+}
+
+/// The arena entry cached at atlas `slot`, if any.
+fn cached(index: &[u32], slot: usize) -> Option<usize> {
+    index[slot].checked_sub(1).map(|entry| entry as usize)
+}
+
+/// The arena entry for atlas `slot`, placing `page()` in a free entry (or a
+/// new one) if the slot holds nothing.
+fn cached_or_insert(
+    index: &mut [u32],
+    arena: &mut Vec<Cached>,
+    free: &mut Vec<u32>,
+    slot: usize,
+    page: impl FnOnce() -> Page,
+) -> usize {
+    if let Some(entry) = cached(index, slot) {
+        return entry;
+    }
+    let fresh = Cached {
+        page: page(),
+        dirty: false,
+    };
+    let entry = match free.pop() {
+        Some(entry) => {
+            arena[entry as usize] = fresh;
+            entry as usize
+        }
+        None => {
+            arena.push(fresh);
+            arena.len() - 1
+        }
+    };
+    index[slot] = entry as u32 + 1;
+    entry
 }
 
 impl PageStore {
@@ -100,17 +149,22 @@ impl PageStore {
     ///
     /// # Panics
     ///
-    /// Panics if `page_size < 8`.
+    /// Panics if `page_size < 8`, or if the atlas has `u32::MAX` pages or
+    /// more.
     pub fn with_atlas(page_size: usize, atlas: Arc<PageAtlas>) -> Self {
         assert!(page_size >= 8, "page size must be at least 8 bytes");
         let total = atlas.total_pages();
+        assert!(
+            total < u32::MAX as usize,
+            "atlas too large for a slot index"
+        );
         PageStore {
             page_size,
             slots: Slots::Dense {
                 atlas,
-                pages: vec![None; total],
-                dirty: vec![false; total],
-                cached: 0,
+                index: vec![0; total],
+                arena: Vec::new(),
+                free: Vec::new(),
             },
         }
     }
@@ -124,7 +178,7 @@ impl PageStore {
     pub fn len(&self) -> usize {
         match &self.slots {
             Slots::Sparse { pages, .. } => pages.len(),
-            Slots::Dense { cached, .. } => *cached,
+            Slots::Dense { arena, free, .. } => arena.len() - free.len(),
         }
     }
 
@@ -144,7 +198,7 @@ impl PageStore {
     pub fn contains(&self, page: PageId) -> bool {
         match &self.slots {
             Slots::Sparse { pages, .. } => pages.contains_key(&page),
-            Slots::Dense { atlas, pages, .. } => pages[atlas.slot(page)].is_some(),
+            Slots::Dense { atlas, index, .. } => index[atlas.slot(page)] != 0,
         }
     }
 
@@ -157,7 +211,12 @@ impl PageStore {
     pub fn get(&self, page: PageId) -> Option<&Page> {
         match &self.slots {
             Slots::Sparse { pages, .. } => pages.get(&page),
-            Slots::Dense { atlas, pages, .. } => pages[atlas.slot(page)].as_ref(),
+            Slots::Dense {
+                atlas,
+                index,
+                arena,
+                ..
+            } => cached(index, atlas.slot(page)).map(|entry| &arena[entry].page),
         }
     }
 
@@ -179,16 +238,22 @@ impl PageStore {
             }
             Slots::Dense {
                 atlas,
-                pages,
-                dirty,
-                cached,
+                index,
+                arena,
+                free,
             } => {
                 let slot = atlas.slot(page);
-                if pages[slot].is_none() {
-                    *cached += 1;
+                match cached(index, slot) {
+                    Some(entry) => {
+                        arena[entry] = Cached {
+                            page: installed,
+                            dirty: false,
+                        }
+                    }
+                    None => {
+                        cached_or_insert(index, arena, free, slot, || installed);
+                    }
                 }
-                pages[slot] = Some(installed);
-                dirty[slot] = false;
             }
         }
     }
@@ -204,16 +269,14 @@ impl PageStore {
                 .version(),
             Slots::Dense {
                 atlas,
-                pages,
-                cached,
-                ..
+                index,
+                arena,
+                free,
             } => {
-                let slot = atlas.slot(page);
-                if pages[slot].is_none() {
-                    pages[slot] = Some(Page::zeroed(page_size));
-                    *cached += 1;
-                }
-                pages[slot].as_ref().expect("just ensured").version()
+                let entry = cached_or_insert(index, arena, free, atlas.slot(page), || {
+                    Page::zeroed(page_size)
+                });
+                arena[entry].page.version()
             }
         }
     }
@@ -232,19 +295,17 @@ impl PageStore {
             }
             Slots::Dense {
                 atlas,
-                pages,
-                dirty,
-                cached,
+                index,
+                arena,
+                free,
             } => {
                 // One slot resolution covers the ensure and the stamp.
-                let slot = atlas.slot(page);
-                dirty[slot] = true;
-                pages[slot]
-                    .get_or_insert_with(|| {
-                        *cached += 1;
-                        Page::zeroed(page_size)
-                    })
-                    .apply_stamp(stamp)
+                let entry = cached_or_insert(index, arena, free, atlas.slot(page), || {
+                    Page::zeroed(page_size)
+                });
+                let cached = &mut arena[entry];
+                cached.dirty = true;
+                cached.page.apply_stamp(stamp)
             }
         }
     }
@@ -263,13 +324,13 @@ impl PageStore {
             }
             Slots::Dense {
                 atlas,
-                pages,
-                dirty,
+                index,
+                arena,
                 ..
             } => {
-                let slot = atlas.slot(page);
-                dirty[slot] = true;
-                pages[slot].as_mut().expect("just ensured").write(bytes);
+                let cached = &mut arena[cached(index, atlas.slot(page)).expect("just ensured")];
+                cached.dirty = true;
+                cached.page.write(bytes);
             }
         }
     }
@@ -283,7 +344,12 @@ impl PageStore {
     pub fn is_dirty(&self, page: PageId) -> bool {
         match &self.slots {
             Slots::Sparse { dirty, .. } => dirty.contains(&page),
-            Slots::Dense { atlas, dirty, .. } => dirty[atlas.slot(page)],
+            Slots::Dense {
+                atlas,
+                index,
+                arena,
+                ..
+            } => cached(index, atlas.slot(page)).is_some_and(|entry| arena[entry].dirty),
         }
     }
 
@@ -292,9 +358,15 @@ impl PageStore {
         DirtyPages {
             inner: match &self.slots {
                 Slots::Sparse { dirty, .. } => DirtyInner::Sparse(dirty.iter()),
-                Slots::Dense { atlas, dirty, .. } => DirtyInner::Dense {
+                Slots::Dense {
                     atlas,
-                    flags: dirty.iter().enumerate(),
+                    index,
+                    arena,
+                    ..
+                } => DirtyInner::Dense {
+                    atlas,
+                    arena,
+                    index: index.iter().enumerate(),
                 },
             },
         }
@@ -308,9 +380,14 @@ impl PageStore {
                 .copied()
                 .filter(|p| p.object() == object)
                 .collect(),
-            Slots::Dense { atlas, dirty, .. } => atlas
+            Slots::Dense {
+                atlas,
+                index,
+                arena,
+                ..
+            } => atlas
                 .object_slots(object)
-                .filter(|&s| dirty[s])
+                .filter(|&s| cached(index, s).is_some_and(|entry| arena[entry].dirty))
                 .map(|s| atlas.page_id(s))
                 .collect(),
         }
@@ -345,16 +422,13 @@ impl PageStore {
             }
             Slots::Dense {
                 atlas,
-                pages,
-                dirty,
+                index,
+                arena,
                 ..
             } => {
-                let slot = atlas.slot(page);
-                pages[slot]
-                    .as_mut()
-                    .expect("publish of uncached page")
-                    .set_version(version);
-                dirty[slot] = false;
+                let entry = cached(index, atlas.slot(page)).expect("publish of uncached page");
+                arena[entry].page.set_version(version);
+                arena[entry].dirty = false;
             }
         }
     }
@@ -365,7 +439,16 @@ impl PageStore {
             Slots::Sparse { dirty, .. } => {
                 dirty.remove(&page);
             }
-            Slots::Dense { atlas, dirty, .. } => dirty[atlas.slot(page)] = false,
+            Slots::Dense {
+                atlas,
+                index,
+                arena,
+                ..
+            } => {
+                if let Some(entry) = cached(index, atlas.slot(page)) {
+                    arena[entry].dirty = false;
+                }
+            }
         }
     }
 
@@ -384,17 +467,23 @@ impl PageStore {
                 let p = pages.get_mut(&page).expect("restore of uncached page");
                 *p = restored;
             }
-            Slots::Dense { atlas, pages, .. } => {
-                let slot = atlas.slot(page);
-                assert!(pages[slot].is_some(), "restore of uncached page");
-                pages[slot] = Some(restored);
+            Slots::Dense {
+                atlas,
+                index,
+                arena,
+                ..
+            } => {
+                let entry = cached(index, atlas.slot(page)).expect("restore of uncached page");
+                arena[entry].page = restored;
             }
         }
     }
 
     /// Drops `page` from the cache entirely (used by UNDO when the page did
-    /// not exist before the aborted transaction touched it).
+    /// not exist before the aborted transaction touched it). In the dense
+    /// layout the page's arena entry goes on the free list.
     pub fn evict(&mut self, page: PageId) {
+        let page_size = self.page_size;
         match &mut self.slots {
             Slots::Sparse { pages, dirty } => {
                 pages.remove(&page);
@@ -402,15 +491,20 @@ impl PageStore {
             }
             Slots::Dense {
                 atlas,
-                pages,
-                dirty,
-                cached,
+                index,
+                arena,
+                free,
             } => {
                 let slot = atlas.slot(page);
-                if pages[slot].take().is_some() {
-                    *cached -= 1;
+                if let Some(entry) = cached(index, slot) {
+                    index[slot] = 0;
+                    // Release the payload now; the entry waits for reuse.
+                    arena[entry] = Cached {
+                        page: Page::zeroed(page_size),
+                        dirty: false,
+                    };
+                    free.push(entry as u32);
                 }
-                dirty[slot] = false;
             }
         }
     }
@@ -514,50 +608,123 @@ mod tests {
         PageStore::new(16).install(pid(0, 0), Version::INITIAL, vec![0; 8]);
     }
 
-    /// Replays the same operation sequence against both layouts and checks
-    /// every observable result agrees.
-    #[test]
-    fn dense_layout_matches_sparse_layout() {
-        let atlas = Arc::new(PageAtlas::new(&[6, 6, 6, 6]));
-        let mut sparse = PageStore::new(8);
-        let mut dense = PageStore::with_atlas(8, Arc::clone(&atlas));
-        let ops: [(u32, u16, u64); 7] = [
-            (0, 1, 11),
-            (2, 5, 12),
-            (0, 1, 13),
-            (3, 0, 14),
-            (1, 2, 15),
-            (2, 0, 16),
-            (0, 0, 17),
-        ];
-        for &(o, p, stamp) in &ops {
-            assert_eq!(
-                sparse.apply_stamp(pid(o, p), stamp),
-                dense.apply_stamp(pid(o, p), stamp)
-            );
+    /// Every observable of the two layouts agrees, page by page.
+    fn assert_same(sparse: &PageStore, dense: &PageStore, atlas: &PageAtlas, at: &str) {
+        for slot in 0..atlas.total_pages() {
+            let page = atlas.page_id(slot);
+            assert_eq!(sparse.get(page), dense.get(page), "{at}: get({page})");
+            assert_eq!(sparse.version_of(page), dense.version_of(page), "{at}");
+            assert_eq!(sparse.chain(page), dense.chain(page), "{at}");
+            assert_eq!(sparse.contains(page), dense.contains(page), "{at}");
+            assert_eq!(sparse.is_dirty(page), dense.is_dirty(page), "{at}");
         }
-        assert_eq!(sparse.len(), dense.len());
         assert_eq!(
             sparse.dirty_pages().collect::<Vec<_>>(),
-            dense.dirty_pages().collect::<Vec<_>>()
+            dense.dirty_pages().collect::<Vec<_>>(),
+            "{at}: dirty_pages"
         );
-        assert_eq!(
-            sparse.dirty_pages_of(ObjectId::new(0)),
-            dense.dirty_pages_of(ObjectId::new(0))
-        );
-        assert_eq!(
-            sparse.publish_object(ObjectId::new(0), Version::new(2)),
-            dense.publish_object(ObjectId::new(0), Version::new(2))
-        );
-        for &(o, p, _) in &ops {
-            assert_eq!(sparse.chain(pid(o, p)), dense.chain(pid(o, p)));
-            assert_eq!(sparse.version_of(pid(o, p)), dense.version_of(pid(o, p)));
-            assert_eq!(sparse.is_dirty(pid(o, p)), dense.is_dirty(pid(o, p)));
+        for o in 0..atlas.num_objects() {
+            let object = ObjectId::new(o);
+            assert_eq!(
+                sparse.dirty_pages_of(object),
+                dense.dirty_pages_of(object),
+                "{at}: dirty_pages_of({object})"
+            );
         }
-        sparse.evict(pid(2, 5));
-        dense.evict(pid(2, 5));
-        assert_eq!(sparse.len(), dense.len());
-        assert!(!dense.contains(pid(2, 5)));
+        assert_eq!(sparse.len(), dense.len(), "{at}: len");
+        assert_eq!(sparse.cached_bytes(), dense.cached_bytes(), "{at}");
+    }
+
+    /// Seeded random streams over every mutator, run against both layouts:
+    /// after each operation every observable must agree. Evictions are
+    /// frequent, so pages are dropped and recreated over and over and the
+    /// dense arena's freed entries are reused.
+    #[test]
+    fn dense_layout_matches_sparse_layout() {
+        const PAGE: usize = 16;
+        let atlas = Arc::new(PageAtlas::new(&[3, 1, 4, 2, 5]));
+        let mut recreated = 0;
+        for seed in 0..40 {
+            let mut rng = lotec_sim::SimRng::seed_from_u64(seed);
+            let mut sparse = PageStore::new(PAGE);
+            let mut dense = PageStore::with_atlas(PAGE, Arc::clone(&atlas));
+            let mut evicted = BTreeSet::new();
+            for step in 0..300 {
+                let page = atlas.page_id(rng.next_below(atlas.total_pages() as u64) as usize);
+                let version = Version::new(rng.next_below(6));
+                let at = format!("seed {seed} step {step}");
+                let was_cached = sparse.contains(page);
+                match rng.next_below(9) {
+                    0 => {
+                        let fill = rng.next_below(256) as u8;
+                        let len = rng.next_below(PAGE as u64 + 1) as usize;
+                        let mut data = vec![0; PAGE];
+                        data[..len].fill(fill);
+                        let shared = PageData::from(data);
+                        sparse.install(page, version, shared.clone());
+                        dense.install(page, version, shared);
+                    }
+                    1 => assert_eq!(sparse.ensure(page), dense.ensure(page), "{at}"),
+                    2 => {
+                        let stamp = rng.next_u64();
+                        assert_eq!(
+                            sparse.apply_stamp(page, stamp),
+                            dense.apply_stamp(page, stamp),
+                            "{at}"
+                        );
+                    }
+                    3 => {
+                        let len = rng.next_below(PAGE as u64 + 1) as usize;
+                        let bytes: Vec<u8> = (0..len).map(|_| rng.next_below(256) as u8).collect();
+                        sparse.write(page, &bytes);
+                        dense.write(page, &bytes);
+                    }
+                    4 => assert_eq!(
+                        sparse.publish_object(page.object(), version),
+                        dense.publish_object(page.object(), version),
+                        "{at}"
+                    ),
+                    5 if sparse.contains(page) => {
+                        sparse.publish_page(page, version);
+                        dense.publish_page(page, version);
+                    }
+                    6 => {
+                        sparse.mark_clean(page);
+                        dense.mark_clean(page);
+                    }
+                    7 if sparse.contains(page) => {
+                        let data = vec![rng.next_below(256) as u8; PAGE];
+                        sparse.restore(page, version, data.clone());
+                        dense.restore(page, version, data);
+                    }
+                    8 => {
+                        if was_cached {
+                            evicted.insert(page);
+                        }
+                        sparse.evict(page);
+                        dense.evict(page);
+                    }
+                    // Publish or restore of an uncached page panics by
+                    // contract; create the page instead.
+                    _ => assert_eq!(sparse.ensure(page), dense.ensure(page), "{at}"),
+                }
+                if !was_cached && sparse.contains(page) && evicted.remove(&page) {
+                    recreated += 1;
+                }
+                assert_same(&sparse, &dense, &atlas, &at);
+            }
+            let Slots::Dense { arena, free, .. } = &dense.slots else {
+                unreachable!("built with an atlas");
+            };
+            assert!(
+                arena.len() <= atlas.total_pages(),
+                "seed {seed}: freed entries were not reused ({} > {})",
+                arena.len(),
+                atlas.total_pages()
+            );
+            assert_eq!(arena.len() - free.len(), dense.len());
+        }
+        assert!(recreated > 500, "only {recreated} evicted pages came back");
     }
 
     #[test]

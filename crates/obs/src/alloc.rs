@@ -3,7 +3,7 @@
 //! [`CountingAlloc`] is a drop-in global allocator that forwards every
 //! request to the system allocator and — only when `LOTEC_PROFILE_ALLOC=1`
 //! is set in the environment — attributes allocation counts and bytes to
-//! the [`HostRegion`](crate::host::HostRegion) currently open on the
+//! the [`HostRegion`] currently open on the
 //! thread's [`WallProfiler`](crate::host::WallProfiler) scope stack
 //! (slot 0 collects allocations made outside any profiled scope).
 //!

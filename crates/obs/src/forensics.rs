@@ -5,7 +5,7 @@
 //! deadlock-victim selection, a lock timeout, crash repair, a
 //! serializability-oracle violation, or a perf-gate breach. It bundles:
 //!
-//! * the [`FlightRecorder`](crate::FlightRecorder) ring (the most recent
+//! * the [`FlightRecorder`] ring (the most recent
 //!   event history, oldest first, with eviction accounting),
 //! * the live lock-table occupancy and family-level waits-for edges at
 //!   capture time (the engine cross-checks the incremental graph against

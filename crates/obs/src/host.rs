@@ -33,6 +33,7 @@ use lotec_sim::stats::Histogram;
 
 use crate::event::ObsEvent;
 use crate::json::Json;
+use crate::recorder::FlightRecorder;
 use crate::sink::EventSink;
 
 /// A profiled wall-clock region of the engine.
@@ -428,7 +429,8 @@ impl HostProfiler for WallProfiler {
 /// An [`EventSink`] adapter that times every `emit` of the inner sink,
 /// attributing the cost to [`HostRegion::ObsRecord`] on the wrapped
 /// profiler reference. Lets a profiled run measure the price of its own
-/// observability.
+/// observability. It forwards [`EventSink::recorder`], so an engine still
+/// takes forensics dumps from a flight recorder it times.
 #[derive(Debug)]
 pub struct ProfiledSink<'p, S> {
     inner: S,
@@ -457,6 +459,11 @@ impl<S: EventSink> EventSink for ProfiledSink<'_, S> {
         self.prof.enter(HostRegion::ObsRecord);
         self.inner.emit(event);
         self.prof.exit(HostRegion::ObsRecord);
+    }
+
+    #[inline]
+    fn recorder(&self) -> Option<&FlightRecorder> {
+        self.inner.recorder()
     }
 }
 
@@ -558,6 +565,29 @@ mod tests {
         }
         let profile = prof.into_profile();
         assert_eq!(profile.region(HostRegion::ObsRecord).count, 5);
+    }
+
+    #[test]
+    fn profiled_sink_forwards_the_recorder() {
+        let mut prof = WallProfiler::new();
+        let mut recorder = FlightRecorder::new(8);
+        {
+            let mut sink = ProfiledSink::new(&mut recorder, &mut prof);
+            sink.emit(ObsEvent {
+                at: SimTime::from_nanos(3),
+                node: 0,
+                kind: ObsEventKind::PhaseEnter {
+                    family: 1,
+                    phase: ObsPhase::Running,
+                },
+            });
+            let seen = sink.recorder().expect("the wrapped recorder is visible");
+            assert_eq!(seen.recorded(), 1);
+        }
+        assert!(ProfiledSink::new(RecordingSink::new(), &mut prof)
+            .recorder()
+            .is_none());
+        assert_eq!(prof.into_profile().region(HostRegion::ObsRecord).count, 1);
     }
 
     #[test]

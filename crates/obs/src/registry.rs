@@ -6,7 +6,7 @@
 //! error, memory-flat at any event count, deterministically mergeable),
 //! each keyed by `(metric name, label)` where the label scopes the series
 //! to an object, a node, or the whole run. The registry implements
-//! [`EventSink`](crate::EventSink) so it can sit directly behind the
+//! [`EventSink`] so it can sit directly behind the
 //! engine, or be fed a recorded trace after the fact — both produce the
 //! same deterministic `BTreeMap`-ordered contents.
 

@@ -10,8 +10,8 @@
 //!
 //! [`EventQueue`] is a two-tier calendar queue:
 //!
-//! * a **bucket ring** of [`NUM_BUCKETS`] buckets, each covering
-//!   [`BUCKET_WIDTH_NS`] nanoseconds of near-future time, holding plain
+//! * a **bucket ring** of `NUM_BUCKETS` buckets, each covering
+//!   `BUCKET_WIDTH_NS` nanoseconds of near-future time, holding plain
 //!   `(time, seq, slot)` index entries;
 //! * an **overflow heap** (a plain binary heap over the same index entries)
 //!   for events scheduled at or beyond the ring's horizon.
@@ -28,7 +28,7 @@
 //!    and within that window each time maps to exactly one bucket — so the
 //!    first non-empty bucket at or after the cursor holds the ring minimum.
 //! 3. The overflow heap may hold events that have *become* near-future as
-//!    the window advanced (the window only moves forward), so [`Self::pop`]
+//!    the window advanced (the window only moves forward), so [`EventQueue::pop`]
 //!    always compares the ring candidate against the overflow head by
 //!    `(time, seq)` and takes the smaller. This comparison is what makes
 //!    the pop order provably identical to a single `(time, seq)`-ordered

@@ -19,7 +19,7 @@
 //! [`may_deadlock_through`] is a single reverse-index lookup and
 //! [`find_deadlock_cycle_through`] walks only the nodes that can reach
 //! the newly enqueued family. The original from-scratch implementation
-//! survives in [`reference`] as the oracle the differential and property
+//! survives in [`reference`](mod@reference) as the oracle the differential and property
 //! suites (and [`crate::table::LockTable`]'s validation mode) replay
 //! against.
 

@@ -13,10 +13,15 @@
 //! so moving an emission site cannot reorder, drop or reshape an event
 //! unnoticed.
 //!
+//! A third table, `REPLAY_TRAFFIC`, pins trace replay: each row is one
+//! engine schedule replayed through the placement models, with every
+//! protocol's per-kind traffic and per-object totals.
+//!
 //! To regenerate the tables after an *intentional* behaviour change (a new
 //! protocol rule, a workload change — never a perf PR), run
 //! `LOTEC_PRINT_GOLDEN=1 cargo test --test differential_seed -- --nocapture`
-//! and paste the printed rows over `GOLDEN` and `EVENT_STREAMS`.
+//! and paste the printed rows over `GOLDEN`, `EVENT_STREAMS` and
+//! `REPLAY_TRAFFIC`.
 
 use std::collections::BTreeSet;
 use std::fmt::Debug;
@@ -26,9 +31,13 @@ use lotec::prelude::*;
 use lotec::sim::{CrashWindow, FaultPlan};
 use lotec_core::config::FaultConfig;
 use lotec_core::engine::RunReport;
+use lotec_core::metrics::ProtocolTraffic;
+use lotec_core::replay::{replay_run, replay_trace};
 use lotec_core::spec::demo_workload;
+use lotec_core::trace::TraceEvent;
 use lotec_core::AdaptiveConfig;
 use lotec_mem::mix;
+use lotec_net::MessageKind;
 use lotec_workload::presets;
 
 /// Chaos seeds sampled from the chaos suite's default stream
@@ -423,6 +432,211 @@ fn probe_event_streams_match_their_goldens() {
     assert!(missing.is_empty(), "no cell emits {missing:?}");
     assert_eq!(kinds.len(), ALL_KINDS.len(), "unlisted kinds: {kinds:?}");
 }
+
+/// One replayed protocol's traffic: `(messages, bytes)` for every
+/// message kind in `MessageKind::ALL` order, and the ledger's per-object
+/// totals folded in object order.
+#[derive(Debug, PartialEq, Eq)]
+struct ReplayTraffic {
+    per_kind: [(u64, u64); 9],
+    objects_hash: u64,
+}
+
+fn replay_traffic(traffic: &ProtocolTraffic) -> ReplayTraffic {
+    let ledger = traffic.ledger();
+    let per_kind = MessageKind::ALL.map(|kind| {
+        let t = ledger.kind(kind);
+        (t.messages, t.bytes)
+    });
+    let objects_hash = ledger.objects().fold(0u64, |h, (object, t)| {
+        mix(mix(mix(h, u64::from(object.index())), t.messages), t.bytes)
+    });
+    ReplayTraffic {
+        per_kind,
+        objects_hash,
+    }
+}
+
+fn print_replay(label: &str, row: &&[ReplayTraffic]) {
+    println!("    (\"{label}\", &[");
+    for t in row.iter() {
+        println!(
+            "        ReplayTraffic {{ per_kind: {:?}, objects_hash: {:#018x} }},",
+            t.per_kind, t.objects_hash
+        );
+    }
+    println!("    ]),");
+}
+
+/// Runs one engine cell, then replays its schedule under every protocol
+/// (`replay_trace`) or, with `own_assignment`, under the config's own
+/// per-class assignment (`replay_run`). Adds the trace event variants the
+/// schedule holds to `variants`.
+fn replay_cell(
+    label: &str,
+    config: &SystemConfig,
+    registry: &ObjectRegistry,
+    families: &[FamilySpec],
+    own_assignment: bool,
+    variants: &mut BTreeSet<&'static str>,
+) {
+    let report = run_engine(config, registry, families).expect("schedule run");
+    oracle::verify(&report).expect("serializable");
+    variants.extend(report.trace.events().iter().map(|e| match e {
+        TraceEvent::Grant { .. } => "grant",
+        TraceEvent::RootCommit { .. } => "root_commit",
+        TraceEvent::SubAbortRelease { .. } => "sub_abort_release",
+        TraceEvent::FamilyAbort { .. } => "family_abort",
+    }));
+    let rows: Vec<ReplayTraffic> = if own_assignment {
+        vec![replay_traffic(&replay_run(&report.trace, registry, config))]
+    } else {
+        ProtocolKind::ALL
+            .iter()
+            .map(|&kind| replay_traffic(&replay_trace(kind, &report.trace, registry, config)))
+            .collect()
+    };
+    check_row(label.to_string(), &rows[..], REPLAY_TRAFFIC, print_replay);
+}
+
+/// Replay traffic of cells that between them drive every trace event
+/// variant and all three demand-fetch paths of the replay model: static
+/// serial fetches, adaptive batched repair, and the miss-rate ablation's
+/// degraded prefetch set.
+#[test]
+fn replay_traffic_matches_its_goldens() {
+    let mut variants = BTreeSet::new();
+
+    let scenario = presets::quick(presets::fig3());
+    let (registry, families) = scenario.generate().expect("fig3 generates");
+    for (label, adaptive, miss) in [
+        ("fig3-quick/static", false, 0.0),
+        ("fig3-quick/adaptive", true, 0.0),
+        ("fig3-quick/static/miss25", false, 0.25),
+        ("fig3-quick/adaptive/miss25", true, 0.25),
+    ] {
+        let config = SystemConfig {
+            prediction_miss_rate: miss,
+            adaptive: if adaptive {
+                AdaptiveConfig::on()
+            } else {
+                AdaptiveConfig::default()
+            },
+            ..scenario.system_config()
+        };
+        replay_cell(label, &config, &registry, &families, false, &mut variants);
+    }
+    // Per-class protocols through `replay_run`: the last class under RC,
+    // the one before it under OTEC, the rest LOTEC, with multicast pushes.
+    let classes = scenario.config.schema.num_classes;
+    let config = SystemConfig {
+        multicast: true,
+        ..scenario.system_config()
+    }
+    .with_class_protocol(ClassId::new(classes - 1), ProtocolKind::ReleaseConsistency)
+    .with_class_protocol(ClassId::new(classes - 2), ProtocolKind::Otec);
+    replay_cell(
+        "fig3-quick/per-class",
+        &config,
+        &registry,
+        &families,
+        true,
+        &mut variants,
+    );
+
+    let seed = 138;
+    let config = combined_chaos_config(seed);
+    let (registry, families) = demo_workload(&config, seed);
+    replay_cell(
+        &format!("chaos-combined/{seed}"),
+        &config,
+        &registry,
+        &families,
+        false,
+        &mut variants,
+    );
+
+    let scenario = presets::quick(presets::ablation_faults());
+    let (registry, families) = scenario.generate().expect("ablation generates");
+    replay_cell(
+        "ablation_faults-quick",
+        &scenario.system_config(),
+        &registry,
+        &families,
+        false,
+        &mut variants,
+    );
+
+    let zoo = lotec_workload::zoo::by_name("multi_tenant", lotec_workload::Tier::Tiny)
+        .expect("multi_tenant is a zoo family");
+    let (registry, families) = zoo.generate().expect("zoo generates");
+    replay_cell(
+        "zoo/multi_tenant",
+        &zoo.cell_config(ProtocolKind::Lotec, false),
+        &registry,
+        &families,
+        false,
+        &mut variants,
+    );
+
+    assert_eq!(
+        variants.into_iter().collect::<Vec<_>>(),
+        ["family_abort", "grant", "root_commit", "sub_abort_release"],
+        "the replay cells must drive every trace event variant"
+    );
+}
+
+/// Replay traffic captured before replay placement became lazy. One entry
+/// per protocol in `ProtocolKind::ALL` order; the per-class row holds the
+/// one `replay_run` result.
+#[rustfmt::skip]
+const REPLAY_TRAFFIC: &[(&str, &[ReplayTraffic])] = &[
+    ("fig3-quick/static", &[
+        ReplayTraffic { per_kind: [(93, 4092), (92, 14418), (92, 7096), (84, 8304), (84, 3851520), (0, 0), (0, 0), (0, 0), (0, 0)], objects_hash: 0x74771acb8e275c40 },
+        ReplayTraffic { per_kind: [(93, 4092), (92, 14418), (92, 7096), (70, 6176), (70, 2699712), (0, 0), (0, 0), (0, 0), (0, 0)], objects_hash: 0x04ffe85ee75d0d6d },
+        ReplayTraffic { per_kind: [(93, 4092), (92, 14418), (92, 7096), (112, 7400), (112, 2618816), (0, 0), (0, 0), (0, 0), (0, 0)], objects_hash: 0x1065a27a649b9168 },
+        ReplayTraffic { per_kind: [(93, 4092), (92, 14418), (92, 7096), (41, 3736), (41, 1662560), (0, 0), (0, 0), (289, 8973408), (0, 0)], objects_hash: 0x2038179d75835917 },
+    ]),
+    ("fig3-quick/adaptive", &[
+        ReplayTraffic { per_kind: [(93, 4092), (92, 14418), (92, 7096), (84, 3360), (84, 3851520), (0, 0), (0, 0), (0, 0), (0, 0)], objects_hash: 0x28e1414b035b3371 },
+        ReplayTraffic { per_kind: [(93, 4092), (92, 14418), (92, 7096), (70, 3184), (70, 2699712), (0, 0), (0, 0), (0, 0), (0, 0)], objects_hash: 0xf9c713c59e086b7d },
+        ReplayTraffic { per_kind: [(93, 4092), (92, 14418), (92, 7096), (112, 5368), (112, 2614704), (1, 38), (1, 4144), (0, 0), (0, 0)], objects_hash: 0xe4486fb198119fa0 },
+        ReplayTraffic { per_kind: [(93, 4092), (92, 14418), (92, 7096), (41, 1864), (41, 1662560), (0, 0), (0, 0), (289, 8973408), (0, 0)], objects_hash: 0xe198db02a7d87e92 },
+    ]),
+    ("fig3-quick/static/miss25", &[
+        ReplayTraffic { per_kind: [(93, 4092), (92, 14418), (92, 7096), (84, 8304), (84, 3851520), (0, 0), (0, 0), (0, 0), (0, 0)], objects_hash: 0x74771acb8e275c40 },
+        ReplayTraffic { per_kind: [(93, 4092), (92, 14418), (92, 7096), (70, 6176), (70, 2699712), (0, 0), (0, 0), (0, 0), (0, 0)], objects_hash: 0x04ffe85ee75d0d6d },
+        ReplayTraffic { per_kind: [(93, 4092), (92, 14418), (92, 7096), (108, 6396), (108, 2018336), (117, 4446), (117, 484848), (0, 0), (0, 0)], objects_hash: 0xa614655dc5f4be61 },
+        ReplayTraffic { per_kind: [(93, 4092), (92, 14418), (92, 7096), (41, 3736), (41, 1662560), (0, 0), (0, 0), (289, 8973408), (0, 0)], objects_hash: 0x2038179d75835917 },
+    ]),
+    ("fig3-quick/adaptive/miss25", &[
+        ReplayTraffic { per_kind: [(93, 4092), (92, 14418), (92, 7096), (84, 3360), (84, 3851520), (0, 0), (0, 0), (0, 0), (0, 0)], objects_hash: 0x28e1414b035b3371 },
+        ReplayTraffic { per_kind: [(93, 4092), (92, 14418), (92, 7096), (70, 3184), (70, 2699712), (0, 0), (0, 0), (0, 0), (0, 0)], objects_hash: 0xf9c713c59e086b7d },
+        ReplayTraffic { per_kind: [(93, 4092), (92, 14418), (92, 7096), (112, 5476), (112, 1997904), (71, 2944), (71, 503936), (0, 0), (0, 0)], objects_hash: 0x843e5e61fe2ca3d2 },
+        ReplayTraffic { per_kind: [(93, 4092), (92, 14418), (92, 7096), (41, 1864), (41, 1662560), (0, 0), (0, 0), (289, 8973408), (0, 0)], objects_hash: 0xe198db02a7d87e92 },
+    ]),
+    ("fig3-quick/per-class", &[
+        ReplayTraffic { per_kind: [(96, 4224), (94, 14776), (94, 7160), (60, 4896), (60, 2041472), (0, 0), (0, 0), (51, 1428496), (0, 0)], objects_hash: 0x25f974bccd68e3d6 },
+    ]),
+    ("chaos-combined/138", &[
+        ReplayTraffic { per_kind: [(8, 352), (8, 632), (8, 358), (8, 400), (8, 98944), (0, 0), (0, 0), (0, 0), (0, 0)], objects_hash: 0xb464ffee1411ab81 },
+        ReplayTraffic { per_kind: [(8, 352), (8, 632), (8, 358), (5, 220), (5, 41280), (0, 0), (0, 0), (0, 0), (0, 0)], objects_hash: 0x42e633f88178f811 },
+        ReplayTraffic { per_kind: [(8, 352), (8, 632), (8, 358), (5, 196), (5, 24832), (0, 0), (0, 0), (0, 0), (0, 0)], objects_hash: 0xad282d2c650b8947 },
+        ReplayTraffic { per_kind: [(8, 352), (8, 632), (8, 358), (5, 220), (5, 41280), (0, 0), (0, 0), (9, 57856), (0, 0)], objects_hash: 0x6cff28515090694e },
+    ]),
+    ("ablation_faults-quick", &[
+        ReplayTraffic { per_kind: [(95, 4180), (90, 19856), (90, 7788), (84, 11538), (84, 6067888), (0, 0), (0, 0), (0, 0), (0, 0)], objects_hash: 0x8cb4fc3674cacb86 },
+        ReplayTraffic { per_kind: [(95, 4180), (90, 19856), (90, 7788), (65, 7816), (65, 3933152), (0, 0), (0, 0), (0, 0), (0, 0)], objects_hash: 0xb727bf5284653444 },
+        ReplayTraffic { per_kind: [(95, 4180), (90, 19856), (90, 7788), (106, 8888), (106, 3769984), (0, 0), (0, 0), (0, 0), (0, 0)], objects_hash: 0x79905d8136fbf883 },
+        ReplayTraffic { per_kind: [(95, 4180), (90, 19856), (90, 7788), (37, 4400), (37, 2205216), (0, 0), (0, 0), (213, 11092768), (0, 0)], objects_hash: 0x01c11235a590b695 },
+    ]),
+    ("zoo/multi_tenant", &[
+        ReplayTraffic { per_kind: [(93, 4092), (93, 5786), (93, 3408), (94, 4034), (94, 706160), (0, 0), (0, 0), (0, 0), (0, 0)], objects_hash: 0x7b01c43bfff995d7 },
+        ReplayTraffic { per_kind: [(93, 4092), (93, 5786), (93, 3408), (30, 1248), (30, 198336), (0, 0), (0, 0), (0, 0), (0, 0)], objects_hash: 0x1dac9fd58427f3ed },
+        ReplayTraffic { per_kind: [(93, 4092), (93, 5786), (93, 3408), (33, 1344), (33, 198432), (0, 0), (0, 0), (0, 0), (0, 0)], objects_hash: 0x2008a57f953e6526 },
+        ReplayTraffic { per_kind: [(93, 4092), (93, 5786), (93, 3408), (19, 782), (19, 119856), (0, 0), (0, 0), (102, 599504), (0, 0)], objects_hash: 0x82d774a2535c6250 },
+    ]),
+];
 
 /// Probe event streams, captured before the lock and deadlock events moved
 /// from the lock table into the engine.

@@ -10,7 +10,10 @@
 use lotec_core::engine::{run_engine, Engine, MAX_FORENSICS_DUMPS};
 use lotec_core::protocol::ProtocolKind;
 use lotec_core::{oracle, run_engine_recorded, SystemConfig};
-use lotec_obs::{find_cycle, Anomaly, CompactRecord, ForensicsDump, RecordingSink};
+use lotec_obs::{
+    find_cycle, Anomaly, CompactRecord, FlightRecorder, ForensicsDump, ProfiledSink, RecordingSink,
+    WallProfiler,
+};
 use lotec_workload::presets;
 
 /// Seed at which quick-fig3/LOTEC breaks exactly one deadlock.
@@ -120,6 +123,25 @@ fn recorder_does_not_perturb_the_simulation() {
     assert_eq!(plain.traffic.total(), recorded.traffic.total());
     assert_eq!(plain.stats.makespan, recorded.stats.makespan);
     assert!(recorder.recorded() > 0, "the probe plane was live");
+}
+
+/// Timing the recorder does not hide it: an engine whose flight recorder
+/// is wrapped in a `ProfiledSink` captures exactly the dumps of the bare
+/// recorder.
+#[test]
+fn profiled_recorder_captures_the_same_dumps() {
+    let (config, scenario) = deadlock_config(4096);
+    let (registry, families) = scenario.generate().expect("workload generates");
+    let (bare, _) = run_engine_recorded(&config, &registry, &families).expect("bare run");
+    assert!(!bare.forensics.is_empty(), "the pinned cell dumps");
+
+    let mut recorder = FlightRecorder::new(config.flight_recorder.slots as usize);
+    let mut prof = WallProfiler::new();
+    let sink = ProfiledSink::new(&mut recorder, &mut prof);
+    let wrapped = Engine::with_probe(&config, &registry, &families, sink)
+        .and_then(Engine::run)
+        .expect("wrapped run");
+    assert_eq!(wrapped.forensics, bare.forensics);
 }
 
 /// Ring wraparound at tiny capacities: the recorder's snapshot is
