@@ -179,9 +179,9 @@ pub struct PredictionReport {
 /// Number of maximal runs of adjacent page indices in a sorted page list.
 /// A coalesced page request encodes one ranged entry per run, so this is
 /// the quantity that decides whether the ranged encoding beats the plain
-/// one (see `MessageSizes::coalesced_page_request`). Both the engine and
-/// the traffic replay charge request sizes through this helper so their
-/// ledgers stay byte-identical.
+/// one (see `MessageSizes::coalesced_page_request`). The crate's charging
+/// module sizes every adaptive page request through this helper, for the
+/// engine and replay alike.
 pub fn adjacent_run_count(pages: &[PageIndex]) -> usize {
     debug_assert!(pages.windows(2).all(|w| w[0].get() < w[1].get()));
     pages

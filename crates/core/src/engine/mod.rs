@@ -21,7 +21,9 @@
 //!
 //! The engine records every grant/commit/abort into a
 //! [`ScheduleTrace`] for the replay-based
-//! protocol comparison.
+//! protocol comparison. Every message it sends is built by the crate's
+//! charging module, by the same rules replay charges; the engine adds the
+//! timing, lossy delivery, probes and page content.
 
 mod family;
 
@@ -31,8 +33,8 @@ use std::collections::BTreeMap;
 
 use lotec_mem::{ObjectId, PageData, PageId, PageIndex, Recovery, ShadowPages, UndoLog};
 use lotec_mem::{PageStore, Version};
-use lotec_net::{plan_delivery, Message, MessageKind, TrafficLedger};
-use lotec_object::{AdaptivePredictor, ObjectRegistry, PageSet};
+use lotec_net::{plan_delivery, Message, TrafficLedger};
+use lotec_object::{AdaptivePredictor, ObjectRegistry};
 use lotec_obs::{
     Anomaly, EventSink, FamilySnapshot, FlightRecorder, ForensicsDump, HostProfiler, HostRegion,
     NoopHostProfiler, NoopSink, ObsEvent, ObsEventKind, ObsLockMode, ObsPhase, OccupancySnapshot,
@@ -41,12 +43,11 @@ use lotec_obs::{
 use lotec_sim::{NodeId, SimDuration, SimRng, SimTime, Simulator};
 use lotec_txn::{Acquire, Grant, LockMode, LockTable, TxnId, TxnTree};
 
-use crate::analysis::adjacent_run_count;
+use crate::charge;
 use crate::config::{RecoveryKind, SystemConfig};
 use crate::error::CoreError;
-use crate::granularity::transfer_message_bytes;
 use crate::metrics::{ProtocolTraffic, RunStats};
-use crate::protocol::{plan_transfer, PlacementView, ProtocolKind};
+use crate::protocol::{demand_set, plan_transfer, prefetch_set, PlacementView, ProtocolKind};
 use crate::spec::{validate_family, FamilySpec};
 use crate::trace::{ScheduleTrace, TraceEvent};
 
@@ -622,22 +623,15 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
 
     // ---- message helpers -------------------------------------------------
 
-    /// Charges a message and returns its transfer time; node-local
-    /// "messages" are free and unrecorded.
-    fn send(
-        &mut self,
-        kind: MessageKind,
-        src: NodeId,
-        dst: NodeId,
-        object: ObjectId,
-        bytes: u64,
-    ) -> SimDuration {
-        if src == dst {
+    /// Charges `msg` (built by the charging module) and returns its
+    /// transfer time; a local message is free.
+    fn send(&mut self, msg: Message) -> SimDuration {
+        if !charge::record(&mut self.ledger, &msg) {
             return SimDuration::ZERO;
         }
-        self.ledger
-            .record(&Message::new(kind, src, dst, object, bytes));
-        self.config.network.transfer_time_for(kind, bytes)
+        self.config
+            .network
+            .transfer_time_for(msg.kind(), msg.bytes())
     }
 
     /// Like [`Engine::send`], but over the lossy link model when fault
@@ -649,22 +643,12 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
     /// stall to a family so phase accounting can book it as backoff rather
     /// than inflating the protocol phases. With faults disabled this is
     /// exactly [`Engine::send`]: no RNG draws, no extra records.
-    fn send_lossy(
-        &mut self,
-        kind: MessageKind,
-        src: NodeId,
-        dst: NodeId,
-        object: ObjectId,
-        bytes: u64,
-        fam: Option<usize>,
-    ) -> SimDuration {
-        if src == dst {
-            return SimDuration::ZERO;
-        }
-        let base = self.send(kind, src, dst, object, bytes);
-        if !self.config.faults.plan.enabled() {
+    fn send_lossy(&mut self, msg: Message, fam: Option<usize>) -> SimDuration {
+        let base = self.send(msg);
+        if msg.is_local() || !self.config.faults.plan.enabled() {
             return base;
         }
+        let (src, dst) = (msg.src(), msg.dst());
         let now = self.sim.now();
         let report = plan_delivery(
             &self.config.faults.plan,
@@ -674,8 +658,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             base,
         );
         for _ in 0..report.wasted_copies() {
-            self.ledger
-                .record(&Message::new(kind, src, dst, object, bytes));
+            self.ledger.record(&msg);
         }
         self.stats.retransmits += u64::from(report.attempts - 1);
         self.stats.duplicates += u64::from(report.duplicates);
@@ -699,16 +682,12 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         base + report.latency_penalty()
     }
 
-    /// Propagates a directory-state mutation for `object` to its backup
-    /// replicas (write-behind, so no latency is added to the mutating
-    /// operation's critical path).
-    fn replicate_gdo(&mut self, object: ObjectId, bytes: u64) {
-        if self.config.gdo_replication <= 1 {
-            return;
-        }
-        let home = self.config.gdo_home(object);
-        for replica in self.config.gdo_replicas(object) {
-            self.send(MessageKind::GdoReplicate, home, replica, object, bytes);
+    /// Propagates the directory mutation `mutation` caused to the GDO
+    /// partition's backup replicas (write-behind, so no latency is added
+    /// to the mutating operation's critical path).
+    fn replicate_gdo(&mut self, mutation: &Message) {
+        for msg in charge::gdo_replication(self.config, mutation) {
+            self.send(msg);
         }
     }
 
@@ -918,28 +897,11 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             }
             Acquire::GlobalGrant { holders } => {
                 self.stats.global_lock_grants += 1;
-                let home = self.config.gdo_home(object);
-                let req_bytes = self.config.sizes.lock_request();
-                let grant_bytes = self
-                    .config
-                    .sizes
-                    .lock_grant(holders, self.registry.num_pages(object));
-                let mut delay = self.send_lossy(
-                    MessageKind::LockRequest,
-                    node,
-                    home,
-                    object,
-                    req_bytes,
-                    Some(fam),
-                ) + self.config.costs.gdo_processing
-                    + self.send_lossy(
-                        MessageKind::LockGrant,
-                        home,
-                        node,
-                        object,
-                        grant_bytes,
-                        Some(fam),
-                    );
+                let request = charge::lock_request(self.config, node, object);
+                let grant = charge::lock_grant(self.config, self.registry, node, object, holders);
+                let mut delay = self.send_lossy(request, Some(fam))
+                    + self.config.costs.gdo_processing
+                    + self.send_lossy(grant, Some(fam));
                 // A prefetched request has already been in flight since the
                 // parent started computing; the elapsed time is absorbed.
                 if self.config.lock_prefetch {
@@ -964,20 +926,12 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                 );
                 let gen = self.generation(fam);
                 self.schedule(now + delay, Event::GrantArrived(fam as u32, gen));
-                self.replicate_gdo(object, self.config.sizes.lock_request());
+                self.replicate_gdo(&request);
             }
             Acquire::Queued => {
                 self.stats.queued_lock_requests += 1;
-                let home = self.config.gdo_home(object);
-                let req_bytes = self.config.sizes.lock_request();
-                self.send_lossy(
-                    MessageKind::LockRequest,
-                    node,
-                    home,
-                    object,
-                    req_bytes,
-                    None,
-                );
+                let request = charge::lock_request(self.config, node, object);
+                self.send_lossy(request, None);
                 self.set_phase(now, fam, Phase::WaitingGrant);
                 // Fault injection: a queued request carries an RPC timeout;
                 // if no grant arrives in time the waiter gives up and
@@ -993,7 +947,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                     .root_txn
                     .expect("queued family has a root");
                 self.prof.enter(HostRegion::DeadlockGate);
-                let gate = self.break_deadlocks(now, home, root);
+                let gate = self.break_deadlocks(now, request.dst(), root);
                 self.prof.exit(HostRegion::DeadlockGate);
                 gate?;
             }
@@ -1013,20 +967,14 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         let fam = self.root_to_family[family_root.get() as usize] as usize;
         debug_assert_ne!(fam, u32::MAX as usize, "granted family is known");
         debug_assert_eq!(self.families[fam].phase, Phase::WaitingGrant);
-        let home = self.config.gdo_home(grant.object);
-        let grant_bytes = self
-            .config
-            .sizes
-            .lock_grant(grant.holders, self.registry.num_pages(grant.object));
-        let delay = self.config.costs.gdo_processing
-            + self.send_lossy(
-                MessageKind::LockGrant,
-                home,
-                req.node,
-                grant.object,
-                grant_bytes,
-                Some(fam),
-            );
+        let msg = charge::lock_grant(
+            self.config,
+            self.registry,
+            req.node,
+            grant.object,
+            grant.holders,
+        );
+        let delay = self.config.costs.gdo_processing + self.send_lossy(msg, Some(fam));
         self.set_phase(
             now,
             fam,
@@ -1037,7 +985,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         );
         let gen = self.generation(fam);
         self.schedule(now + delay, Event::GrantArrived(fam as u32, gen));
-        self.replicate_gdo(grant.object, self.config.sizes.lock_request());
+        self.replicate_gdo(&charge::lock_request(self.config, req.node, grant.object));
     }
 
     fn on_grant_arrived(&mut self, now: SimTime, fam: usize) -> Result<(), CoreError> {
@@ -1049,13 +997,14 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             (top.object, top.method, top.path)
         };
         let node = self.workload[fam].node;
-        let compiled = self.registry.class_of(object);
+        let (config, registry) = (self.config, self.registry);
+        let compiled = registry.class_of(object);
         let actual = compiled.path_access(method, path);
         // Borrow the access sets out of the compiled class; the only owned
         // copies made below are the ones the trace event keeps.
         let (actual_reads, actual_writes) = (actual.reads(), actual.writes());
-        let class = self.registry.object(object).class;
-        let kind = self.config.protocol_for(class);
+        let class = registry.object(object).class;
+        let kind = config.protocol_for(class);
         // The adaptive predictor (when enabled) replaces the static
         // compile-time prediction for LOTEC-family grants; the profile is
         // floored at the statically-proven must-access set, so soundness
@@ -1082,34 +1031,18 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             actual_writes: actual_writes.clone(),
         });
 
-        // Prefetch set per protocol (LOTEC consults the prediction; the
-        // miss-rate ablation randomly degrades it). The per-class
-        // extension can put each class under its own protocol.
-        let prefetch: PageSet = if kind.uses_prediction() {
-            if self.config.prediction_miss_rate > 0.0 {
-                let rate = self.config.prediction_miss_rate;
-                predicted
-                    .iter()
-                    .filter(|_| !self.miss_rng.chance(rate))
-                    .collect()
-            } else {
-                predicted.clone()
-            }
-        } else {
-            (0..self.registry.num_pages(object))
-                .map(PageIndex::new)
-                .collect()
-        };
-
         // Plan against the *pre-grant* placement (last_holder still points
-        // at the previous holder), then update placement bookkeeping.
+        // at the previous holder), then update placement bookkeeping. The
+        // per-class extension can put each class under its own protocol.
         let plan = {
             let view = EngineView {
                 table: &self.table,
                 stores: &self.stores,
-                registry: self.registry,
+                registry,
                 last_holder: &self.last_holder,
             };
+            let prefetch =
+                prefetch_set(config, kind, &view, object, &predicted, &mut self.miss_rng);
             plan_transfer(kind, &view, node, object, &prefetch)
         };
         self.probe(now, node.index(), |_| ObsEventKind::GrantPlan {
@@ -1141,46 +1074,22 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             .page_map_mut()
             .record_cached(node);
 
-        // Charge and perform the gather (Alg. 4.5): one request/transfer
-        // pair per source; batches travel in parallel, so the phase ends at
-        // the slowest batch.
+        // Perform the gather (Alg. 4.5): one fetch per source; batches
+        // travel in parallel, so the phase ends at the slowest batch.
         let mut max_delay = SimDuration::ZERO;
         let mut to_install: Vec<(PageId, Version, PageData)> = Vec::new();
         self.prof.enter(HostRegion::PageTransfer);
         for (source, pages) in plan.sources() {
-            // Adaptive mode coalesces runs of adjacent pages into ranged
-            // request entries; request sizing only — transfers keep their
-            // page framing, so `page_payload_bytes` stays exact.
-            let req = if self.config.adaptive.enabled {
-                self.config
-                    .sizes
-                    .coalesced_page_request(pages.len(), adjacent_run_count(pages))
-            } else {
-                self.config.sizes.page_request(pages.len())
-            };
-            let xfer = transfer_message_bytes(self.config, self.registry, object, pages);
-            let d = self.send_lossy(
-                MessageKind::PageRequest,
-                node,
-                source,
-                object,
-                req,
-                Some(fam),
-            ) + self.send_lossy(
-                MessageKind::PageTransfer,
-                source,
-                node,
-                object,
-                xfer,
-                Some(fam),
-            );
+            let [request, transfer] =
+                charge::fetch(config, registry, node, source, object, pages, false);
+            let d = self.send_lossy(request, Some(fam)) + self.send_lossy(transfer, Some(fam));
             max_delay = max_delay.max(d);
             self.probe(now, node.index(), |_| ObsEventKind::GatherBatch {
                 family: fam as u64,
                 object: object.index(),
                 source: source.index(),
                 pages: pages.len() as u32,
-                bytes: xfer,
+                bytes: transfer.bytes(),
                 delay_ns: d.as_nanos(),
             });
             for &page in pages {
@@ -1194,128 +1103,60 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         }
         self.prof.exit(HostRegion::PageInstall);
 
-        // Demand fetches: actually-touched pages still stale after the
-        // gather. Without faults this is only possible when prediction was
-        // degraded (LOTEC-family protocols); with fault injection on, a
-        // crash can cold-start any node's cache and break the "last holder
-        // still caches the object" shortcut the non-predictive protocols
-        // plan around, so the safety net covers every protocol there.
-        // Demand fetches happen serially during compute; account their
-        // latency into the compute phase.
+        // Demand fetches: touched pages still stale after the gather (see
+        // `demand_set`). They happen serially during compute, so their
+        // latency stretches the compute phase: batched fetches travel in
+        // parallel and cost the slowest, per-page fetches add up.
         let mut demand_delay = SimDuration::ZERO;
-        if kind.uses_prediction() || self.config.faults.plan.enabled() {
-            self.prof.enter(HostRegion::PageTransfer);
-            let touched = actual_reads.union(actual_writes);
-            let mut stale_fetches: Vec<(PageIndex, NodeId)> = Vec::new();
-            for page in touched.iter() {
-                let (stale, source) = {
-                    let view = EngineView {
-                        table: &self.table,
-                        stores: &self.stores,
-                        registry: self.registry,
-                        last_holder: &self.last_holder,
-                    };
-                    let global = view.global_version(object, page);
-                    let local = view
-                        .local_version(node, object, page)
-                        .unwrap_or(Version::INITIAL);
-                    (global.is_newer_than(local), view.page_owner(object, page))
-                };
-                if stale {
-                    debug_assert_ne!(source, node, "owner cannot be stale at itself");
-                    stale_fetches.push((page, source));
-                }
+        let batched = config.adaptive.enabled;
+        self.prof.enter(HostRegion::PageTransfer);
+        let stale = demand_set(
+            config,
+            kind,
+            &self.view(),
+            node,
+            object,
+            actual_reads,
+            actual_writes,
+        );
+        let mut demand_installs = Vec::new();
+        for (source, pages) in charge::demand_batches(config, &stale) {
+            let [request, transfer] =
+                charge::fetch(config, registry, node, source, object, &pages, true);
+            if !batched {
+                self.probe(now, node.index(), |_| ObsEventKind::DemandFetch {
+                    family: fam as u64,
+                    object: object.index(),
+                    page: pages[0].get(),
+                    source: source.index(),
+                    bytes: transfer.bytes(),
+                });
             }
-            let mut demand_installs = Vec::new();
-            if self.config.adaptive.enabled {
-                // Batched repair: every misprediction discovered in this
-                // compute phase is fetched with one coalesced round trip
-                // per source; the batches travel in parallel, so the
-                // compute phase stretches by the slowest source, not the
-                // sum of serial per-page fetches.
-                let mut by_source: Vec<(NodeId, Vec<PageIndex>)> = Vec::new();
-                for &(page, source) in &stale_fetches {
-                    match by_source.iter_mut().find(|(s, _)| *s == source) {
-                        Some((_, pages)) => pages.push(page),
-                        None => by_source.push((source, vec![page])),
-                    }
-                }
-                for (source, pages) in by_source {
-                    let req = self
-                        .config
-                        .sizes
-                        .coalesced_page_request(pages.len(), adjacent_run_count(&pages));
-                    let xfer = transfer_message_bytes(self.config, self.registry, object, &pages);
-                    let d = self.send_lossy(
-                        MessageKind::DemandPageRequest,
-                        node,
-                        source,
-                        object,
-                        req,
-                        Some(fam),
-                    ) + self.send_lossy(
-                        MessageKind::DemandPageTransfer,
-                        source,
-                        node,
-                        object,
-                        xfer,
-                        Some(fam),
-                    );
-                    demand_delay = demand_delay.max(d);
-                    self.probe(now, node.index(), |_| ObsEventKind::DemandBatch {
-                        family: fam as u64,
-                        object: object.index(),
-                        source: source.index(),
-                        pages: pages.iter().map(|p| p.get()).collect(),
-                        bytes: xfer,
-                        delay_ns: d.as_nanos(),
-                    });
-                    for &page in &pages {
-                        demand_installs.push(self.current_page_copy(object, page));
-                        self.stats.demand_fetches += 1;
-                    }
-                }
+            let d = self.send_lossy(request, Some(fam)) + self.send_lossy(transfer, Some(fam));
+            if batched {
+                demand_delay = demand_delay.max(d);
+                self.probe(now, node.index(), |_| ObsEventKind::DemandBatch {
+                    family: fam as u64,
+                    object: object.index(),
+                    source: source.index(),
+                    pages: pages.iter().map(|p| p.get()).collect(),
+                    bytes: transfer.bytes(),
+                    delay_ns: d.as_nanos(),
+                });
             } else {
-                // Serial per-page repair (the legacy path; byte-identical
-                // message sequence to pre-adaptive builds).
-                for &(page, source) in &stale_fetches {
-                    let req = self.config.sizes.page_request(1);
-                    let xfer = transfer_message_bytes(self.config, self.registry, object, &[page]);
-                    self.probe(now, node.index(), |_| ObsEventKind::DemandFetch {
-                        family: fam as u64,
-                        object: object.index(),
-                        page: page.get(),
-                        source: source.index(),
-                        bytes: xfer,
-                    });
-                    demand_delay = demand_delay
-                        + self.send_lossy(
-                            MessageKind::DemandPageRequest,
-                            node,
-                            source,
-                            object,
-                            req,
-                            Some(fam),
-                        )
-                        + self.send_lossy(
-                            MessageKind::DemandPageTransfer,
-                            source,
-                            node,
-                            object,
-                            xfer,
-                            Some(fam),
-                        );
-                    demand_installs.push(self.current_page_copy(object, page));
-                    self.stats.demand_fetches += 1;
-                }
+                demand_delay += d;
             }
-            self.prof.exit(HostRegion::PageTransfer);
-            self.prof.enter(HostRegion::PageInstall);
-            for (pid, version, data) in demand_installs {
-                self.stores[node.index() as usize].install(pid, version, data);
+            for &page in &pages {
+                demand_installs.push(self.current_page_copy(object, page));
+                self.stats.demand_fetches += 1;
             }
-            self.prof.exit(HostRegion::PageInstall);
         }
+        self.prof.exit(HostRegion::PageTransfer);
+        self.prof.enter(HostRegion::PageInstall);
+        for (pid, version, data) in demand_installs {
+            self.stores[node.index() as usize].install(pid, version, data);
+        }
+        self.prof.exit(HostRegion::PageInstall);
         self.families[fam].fetch_extra = demand_delay;
 
         if max_delay == SimDuration::ZERO {
@@ -1326,6 +1167,16 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             self.schedule(now + max_delay, Event::FetchArrived(fam as u32, gen));
         }
         Ok(())
+    }
+
+    /// The live placement, as the transfer policies read it.
+    fn view(&self) -> EngineView<'_> {
+        EngineView {
+            table: &self.table,
+            stores: &self.stores,
+            registry: self.registry,
+            last_holder: &self.last_holder,
+        }
     }
 
     /// Copy-on-write handle to the newest committed version of a page,
@@ -1491,11 +1342,10 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                     node,
                     released: rel.released.clone(),
                 });
-                for object in &rel.released {
-                    let home = self.config.gdo_home(*object);
-                    let bytes = self.config.sizes.lock_release(0);
-                    self.send_lossy(MessageKind::LockRelease, node, home, *object, bytes, None);
-                    self.replicate_gdo(*object, bytes);
+                for &object in &rel.released {
+                    let release = charge::lock_release(self.config, node, object, 0);
+                    self.send_lossy(release, None);
+                    self.replicate_gdo(&release);
                 }
             }
             for grant in &rel.grants {
@@ -1622,60 +1472,48 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         }
 
         // Release messages: dirty info piggybacked per object (Alg. 4.4).
-        for object in &rel.released {
-            let home = self.config.gdo_home(*object);
+        for &object in &rel.released {
             let n_dirty = dirty
                 .iter()
-                .find(|(o, _)| o == object)
+                .find(|(o, _)| *o == object)
                 .map_or(0, |(_, p)| p.len());
-            let bytes = self.config.sizes.lock_release(n_dirty);
-            self.send_lossy(MessageKind::LockRelease, node, home, *object, bytes, None);
-            self.replicate_gdo(*object, bytes);
+            let release = charge::lock_release(self.config, node, object, n_dirty);
+            self.send_lossy(release, None);
+            self.replicate_gdo(&release);
         }
 
         // RC extension: eagerly push updates to every other caching site
         // (per-class: only for objects whose class runs RC).
-        {
-            for (object, pages) in &dirty {
-                if !self
-                    .config
-                    .protocol_for(self.registry.object(*object).class)
-                    .pushes_on_commit()
-                {
-                    continue;
-                }
-                let sites: Vec<NodeId> = self
-                    .table
-                    .entry(*object)
-                    .expect("registered")
-                    .page_map()
-                    .caching_sites()
-                    .filter(|&s| s != node)
-                    .collect();
-                let copies: Vec<(PageId, Version, PageData)> = pages
-                    .iter()
-                    .map(|&p| self.current_page_copy(*object, p))
-                    .collect();
-                let bytes = transfer_message_bytes(self.config, self.registry, *object, pages);
-                // On a multicast network one transmission reaches every
-                // caching site; otherwise each site costs a unicast push.
-                if self.config.multicast {
-                    if let Some(&first) = sites.first() {
-                        self.send_lossy(MessageKind::UpdatePush, node, first, *object, bytes, None);
-                    }
-                } else {
-                    for &site in &sites {
-                        self.send_lossy(MessageKind::UpdatePush, node, site, *object, bytes, None);
-                    }
-                }
-                self.prof.enter(HostRegion::PageInstall);
-                for site in sites {
-                    for (pid, version, data) in &copies {
-                        self.stores[site.index() as usize].install(*pid, *version, data.clone());
-                    }
-                }
-                self.prof.exit(HostRegion::PageInstall);
+        let (config, registry) = (self.config, self.registry);
+        for &(object, ref pages) in &dirty {
+            if !config
+                .protocol_for(registry.object(object).class)
+                .pushes_on_commit()
+            {
+                continue;
             }
+            let sites: Vec<NodeId> = self
+                .table
+                .entry(object)
+                .expect("registered")
+                .page_map()
+                .caching_sites()
+                .filter(|&s| s != node)
+                .collect();
+            let copies: Vec<(PageId, Version, PageData)> = pages
+                .iter()
+                .map(|&p| self.current_page_copy(object, p))
+                .collect();
+            for msg in charge::update_pushes(config, registry, node, object, pages, &sites) {
+                self.send_lossy(msg, None);
+            }
+            self.prof.enter(HostRegion::PageInstall);
+            for site in sites {
+                for (pid, version, data) in &copies {
+                    self.stores[site.index() as usize].install(*pid, *version, data.clone());
+                }
+            }
+            self.prof.exit(HostRegion::PageInstall);
         }
 
         self.recovery.forget(root.get());
@@ -1900,13 +1738,12 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         // Each globally released lock costs an (empty) release message to
         // its GDO partition — unless the node is dead, in which case the
         // directory reclaims the locks without hearing from it.
-        for object in &released {
-            let home = self.config.gdo_home(*object);
-            let bytes = self.config.sizes.lock_release(0);
+        for &object in &released {
+            let release = charge::lock_release(self.config, node, object, 0);
             if node_alive {
-                self.send_lossy(MessageKind::LockRelease, node, home, *object, bytes, None);
+                self.send_lossy(release, None);
             }
-            self.replicate_gdo(*object, bytes);
+            self.replicate_gdo(&release);
         }
         self.trace.push(TraceEvent::FamilyAbort {
             at: now,
@@ -2235,6 +2072,7 @@ mod tests {
     use super::*;
     use crate::oracle;
     use crate::spec::demo_workload;
+    use lotec_net::MessageKind;
 
     fn run_demo(protocol: ProtocolKind, seed: u64) -> RunReport {
         let config = SystemConfig {

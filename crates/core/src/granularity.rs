@@ -6,9 +6,9 @@
 //! is more like a Distributed Shared Data system" (§4.2). With
 //! [`SystemConfig::dsd_transfers`](crate::config::SystemConfig::dsd_transfers)
 //! enabled, page transfers carry only each page's *occupied* object bytes;
-//! otherwise full pages move. Both the engine and the replay path size
-//! every transfer through [`transfer_message_bytes`], so the two can never
-//! disagree.
+//! otherwise full pages move. The crate's charging module sizes every page
+//! transfer and update push through [`transfer_message_bytes`], for the
+//! engine and replay alike.
 
 use lotec_mem::{ObjectId, PageIndex};
 use lotec_object::ObjectRegistry;

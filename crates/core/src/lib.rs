@@ -32,6 +32,13 @@
 //!   comparison the paper's Figures 2–8 report, and because the lock
 //!   schedule is shared, byte differences are purely protocol effects.
 //!
+//! The two paths drive one set of rules. Both take the acquisition
+//! decisions (prefetch set, transfer plan, demand set) from [`protocol`]
+//! and build every message in one crate-private charging module, so
+//! replaying a run's own trace under the run's configuration charges
+//! exactly the engine's ledger; the engine adds only timing, lossy
+//! delivery, probes and page content.
+//!
 //! Correctness is checked by [`oracle`]: strict O2PL makes every execution
 //! equivalent to the serial execution in root-commit order, so the oracle
 //! re-executes the committed stamps serially and verifies every page chain
@@ -57,6 +64,7 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+mod charge;
 pub mod compare;
 pub mod config;
 pub mod engine;

@@ -278,7 +278,9 @@ impl ProtocolTraffic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lotec_net::{Bandwidth, Message, MessageKind, SoftwareCost};
+    use crate::charge;
+    use lotec_mem::PageIndex;
+    use lotec_net::{Bandwidth, SoftwareCost};
     use lotec_sim::NodeId;
 
     #[test]
@@ -346,58 +348,67 @@ mod tests {
 
     #[test]
     fn page_payload_strips_framing() {
-        let sizes = lotec_net::MessageSizes::default();
-        let page_size = 4096u32;
+        let config = crate::SystemConfig::default();
+        let (registry, _) = crate::spec::demo_workload(&config, 1);
+        let (object, at) = (ObjectId::new(0), NodeId::new(1));
+        let pages = |n: u16| (0..n).map(PageIndex::new).collect::<Vec<_>>();
         let mut ledger = TrafficLedger::new();
-        // One transfer of 3 pages and one demand transfer of 1 page.
-        ledger.record(&Message::new(
-            MessageKind::PageTransfer,
+        // A 3-page gather and a 1-page demand fetch, each with its request;
+        // requests and lock traffic must not count as payload.
+        let gather = charge::fetch(
+            &config,
+            &registry,
+            at,
             NodeId::new(0),
-            NodeId::new(1),
-            ObjectId::new(0),
-            sizes.page_transfer(3, page_size as u64),
-        ));
-        ledger.record(&Message::new(
-            MessageKind::DemandPageTransfer,
+            object,
+            &pages(3),
+            false,
+        );
+        let demand = charge::fetch(
+            &config,
+            &registry,
+            at,
             NodeId::new(2),
-            NodeId::new(1),
-            ObjectId::new(0),
-            sizes.page_transfer(1, page_size as u64),
-        ));
-        // Requests and lock traffic must not count as payload.
-        ledger.record(&Message::new(
-            MessageKind::PageRequest,
-            NodeId::new(1),
-            NodeId::new(0),
-            ObjectId::new(0),
-            sizes.page_request(3),
-        ));
+            object,
+            &pages(1),
+            true,
+        );
+        for msg in gather.iter().chain(&demand) {
+            ledger.record(msg);
+        }
+        ledger.record(&charge::lock_release(&config, at, object, 3));
         let t = ProtocolTraffic::new(ledger);
         assert_eq!(
-            t.page_payload_bytes(&sizes, page_size),
-            4 * u64::from(page_size)
+            t.page_payload_bytes(&config.sizes, config.page_size),
+            4 * u64::from(config.page_size)
         );
     }
 
     #[test]
     fn protocol_traffic_wraps_ledger() {
-        let mut ledger = TrafficLedger::new();
-        ledger.record(&Message::new(
-            MessageKind::PageTransfer,
-            NodeId::new(0),
+        let config = crate::SystemConfig::default();
+        let (registry, _) = crate::spec::demo_workload(&config, 1);
+        let object = ObjectId::new(3);
+        let pages = [PageIndex::new(0)];
+        let [_, transfer] = charge::fetch(
+            &config,
+            &registry,
             NodeId::new(1),
-            ObjectId::new(3),
-            1000,
-        ));
+            NodeId::new(0),
+            object,
+            &pages,
+            false,
+        );
+        let mut ledger = TrafficLedger::new();
+        ledger.record(&transfer);
         let t = ProtocolTraffic::new(ledger);
-        assert_eq!(t.object(ObjectId::new(3)).bytes, 1000);
+        assert_eq!(t.object(object).bytes, transfer.bytes());
         assert_eq!(t.total().messages, 1);
         let net = NetworkConfig::new(Bandwidth::ethernet10(), SoftwareCost::MICROS_100);
-        // 100us + 800us wire.
-        assert_eq!(
-            t.object_time(ObjectId::new(3), net),
-            SimDuration::from_micros(900)
-        );
-        assert_eq!(t.total_time(net), SimDuration::from_micros(900));
+        // 100us software cost plus the bytes' wire time.
+        let expected =
+            SimDuration::from_micros(100) + Bandwidth::ethernet10().wire_time(transfer.bytes());
+        assert_eq!(t.object_time(object, net), expected);
+        assert_eq!(t.total_time(net), expected);
     }
 }

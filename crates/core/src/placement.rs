@@ -67,20 +67,6 @@ fn row_mut(
     &mut local[i].1
 }
 
-/// The pages pushed at a commit under RC: `(destination, pages)` pairs.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PushPlan {
-    /// Each destination site and the pages pushed to it.
-    pub destinations: Vec<(NodeId, Vec<PageIndex>)>,
-}
-
-impl PushPlan {
-    /// True when nothing is pushed.
-    pub fn is_empty(&self) -> bool {
-        self.destinations.is_empty()
-    }
-}
-
 /// One protocol's evolving view of page placement.
 #[derive(Debug, Clone)]
 pub struct PlacementModel<'r> {
@@ -200,34 +186,32 @@ impl<'r> PlacementModel<'r> {
         plan
     }
 
-    /// Demand fetch of a single page at `node` (LOTEC misprediction path).
-    /// Returns the source node, or `None` if no transfer is needed (local
-    /// copy already current or page demand-zeroable).
-    pub fn demand_fetch(
-        &mut self,
-        node: NodeId,
-        object: ObjectId,
-        page: PageIndex,
-    ) -> Option<NodeId> {
-        // An untouched object's pages are all at version 0: demand-zeroable.
-        let o = self.placed(object)?;
-        let idx = page.get() as usize;
-        let (global, source) = o.global[idx];
-        let local = o.row(node).and_then(|r| r[idx]).unwrap_or(Version::INITIAL);
-        if !global.is_newer_than(local) {
-            return None;
+    /// Applies a demand fetch (the misprediction path): `node` now caches
+    /// the newest version of every page in `stale`, the demand set of
+    /// `object` as `protocol::demand_set` computes it over this model.
+    pub fn demand_fetch(&mut self, node: NodeId, object: ObjectId, stale: &[(PageIndex, NodeId)]) {
+        // An untouched object is never stale: leave it untouched.
+        if stale.is_empty() {
+            return;
         }
-        debug_assert_ne!(source, node, "owner cannot be stale at itself");
         let o = self.placed_mut(object);
-        row_mut(&mut o.local, node, o.global.len())[idx] = Some(global);
-        Some(source)
+        let row = row_mut(&mut o.local, node, o.global.len());
+        for &(page, _) in stale {
+            let idx = page.get() as usize;
+            row[idx] = Some(o.global[idx].0);
+        }
     }
 
     /// Advances the model over a root commit: `node` committed updates to
     /// `dirty` pages of `object`. Bumps global versions and ownership;
-    /// under RC also computes the eager pushes to every other caching
-    /// site and applies them.
-    pub fn on_commit(&mut self, node: NodeId, object: ObjectId, dirty: &[PageIndex]) -> PushPlan {
+    /// under RC also pushes the dirty pages to every other caching site,
+    /// returning those sites (empty under every other protocol).
+    pub fn on_commit(
+        &mut self,
+        node: NodeId,
+        object: ObjectId,
+        dirty: &[PageIndex],
+    ) -> Vec<NodeId> {
         let pushes = self.kind_of(object).pushes_on_commit();
         let o = self.placed_mut(object);
         debug_assert!(o.row(node).is_some(), "committer must cache the object");
@@ -248,17 +232,17 @@ impl<'r> PlacementModel<'r> {
         // families commit in arbitrary order and updating here would
         // diverge from the grant-ordered view the engine maintains.
 
-        let mut push = PushPlan::default();
+        let mut sites = Vec::new();
         if pushes && !dirty.is_empty() {
             for (site, row) in o.local.iter_mut().filter(|(site, _)| *site != node) {
                 for &page in dirty {
                     let idx = page.get() as usize;
                     row[idx] = Some(o.global[idx].0);
                 }
-                push.destinations.push((*site, dirty.to_vec()));
+                sites.push(*site);
             }
         }
-        push
+        sites
     }
 
     /// Checks internal coherence: owners hold what the map claims; local
@@ -332,6 +316,7 @@ impl PlacementView for PlacementModel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::demand_set;
     use lotec_object::{ClassBuilder, ClassId};
 
     fn n(i: u32) -> NodeId {
@@ -376,8 +361,8 @@ mod tests {
         let reg = registry();
         let mut m = PlacementModel::new(ProtocolKind::Otec, &reg);
         m.on_grant(n(1), obj(), &all());
-        let push = m.on_commit(n(1), obj(), &pages(&[0, 2]));
-        assert!(push.is_empty(), "OTEC never pushes");
+        let pushed = m.on_commit(n(1), obj(), &pages(&[0, 2]));
+        assert!(pushed.is_empty(), "OTEC never pushes");
         let plan = m.on_grant(n(2), obj(), &all());
         assert_eq!(plan.num_pages(), 2, "only the two updated pages move");
         assert_eq!(plan.sources().next().unwrap().0, n(1));
@@ -444,9 +429,9 @@ mod tests {
         m.on_grant(n(1), obj(), &all());
         m.on_commit(n(1), obj(), &pages(&[0]));
         m.on_grant(n(2), obj(), &all());
-        let push = m.on_commit(n(2), obj(), &pages(&[1]));
+        let pushed = m.on_commit(n(2), obj(), &pages(&[1]));
         // Caching sites: home N0, N1, N2 -> pushes to N0 and N1.
-        assert_eq!(push.destinations.len(), 2);
+        assert_eq!(pushed, vec![n(0), n(1)]);
         // After the push, N1 acquiring again needs nothing.
         let plan = m.on_grant(n(1), obj(), &all());
         assert!(plan.is_empty(), "RC keeps caching sites current");
@@ -459,14 +444,20 @@ mod tests {
         let mut m = PlacementModel::new(ProtocolKind::Lotec, &reg);
         m.on_grant(n(1), obj(), &all());
         m.on_commit(n(1), obj(), &pages(&[3]));
-        // N2 acquires predicting nothing, then touches p3 -> demand fetch.
+        // N2 acquires predicting nothing, then touches p2 and p3: only p3
+        // was ever written, so only p3 is demand-fetched (p2 is
+        // demand-zeroed).
         m.on_grant(n(2), obj(), &PageSet::new());
-        let src = m.demand_fetch(n(2), obj(), PageIndex::new(3));
-        assert_eq!(src, Some(n(1)));
+        let config = crate::SystemConfig::default();
+        let reads: PageSet = [PageIndex::new(2), PageIndex::new(3)].into_iter().collect();
+        let writes = PageSet::new();
+        let demand =
+            |m: &PlacementModel| demand_set(&config, m.kind(), m, n(2), obj(), &reads, &writes);
+        let stale = demand(&m);
+        assert_eq!(stale, vec![(PageIndex::new(3), n(1))]);
+        m.demand_fetch(n(2), obj(), &stale);
         // Second touch: now current, no fetch.
-        assert_eq!(m.demand_fetch(n(2), obj(), PageIndex::new(3)), None);
-        // Never-written page: demand-zeroed, no fetch.
-        assert_eq!(m.demand_fetch(n(2), obj(), PageIndex::new(2)), None);
+        assert!(demand(&m).is_empty());
         m.check_coherence().unwrap();
     }
 

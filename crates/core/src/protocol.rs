@@ -3,7 +3,10 @@
 //!
 //! All four share nested O2PL locking; they differ only in the *transfer
 //! policy* — which pages move at lock acquisition — and, for RC, in eager
-//! pushes at root commit. The policies are pure functions over a
+//! pushes at root commit. The acquisition decisions — which pages to ask
+//! for (`prefetch_set`), which to gather and from where
+//! ([`plan_transfer`]), and which touched pages still need a demand fetch
+//! afterwards (`demand_set`) — are pure functions over a
 //! [`PlacementView`], so the discrete-event engine (live `PageStore`s +
 //! GDO page maps) and the figure-replay path (abstract
 //! [`PlacementModel`](crate::placement::PlacementModel)) share one
@@ -14,7 +17,9 @@ use std::fmt;
 
 use lotec_mem::{ObjectId, PageIndex, Version};
 use lotec_object::PageSet;
-use lotec_sim::NodeId;
+use lotec_sim::{NodeId, SimRng};
+
+use crate::config::SystemConfig;
 
 /// Which consistency protocol is in effect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -200,6 +205,59 @@ pub fn plan_transfer(
         }
     }
     plan
+}
+
+/// The pages an acquisition under `kind` asks [`plan_transfer`] for: LOTEC
+/// the acquiring method's `predicted` set, each page dropped with
+/// `config.prediction_miss_rate` (the prediction-miss ablation, drawn from
+/// `rng`); every other protocol the object's full page set.
+pub(crate) fn prefetch_set(
+    config: &SystemConfig,
+    kind: ProtocolKind,
+    view: &dyn PlacementView,
+    object: ObjectId,
+    predicted: &PageSet,
+    rng: &mut SimRng,
+) -> PageSet {
+    let rate = config.prediction_miss_rate;
+    if !kind.uses_prediction() {
+        (0..view.num_pages(object)).map(PageIndex::new).collect()
+    } else if rate > 0.0 {
+        predicted.iter().filter(|_| !rng.chance(rate)).collect()
+    } else {
+        predicted.clone()
+    }
+}
+
+/// The demand set: the touched pages (`reads` ∪ `writes`) still stale at
+/// `node` once the gather has landed, each with the owner it is fetched
+/// from. Only a predicting protocol can leave a touched page stale, unless
+/// fault injection is on: a crash can cold-start any node's cache and
+/// break the "last holder still caches the object" shortcut the other
+/// protocols plan around, so there the repair covers every protocol.
+pub(crate) fn demand_set(
+    config: &SystemConfig,
+    kind: ProtocolKind,
+    view: &dyn PlacementView,
+    node: NodeId,
+    object: ObjectId,
+    reads: &PageSet,
+    writes: &PageSet,
+) -> Vec<(PageIndex, NodeId)> {
+    if !kind.uses_prediction() && !config.faults.plan.enabled() {
+        return Vec::new();
+    }
+    let stale = reads
+        .union(writes)
+        .iter()
+        .filter(|&page| is_stale(view, node, object, page))
+        .map(|page| (page, view.page_owner(object, page)))
+        .collect::<Vec<_>>();
+    debug_assert!(
+        stale.iter().all(|&(_, source)| source != node),
+        "owner cannot be stale at itself"
+    );
+    stale
 }
 
 /// Staleness test shared by OTEC/LOTEC/RC: the acquirer needs the page iff

@@ -9,27 +9,27 @@
 //! protocols are pure protocol effects — the comparison the paper's
 //! figures make.
 //!
-//! Message charging follows the engine's accounting rules:
+//! Replay states no protocol rule of its own. It is a second driver of the
+//! engine's rules: the acquisition decisions come from
+//! [`protocol`](crate::protocol) and every message from the crate's
+//! charging module, so replaying an engine run's own trace under the
+//! engine's configuration charges exactly the engine's ledger.
 //!
-//! * a *global* grant costs a lock-request and a lock-grant (skipped when
-//!   the requester is the GDO partition's home node);
-//! * each transfer source costs a page-request + page-transfer pair;
-//! * LOTEC demand fetches cost a single-page request/transfer pair each;
-//! * a root commit costs one lock-release per released object whose GDO
-//!   partition is remote (dirty info piggybacked — Alg. 4.4);
-//! * RC commits additionally cost one update-push per other caching site.
+//! What replay does not model: lossy links (the engine also charges every
+//! retransmission and duplicate), lock timeouts (each re-issued request
+//! costs the engine one more lock request) and node crashes (a dead node
+//! sends no releases, cold caches re-fetch, and RC skips the caching sites
+//! a crash forgot).
 
-use lotec_mem::{ObjectId, PageIndex};
-use lotec_net::{Message, MessageKind, TrafficLedger};
-use lotec_object::{ObjectRegistry, PageSet};
-use lotec_sim::{NodeId, SimRng};
+use lotec_net::{Message, TrafficLedger};
+use lotec_object::ObjectRegistry;
+use lotec_sim::SimRng;
 
-use crate::analysis::adjacent_run_count;
+use crate::charge;
 use crate::config::SystemConfig;
-use crate::granularity::transfer_message_bytes;
 use crate::metrics::ProtocolTraffic;
 use crate::placement::PlacementModel;
-use crate::protocol::ProtocolKind;
+use crate::protocol::{demand_set, prefetch_set, ProtocolKind};
 use crate::trace::{ScheduleTrace, TraceEvent};
 
 /// Replays `trace` under `kind` (uniformly, for every object), returning
@@ -66,7 +66,10 @@ fn replay_with_model(
 ) -> ProtocolTraffic {
     config.validate();
     let mut ledger = TrafficLedger::new();
-    // Independent RNG stream for the prediction-miss ablation; protocol
+    let mut record = |msg: Message| {
+        charge::record(&mut ledger, &msg);
+    };
+    // Replay's own stream for the prediction-miss ablation; protocol
     // comparisons at miss rate 0 are fully deterministic.
     let mut rng = SimRng::seed_from_u64(config.seed ^ 0x5EED_0F0F_4E97_1A1Du64);
 
@@ -82,112 +85,37 @@ fn replay_with_model(
                 actual_writes,
                 ..
             } => {
-                let object = *object;
-                let node = *node;
-                let home = config.gdo_home(object);
+                let (node, object) = (*node, *object);
+                // A queued request was sent before its grant; both are
+                // charged here, at the grant.
                 if *global {
-                    charge_gdo_replication(
-                        &mut ledger,
-                        config,
-                        object,
-                        config.sizes.lock_request(),
-                    );
+                    let request = charge::lock_request(config, node, object);
+                    record(request);
+                    record(charge::lock_grant(config, registry, node, object, *holders));
+                    charge::gdo_replication(config, &request).for_each(&mut record);
                 }
-                if *global && home != node {
-                    ledger.record(&Message::new(
-                        MessageKind::LockRequest,
-                        node,
-                        home,
-                        object,
-                        config.sizes.lock_request(),
-                    ));
-                    ledger.record(&Message::new(
-                        MessageKind::LockGrant,
-                        home,
-                        node,
-                        object,
-                        config
-                            .sizes
-                            .lock_grant(*holders, registry.num_pages(object)),
-                    ));
-                }
-                // Prefetch set: LOTEC uses the prediction (optionally
-                // degraded by the miss-rate ablation); others move by
-                // their own rules and receive the full page set.
                 let kind = model.kind_of(object);
-                let prefetch: PageSet = if kind.uses_prediction() {
-                    if config.prediction_miss_rate > 0.0 {
-                        predicted
-                            .iter()
-                            .filter(|_| !rng.chance(config.prediction_miss_rate))
-                            .collect()
-                    } else {
-                        predicted.clone()
-                    }
-                } else {
-                    (0..registry.num_pages(object))
-                        .map(PageIndex::new)
-                        .collect()
-                };
+                let prefetch = prefetch_set(config, kind, &model, object, predicted, &mut rng);
                 let plan = model.on_grant(node, object, &prefetch);
                 for (source, pages) in plan.sources() {
-                    charge_fetch(
-                        &mut ledger,
-                        config,
-                        registry,
-                        node,
-                        source,
-                        object,
-                        pages,
-                        false,
-                    );
+                    charge::fetch(config, registry, node, source, object, pages, false)
+                        .into_iter()
+                        .for_each(&mut record);
                 }
-                // Demand fetches: pages actually touched but still stale
-                // locally (possible only when prediction was degraded or,
-                // in principle, unsound).
-                if kind.uses_prediction() {
-                    let touched = actual_reads.union(actual_writes);
-                    if config.adaptive.enabled {
-                        // Mirror the engine's batched repair: one
-                        // request/transfer pair per source covering every
-                        // mispredicted page from that source.
-                        let mut by_source: Vec<(NodeId, Vec<PageIndex>)> = Vec::new();
-                        for page in touched.iter() {
-                            if let Some(source) = model.demand_fetch(node, object, page) {
-                                match by_source.iter_mut().find(|(s, _)| *s == source) {
-                                    Some((_, pages)) => pages.push(page),
-                                    None => by_source.push((source, vec![page])),
-                                }
-                            }
-                        }
-                        for (source, pages) in by_source {
-                            charge_fetch(
-                                &mut ledger,
-                                config,
-                                registry,
-                                node,
-                                source,
-                                object,
-                                &pages,
-                                true,
-                            );
-                        }
-                    } else {
-                        for page in touched.iter() {
-                            if let Some(source) = model.demand_fetch(node, object, page) {
-                                charge_fetch(
-                                    &mut ledger,
-                                    config,
-                                    registry,
-                                    node,
-                                    source,
-                                    object,
-                                    &[page],
-                                    true,
-                                );
-                            }
-                        }
-                    }
+                let stale = demand_set(
+                    config,
+                    kind,
+                    &model,
+                    node,
+                    object,
+                    actual_reads,
+                    actual_writes,
+                );
+                model.demand_fetch(node, object, &stale);
+                for (source, pages) in charge::demand_batches(config, &stale) {
+                    charge::fetch(config, registry, node, source, object, &pages, true)
+                        .into_iter()
+                        .for_each(&mut record);
                 }
             }
             TraceEvent::RootCommit {
@@ -196,161 +124,39 @@ fn replay_with_model(
                 released,
                 ..
             } => {
-                let node = *node;
-                for object in released {
-                    let object = *object;
-                    let home = config.gdo_home(object);
-                    let dirty_pages: &[PageIndex] = dirty
+                for &object in released {
+                    let pages = dirty
                         .iter()
                         .find(|(o, _)| *o == object)
-                        .map(|(_, p)| p.as_slice())
-                        .unwrap_or(&[]);
-                    if home != node {
-                        ledger.record(&Message::new(
-                            MessageKind::LockRelease,
-                            node,
-                            home,
-                            object,
-                            config.sizes.lock_release(dirty_pages.len()),
-                        ));
-                    }
-                    charge_gdo_replication(
-                        &mut ledger,
-                        config,
-                        object,
-                        config.sizes.lock_release(dirty_pages.len()),
-                    );
-                    let push = model.on_commit(node, object, dirty_pages);
-                    let destinations = if config.multicast {
-                        // One multicast transmission covers every site.
-                        push.destinations.into_iter().take(1).collect::<Vec<_>>()
-                    } else {
-                        push.destinations
-                    };
-                    for (site, pages) in destinations {
-                        debug_assert_ne!(site, node);
-                        ledger.record(&Message::new(
-                            MessageKind::UpdatePush,
-                            node,
-                            site,
-                            object,
-                            transfer_message_bytes(config, registry, object, &pages),
-                        ));
-                    }
+                        .map_or(&[][..], |(_, p)| p.as_slice());
+                    let release = charge::lock_release(config, *node, object, pages.len());
+                    record(release);
+                    charge::gdo_replication(config, &release).for_each(&mut record);
+                    let sites = model.on_commit(*node, object, pages);
+                    charge::update_pushes(config, registry, *node, object, pages, &sites)
+                        .for_each(&mut record);
                 }
             }
-            TraceEvent::SubAbortRelease { node, released, .. } => {
-                charge_abort_releases(&mut ledger, config, *node, released);
-            }
-            TraceEvent::FamilyAbort {
-                node,
-                released,
-                cancelled_request,
-                ..
-            } => {
-                charge_abort_releases(&mut ledger, config, *node, released);
-                // The victim's still-queued lock request was paid when it
-                // queued but will never be granted.
-                if let Some(object) = cancelled_request {
-                    let home = config.gdo_home(*object);
-                    if home != *node {
-                        ledger.record(&Message::new(
-                            MessageKind::LockRequest,
-                            *node,
-                            home,
-                            *object,
-                            config.sizes.lock_request(),
-                        ));
-                    }
+            TraceEvent::SubAbortRelease { node, released, .. }
+            | TraceEvent::FamilyAbort { node, released, .. } => {
+                for &object in released {
+                    let release = charge::lock_release(config, *node, object, 0);
+                    record(release);
+                    charge::gdo_replication(config, &release).for_each(&mut record);
+                }
+                // An aborted family's still-queued request was sent but
+                // will never be granted.
+                if let TraceEvent::FamilyAbort {
+                    cancelled_request: Some(object),
+                    ..
+                } = event
+                {
+                    record(charge::lock_request(config, *node, *object));
                 }
             }
         }
     }
     ProtocolTraffic::new(ledger)
-}
-
-/// Abort releases carry no dirty info (Alg. 4.3); one release message per
-/// remotely homed object.
-fn charge_abort_releases(
-    ledger: &mut TrafficLedger,
-    config: &SystemConfig,
-    node: NodeId,
-    released: &[ObjectId],
-) {
-    for object in released {
-        let home = config.gdo_home(*object);
-        if home != node {
-            ledger.record(&Message::new(
-                MessageKind::LockRelease,
-                node,
-                home,
-                *object,
-                config.sizes.lock_release(0),
-            ));
-        }
-        charge_gdo_replication(ledger, config, *object, config.sizes.lock_release(0));
-    }
-}
-
-/// Directory mutations propagate to the partition's backup replicas.
-fn charge_gdo_replication(
-    ledger: &mut TrafficLedger,
-    config: &SystemConfig,
-    object: ObjectId,
-    bytes: u64,
-) {
-    if config.gdo_replication <= 1 {
-        return;
-    }
-    let home = config.gdo_home(object);
-    for replica in config.gdo_replicas(object) {
-        ledger.record(&Message::new(
-            MessageKind::GdoReplicate,
-            home,
-            replica,
-            object,
-            bytes,
-        ));
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn charge_fetch(
-    ledger: &mut TrafficLedger,
-    config: &SystemConfig,
-    registry: &ObjectRegistry,
-    node: NodeId,
-    source: NodeId,
-    object: ObjectId,
-    pages: &[PageIndex],
-    demand: bool,
-) {
-    debug_assert_ne!(node, source, "self-fetch must not be charged");
-    let (req_kind, xfer_kind) = if demand {
-        (
-            MessageKind::DemandPageRequest,
-            MessageKind::DemandPageTransfer,
-        )
-    } else {
-        (MessageKind::PageRequest, MessageKind::PageTransfer)
-    };
-    // Mirror the engine's request sizing: adaptive runs coalesce adjacent
-    // pages into ranged request entries; transfers keep page framing.
-    let req = if config.adaptive.enabled {
-        config
-            .sizes
-            .coalesced_page_request(pages.len(), adjacent_run_count(pages))
-    } else {
-        config.sizes.page_request(pages.len())
-    };
-    ledger.record(&Message::new(req_kind, node, source, object, req));
-    ledger.record(&Message::new(
-        xfer_kind,
-        source,
-        node,
-        object,
-        transfer_message_bytes(config, registry, object, pages),
-    ));
 }
 
 #[cfg(test)]

@@ -132,8 +132,10 @@ impl Message {
         self.bytes
     }
 
-    /// True when source and destination are the same site. Local messages
-    /// cost nothing; the engine asserts it never emits them.
+    /// True when source and destination are the same site, so the message
+    /// never crosses the network. The caller's charging rules decide what
+    /// that costs; a [`TrafficLedger`](crate::TrafficLedger) must never be
+    /// handed one.
     pub fn is_local(&self) -> bool {
         self.src == self.dst
     }

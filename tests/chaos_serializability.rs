@@ -286,3 +286,72 @@ fn fault_free_engine_matches_figure_replay_per_protocol() {
         }
     }
 }
+
+/// Pins what replay does not model, next to the fault-free parity above:
+/// over the demo workload, every protocol, static and adaptive, the
+/// engine's ledger departs from a replay of its own trace only by the
+/// charges the fault mechanism adds. Lossy links add every retransmission
+/// and duplicate; lock timeouts add one lock request per re-issued
+/// request. Crash windows stay out of scope (see the `replay` module
+/// docs).
+#[test]
+fn replay_misses_only_retransmissions_and_reissued_requests() {
+    use lotec::net::MessageKind;
+
+    for seed in [101u64, 138, 175, 212] {
+        for protocol in ProtocolKind::ALL {
+            for enabled in [false, true] {
+                let run = |faults: FaultConfig| {
+                    let config = SystemConfig {
+                        adaptive: AdaptiveConfig {
+                            enabled,
+                            ..AdaptiveConfig::default()
+                        },
+                        ..config_for(protocol, seed, faults)
+                    };
+                    let (registry, families) = demo_workload(&config, seed);
+                    let report = run_engine(&config, &registry, &families).expect("chaos run");
+                    let replayed = lotec_core::replay::replay_trace(
+                        protocol,
+                        &report.trace,
+                        &registry,
+                        &config,
+                    );
+                    (report, replayed)
+                };
+                let cell = format!("{protocol}/seed {seed}/adaptive {enabled}");
+
+                let (report, replayed) = run(FaultConfig {
+                    plan: drop_plan(seed),
+                    ..FaultConfig::default()
+                });
+                let wasted = report.stats.retransmits + report.stats.duplicates;
+                assert!(wasted > 0, "{cell}: no link fault fired");
+                assert_eq!(
+                    report.traffic.total().messages,
+                    replayed.total().messages + wasted,
+                    "{cell}: lossy links"
+                );
+
+                let (report, replayed) = run(FaultConfig {
+                    lock_timeout: SimDuration::from_micros(20),
+                    ..FaultConfig::default()
+                });
+                let timeouts = report.stats.lock_timeouts;
+                assert!(timeouts > 0, "{cell}: no lock timeout fired");
+                for kind in MessageKind::ALL {
+                    let (engine, replay) = (
+                        report.traffic.ledger().kind(kind).messages,
+                        replayed.ledger().kind(kind).messages,
+                    );
+                    let reissued = if kind == MessageKind::LockRequest {
+                        timeouts
+                    } else {
+                        0
+                    };
+                    assert_eq!(engine, replay + reissued, "{cell}: {kind} under timeouts");
+                }
+            }
+        }
+    }
+}

@@ -168,9 +168,16 @@ fn persistence_roundtrip_universal() {
 }
 
 /// Engine accounting must equal replaying its own trace under the same
-/// protocol — the two cost models can never drift.
+/// configuration: the two drivers charge through one set of rules, so
+/// they agree per message kind and per object for any combination of the
+/// extensions that change what is charged. Each case draws a random
+/// subset of them and either a uniform protocol or a per-class mix (last
+/// class RC, the one before it OTEC).
 #[test]
 fn engine_matches_replay_universal() {
+    use lotec::net::MessageKind;
+    use lotec_core::config::{GdoPlacement, RecoveryKind};
+
     for_each_workload(6, |w, rng| {
         let Ok((registry, families)) = lotec::workload::gen::generate(w) else {
             return;
@@ -178,12 +185,50 @@ fn engine_matches_replay_universal() {
         if families.is_empty() {
             return;
         }
-        let protocol = ProtocolKind::ALL[rng.next_below(4) as usize];
-        let config = system_for(w, protocol);
+        let mut config = system_for(w, ProtocolKind::ALL[rng.next_below(4) as usize]);
+        let features = rng.next_below(1 << 7);
+        let on = |bit: u32| features & (1 << bit) != 0;
+        config.adaptive.enabled = on(0);
+        config.multicast = on(1);
+        config.dsd_transfers = on(2);
+        if on(3) {
+            let directory = NodeId::new(rng.next_below(u64::from(w.num_nodes)) as u32);
+            config.gdo_placement = GdoPlacement::Central(directory);
+        }
+        if on(4) {
+            config.gdo_replication = w.num_nodes.min(3);
+        }
+        config.lock_prefetch = on(5);
+        if on(6) {
+            config.recovery = RecoveryKind::ShadowPages;
+        }
+        if rng.chance(0.5) {
+            let last = registry.num_classes() as u32 - 1;
+            config = config
+                .with_class_protocol(ClassId::new(last), ProtocolKind::ReleaseConsistency)
+                .with_class_protocol(ClassId::new(last - 1), ProtocolKind::Otec);
+        }
         let report = run_engine(&config, &registry, &families).expect("engine runs");
-        let replayed =
-            lotec_core::replay::replay_trace(protocol, &report.trace, &registry, &config);
-        assert_eq!(report.traffic.total(), replayed.total());
+        let replayed = lotec_core::replay::replay_run(&report.trace, &registry, &config);
+        let case = format!(
+            "{} with {:?}, features {features:07b}",
+            config.protocol, config.per_class_protocol
+        );
+        for kind in MessageKind::ALL {
+            assert_eq!(
+                report.traffic.ledger().kind(kind),
+                replayed.ledger().kind(kind),
+                "{kind} diverged: {case}"
+            );
+        }
+        for inst in registry.objects() {
+            assert_eq!(
+                report.traffic.object(inst.id),
+                replayed.object(inst.id),
+                "{} diverged: {case}",
+                inst.id
+            );
+        }
     });
 }
 
