@@ -169,11 +169,13 @@ fn cycle_search(
 /// request for `family`: a single O(1) lookup in the incremental graph's
 /// reverse-edge index.
 ///
-/// Soundness rests on the caller's invariant that the waits-for graph
-/// was acyclic *before* the enqueue (the engine breaks every cycle as
-/// soon as it forms, and grants/releases/aborts only remove wait edges).
-/// Any new cycle must then pass through `family`, which requires an
-/// *in-edge*: some other family waiting on `family`. FIFO in-edges to
+/// Precondition: call it right after `family`'s request was enqueued,
+/// with the waits-for graph acyclic just before that enqueue. The engine
+/// keeps the graph so by breaking every cycle as soon as it forms;
+/// between enqueues, grants, releases, aborts, lock timeouts and crash
+/// evictions only remove wait edges. The enqueue adds only `family`'s
+/// out-edges, so any new cycle passes through `family`, which requires
+/// an *in-edge*: some other family waiting on `family`. FIFO in-edges to
 /// `family` are impossible at enqueue time — its request sits at the
 /// queue tail and a family has one outstanding request — so the in-edge,
 /// if any, comes from a conflicting wait on an object `family` holds or
@@ -226,26 +228,29 @@ pub fn find_deadlock_cycle(table: &LockTable, tree: &TxnTree) -> Option<Vec<TxnI
 /// a cycle is there to find, so the common no-deadlock call returns in
 /// one small DFS.
 ///
-/// Under the same acyclic-before-enqueue invariant as
-/// [`may_deadlock_through`], every cycle passes through `family`, so all
-/// of its nodes reach `family` and the restriction loses nothing. The
-/// search visits the restricted node set in the same ascending order the
-/// full DFS uses, and the pruned nodes cannot affect it: a node that
-/// does not reach `family` can only ever reach other such nodes (if it
-/// reached a reaching node it would reach `family`), so the subtrees the
-/// full DFS would grow out of them touch neither the surviving start
-/// nodes' paths nor their visited marks. The returned cycle is therefore
-/// byte-identical to the full (and reference) search's, rotation
-/// included.
+/// Precondition: every cycle in the graph passes through `family`. That
+/// holds when the graph was acyclic before `family`'s request was
+/// enqueued and wait edges have only been removed since — as they are
+/// by a deadlock victim's abort and the regrants it triggers, so the
+/// call stays exact on every pass of a victim loop, not only the first.
+/// Then every node of every cycle reaches `family` and the restriction
+/// loses nothing. The search visits the restricted node set in the same
+/// ascending order the full DFS uses, and the pruned nodes cannot affect
+/// it: a node that does not reach `family` can only ever reach other
+/// such nodes (if it reached a reaching node it would reach `family`),
+/// so the subtrees the full DFS would grow out of them touch neither the
+/// surviving start nodes' paths nor their visited marks. The returned
+/// cycle is therefore byte-identical to the full (and reference)
+/// search's, rotation included.
 pub fn find_deadlock_cycle_through(
     table: &LockTable,
     tree: &TxnTree,
     family: TxnId,
 ) -> Option<Vec<TxnId>> {
     let graph = table.waits_for();
-    // Existence before exactness: under the acyclic-before-enqueue
-    // invariant every cycle passes through `family`, so "family does not
-    // reach itself" already proves the full search would return `None`.
+    // Existence before exactness: by the precondition every cycle passes
+    // through `family`, so "family does not reach itself" already proves
+    // the full search would return `None`.
     // The forward closure that check walks is much smaller than the
     // backward-reachable set the exact search needs (waiters fan *in*
     // towards a blocker: one family blocks many, but is itself blocked

@@ -721,12 +721,20 @@ impl LockTable {
             let mut wrote = false;
             for req in fw.requests {
                 wrote |= req.mode.is_write();
-                entry.add_holder(Holder {
-                    txn: req.txn,
-                    node: req.node,
-                    mode: req.mode,
-                });
-                held_by.insert(req.txn, object);
+                if entry.is_held_by(req.txn) {
+                    // A queued read→write upgrade (`acquire` queues a
+                    // holder only for that): strengthen the existing
+                    // holder record, which the index already lists.
+                    debug_assert!(req.mode.is_write(), "only upgrades re-queue a holder");
+                    entry.upgrade_holder(req.txn);
+                } else {
+                    entry.add_holder(Holder {
+                        txn: req.txn,
+                        node: req.node,
+                        mode: req.mode,
+                    });
+                    held_by.insert(req.txn, object);
+                }
                 requests.push(req);
             }
             let holders = entry.holders().len();
@@ -748,9 +756,10 @@ impl LockTable {
         self.refresh_graph(object, tree);
     }
 
-    /// Drops every queued request of `family` across all objects (the
-    /// family is being aborted as a deadlock victim while waiting).
-    /// Returns the objects whose queues were touched.
+    /// Drops every queued request of `family` across all objects: the
+    /// family is a deadlock victim or was crash-aborted while waiting, or
+    /// its queued request timed out. Returns the objects whose queues
+    /// were touched.
     ///
     /// Removing a queue entry can expose a now-admissible waiter behind
     /// it; callers must follow up with [`LockTable::regrant`] on the
@@ -1207,6 +1216,51 @@ mod tests {
             table.acquire(obj(0), a, LockMode::Write, &tree).unwrap(),
             Acquire::Queued
         );
+    }
+
+    #[test]
+    fn queued_upgrade_is_granted_in_place() {
+        let (mut tree, mut table) = setup(1);
+        table.enable_graph_validation();
+        let a = tree.begin_root(n(1));
+        let b = tree.begin_root(n(2));
+        let c = tree.begin_root(n(3));
+        table.acquire(obj(0), a, LockMode::Read, &tree).unwrap();
+        table.acquire(obj(0), b, LockMode::Read, &tree).unwrap();
+        assert_eq!(
+            table.acquire(obj(0), a, LockMode::Write, &tree).unwrap(),
+            Acquire::Queued
+        );
+
+        // B's commit admits A's upgrade: A's read holder becomes a write
+        // holder, and the grant counts one holder, not two records of A.
+        let release = table.release_root_commit(b, &tree, &[], n(2));
+        tree.commit_root(b);
+        assert_eq!(release.grants.len(), 1);
+        assert_eq!(release.grants[0].requests[0].txn, a);
+        assert_eq!(release.grants[0].holders, 1);
+        assert_eq!(
+            table.entry(obj(0)).unwrap().holders(),
+            &[Holder {
+                txn: a,
+                node: n(1),
+                mode: LockMode::Write
+            }]
+        );
+        table.check_invariants(&tree).unwrap();
+
+        // A's root commit leaves nothing behind, so the next writer is
+        // granted at once.
+        let release = table.release_root_commit(a, &tree, &[], n(1));
+        tree.commit_root(a);
+        assert_eq!(release.released, vec![obj(0)]);
+        assert!(table.entry(obj(0)).unwrap().holders().is_empty());
+        table.check_invariants(&tree).unwrap();
+        assert_eq!(
+            table.acquire(obj(0), c, LockMode::Write, &tree).unwrap(),
+            Acquire::GlobalGrant { holders: 1 }
+        );
+        table.check_invariants(&tree).unwrap();
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //!
 //! Two layers of checking:
 //!
-//! 1. **Engine replays.** The fault-free fig3 cells and a sample of chaos
-//!    cells run twice — once normally, once with
-//!    `SystemConfig::lock_graph_validation` set. In validation mode the
+//! 1. **Engine replays.** The fault-free fig3 cells, a sample of chaos
+//!    cells and a deadlock-storm zoo cell run twice — once normally, once
+//!    with `SystemConfig::lock_graph_validation` set. In validation mode the
 //!    lock table cross-checks the incremental graph against a from-scratch
 //!    rebuild after *every* entry mutation, and every detector call is
 //!    compared against [`lotec_txn::deadlock::reference`] (panicking on
@@ -26,9 +26,10 @@ use lotec_core::config::FaultConfig;
 use lotec_core::engine::RunReport;
 use lotec_core::spec::demo_workload;
 use lotec_mem::mix;
+use lotec_obs::ObsEventKind;
 use lotec_txn::deadlock::{self, reference};
 use lotec_txn::{Acquire, LockMode, LockTable, TxnId, TxnTree};
-use lotec_workload::presets;
+use lotec_workload::{presets, zoo, Tier};
 
 /// Chaos seeds sampled from the chaos suite's default stream
 /// (`101 + 37 * i`) — the same sample `differential_seed` pins.
@@ -136,6 +137,57 @@ fn chaos_validated_replay_matches_plain_run() {
             );
         }
     }
+}
+
+/// `deadlock_storm`'s shape — the `wide_trees` quick zoo cell, LOTEC with
+/// static prediction — under per-mutation validation. Its victims'
+/// aborts sometimes leave a second cycle through the enqueued family,
+/// so this is the engine run that cross-checks the re-check after a
+/// victim against the from-scratch reference. The validated run must
+/// simulate exactly what the plain run does, and at least one enqueue
+/// must have broken two cycles: two `Deadlock` events at one instant
+/// whose cycles share a family (the enqueued one, which every cycle the
+/// enqueue closed passes through).
+#[test]
+fn storm_validated_replay_rechecks_after_victims() {
+    let scenario = zoo::by_name("wide_trees", Tier::Quick).expect("wide_trees is a zoo family");
+    let (registry, families) = scenario.generate().expect("zoo workload generates");
+    let plain = scenario.cell_config(ProtocolKind::Lotec, false);
+    let validated = SystemConfig {
+        lock_graph_validation: true,
+        ..plain.clone()
+    };
+    let mut sink = RecordingSink::new();
+    let report = Engine::with_probe(&validated, &registry, &families, &mut sink)
+        .and_then(Engine::run)
+        .expect("validated storm run");
+    oracle::verify(&report).expect("serializable");
+    let plain_report = run_engine(&plain, &registry, &families).expect("plain storm run");
+    assert_eq!(
+        fingerprint(&report),
+        fingerprint(&plain_report),
+        "storm: graph validation changed behaviour"
+    );
+
+    let deadlocks: Vec<(SimTime, &[u64])> = sink
+        .events()
+        .iter()
+        .filter_map(|e| match &e.kind {
+            ObsEventKind::Deadlock { cycle, .. } => Some((e.at, cycle.as_slice())),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(deadlocks.len() as u64, report.stats.deadlocks);
+    let second_cycles = deadlocks
+        .windows(2)
+        .filter(|w| w[0].0 == w[1].0 && w[0].1.iter().any(|f| w[1].1.contains(f)))
+        .count();
+    assert!(
+        second_cycles >= 1,
+        "no enqueue broke two cycles in {} deadlocks — the re-check after a \
+         victim went unexercised",
+        deadlocks.len()
+    );
 }
 
 // ---------------------------------------------------------------------------

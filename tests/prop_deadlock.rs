@@ -12,15 +12,20 @@
 //!   ([`reference::waits_for`]);
 //! * a `false` from the O(1) enqueue gate implies the reference search
 //!   finds no cycle at all (soundness of skipping detection);
-//! * the scoped search through the newly enqueued family, the full
-//!   incremental search, and the reference search return the *same*
-//!   cycle, rotation included;
+//! * on every pass of the victim loop — the first search and each
+//!   re-check after a victim — the scoped search through the newly
+//!   enqueued family, the full incremental search, and the reference
+//!   search return the *same* cycle, rotation included;
 //! * the chosen victim is the youngest (largest-id) cycle member.
 //!
 //! The stream mirrors the engine's discipline: every cycle is broken the
 //! moment it forms (youngest victim aborted, waiters cancelled, vacated
-//! objects regranted), which is exactly the acyclic-before-enqueue
-//! invariant the O(1) gate and the scoped search rely on.
+//! objects regranted, then the scoped search again through the same
+//! enqueued family), which is exactly the acyclic-before-enqueue
+//! invariant the O(1) gate and the scoped search rely on. A victim's
+//! abort and regrants only remove wait edges, so the invariant survives
+//! each victim; the contended streams are dense enough that a re-check
+//! sometimes finds a second cycle.
 
 use lotec::sim::SimRng;
 use lotec_mem::ObjectId;
@@ -31,6 +36,10 @@ use lotec_txn::{Acquire, Grant, LockMode, LockTable, TxnId, TxnTree};
 const NUM_OBJECTS: u32 = 5;
 const NUM_FAMILIES: usize = 4;
 const STEPS: usize = 250;
+/// The contended streams: twice the families on the same objects, long
+/// enough that some victim's abort leaves a second cycle behind.
+const CONTENDED_FAMILIES: usize = 8;
+const CONTENDED_STEPS: usize = 1_000;
 const MAX_DEPTH: usize = 4;
 const SEEDS: [u64; 8] = [
     0xD15C_0001,
@@ -60,10 +69,12 @@ struct Harness {
     next_node: u32,
     /// Number of deadlock cycles broken so far (victims aborted).
     deadlocks_broken: u32,
+    /// Re-checks after a victim that found another cycle.
+    second_cycles: u32,
 }
 
 impl Harness {
-    fn new() -> Self {
+    fn new(num_families: usize) -> Self {
         let mut table = LockTable::new();
         for i in 0..NUM_OBJECTS {
             table.register_object(ObjectId::new(i), 4, NodeId::new(0));
@@ -75,8 +86,9 @@ impl Harness {
             families: Vec::new(),
             next_node: 1,
             deadlocks_broken: 0,
+            second_cycles: 0,
         };
-        for _ in 0..NUM_FAMILIES {
+        for _ in 0..num_families {
             h.spawn_family();
         }
         h
@@ -137,9 +149,10 @@ impl Harness {
     }
 
     /// The engine's post-enqueue discipline: consult the O(1) gate, and
-    /// if it fires run the scoped search and abort youngest victims
-    /// until no cycle remains. Asserts gate soundness and search/victim
-    /// agreement along the way.
+    /// if it fires abort youngest victims until the scoped search through
+    /// `enqueued` finds no cycle. Asserts gate soundness, and on every
+    /// pass that the scoped, full and reference searches agree and that
+    /// the victim is the youngest.
     fn break_deadlocks_after_enqueue(&mut self, enqueued: TxnId) {
         if !deadlock::may_deadlock_through(&self.table, &self.tree, enqueued) {
             assert_eq!(
@@ -149,30 +162,22 @@ impl Harness {
             );
             return;
         }
-        // First pass is scoped to the enqueued family — any cycle must
-        // pass through it. Victim aborts can cascade grants, so keep
-        // sweeping with the full search until the graph is clean.
-        let mut scoped = Some(enqueued);
-        loop {
-            let cycle = match scoped.take() {
-                Some(fam) => {
-                    let through =
-                        deadlock::find_deadlock_cycle_through(&self.table, &self.tree, fam);
-                    assert_eq!(
-                        through,
-                        deadlock::find_deadlock_cycle(&self.table, &self.tree),
-                        "scoped and full searches disagree"
-                    );
-                    through
-                }
-                None => deadlock::find_deadlock_cycle(&self.table, &self.tree),
-            };
-            let Some(cycle) = cycle else { break };
+        for pass in 0.. {
+            let cycle = deadlock::find_deadlock_cycle_through(&self.table, &self.tree, enqueued);
             assert_eq!(
-                Some(&cycle),
-                reference::find_deadlock_cycle(&self.table, &self.tree).as_ref(),
-                "incremental cycle differs from reference (rotation included)"
+                cycle,
+                deadlock::find_deadlock_cycle(&self.table, &self.tree),
+                "scoped and full searches disagree on pass {pass}"
             );
+            assert_eq!(
+                cycle,
+                reference::find_deadlock_cycle(&self.table, &self.tree),
+                "scoped cycle differs from reference on pass {pass} (rotation included)"
+            );
+            let Some(cycle) = cycle else { break };
+            if pass > 0 {
+                self.second_cycles += 1;
+            }
             let victim = deadlock::pick_victim(&cycle);
             assert_eq!(
                 victim,
@@ -182,6 +187,24 @@ impl Harness {
             self.deadlocks_broken += 1;
             self.abort_family(victim);
         }
+    }
+
+    /// Evicts every family and checks the graph ends empty.
+    fn drain(&mut self, seed: u64) {
+        while let Some(f) = self.families.first() {
+            let root = f.root;
+            self.abort_family(root);
+            if self.tree.len() > 10_000 {
+                panic!("family population failed to drain");
+            }
+            // `abort_family` respawns; pop the respawned one directly.
+            let spawned = self.families.pop().expect("respawned family");
+            assert_ne!(spawned.root, root);
+        }
+        assert!(
+            self.table.waits_for().is_empty(),
+            "graph must be empty once every family is gone (seed {seed:#x})"
+        );
     }
 
     fn step(&mut self, rng: &mut SimRng) {
@@ -270,29 +293,20 @@ impl Harness {
     }
 }
 
+/// Runs `steps` random ops over `families` live families from `seed`.
+fn run_stream(seed: u64, families: usize, steps: usize) -> Harness {
+    let mut rng = SimRng::seed_from_u64(seed);
+    let mut h = Harness::new(families);
+    for _ in 0..steps {
+        h.step(&mut rng);
+    }
+    h
+}
+
 #[test]
 fn random_op_streams_agree_with_reference_detector() {
     for seed in SEEDS {
-        let mut rng = SimRng::seed_from_u64(seed);
-        let mut h = Harness::new();
-        for _ in 0..STEPS {
-            h.step(&mut rng);
-        }
-        // Drain: evict everything and end with an empty graph.
-        while let Some(f) = h.families.first() {
-            let root = f.root;
-            h.abort_family(root);
-            if h.tree.len() > 10_000 {
-                panic!("family population failed to drain");
-            }
-            // `abort_family` respawns; pop the respawned one directly.
-            let spawned = h.families.pop().expect("respawned family");
-            assert_ne!(spawned.root, root);
-        }
-        assert!(
-            h.table.waits_for().is_empty(),
-            "graph must be empty once every family is gone (seed {seed:#x})"
-        );
+        run_stream(seed, NUM_FAMILIES, STEPS).drain(seed);
     }
 }
 
@@ -303,16 +317,11 @@ fn random_op_streams_agree_with_reference_detector() {
 fn streams_exercise_real_deadlocks() {
     let mut cycles_broken = 0u32;
     for seed in SEEDS {
-        let mut rng = SimRng::seed_from_u64(seed);
-        let mut h = Harness::new();
-        let families_before = h.tree.len();
-        for _ in 0..STEPS {
-            h.step(&mut rng);
-        }
-        // Every txn beyond the survivors exists because something
+        let h = run_stream(seed, NUM_FAMILIES, STEPS);
+        // Every txn beyond the initial roots exists because something
         // committed or aborted; sanity-floor the activity level.
         assert!(
-            h.tree.len() > families_before,
+            h.tree.len() > NUM_FAMILIES,
             "stream did nothing (seed {seed:#x})"
         );
         cycles_broken += h.deadlocks_broken;
@@ -321,5 +330,25 @@ fn streams_exercise_real_deadlocks() {
         cycles_broken >= 5,
         "streams broke only {cycles_broken} deadlocks across all seeds — \
          the cycle/victim properties are under-exercised"
+    );
+}
+
+/// The re-check after a victim must run where it can find something.
+/// The sparse streams above never do; on the contended streams some
+/// victim's abort leaves a second cycle through the enqueued family,
+/// and the scoped re-check must return it exactly as the full and
+/// reference searches do.
+#[test]
+fn contended_streams_recheck_finds_second_cycles() {
+    let mut second_cycles = 0u32;
+    for seed in SEEDS {
+        let mut h = run_stream(seed, CONTENDED_FAMILIES, CONTENDED_STEPS);
+        second_cycles += h.second_cycles;
+        h.drain(seed);
+    }
+    assert!(
+        second_cycles >= 1,
+        "no re-check after a victim found a cycle — the re-check path is \
+         under-exercised"
     );
 }
