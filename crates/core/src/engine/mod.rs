@@ -161,8 +161,15 @@ pub struct Engine<'a, S: EventSink = NoopSink, P: HostProfiler = NoopHostProfile
     /// mints ids sequentially; non-root slots stay at the sentinel).
     /// Written once per family attempt, read on every deferred grant.
     root_to_family: Vec<u32>,
-    /// Last lock holder per object, indexed by dense object id.
-    last_holder: Vec<NodeId>,
+    /// Last lock holder per object, indexed by dense object id: 0 until
+    /// the object's first grant arrives (its home implied), else 1 + the
+    /// holder's node index. Zero-initialised, so an untouched stretch
+    /// costs no written memory.
+    last_holder: Vec<u32>,
+    /// Per node, the pages of untouched objects homed there, which its
+    /// store does not hold yet; the state sampler adds them to the node's
+    /// cache bytes. Empty unless state sampling is on.
+    implied_home_pages: Vec<u64>,
     ledger: TrafficLedger,
     trace: ScheduleTrace,
     stats: RunStats,
@@ -196,12 +203,14 @@ impl<S: EventSink, P: HostProfiler> std::fmt::Debug for Engine<'_, S, P> {
     }
 }
 
-/// Read-only placement view over the engine's live state.
+/// Read-only placement view over the engine's live state. An object no
+/// lock request has reached has no GDO entry yet; the view answers for it
+/// from the registry (whole at its home, version 0).
 struct EngineView<'b> {
     table: &'b LockTable,
     stores: &'b [PageStore],
     registry: &'b ObjectRegistry,
-    last_holder: &'b [NodeId],
+    last_holder: &'b [u32],
 }
 
 impl PlacementView for EngineView<'_> {
@@ -212,23 +221,21 @@ impl PlacementView for EngineView<'_> {
     fn global_version(&self, object: ObjectId, page: PageIndex) -> Version {
         self.table
             .entry(object)
-            .expect("registered object")
-            .page_map()
-            .location(page)
-            .version
+            .map_or(Version::INITIAL, |e| e.page_map().location(page).version)
     }
 
     fn page_owner(&self, object: ObjectId, page: PageIndex) -> NodeId {
-        self.table
-            .entry(object)
-            .expect("registered object")
-            .page_map()
-            .location(page)
-            .node
+        match self.table.entry(object) {
+            Ok(e) => e.page_map().location(page).node,
+            Err(_) => self.registry.object(object).home,
+        }
     }
 
     fn last_holder(&self, object: ObjectId) -> NodeId {
-        self.last_holder[object.index() as usize]
+        match self.last_holder[object.index() as usize] {
+            0 => self.registry.object(object).home,
+            n => NodeId::new(n - 1),
+        }
     }
 
     fn num_pages(&self, object: ObjectId) -> u16 {
@@ -355,6 +362,9 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                 return Err(e);
             }
         }
+        // No per-object state is built here: until the first lock request
+        // reaches an object (`Engine::touch`), it is whole at its home,
+        // version 0, zero-filled and unlocked, and has no GDO entry.
         let mut table = LockTable::new();
         if config.lock_graph_validation {
             table.enable_graph_validation();
@@ -363,22 +373,19 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         // every node's store: each store indexes it into an arena of the
         // pages that node caches.
         let atlas = std::sync::Arc::new(registry.page_atlas());
-        let mut stores: Vec<PageStore> = (0..config.num_nodes)
+        let stores: Vec<PageStore> = (0..config.num_nodes)
             .map(|_| {
                 PageStore::with_atlas(config.page_size as usize, std::sync::Arc::clone(&atlas))
             })
             .collect();
-        let mut last_holder = Vec::with_capacity(registry.num_objects());
-        for inst in registry.objects() {
-            let num_pages = registry.num_pages(inst.id);
-            table.register_object(inst.id, num_pages, inst.home);
-            debug_assert_eq!(last_holder.len(), inst.id.index() as usize);
-            last_holder.push(inst.home);
-            // Materialize the initial (version 0, zero-filled) image at the
-            // object's home so first transfers have a source.
-            let home_store = &mut stores[inst.home.index() as usize];
-            for p in 0..num_pages {
-                home_store.ensure(PageId::new(inst.id, p));
+        // Only a state-sampled run walks the objects here, to count the
+        // pages each home holds implicitly.
+        let mut implied_home_pages = Vec::new();
+        if sink.enabled() && config.state_sample_interval > SimDuration::ZERO {
+            implied_home_pages = vec![0; config.num_nodes as usize];
+            for inst in registry.objects() {
+                implied_home_pages[inst.home.index() as usize] +=
+                    u64::from(registry.num_pages(inst.id));
             }
         }
         let recovery: Box<dyn Recovery> = match config.recovery {
@@ -415,7 +422,8 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             recovery,
             families,
             root_to_family: Vec::new(),
-            last_holder,
+            last_holder: vec![0; registry.num_objects()],
+            implied_home_pages,
             ledger: TrafficLedger::new(),
             trace: ScheduleTrace::new(),
             stats: RunStats::default(),
@@ -601,7 +609,15 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                 locks_waiting: occ.waiting,
                 inflight_messages: inflight,
                 blocked_families: blocked,
-                cache_bytes: e.stores.iter().map(PageStore::cached_bytes).collect(),
+                cache_bytes: e
+                    .stores
+                    .iter()
+                    .enumerate()
+                    .map(|(n, store)| {
+                        let implied = e.implied_home_pages[n] * u64::from(e.config.page_size);
+                        store.cached_bytes() + implied
+                    })
+                    .collect(),
             });
             self.next_sample = at + interval;
             self.prof.exit(HostRegion::StateSample);
@@ -844,6 +860,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             LockMode::Write
         };
         self.prof.enter(HostRegion::LockAcquire);
+        self.touch(object);
         let outcome = self.table.acquire(object, txn, mode, &self.tree);
         match &outcome {
             Ok(Acquire::Queued) => {
@@ -953,6 +970,26 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             }
         }
         Ok(())
+    }
+
+    /// Gives `object` its state on the first lock request that reaches it:
+    /// a GDO entry, and the initial (version 0, zero-filled) image at its
+    /// home so first transfers have a source. Until then the object is
+    /// implied: whole at its home, version 0, zero-filled and unlocked.
+    fn touch(&mut self, object: ObjectId) {
+        if self.table.entry(object).is_ok() {
+            return;
+        }
+        let home = self.registry.object(object).home;
+        let num_pages = self.registry.num_pages(object);
+        self.table.register_object(object, num_pages, home);
+        let home_store = &mut self.stores[home.index() as usize];
+        for p in 0..num_pages {
+            home_store.ensure(PageId::new(object, p));
+        }
+        if let Some(implied) = self.implied_home_pages.get_mut(home.index() as usize) {
+            *implied -= u64::from(num_pages);
+        }
     }
 
     /// Delivers a deferred grant (produced by some release) to its family.
@@ -1067,7 +1104,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                 }
             });
         }
-        self.last_holder[object.index() as usize] = node;
+        self.last_holder[object.index() as usize] = node.index() + 1;
         self.table
             .entry_mut(object)
             .expect("registered object")
@@ -1896,24 +1933,25 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
 
         // Directory repair: repoint owned pages at surviving same-version
         // copies. Read-only scan first, then apply, to keep the borrows
-        // disjoint.
-        let registry = self.registry;
+        // disjoint. Only objects with a GDO entry take part: an untouched
+        // object's only copy is at its home, which keeps it, so it has
+        // nothing to repoint and nothing to evict.
         let config = self.config;
         let mut repairs: Vec<(ObjectId, PageIndex, NodeId)> = Vec::new();
-        for inst in registry.objects() {
-            let entry = self.table.entry(inst.id).expect("registered");
+        for entry in self.table.entries() {
+            let object = entry.object();
             for (page, loc) in entry.page_map().entries() {
                 if loc.node != node {
                     continue;
                 }
-                let pid = PageId::new(inst.id, page.get());
+                let pid = PageId::new(object, page.get());
                 let survivor = (0..config.num_nodes).map(NodeId::new).find(|&s| {
                     s != node
                         && !config.faults.plan.is_down(s, now)
                         && self.stores[s.index() as usize].version_of(pid) == Some(loc.version)
                 });
                 if let Some(s) = survivor {
-                    repairs.push((inst.id, page, s));
+                    repairs.push((object, page, s));
                 }
             }
         }
@@ -1933,27 +1971,21 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
 
         // Cold caches: evict every page the node no longer owns and fix
         // the caching-site sets.
-        for inst in registry.objects() {
-            let mut still_owner = false;
-            for p in 0..registry.num_pages(inst.id) {
-                let owner = self
-                    .table
-                    .entry(inst.id)
-                    .expect("registered")
-                    .page_map()
-                    .location(PageIndex::new(p))
-                    .node;
-                if owner == node {
-                    still_owner = true;
-                } else {
-                    self.stores[node.index() as usize].evict(PageId::new(inst.id, p));
-                }
-            }
+        let touched: Vec<ObjectId> = self.table.entries().map(|e| e.object()).collect();
+        for object in touched {
             let map = self
                 .table
-                .entry_mut(inst.id)
+                .entry_mut(object)
                 .expect("registered")
                 .page_map_mut();
+            let mut still_owner = false;
+            for (page, loc) in map.entries() {
+                if loc.node == node {
+                    still_owner = true;
+                } else {
+                    self.stores[node.index() as usize].evict(PageId::new(object, page.get()));
+                }
+            }
             map.forget_caching_site(node);
             if still_owner {
                 // Stable storage still holds pages the directory could not
@@ -1990,19 +2022,24 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
 
     // ---- reporting ----------------------------------------------------
 
+    /// The final chain of every registered page, read from its owner. An
+    /// untouched object's pages were never written: chain 0, which is what
+    /// a store reports for a page it does not hold.
     fn collect_final_chains(&self) -> BTreeMap<(ObjectId, PageIndex), u64> {
         // Objects ascend and pages ascend within each, so the pairs arrive
         // in key order and `collect` bulk-builds the map in one pass.
         self.registry
             .objects()
             .flat_map(|inst| {
-                let entry = self.table.entry(inst.id).expect("registered");
-                entry.page_map().entries().map(move |(page, loc)| {
-                    let store = &self.stores[loc.node.index() as usize];
-                    (
-                        (inst.id, page),
-                        store.chain(PageId::new(inst.id, page.get())),
-                    )
+                let object = inst.id;
+                let entry = self.table.entry(object).ok();
+                (0..self.registry.num_pages(object)).map(move |p| {
+                    let page = PageIndex::new(p);
+                    let chain = entry.map_or(0, |e| {
+                        let owner = e.page_map().location(page).node;
+                        self.stores[owner.index() as usize].chain(PageId::new(object, p))
+                    });
+                    ((object, page), chain)
                 })
             })
             .collect()

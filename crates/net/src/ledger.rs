@@ -62,10 +62,14 @@ impl ObjectTraffic {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TrafficLedger {
-    /// Dense per-object rows, indexed by object id and grown on demand;
-    /// each row splits the object's traffic by message kind. Objects are
-    /// numbered densely by the registry, so a flat table turns the three
-    /// map lookups every recorded message used to pay into array indexing.
+    /// Per object id: 0 while the object has no traffic, else 1 + its row
+    /// in `rows`. Grown on demand with zeros, so an object never charged
+    /// costs four bytes of index and no row.
+    slot: Vec<u32>,
+    /// One row per charged object, in first-charge order; each row splits
+    /// the object's traffic by message kind. Only `slot` knows which
+    /// object a row belongs to, so every walk goes through the index and
+    /// stays in ascending object order.
     rows: Vec<[ObjectTraffic; NUM_KINDS]>,
     per_kind: [ObjectTraffic; NUM_KINDS],
     total: ObjectTraffic,
@@ -79,10 +83,41 @@ const fn kind_index(kind: MessageKind) -> usize {
     kind as usize
 }
 
+/// Sum of one row's per-kind traffic.
+fn row_total(row: &[ObjectTraffic; NUM_KINDS]) -> ObjectTraffic {
+    let mut sum = ObjectTraffic::default();
+    for t in row {
+        sum.merge(*t);
+    }
+    sum
+}
+
 impl TrafficLedger {
     /// Creates an empty ledger.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The row of `object`, if it has any traffic.
+    fn row(&self, object: ObjectId) -> Option<&[ObjectTraffic; NUM_KINDS]> {
+        match self.slot.get(object.index() as usize) {
+            Some(&s) if s != 0 => Some(&self.rows[s as usize - 1]),
+            _ => None,
+        }
+    }
+
+    /// The row of `object`, created empty on its first charge.
+    fn row_mut(&mut self, object: ObjectId) -> &mut [ObjectTraffic; NUM_KINDS] {
+        let id = object.index() as usize;
+        if id >= self.slot.len() {
+            self.slot.resize(id + 1, 0);
+        }
+        let slot = &mut self.slot[id];
+        if *slot == 0 {
+            self.rows.push([ObjectTraffic::default(); NUM_KINDS]);
+            *slot = u32::try_from(self.rows.len()).expect("ledger row count fits u32");
+        }
+        &mut self.rows[*slot as usize - 1]
     }
 
     /// Records one message.
@@ -100,21 +135,15 @@ impl TrafficLedger {
             messages: 1,
             bytes: msg.bytes(),
         };
-        let slot = msg.object().index() as usize;
-        if slot >= self.rows.len() {
-            self.rows
-                .resize(slot + 1, [ObjectTraffic::default(); NUM_KINDS]);
-        }
         let kind = kind_index(msg.kind());
-        self.rows[slot][kind].merge(delta);
+        self.row_mut(msg.object())[kind].merge(delta);
         self.per_kind[kind].merge(delta);
         self.total.merge(delta);
     }
 
     /// Traffic charged to `object` under one message kind.
     pub fn object_kind(&self, object: ObjectId, kind: MessageKind) -> ObjectTraffic {
-        self.rows
-            .get(object.index() as usize)
+        self.row(object)
             .map(|row| row[kind_index(kind)])
             .unwrap_or_default()
     }
@@ -145,16 +174,7 @@ impl TrafficLedger {
 
     /// Traffic charged to `object` (zero if it never appeared).
     pub fn object(&self, object: ObjectId) -> ObjectTraffic {
-        self.rows
-            .get(object.index() as usize)
-            .map(|row| {
-                let mut sum = ObjectTraffic::default();
-                for t in row {
-                    sum.merge(*t);
-                }
-                sum
-            })
-            .unwrap_or_default()
+        self.row(object).map(row_total).unwrap_or_default()
     }
 
     /// Traffic of one message kind.
@@ -167,26 +187,28 @@ impl TrafficLedger {
         self.total
     }
 
-    /// Iterator over `(object, traffic)` in object order, skipping
-    /// objects that never appeared.
+    /// Iterator over `(object, traffic)` in ascending object order,
+    /// skipping objects that never appeared.
     pub fn objects(&self) -> impl Iterator<Item = (ObjectId, ObjectTraffic)> + '_ {
-        self.rows.iter().enumerate().filter_map(|(slot, row)| {
-            let mut sum = ObjectTraffic::default();
-            for t in row {
-                sum.merge(*t);
-            }
-            (sum.messages > 0).then(|| (ObjectId::new(slot as u32), sum))
-        })
+        self.slot
+            .iter()
+            .enumerate()
+            .filter(|&(_, &s)| s != 0)
+            .map(|(object, &s)| {
+                let row = &self.rows[s as usize - 1];
+                (ObjectId::new(object as u32), row_total(row))
+            })
     }
 
     /// Merges another ledger into this one.
     pub fn merge(&mut self, other: &TrafficLedger) {
-        if other.rows.len() > self.rows.len() {
-            self.rows
-                .resize(other.rows.len(), [ObjectTraffic::default(); NUM_KINDS]);
-        }
-        for (mine, theirs) in self.rows.iter_mut().zip(&other.rows) {
-            for (a, b) in mine.iter_mut().zip(theirs) {
+        for (object, &s) in other.slot.iter().enumerate() {
+            if s == 0 {
+                continue;
+            }
+            let theirs = &other.rows[s as usize - 1];
+            let object = ObjectId::new(object as u32);
+            for (a, b) in self.row_mut(object).iter_mut().zip(theirs) {
                 a.merge(*b);
             }
         }
@@ -303,6 +325,123 @@ mod tests {
                 bytes: 650
             }
         );
+    }
+
+    /// The slot index and row arena against an ordered-map reference.
+    /// Each of 40 seeded streams runs 200 operations: most record one
+    /// message (all nine kinds; sparse, far-apart and repeated object
+    /// ids), the rest merge in a ledger built independently. Every query
+    /// is compared after every operation, under a network whose control
+    /// messages have their own startup cost; `objects()` must come out in
+    /// ascending object order, never in first-charge order.
+    #[test]
+    fn ledger_matches_ordered_map_reference() {
+        use lotec_sim::SimRng;
+        use std::collections::BTreeMap;
+
+        type Reference = BTreeMap<(ObjectId, MessageKind), ObjectTraffic>;
+
+        fn random_msg(rng: &mut SimRng, used: &[u32]) -> Message {
+            let obj = match rng.next_below(3) {
+                0 if !used.is_empty() => *rng.pick(used),
+                0 | 1 => rng.next_below(8) as u32,
+                _ => rng.next_below(1 << 9) as u32 * 16 + 7,
+            };
+            let kind = *rng.pick(&MessageKind::ALL);
+            msg(kind, obj, rng.range_inclusive(1, 5_000))
+        }
+
+        fn charge(ledger: &mut TrafficLedger, reference: &mut Reference, m: &Message) {
+            ledger.record(m);
+            reference
+                .entry((m.object(), m.kind()))
+                .or_default()
+                .merge(ObjectTraffic {
+                    messages: 1,
+                    bytes: m.bytes(),
+                });
+        }
+
+        fn time(net: NetworkConfig, kind: MessageKind, t: ObjectTraffic) -> SimDuration {
+            net.startup_for(kind).duration() * t.messages + net.bandwidth().wire_time(t.bytes)
+        }
+
+        /// Compares every query against `reference`: per-object ones for
+        /// every charged object and for `absent`, ids never charged.
+        fn check(
+            ledger: &TrafficLedger,
+            reference: &Reference,
+            absent: &[u32],
+            net: NetworkConfig,
+        ) {
+            // The reference sorts by object, then kind: one pass groups it.
+            let mut rows: Vec<(ObjectId, [ObjectTraffic; NUM_KINDS])> = Vec::new();
+            let mut per_kind = [ObjectTraffic::default(); NUM_KINDS];
+            for (&(object, kind), &t) in reference {
+                if rows.last().is_none_or(|&(last, _)| last != object) {
+                    rows.push((object, [ObjectTraffic::default(); NUM_KINDS]));
+                }
+                rows.last_mut().expect("just pushed").1[kind as usize] = t;
+                per_kind[kind as usize].merge(t);
+            }
+            let objects: Vec<(ObjectId, ObjectTraffic)> = rows
+                .iter()
+                .map(|(object, row)| (*object, row_total(row)))
+                .collect();
+            assert_eq!(ledger.objects().collect::<Vec<_>>(), objects);
+            let mut total = ObjectTraffic::default();
+            let mut total_time = SimDuration::ZERO;
+            for (&kind, &want) in MessageKind::ALL.iter().zip(&per_kind) {
+                assert_eq!(ledger.kind(kind), want, "kind {kind:?}");
+                total.merge(want);
+                total_time += time(net, kind, want);
+            }
+            assert_eq!(ledger.total(), total);
+            assert_eq!(ledger.total_time(net), total_time);
+            let never = [ObjectTraffic::default(); NUM_KINDS];
+            let absent = absent.iter().map(|&raw| (ObjectId::new(raw), never));
+            for (object, row) in rows.into_iter().chain(absent) {
+                let mut object_time = SimDuration::ZERO;
+                for (&kind, &want) in MessageKind::ALL.iter().zip(&row) {
+                    assert_eq!(ledger.object_kind(object, kind), want, "{object} {kind:?}");
+                    object_time += time(net, kind, want);
+                }
+                assert_eq!(ledger.object(object), row_total(&row), "{object}");
+                assert_eq!(ledger.object_time(object, net), object_time, "{object}");
+            }
+        }
+
+        let net = NetworkConfig::new(Bandwidth::ethernet10(), SoftwareCost::MICROS_100)
+            .with_active_messages(SoftwareCost::MICROS_5);
+        for seed in 0..40 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut ledger = TrafficLedger::new();
+            let mut reference = Reference::new();
+            // Ids no stream charges: two off the far ids' 16-id stride and
+            // one past their end.
+            let absent = [8, 1_001, (1 << 13) + 8];
+            let mut used: Vec<u32> = Vec::new();
+            for _ in 0..200 {
+                if rng.chance(0.1) {
+                    let mut other = TrafficLedger::new();
+                    let mut other_reference = Reference::new();
+                    for _ in 0..rng.next_below(20) {
+                        let m = random_msg(&mut rng, &used);
+                        charge(&mut other, &mut other_reference, &m);
+                    }
+                    check(&other, &other_reference, &absent, net);
+                    ledger.merge(&other);
+                    for (key, t) in other_reference {
+                        reference.entry(key).or_default().merge(t);
+                    }
+                } else {
+                    let m = random_msg(&mut rng, &used);
+                    charge(&mut ledger, &mut reference, &m);
+                    used.push(m.object().index());
+                }
+                check(&ledger, &reference, &absent, net);
+            }
+        }
     }
 
     #[test]

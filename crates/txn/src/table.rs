@@ -158,15 +158,23 @@ pub struct LockOccupancy {
     pub waiting: u32,
 }
 
-/// The lock table: every object's GDO entry plus reverse indexes.
+/// The lock table: every registered object's GDO entry plus reverse
+/// indexes.
 ///
-/// Entries live in a flat `Vec` indexed by the dense object id, so the
-/// per-acquisition entry lookup on the simulation hot path is an array
-/// index rather than a tree walk. Iteration visits objects in ascending
-/// id order — the same order the previous ordered-map layout used.
+/// Entries live in a compact arena in registration order, reached through
+/// a per-object slot index: the per-acquisition entry lookup on the
+/// simulation hot path is two array indexes, and an object no lock
+/// request has reached costs four bytes of index and no entry. Every walk
+/// goes through the index, so iteration visits objects in ascending id
+/// order whatever order they were registered in.
 #[derive(Debug, Clone, Default)]
 pub struct LockTable {
-    entries: Vec<Option<GdoEntry>>,
+    /// Per object id: 0 while unregistered, else 1 + its entry's position
+    /// in `arena`. Grown on demand with zeros.
+    slot: Vec<u32>,
+    /// GDO entries in registration order. The waits-for graph keys each
+    /// object's edge contribution by the same position.
+    arena: Vec<GdoEntry>,
     held_by: TxnObjects,
     retained_by: TxnObjects,
     /// Family-level waits-for graph, refreshed at every entry mutation
@@ -237,22 +245,47 @@ impl LockTable {
         Self::default()
     }
 
-    /// Registers an object of `num_pages` pages homed at `home`.
+    /// Registers an object of `num_pages` pages homed at `home`. Objects
+    /// may register in any id order (the engine registers each on the
+    /// first lock request that reaches it).
     ///
     /// # Panics
     ///
     /// Panics if the object is already registered or `num_pages` is zero.
     pub fn register_object(&mut self, object: ObjectId, num_pages: u16, home: NodeId) {
-        let slot = object.index() as usize;
-        if slot >= self.entries.len() {
-            self.entries.resize_with(slot + 1, || None);
+        let id = object.index() as usize;
+        if id >= self.slot.len() {
+            self.slot.resize(id + 1, 0);
         }
-        assert!(
-            self.entries[slot].is_none(),
-            "object {object} registered twice"
-        );
-        self.entries[slot] = Some(GdoEntry::new(object, num_pages, home));
-        self.graph.ensure_slot(slot);
+        assert!(self.slot[id] == 0, "object {object} registered twice");
+        let pos = self.arena.len();
+        self.arena.push(GdoEntry::new(object, num_pages, home));
+        self.slot[id] = u32::try_from(pos + 1).expect("lock table size fits u32");
+        self.graph.ensure_slot(pos);
+    }
+
+    /// Arena position of `object`'s entry, if registered.
+    fn position(&self, object: ObjectId) -> Option<usize> {
+        match self.slot.get(object.index() as usize) {
+            Some(&s) if s != 0 => Some(s as usize - 1),
+            _ => None,
+        }
+    }
+
+    /// Arena positions of every registered entry, in ascending object id
+    /// order.
+    fn positions(&self) -> impl Iterator<Item = usize> + '_ {
+        self.slot
+            .iter()
+            .filter(|&&s| s != 0)
+            .map(|&s| s as usize - 1)
+    }
+
+    /// The entry of an object the caller knows is registered (it came
+    /// from the holder or retainer index, or was just acquired).
+    fn registered_mut(&mut self, object: ObjectId) -> &mut GdoEntry {
+        let pos = self.position(object).expect("object registered");
+        &mut self.arena[pos]
     }
 
     /// The incrementally maintained family-level waits-for graph.
@@ -278,9 +311,8 @@ impl LockTable {
     /// waits-for graph. Every mutation of an entry's holders, retainers,
     /// or waiter queue funnels through here.
     fn refresh_graph(&mut self, object: ObjectId, tree: &TxnTree) {
-        let slot = object.index() as usize;
-        let entry = self.entries.get(slot).and_then(Option::as_ref);
-        self.graph.refresh(slot, entry, tree);
+        let pos = self.position(object).expect("refreshed object registered");
+        self.graph.refresh(pos, &self.arena[pos], tree);
         if self.validate_graph {
             let want = crate::deadlock::reference::waits_for(self, tree);
             let got = self.graph.to_reference();
@@ -298,9 +330,8 @@ impl LockTable {
     ///
     /// Returns [`LockError::UnknownObject`] if unregistered.
     pub fn entry(&self, object: ObjectId) -> Result<&GdoEntry, LockError> {
-        self.entries
-            .get(object.index() as usize)
-            .and_then(Option::as_ref)
+        self.position(object)
+            .map(|pos| &self.arena[pos])
             .ok_or(LockError::UnknownObject(object))
     }
 
@@ -310,9 +341,8 @@ impl LockTable {
     ///
     /// Returns [`LockError::UnknownObject`] if unregistered.
     pub fn entry_mut(&mut self, object: ObjectId) -> Result<&mut GdoEntry, LockError> {
-        self.entries
-            .get_mut(object.index() as usize)
-            .and_then(Option::as_mut)
+        self.position(object)
+            .map(|pos| &mut self.arena[pos])
             .ok_or(LockError::UnknownObject(object))
     }
 
@@ -333,12 +363,13 @@ impl LockTable {
     /// Iterator over all registered entries in ascending object-id order
     /// (deadlock detection scans these).
     pub fn entries(&self) -> impl Iterator<Item = &GdoEntry> {
-        self.entries.iter().flatten()
+        self.positions().map(|pos| &self.arena[pos])
     }
 
     /// Aggregate occupancy across every GDO entry: live holder links,
-    /// retainer links, and queued requests. One O(objects) scan — feeds
-    /// periodic state sampling, not the per-acquisition hot path.
+    /// retainer links, and queued requests. One walk of the slot index
+    /// and the registered entries — feeds periodic state sampling and
+    /// forensics, not the per-acquisition hot path.
     #[must_use]
     pub fn occupancy(&self) -> LockOccupancy {
         let mut occ = LockOccupancy::default();
@@ -377,11 +408,10 @@ impl LockTable {
     ) -> Result<Acquire, LockError> {
         let node = tree.node_of(txn);
         let family = tree.root_of(txn);
-        let entry = self
-            .entries
-            .get_mut(object.index() as usize)
-            .and_then(Option::as_mut)
+        let pos = self
+            .position(object)
             .ok_or(LockError::UnknownObject(object))?;
+        let entry = &mut self.arena[pos];
 
         // Uncontended fast path: nobody holds, retains, or waits. Every
         // check below is vacuous and the outcome is a fresh sole-holder
@@ -545,9 +575,7 @@ impl LockTable {
         let mut inherited = Vec::new();
 
         for object in self.held_by.take(txn) {
-            let entry = self.entries[object.index() as usize]
-                .as_mut()
-                .expect("held object registered");
+            let entry = self.registered_mut(object);
             let holder = entry.remove_holder(txn).expect("index said txn holds");
             entry.add_retainer(parent, holder.mode);
             self.retained_by.insert(parent, object);
@@ -564,9 +592,7 @@ impl LockTable {
             inherited.push(object);
         }
         for object in self.retained_by.take(txn) {
-            let entry = self.entries[object.index() as usize]
-                .as_mut()
-                .expect("retained object registered");
+            let entry = self.registered_mut(object);
             let mode = entry.remove_retainer(txn).expect("index said txn retains");
             entry.add_retainer(parent, mode);
             self.retained_by.insert(parent, object);
@@ -595,9 +621,7 @@ impl LockTable {
         objects.sort_unstable();
         objects.dedup();
         for object in objects {
-            let entry = self.entries[object.index() as usize]
-                .as_mut()
-                .expect("indexed object registered");
+            let entry = self.registered_mut(object);
             entry.remove_holder(txn);
             entry.remove_retainer(txn);
             let ancestor_retains = entry
@@ -647,9 +671,7 @@ impl LockTable {
         assert!(tree.parent(root).is_none(), "{root} is not a root");
         // Record dirty info in the page maps first (Alg. 4.4's first loop).
         for (object, pages) in dirty {
-            let entry = self.entries[object.index() as usize]
-                .as_mut()
-                .expect("dirty object registered");
+            let entry = self.registered_mut(*object);
             for &page in pages {
                 entry.page_map_mut().record_update(page, node);
             }
@@ -662,9 +684,7 @@ impl LockTable {
         objects.sort_unstable();
         objects.dedup();
         for object in objects {
-            let entry = self.entries[object.index() as usize]
-                .as_mut()
-                .expect("indexed object registered");
+            let entry = self.registered_mut(object);
             entry.remove_holder(root);
             entry.remove_retainer(root);
             debug_assert!(
@@ -692,12 +712,9 @@ impl LockTable {
         // The whole grant batch works on one entry borrow; `held_by` is a
         // disjoint field, so the reverse index updates in-loop without
         // re-fetching the entry per granted family.
-        let Self {
-            entries, held_by, ..
-        } = self;
-        let entry = entries[object.index() as usize]
-            .as_mut()
-            .expect("object registered");
+        let pos = self.position(object).expect("object registered");
+        let Self { arena, held_by, .. } = self;
+        let entry = &mut arena[pos];
         while let Some(next) = entry.peek_next_family() {
             // Admissibility: every queued request of the family must be
             // compatible with current holders and blocking retainers.
@@ -764,12 +781,16 @@ impl LockTable {
     /// Removing a queue entry can expose a now-admissible waiter behind
     /// it; callers must follow up with [`LockTable::regrant`] on the
     /// returned objects or risk a lost wakeup.
+    ///
+    /// The returned objects ascend by id (the walk goes through the slot
+    /// index), which fixes the order [`LockTable::regrant`] grants in.
     pub fn cancel_family_waiters(&mut self, family: TxnId, tree: &TxnTree) -> Vec<ObjectId> {
         let mut touched = Vec::new();
-        for slot in 0..self.entries.len() {
-            let Some(entry) = self.entries[slot].as_mut() else {
+        for id in 0..self.slot.len() {
+            let Some(pos) = self.slot[id].checked_sub(1) else {
                 continue;
             };
+            let entry = &mut self.arena[pos as usize];
             if !entry.remove_family_waiters(family).is_empty() {
                 let object = entry.object();
                 // Dropping a queue entry removes the family's outgoing
@@ -798,7 +819,7 @@ impl LockTable {
     /// indexes match entries; at most one write holder per object; write
     /// holder excludes other holders from different families.
     pub fn check_invariants(&self, tree: &TxnTree) -> Result<(), String> {
-        for entry in self.entries.iter().flatten() {
+        for entry in self.entries() {
             let object = entry.object();
             let writers: Vec<_> = entry
                 .holders()
@@ -831,11 +852,7 @@ impl LockTable {
         }
         for (txn, objects) in self.held_by.iter() {
             for object in objects {
-                let entry = self
-                    .entries
-                    .get(object.index() as usize)
-                    .and_then(Option::as_ref)
-                    .ok_or("indexed object missing")?;
+                let entry = self.entry(*object).map_err(|_| "indexed object missing")?;
                 if !entry.is_held_by(txn) {
                     return Err(format!("index says {txn} holds {object}, entry disagrees"));
                 }
@@ -872,6 +889,72 @@ mod tests {
             table.register_object(obj(i), 4, n(0));
         }
         (TxnTree::new(), table)
+    }
+
+    /// Objects register in first-touch order, not id order; every walk
+    /// of the table must still ascend by object id.
+    #[test]
+    fn walks_ascend_by_object_id_whatever_the_registration_order() {
+        let mut table = LockTable::new();
+        for i in [9, 2, 5, 0] {
+            table.register_object(obj(i), 4, n(0));
+        }
+        let mut tree = TxnTree::new();
+        let holder = tree.begin_root(n(1));
+        let waiter = tree.begin_root(n(2));
+        for i in [9, 5, 2] {
+            table
+                .acquire(obj(i), holder, LockMode::Write, &tree)
+                .unwrap();
+        }
+        // One family queues a child on each of the held objects.
+        for i in [9, 5, 2] {
+            let child = tree.begin_child(waiter);
+            let got = table
+                .acquire(obj(i), child, LockMode::Write, &tree)
+                .unwrap();
+            assert_eq!(got, Acquire::Queued);
+        }
+        let ids = |objects: &mut dyn Iterator<Item = ObjectId>| -> Vec<u32> {
+            objects.map(|o| o.index()).collect()
+        };
+        assert_eq!(
+            ids(&mut table.entries().map(GdoEntry::object)),
+            [0, 2, 5, 9]
+        );
+        assert_eq!(
+            table.occupancy(),
+            LockOccupancy {
+                held: 3,
+                retained: 0,
+                waiting: 3
+            }
+        );
+        table.check_invariants(&tree).unwrap();
+        for never in [1, 7, 10, 1_000] {
+            assert_eq!(
+                table.entry(obj(never)).unwrap_err(),
+                LockError::UnknownObject(obj(never))
+            );
+        }
+
+        // With two objects broken, the check names the lower id first.
+        let mut broken = table.clone();
+        let stray = tree.begin_root(n(3));
+        for i in [9, 5] {
+            broken.registered_mut(obj(i)).add_holder(Holder {
+                txn: stray,
+                node: n(3),
+                mode: LockMode::Read,
+            });
+        }
+        let err = broken.check_invariants(&tree).unwrap_err();
+        assert!(err.starts_with("O5:"), "{err}");
+
+        let cancelled = table.cancel_family_waiters(waiter, &tree);
+        assert_eq!(ids(&mut cancelled.into_iter()), [2, 5, 9]);
+        assert_eq!(table.occupancy().waiting, 0);
+        table.check_invariants(&tree).unwrap();
     }
 
     #[test]

@@ -40,8 +40,9 @@ pub struct WaitsFor {
     /// O(1) deadlock gate ([`WaitsFor::has_in_edges`]) and the backward
     /// reachability walk live here.
     rev: BTreeMap<TxnId, BTreeMap<TxnId, u32>>,
-    /// Per-object-slot edge contribution as of the last refresh, sorted
-    /// and deduplicated.
+    /// Per-entry edge contribution as of the last refresh, sorted and
+    /// deduplicated, indexed by the entry's position in the lock table's
+    /// arena (so it grows with registered objects, not object ids).
     contrib: Vec<Vec<(TxnId, TxnId)>>,
     /// Recycled buffer for the next contribution, to keep refreshes
     /// allocation-free at steady state.
@@ -49,33 +50,31 @@ pub struct WaitsFor {
 }
 
 impl WaitsFor {
-    /// Makes sure the contribution cache covers `slot`.
+    /// Makes sure the contribution cache covers entry position `slot`.
     pub(crate) fn ensure_slot(&mut self, slot: usize) {
         if slot >= self.contrib.len() {
             self.contrib.resize_with(slot + 1, Vec::new);
         }
     }
 
-    /// Recomputes the edge contribution of the object in `slot` from its
-    /// current entry state and folds the difference into the graph.
+    /// Recomputes the edge contribution of `entry`, at position `slot` in
+    /// the lock table's arena, from its current state and folds the
+    /// difference into the graph.
     ///
     /// This is the single maintenance primitive: the lock table calls it
     /// after every mutation of an entry's holders, retainers, or waiter
-    /// queue. Passing `None` (an unregistered slot) clears any cached
-    /// contribution.
-    pub(crate) fn refresh(&mut self, slot: usize, entry: Option<&GdoEntry>, tree: &TxnTree) {
+    /// queue.
+    pub(crate) fn refresh(&mut self, slot: usize, entry: &GdoEntry, tree: &TxnTree) {
         self.ensure_slot(slot);
         // Fast path for the overwhelmingly common case: the object has no
         // waiters now and contributed nothing before. Every edge is
         // induced by some waiter, so both contributions are empty.
-        if self.contrib[slot].is_empty() && entry.is_none_or(|e| e.num_waiting() == 0) {
+        if self.contrib[slot].is_empty() && entry.num_waiting() == 0 {
             return;
         }
         let mut fresh = std::mem::take(&mut self.scratch);
         fresh.clear();
-        if let Some(entry) = entry {
-            entry_edges(entry, tree, &mut fresh);
-        }
+        entry_edges(entry, tree, &mut fresh);
         let old = std::mem::take(&mut self.contrib[slot]);
         // Merge-diff the two sorted, deduplicated pair lists.
         let (mut i, mut j) = (0, 0);

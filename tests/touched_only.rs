@@ -1,0 +1,96 @@
+//! Construction cost does not grow with objects a run never touches.
+//!
+//! The engine builds an object's GDO entry and home image on the first
+//! lock request that reaches it. Before that the object is implied state:
+//! whole at its home, version 0, zero-filled and unlocked. So appending
+//! objects that no family references must not add a single allocation to
+//! `Engine::new`, and must not change what the run simulates.
+//!
+//! This binary installs `CountingAlloc` as its global allocator and holds
+//! exactly one test, so no other test thread allocates while it counts.
+
+use lotec::prelude::*;
+use lotec_core::engine::Engine;
+use lotec_core::spec::demo_workload;
+use lotec_core::SystemConfig;
+use lotec_object::ClassDef;
+use lotec_obs::{alloc, CountingAlloc};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Objects appended that no family references.
+const UNTOUCHED: u32 = 100_000;
+
+/// Allocations made by `Engine::new` over `registry`.
+fn construction_allocs(
+    config: &SystemConfig,
+    registry: &ObjectRegistry,
+    families: &[FamilySpec],
+) -> u64 {
+    alloc::force_profiling(Some(true));
+    let before = alloc::snapshot();
+    let engine = Engine::new(config, registry, families).expect("engine builds");
+    let allocs = alloc::snapshot().delta_since(&before).total_allocs();
+    alloc::force_profiling(Some(false));
+    drop(engine);
+    allocs
+}
+
+fn total_pages(registry: &ObjectRegistry) -> usize {
+    registry
+        .objects()
+        .map(|inst| usize::from(registry.num_pages(inst.id)))
+        .sum()
+}
+
+#[test]
+fn untouched_objects_cost_no_construction_and_change_nothing() {
+    let config = SystemConfig::default();
+    let (small, families) = demo_workload(&config, 7);
+
+    // The same classes and objects, then `UNTOUCHED` more.
+    let classes: Vec<ClassDef> = (0..small.num_classes())
+        .map(|c| small.class(ClassId::new(c as u32)).class().clone())
+        .collect();
+    let mut objects: Vec<(ClassId, NodeId)> = small
+        .objects()
+        .map(|inst| (inst.class, inst.home))
+        .collect();
+    let first_appended = objects.len() as u32;
+    for i in 0..UNTOUCHED {
+        let class = ClassId::new(i % small.num_classes() as u32);
+        objects.push((class, NodeId::new(i % config.num_nodes)));
+    }
+    let large = ObjectRegistry::build(&classes, &objects, config.page_size).expect("registry");
+
+    // The first construction in a process also makes one-time
+    // allocations; build once before counting.
+    construction_allocs(&config, &small, &families);
+    assert_eq!(
+        construction_allocs(&config, &small, &families),
+        construction_allocs(&config, &large, &families),
+        "Engine::new allocates per registered object"
+    );
+
+    let small_run = run_engine(&config, &small, &families).expect("small run");
+    let large_run = run_engine(&config, &large, &families).expect("large run");
+    let committed =
+        |report: &RunReport| -> Vec<usize> { report.committed.iter().map(|f| f.index).collect() };
+    assert_eq!(committed(&small_run), committed(&large_run));
+    assert_eq!(committed(&small_run).len(), families.len());
+    assert_eq!(small_run.traffic.total(), large_run.traffic.total());
+
+    for (registry, report) in [(&small, &small_run), (&large, &large_run)] {
+        assert_eq!(report.final_chains.len(), total_pages(registry));
+        oracle::verify(report).expect("serializable");
+    }
+    let appended: Vec<u64> = large_run
+        .final_chains
+        .iter()
+        .filter(|((object, _), _)| object.index() >= first_appended)
+        .map(|(_, &chain)| chain)
+        .collect();
+    assert_eq!(appended.len(), total_pages(&large) - total_pages(&small));
+    assert!(appended.iter().all(|&chain| chain == 0));
+}
