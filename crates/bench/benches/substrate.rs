@@ -43,7 +43,7 @@ fn bench_pageset() {
 }
 
 fn bench_page_store() {
-    let mut store = PageStore::new(4096);
+    let mut store = PageStore::new(4096, 1);
     let object = ObjectId::new(0);
     for p in 0..20u16 {
         store.ensure(PageId::new(object, p));
@@ -65,7 +65,7 @@ fn bench_page_transfer() {
     // The engine's gather loop: read the owner's copy of each page and
     // install it into another node's store. Dominated by payload handling,
     // so it is the micro-benchmark that shows the copy-on-write win.
-    let mut owner = PageStore::new(4096);
+    let mut owner = PageStore::new(4096, 1);
     let object = ObjectId::new(0);
     for p in 0..20u16 {
         let pid = PageId::new(object, p);
@@ -73,7 +73,7 @@ fn bench_page_transfer() {
         owner.apply_stamp(pid, u64::from(p) + 1);
         owner.publish_page(pid, Version::new(1));
     }
-    let mut cache = PageStore::new(4096);
+    let mut cache = PageStore::new(4096, 1);
     bench("page_transfer_install_20p", move || {
         for p in 0..20u16 {
             let pid = PageId::new(object, p);
@@ -85,7 +85,7 @@ fn bench_page_transfer() {
 }
 
 fn bench_undo_log() {
-    let mut store = PageStore::new(4096);
+    let mut store = PageStore::new(4096, 1);
     let object = ObjectId::new(0);
     for p in 0..20u16 {
         store.ensure(PageId::new(object, p));

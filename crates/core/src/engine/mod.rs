@@ -152,9 +152,6 @@ pub struct Engine<'a, S: EventSink = NoopSink, P: HostProfiler = NoopHostProfile
     tree: TxnTree,
     table: LockTable,
     stores: Vec<PageStore>,
-    /// Shared zero-filled payload handed out for never-written pages —
-    /// cloning it is a refcount bump, not a fresh allocation.
-    zero_page: PageData,
     recovery: Box<dyn Recovery>,
     families: Vec<FamilyRuntime>,
     /// Family index per root transaction, dense by raw txn id (the tree
@@ -369,14 +366,8 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         if config.lock_graph_validation {
             table.enable_graph_validation();
         }
-        // One dense page numbering over the fixed object layout, shared by
-        // every node's store: each store indexes it into an arena of the
-        // pages that node caches.
-        let atlas = std::sync::Arc::new(registry.page_atlas());
         let stores: Vec<PageStore> = (0..config.num_nodes)
-            .map(|_| {
-                PageStore::with_atlas(config.page_size as usize, std::sync::Arc::clone(&atlas))
-            })
+            .map(|_| PageStore::new(config.page_size as usize, registry.num_objects()))
             .collect();
         // Only a state-sampled run walks the objects here, to count the
         // pages each home holds implicitly.
@@ -418,7 +409,6 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             tree: TxnTree::new(),
             table,
             stores,
-            zero_page: PageData::zeroed(config.page_size as usize),
             recovery,
             families,
             root_to_family: Vec::new(),
@@ -1217,8 +1207,9 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
     }
 
     /// Copy-on-write handle to the newest committed version of a page,
-    /// taken from its owner's store (the shared zero page if it was never
-    /// written anywhere). A refcount bump, not a byte copy.
+    /// taken from its owner's store (a zeroed payload, which allocates
+    /// nothing, if it was never written anywhere). A refcount bump, not a
+    /// byte copy.
     fn current_page_copy(&self, object: ObjectId, page: PageIndex) -> (PageId, Version, PageData) {
         let loc = self
             .table
@@ -1242,7 +1233,11 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                     Version::INITIAL,
                     "missing non-initial page {pid}"
                 );
-                (pid, Version::INITIAL, self.zero_page.clone())
+                (
+                    pid,
+                    Version::INITIAL,
+                    PageData::zeroed(self.config.page_size as usize),
+                )
             }
         }
     }

@@ -19,10 +19,49 @@
 //! 2. the final model heap equals the newest page copies in the live run
 //!    (no lost updates).
 
-use lotec_mem::{mix, ObjectId, PageAtlas, PageId, PageIndex};
+use lotec_mem::{mix, ObjectId, PageIndex};
 
 use crate::engine::{FamilyOp, RunReport};
 use crate::error::CoreError;
+
+/// Dense numbering of the model heap's pages: object `o`'s page `p` sits
+/// at `bases[o] + p`, so slot order is (object, page) order.
+struct PageAtlas {
+    /// `bases[o]` = slot of page 0 of object `o`; one trailing entry holds
+    /// the total page count.
+    bases: Vec<usize>,
+}
+
+impl PageAtlas {
+    /// Numbers objects `O0..On` where object `i` spans
+    /// `pages_per_object[i]` pages.
+    fn new(pages_per_object: &[u16]) -> Self {
+        let mut bases = Vec::with_capacity(pages_per_object.len() + 1);
+        let mut total = 0usize;
+        for &n in pages_per_object {
+            bases.push(total);
+            total += usize::from(n);
+        }
+        bases.push(total);
+        PageAtlas { bases }
+    }
+
+    /// Total number of pages across all objects.
+    fn total_pages(&self) -> usize {
+        self.bases[self.bases.len() - 1]
+    }
+
+    /// The slot of `object`'s page `page`.
+    fn slot(&self, object: ObjectId, page: PageIndex) -> usize {
+        let o = object.index() as usize;
+        let slot = self.bases[o] + usize::from(page.get());
+        debug_assert!(
+            slot < self.bases[o + 1],
+            "{object}/{page} outside the layout"
+        );
+        slot
+    }
+}
 
 /// Verifies that `report`'s execution is equivalent to the serial
 /// execution of its committed families in commit order.
@@ -67,7 +106,7 @@ pub fn verify(report: &RunReport) -> Result<(), CoreError> {
                     page,
                     chain,
                 } => {
-                    let expected = model[atlas.slot(PageId::new(object, page.get()))];
+                    let expected = model[atlas.slot(object, page)];
                     if chain != expected {
                         return Err(CoreError::OracleViolation(format!(
                             "family {} read {}/{} = {chain:#x}, serial order expects {expected:#x}",
@@ -80,7 +119,7 @@ pub fn verify(report: &RunReport) -> Result<(), CoreError> {
                     page,
                     stamp,
                 } => {
-                    let entry = &mut model[atlas.slot(PageId::new(object, page.get()))];
+                    let entry = &mut model[atlas.slot(object, page)];
                     *entry = mix(*entry, stamp);
                 }
             }
@@ -88,7 +127,7 @@ pub fn verify(report: &RunReport) -> Result<(), CoreError> {
     }
 
     for (&(object, page), &final_chain) in &report.final_chains {
-        let expected = model[atlas.slot(PageId::new(object, page.get()))];
+        let expected = model[atlas.slot(object, page)];
         if final_chain != expected {
             return Err(CoreError::OracleViolation(format!(
                 "final state of {object}/{page} is {final_chain:#x}, serial replay gives {expected:#x}"
@@ -136,6 +175,29 @@ mod tests {
             page: PageIndex::new(p),
             chain,
         }
+    }
+
+    #[test]
+    fn slots_are_dense_and_ordered() {
+        let layout = [3, 1, 4, 0, 2];
+        let atlas = PageAtlas::new(&layout);
+        assert_eq!(atlas.total_pages(), 10);
+        let mut expected = 0;
+        for (o, &n) in layout.iter().enumerate() {
+            for p in 0..n {
+                let slot = atlas.slot(ObjectId::new(o as u32), PageIndex::new(p));
+                assert_eq!(slot, expected, "O{o}/{p}");
+                expected += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn empty_objects_are_allowed() {
+        let atlas = PageAtlas::new(&[2, 0, 3]);
+        assert_eq!(atlas.total_pages(), 5);
+        assert_eq!(atlas.slot(ObjectId::new(2), PageIndex::new(0)), 2);
+        assert_eq!(PageAtlas::new(&[]).total_pages(), 0);
     }
 
     #[test]

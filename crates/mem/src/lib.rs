@@ -7,7 +7,9 @@
 //!
 //! * [`ObjectId`], [`PageIndex`], [`PageId`], [`Version`] — identities,
 //! * [`Page`] — a versioned page payload,
-//! * [`PageStore`] — one node's local page cache with dirty tracking,
+//! * [`PageStore`] — one node's local page cache. It keeps no dirty bits:
+//!   the dirty set a global lock release piggybacks comes from the
+//!   family's write log,
 //! * [`UndoLog`] / [`ShadowPages`] — the two recovery mechanisms the paper
 //!   names for sub-transaction UNDO (both purely local, no network),
 //! * [`PageMap`] — the GDO-side map from each page of an object to the node
@@ -19,25 +21,23 @@
 //! ```
 //! use lotec_mem::{ObjectId, PageId, PageStore};
 //!
-//! let mut store = PageStore::new(128);
+//! let mut store = PageStore::new(128, 1);
 //! let page = PageId::new(ObjectId::new(0), 3);
 //! store.install(page, lotec_mem::Version::new(1), vec![0xAB; 128]);
 //! assert_eq!(store.version_of(page).unwrap().get(), 1);
-//! store.write(page, &[1, 2, 3]);
-//! assert!(store.is_dirty(page));
+//! let chain = store.apply_stamp(page, 42);
+//! assert_eq!(store.chain(page), chain);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod atlas;
 pub mod ids;
 pub mod page;
 pub mod pagemap;
 pub mod store;
 pub mod undo;
 
-pub use atlas::PageAtlas;
 pub use ids::{ObjectId, PageId, PageIndex, Version};
 pub use page::{mix, Page, PageData};
 pub use pagemap::{PageLocation, PageMap};

@@ -8,7 +8,7 @@ use crate::ids::Version;
 ///
 /// Page payloads are copied around constantly — gather batches, installs
 /// into caches, undo pre-images, crash repair — but mutated only at the
-/// single write site ([`Page::apply_stamp`] / [`Page::write`]). Backing
+/// single write site, [`Page::apply_stamp`]. Backing
 /// the bytes with an [`Arc`] makes every one of those copies a refcount
 /// bump; the bytes themselves are cloned lazily, only when a write lands
 /// on a payload that still shares its allocation.
@@ -189,15 +189,6 @@ impl Page {
         self.data.clone()
     }
 
-    /// Overwrites the payload prefix with `bytes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is longer than the page.
-    pub fn write(&mut self, bytes: &[u8]) {
-        self.data.make_mut(bytes.len()).copy_from_slice(bytes);
-    }
-
     /// The current content-chain value (first eight bytes, little-endian).
     pub fn chain(&self) -> u64 {
         let prefix = self.data.as_slice();
@@ -234,14 +225,13 @@ mod tests {
     }
 
     #[test]
-    fn write_overwrites_prefix_only() {
-        let mut p = Page::zeroed(16);
-        p.write(&[1, 2, 3]);
-        // Only the written prefix is materialized; the logical size and
-        // the zero tail are unchanged.
-        assert_eq!(&p.data()[..3], &[1, 2, 3]);
-        assert!(p.data()[3..].iter().all(|&b| b == 0));
-        assert_eq!(p.size(), 16);
+    fn stamp_materializes_only_the_chain() {
+        let mut p = Page::zeroed(4096);
+        let chain = p.apply_stamp(7);
+        // Only the eight chain bytes are materialized; the logical size
+        // and the zero tail are unchanged.
+        assert_eq!(p.data(), &chain.to_le_bytes());
+        assert_eq!(p.size(), 4096);
     }
 
     #[test]
@@ -295,12 +285,6 @@ mod tests {
     #[should_panic(expected = "at least 8 bytes")]
     fn tiny_pages_rejected() {
         Page::zeroed(4);
-    }
-
-    #[test]
-    #[should_panic(expected = "write larger than page")]
-    fn oversized_write_rejected() {
-        Page::zeroed(8).write(&[0; 9]);
     }
 
     #[test]

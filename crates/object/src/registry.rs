@@ -193,13 +193,6 @@ impl ObjectRegistry {
     pub fn objects(&self) -> impl Iterator<Item = &ObjectInstance> {
         self.objects.iter()
     }
-
-    /// Builds the dense global page numbering over this registry's object
-    /// layout (see [`lotec_mem::PageAtlas`]).
-    pub fn page_atlas(&self) -> lotec_mem::PageAtlas {
-        let pages: Vec<u16> = self.objects.iter().map(|o| self.num_pages(o.id)).collect();
-        lotec_mem::PageAtlas::new(&pages)
-    }
 }
 
 #[cfg(test)]
@@ -254,29 +247,6 @@ mod tests {
         .unwrap();
         let ids: Vec<u32> = reg.objects().map(|o| o.id.index()).collect();
         assert_eq!(ids, vec![0, 1]);
-    }
-
-    #[test]
-    fn page_atlas_matches_layout() {
-        let reg = ObjectRegistry::build(
-            &classes(),
-            &[
-                (ClassId::new(0), NodeId::new(0)),
-                (ClassId::new(1), NodeId::new(1)),
-            ],
-            128,
-        )
-        .unwrap();
-        let atlas = reg.page_atlas();
-        assert_eq!(atlas.num_objects(), 2);
-        assert_eq!(
-            atlas.total_pages(),
-            usize::from(reg.num_pages(ObjectId::new(0)))
-                + usize::from(reg.num_pages(ObjectId::new(1)))
-        );
-        for obj in reg.objects() {
-            assert_eq!(atlas.num_pages(obj.id), reg.num_pages(obj.id));
-        }
     }
 
     #[test]

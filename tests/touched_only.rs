@@ -4,7 +4,9 @@
 //! lock request that reaches it. Before that the object is implied state:
 //! whole at its home, version 0, zero-filled and unlocked. So appending
 //! objects that no family references must not add a single allocation to
-//! `Engine::new`, and must not change what the run simulates.
+//! `Engine::new`, must grow the ones it makes by no more than the per-object
+//! indexes (four bytes per object in each node's page store and in the
+//! last-holder table), and must not change what the run simulates.
 //!
 //! This binary installs `CountingAlloc` as its global allocator and holds
 //! exactly one test, so no other test thread allocates while it counts.
@@ -14,7 +16,7 @@ use lotec_core::engine::Engine;
 use lotec_core::spec::demo_workload;
 use lotec_core::SystemConfig;
 use lotec_object::ClassDef;
-use lotec_obs::{alloc, CountingAlloc};
+use lotec_obs::{alloc, AllocSnapshot, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -27,11 +29,11 @@ fn construction_allocs(
     config: &SystemConfig,
     registry: &ObjectRegistry,
     families: &[FamilySpec],
-) -> u64 {
+) -> AllocSnapshot {
     alloc::force_profiling(Some(true));
     let before = alloc::snapshot();
     let engine = Engine::new(config, registry, families).expect("engine builds");
-    let allocs = alloc::snapshot().delta_since(&before).total_allocs();
+    let allocs = alloc::snapshot().delta_since(&before);
     alloc::force_profiling(Some(false));
     drop(engine);
     allocs
@@ -67,10 +69,23 @@ fn untouched_objects_cost_no_construction_and_change_nothing() {
     // The first construction in a process also makes one-time
     // allocations; build once before counting.
     construction_allocs(&config, &small, &families);
+    let small_cost = construction_allocs(&config, &small, &families);
+    let large_cost = construction_allocs(&config, &large, &families);
     assert_eq!(
-        construction_allocs(&config, &small, &families),
-        construction_allocs(&config, &large, &families),
+        small_cost.total_allocs(),
+        large_cost.total_allocs(),
         "Engine::new allocates per registered object"
+    );
+    // Each node's store index and the last-holder table: four bytes per
+    // object apiece.
+    let per_object = 4 * (u64::from(config.num_nodes) + 1);
+    let extra = large_cost
+        .total_bytes()
+        .saturating_sub(small_cost.total_bytes());
+    assert!(
+        extra <= per_object * u64::from(UNTOUCHED),
+        "Engine::new allocates {extra} more bytes for {UNTOUCHED} untouched objects, \
+         more than {per_object} per object"
     );
 
     let small_run = run_engine(&config, &small, &families).expect("small run");
