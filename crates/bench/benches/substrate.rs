@@ -63,8 +63,7 @@ fn bench_page_store() {
 
 fn bench_page_transfer() {
     // The engine's gather loop: read the owner's copy of each page and
-    // install it into another node's store. Dominated by payload handling,
-    // so it is the micro-benchmark that shows the copy-on-write win.
+    // install its version and chain into another node's store.
     let mut owner = PageStore::new(4096, 1);
     let object = ObjectId::new(0);
     for p in 0..20u16 {
@@ -78,7 +77,7 @@ fn bench_page_transfer() {
         for p in 0..20u16 {
             let pid = PageId::new(object, p);
             let page = owner.get(pid).expect("owner copy");
-            cache.install(pid, page.version(), page.payload());
+            cache.install(pid, page.version(), page.chain());
         }
         cache.len()
     });
@@ -97,7 +96,7 @@ fn bench_undo_log() {
             undo.before_write(1, &store, pid);
             store.apply_stamp(pid, 42);
         }
-        undo.rollback(1, &mut store).len()
+        undo.rollback(1, &mut store)
     });
 }
 

@@ -93,12 +93,13 @@ fn inject_violation(stem: &str) {
         run_engine_recorded(&config, &registry, &families).expect("engine runs");
     oracle::verify(&report).expect("uncorrupted run must pass the oracle");
 
-    let (&key, chain) = report
+    let key = *report
         .final_chains
-        .iter_mut()
+        .iter()
         .next()
-        .expect("run touched at least one page");
-    *chain ^= 0xDEAD_BEEF;
+        .expect("run touched at least one page")
+        .0;
+    *report.final_chains.get_mut(&key).expect("key is listed") ^= 0xDEAD_BEEF;
     println!(
         "corrupted final chain of object {}/page {} (xor 0xdeadbeef)",
         key.0, key.1

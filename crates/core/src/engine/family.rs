@@ -233,17 +233,21 @@ impl FamilyRuntime {
     }
 
     /// Dirty info for a root commit: per object, the distinct pages written
-    /// by surviving transactions, in deterministic order.
+    /// by surviving transactions, objects and pages ascending.
     pub fn surviving_dirty(&self) -> Vec<(ObjectId, Vec<PageIndex>)> {
-        let mut map: std::collections::BTreeMap<ObjectId, std::collections::BTreeSet<PageIndex>> =
-            std::collections::BTreeMap::new();
-        for o in &self.ops {
-            if let FamilyOp::Write { object, page, .. } = o.op {
-                map.entry(object).or_default().insert(page);
-            }
-        }
-        map.into_iter()
-            .map(|(o, pages)| (o, pages.into_iter().collect()))
+        let mut written: Vec<(ObjectId, PageIndex)> = self
+            .ops
+            .iter()
+            .filter_map(|o| match o.op {
+                FamilyOp::Write { object, page, .. } => Some((object, page)),
+                FamilyOp::Read { .. } => None,
+            })
+            .collect();
+        written.sort_unstable();
+        written.dedup();
+        written
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| (run[0].0, run.iter().map(|&(_, page)| page).collect()))
             .collect()
     }
 }

@@ -25,13 +25,13 @@
 //! charging module, by the same rules replay charges; the engine adds the
 //! timing, lossy delivery, probes and page content.
 
+mod chains;
 mod family;
 
+pub use chains::{FinalChains, Iter as FinalChainsIter, PageKey};
 pub use family::FamilyOp;
 
-use std::collections::BTreeMap;
-
-use lotec_mem::{ObjectId, PageData, PageId, PageIndex, Recovery, ShadowPages, UndoLog};
+use lotec_mem::{ObjectId, PageId, PageIndex, Recovery, ShadowPages, UndoLog};
 use lotec_mem::{PageStore, Version};
 use lotec_net::{plan_delivery, Message, TrafficLedger};
 use lotec_object::{AdaptivePredictor, ObjectRegistry};
@@ -78,9 +78,9 @@ pub struct RunReport {
     pub traffic: ProtocolTraffic,
     /// Committed families in commit order (oracle input).
     pub committed: Vec<CommittedFamily>,
-    /// Final content chain of every page, read from the page's owner node
-    /// (oracle cross-check).
-    pub final_chains: BTreeMap<(ObjectId, PageIndex), u64>,
+    /// Final content chain of every registered page, read from the page's
+    /// owner node (oracle cross-check).
+    pub final_chains: FinalChains,
     /// Forensics dumps captured at anomalies (deadlock-victim selection,
     /// lock timeouts, crash repair). Empty unless the run's sink carries a
     /// [`FlightRecorder`] — without a black box there is nothing to dump —
@@ -1104,7 +1104,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         // Perform the gather (Alg. 4.5): one fetch per source; batches
         // travel in parallel, so the phase ends at the slowest batch.
         let mut max_delay = SimDuration::ZERO;
-        let mut to_install: Vec<(PageId, Version, PageData)> = Vec::new();
+        let mut to_install: Vec<(PageId, Version, u64)> = Vec::new();
         self.prof.enter(HostRegion::PageTransfer);
         for (source, pages) in plan.sources() {
             let [request, transfer] =
@@ -1125,8 +1125,8 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         }
         self.prof.exit(HostRegion::PageTransfer);
         self.prof.enter(HostRegion::PageInstall);
-        for (pid, version, data) in to_install {
-            self.stores[node.index() as usize].install(pid, version, data);
+        for (pid, version, chain) in to_install {
+            self.stores[node.index() as usize].install(pid, version, chain);
         }
         self.prof.exit(HostRegion::PageInstall);
 
@@ -1180,8 +1180,8 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         }
         self.prof.exit(HostRegion::PageTransfer);
         self.prof.enter(HostRegion::PageInstall);
-        for (pid, version, data) in demand_installs {
-            self.stores[node.index() as usize].install(pid, version, data);
+        for (pid, version, chain) in demand_installs {
+            self.stores[node.index() as usize].install(pid, version, chain);
         }
         self.prof.exit(HostRegion::PageInstall);
         self.families[fam].fetch_extra = demand_delay;
@@ -1206,11 +1206,10 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         }
     }
 
-    /// Copy-on-write handle to the newest committed version of a page,
-    /// taken from its owner's store (a zeroed payload, which allocates
-    /// nothing, if it was never written anywhere). A refcount bump, not a
-    /// byte copy.
-    fn current_page_copy(&self, object: ObjectId, page: PageIndex) -> (PageId, Version, PageData) {
+    /// The newest committed version of a page and its content chain,
+    /// copied by value from its owner's store (the initial version and
+    /// chain 0 if it was never written anywhere).
+    fn current_page_copy(&self, object: ObjectId, page: PageIndex) -> (PageId, Version, u64) {
         let loc = self
             .table
             .entry(object)
@@ -1225,7 +1224,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                     loc.version,
                     "owner copy of {pid} out of sync with the page map"
                 );
-                (pid, p.version(), p.payload())
+                (pid, p.version(), p.chain())
             }
             None => {
                 debug_assert_eq!(
@@ -1233,11 +1232,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                     Version::INITIAL,
                     "missing non-initial page {pid}"
                 );
-                (
-                    pid,
-                    Version::INITIAL,
-                    PageData::zeroed(self.config.page_size as usize),
-                )
+                (pid, Version::INITIAL, 0)
             }
         }
     }
@@ -1346,7 +1341,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             let restored = self
                 .recovery
                 .rollback(txn.get(), &mut self.stores[node.index() as usize]);
-            let undo_delay = self.config.costs.undo_per_page * restored.len() as u64;
+            let undo_delay = self.config.costs.undo_per_page * restored as u64;
             self.prof.enter(HostRegion::LockRelease);
             let rel = self.table.release_abort(txn, &self.tree);
             self.probe_released(now, node, txn, ReleaseCause::Abort, &rel.released);
@@ -1506,9 +1501,8 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         // Release messages: dirty info piggybacked per object (Alg. 4.4).
         for &object in &rel.released {
             let n_dirty = dirty
-                .iter()
-                .find(|(o, _)| *o == object)
-                .map_or(0, |(_, p)| p.len());
+                .binary_search_by_key(&object, |&(o, _)| o)
+                .map_or(0, |i| dirty[i].1.len());
             let release = charge::lock_release(self.config, node, object, n_dirty);
             self.send_lossy(release, None);
             self.replicate_gdo(&release);
@@ -1532,7 +1526,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                 .caching_sites()
                 .filter(|&s| s != node)
                 .collect();
-            let copies: Vec<(PageId, Version, PageData)> = pages
+            let copies: Vec<(PageId, Version, u64)> = pages
                 .iter()
                 .map(|&p| self.current_page_copy(object, p))
                 .collect();
@@ -1541,8 +1535,8 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             }
             self.prof.enter(HostRegion::PageInstall);
             for site in sites {
-                for (pid, version, data) in &copies {
-                    self.stores[site.index() as usize].install(*pid, *version, data.clone());
+                for &(pid, version, chain) in &copies {
+                    self.stores[site.index() as usize].install(pid, version, chain);
                 }
             }
             self.prof.exit(HostRegion::PageInstall);
@@ -2020,24 +2014,28 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
     /// The final chain of every registered page, read from its owner. An
     /// untouched object's pages were never written: chain 0, which is what
     /// a store reports for a page it does not hold.
-    fn collect_final_chains(&self) -> BTreeMap<(ObjectId, PageIndex), u64> {
-        // Objects ascend and pages ascend within each, so the pairs arrive
-        // in key order and `collect` bulk-builds the map in one pass.
-        self.registry
+    fn collect_final_chains(&self) -> FinalChains {
+        let registry = self.registry;
+        let total = registry
             .objects()
-            .flat_map(|inst| {
-                let object = inst.id;
-                let entry = self.table.entry(object).ok();
-                (0..self.registry.num_pages(object)).map(move |p| {
-                    let page = PageIndex::new(p);
-                    let chain = entry.map_or(0, |e| {
-                        let owner = e.page_map().location(page).node;
-                        self.stores[owner.index() as usize].chain(PageId::new(object, p))
-                    });
-                    ((object, page), chain)
-                })
+            .map(|inst| usize::from(registry.num_pages(inst.id)))
+            .sum();
+        // Objects ascend and pages ascend within each, so the pairs arrive
+        // in key order and the list keeps this exactly-sized buffer.
+        let mut entries = Vec::with_capacity(total);
+        entries.extend(registry.objects().flat_map(|inst| {
+            let object = inst.id;
+            let entry = self.table.entry(object).ok();
+            (0..registry.num_pages(object)).map(move |p| {
+                let page = PageIndex::new(p);
+                let chain = entry.map_or(0, |e| {
+                    let owner = e.page_map().location(page).node;
+                    self.stores[owner.index() as usize].chain(PageId::new(object, p))
+                });
+                ((object, page), chain)
             })
-            .collect()
+        }));
+        FinalChains::from_iter(entries)
     }
 }
 
@@ -2126,6 +2124,23 @@ mod tests {
         assert_eq!(report.trace.num_commits(), 8);
         assert!(report.trace.num_grants() >= 8);
         assert!(report.traffic.total().messages > 0);
+    }
+
+    #[test]
+    fn final_chains_list_every_registered_page_once_in_key_order() {
+        let config = SystemConfig::default();
+        let (registry, families) = demo_workload(&config, 3);
+        let report = run_engine(&config, &registry, &families).expect("demo runs");
+        let registered: Vec<PageKey> = registry
+            .objects()
+            .flat_map(|inst| {
+                (0..registry.num_pages(inst.id)).map(move |p| (inst.id, PageIndex::new(p)))
+            })
+            .collect();
+        let listed: Vec<PageKey> = report.final_chains.iter().map(|(&k, _)| k).collect();
+        assert_eq!(listed, registered);
+        assert!(listed.windows(2).all(|w| w[0] < w[1]), "strictly ascending");
+        assert!(report.final_chains.iter().any(|(_, &c)| c != 0));
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub fn verify(report: &RunReport) -> Result<(), CoreError> {
                 }
             }
         }
-        for &(object, page) in report.final_chains.keys() {
+        for (&(object, page), _) in &report.final_chains {
             note(object, page);
         }
     }

@@ -6,7 +6,8 @@
 //! memory substrate:
 //!
 //! * [`ObjectId`], [`PageIndex`], [`PageId`], [`Version`] — identities,
-//! * [`Page`] — a versioned page payload,
+//! * [`Page`] — a page's version and content chain, a sixteen-byte value
+//!   copied wherever the page moves,
 //! * [`PageStore`] — one node's local page cache. It keeps no dirty bits:
 //!   the dirty set a global lock release piggybacks comes from the
 //!   family's write log,
@@ -23,9 +24,10 @@
 //!
 //! let mut store = PageStore::new(128, 1);
 //! let page = PageId::new(ObjectId::new(0), 3);
-//! store.install(page, lotec_mem::Version::new(1), vec![0xAB; 128]);
+//! store.install(page, lotec_mem::Version::new(1), 0xAB);
 //! assert_eq!(store.version_of(page).unwrap().get(), 1);
 //! let chain = store.apply_stamp(page, 42);
+//! assert_eq!(chain, lotec_mem::mix(0xAB, 42));
 //! assert_eq!(store.chain(page), chain);
 //! ```
 
@@ -39,7 +41,7 @@ pub mod store;
 pub mod undo;
 
 pub use ids::{ObjectId, PageId, PageIndex, Version};
-pub use page::{mix, Page, PageData};
+pub use page::{mix, Page};
 pub use pagemap::{PageLocation, PageMap};
 pub use store::PageStore;
 pub use undo::{Recovery, ShadowPages, UndoLog};

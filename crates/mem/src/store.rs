@@ -1,7 +1,7 @@
 //! One node's local page cache.
 
 use crate::ids::{PageId, Version};
-use crate::page::{Page, PageData};
+use crate::page::Page;
 
 /// The local page cache of a single node.
 ///
@@ -56,8 +56,9 @@ impl PageStore {
     ///
     /// # Panics
     ///
-    /// Panics if `page_size < 8` (see [`Page::zeroed`]). Every other
-    /// method panics on an object id outside the store's range.
+    /// Panics if `page_size < 8`: every page must be able to hold its
+    /// eight-byte content chain. Every other method panics on an object id
+    /// outside the store's range.
     pub fn new(page_size: usize, num_objects: usize) -> Self {
         assert!(page_size >= 8, "page size must be at least 8 bytes");
         PageStore {
@@ -121,21 +122,14 @@ impl PageStore {
         if slot.is_none() {
             self.len += 1;
         }
-        slot.get_or_insert_with(|| Page::zeroed(self.page_size))
+        slot.get_or_insert_with(Page::default)
     }
 
-    /// Installs (or replaces) a page received from another node. Accepts
-    /// either owned bytes or a shared [`PageData`] handle — passing the
-    /// handle makes the install a refcount bump.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not exactly `page_size` bytes.
-    pub fn install(&mut self, page: PageId, version: Version, data: impl Into<PageData>) {
-        let data = data.into();
-        assert_eq!(data.len(), self.page_size, "installed page has wrong size");
+    /// Installs (or replaces) a page received from another node: its
+    /// version and content chain, copied by value.
+    pub fn install(&mut self, page: PageId, version: Version, chain: u64) {
         let slot = slot_mut(&mut self.index, &mut self.rows, page);
-        if slot.replace(Page::from_parts(version, data)).is_none() {
+        if slot.replace(Page::new(version, chain)).is_none() {
             self.len += 1;
         }
     }
@@ -175,14 +169,12 @@ impl PageStore {
     ///
     /// # Panics
     ///
-    /// Panics if the page is not cached or `data` has the wrong size.
-    pub fn restore(&mut self, page: PageId, version: Version, data: impl Into<PageData>) {
-        let data = data.into();
-        assert_eq!(data.len(), self.page_size, "restored page has wrong size");
+    /// Panics if the page is not cached.
+    pub fn restore(&mut self, page: PageId, version: Version, chain: u64) {
         *self
             .existing_slot(page)
             .and_then(Option::as_mut)
-            .expect("restore of uncached page") = Page::from_parts(version, data);
+            .expect("restore of uncached page") = Page::new(version, chain);
     }
 
     /// Drops `page` from the cache entirely (used by UNDO when the page did
@@ -219,10 +211,10 @@ mod tests {
     #[test]
     fn install_and_read_back() {
         let mut s = PageStore::new(16, 2);
-        s.install(pid(1, 0), Version::new(3), vec![7; 16]);
+        s.install(pid(1, 0), Version::new(3), 7);
         assert!(s.contains(pid(1, 0)));
         assert_eq!(s.version_of(pid(1, 0)), Some(Version::new(3)));
-        assert_eq!(s.get(pid(1, 0)).unwrap().data()[0], 7);
+        assert_eq!(s.chain(pid(1, 0)), 7);
     }
 
     #[test]
@@ -240,16 +232,16 @@ mod tests {
     fn restore_and_evict() {
         let mut s = PageStore::new(8, 1);
         s.apply_stamp(pid(0, 0), 9);
-        s.restore(pid(0, 0), Version::INITIAL, vec![0; 8]);
+        s.restore(pid(0, 0), Version::INITIAL, 0);
         assert_eq!(s.chain(pid(0, 0)), 0);
         s.evict(pid(0, 0));
         assert!(!s.contains(pid(0, 0)));
     }
 
     #[test]
-    #[should_panic(expected = "wrong size")]
-    fn install_checks_size() {
-        PageStore::new(16, 1).install(pid(0, 0), Version::INITIAL, vec![0; 8]);
+    #[should_panic(expected = "at least 8 bytes")]
+    fn tiny_pages_rejected() {
+        PageStore::new(4, 1);
     }
 
     #[test]
@@ -286,27 +278,17 @@ mod tests {
                 let was_cached = reference.contains_key(&page);
                 match rng.next_below(7) {
                     0 => {
-                        let fill = rng.next_below(256) as u8;
-                        let len = rng.next_below(PAGE as u64 + 1) as usize;
-                        let mut data = vec![0; PAGE];
-                        data[..len].fill(fill);
-                        let shared = PageData::from(data);
-                        store.install(page, version, shared.clone());
-                        reference.insert(page, Page::from_parts(version, shared));
+                        let chain = rng.next_u64();
+                        store.install(page, version, chain);
+                        reference.insert(page, Page::new(version, chain));
                     }
                     1 => {
-                        let expected = reference
-                            .entry(page)
-                            .or_insert_with(|| Page::zeroed(PAGE))
-                            .version();
+                        let expected = reference.entry(page).or_default().version();
                         assert_eq!(store.ensure(page), expected, "{at}");
                     }
                     2 => {
                         let stamp = rng.next_u64();
-                        let expected = reference
-                            .entry(page)
-                            .or_insert_with(|| Page::zeroed(PAGE))
-                            .apply_stamp(stamp);
+                        let expected = reference.entry(page).or_default().apply_stamp(stamp);
                         assert_eq!(store.apply_stamp(page, stamp), expected, "{at}");
                     }
                     3 if was_cached => {
@@ -314,9 +296,9 @@ mod tests {
                         reference.get_mut(&page).unwrap().set_version(version);
                     }
                     4 if was_cached => {
-                        let data = vec![rng.next_below(256) as u8; PAGE];
-                        store.restore(page, version, data.clone());
-                        reference.insert(page, Page::from_parts(version, data));
+                        let chain = rng.next_u64();
+                        store.restore(page, version, chain);
+                        reference.insert(page, Page::new(version, chain));
                     }
                     5 | 6 => {
                         if was_cached {
@@ -328,7 +310,7 @@ mod tests {
                     // Publish or restore of an uncached page panics by
                     // contract; create the page instead.
                     _ => {
-                        reference.entry(page).or_insert_with(|| Page::zeroed(PAGE));
+                        reference.entry(page).or_default();
                         store.ensure(page);
                     }
                 }

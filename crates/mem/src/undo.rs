@@ -9,8 +9,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::ids::{PageId, Version};
-use crate::page::PageData;
+use crate::ids::{ObjectId, PageId};
+use crate::page::Page;
 use crate::store::PageStore;
 
 /// A recovery strategy: capture page pre-images when a transaction first
@@ -29,9 +29,9 @@ pub trait Recovery {
     /// parent — or the root commit — now owns the fate of the data).
     fn forget(&mut self, token: u64);
 
-    /// Restores every page `token` touched to its pre-image and returns the
-    /// restored page ids.
-    fn rollback(&mut self, token: u64, store: &mut PageStore) -> Vec<PageId>;
+    /// Restores every page `token` touched to its pre-image and returns how
+    /// many pages it restored.
+    fn rollback(&mut self, token: u64, store: &mut PageStore) -> usize;
 
     /// Moves `token`'s pre-images to `parent` *underneath* any pre-image the
     /// parent already holds (the parent's pre-image is older and wins).
@@ -42,34 +42,19 @@ pub trait Recovery {
     fn inherit(&mut self, token: u64, parent: u64);
 }
 
-/// Pre-image kept for one page.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum PreImage {
-    /// The page did not exist locally before the write.
-    Absent,
-    /// The page existed with this version and payload. The payload is a
-    /// copy-on-write handle: capture is a refcount bump, and the bytes are
-    /// only duplicated when the store's copy is subsequently written.
-    Present(Version, PageData),
-}
+/// Pre-image kept for one page: the page's version and chain, copied by
+/// value, or `None` when the page did not exist locally before the write.
+type PreImage = Option<Page>;
 
 fn capture(store: &PageStore, page: PageId) -> PreImage {
-    match store.get(page) {
-        None => PreImage::Absent,
-        Some(p) => PreImage::Present(p.version(), p.payload()),
-    }
+    store.get(page).copied()
 }
 
 fn apply(store: &mut PageStore, page: PageId, pre: PreImage) {
     match pre {
-        PreImage::Absent => store.evict(page),
-        PreImage::Present(version, data) => {
-            if store.contains(page) {
-                store.restore(page, version, data);
-            } else {
-                store.install(page, version, data);
-            }
-        }
+        None => store.evict(page),
+        Some(p) if store.contains(page) => store.restore(page, p.version(), p.chain()),
+        Some(p) => store.install(page, p.version(), p.chain()),
     }
 }
 
@@ -129,16 +114,14 @@ impl Recovery for UndoLog {
         self.logs.remove(&token);
     }
 
-    fn rollback(&mut self, token: u64, store: &mut PageStore) -> Vec<PageId> {
+    fn rollback(&mut self, token: u64, store: &mut PageStore) -> usize {
         let Some(log) = self.logs.remove(&token) else {
-            return Vec::new();
+            return 0;
         };
-        let mut restored = Vec::with_capacity(log.len());
-        for (page, pre) in log {
+        for &(page, pre) in &log {
             apply(store, page, pre);
-            restored.push(page);
         }
-        restored
+        log.len()
     }
 
     fn inherit(&mut self, token: u64, parent: u64) {
@@ -174,6 +157,18 @@ impl ShadowPages {
         Self::default()
     }
 
+    /// Removes and returns `token`'s shadow of its lowest page, if any:
+    /// one seek into the token's key range, so draining a token costs its
+    /// own shadows only.
+    fn pop(&mut self, token: u64) -> Option<(PageId, PreImage)> {
+        let first = (token, PageId::new(ObjectId::new(0), 0));
+        let (&key, _) = self.shadows.range(first..).next()?;
+        if key.0 != token {
+            return None;
+        }
+        self.shadows.remove(&key).map(|pre| (key.1, pre))
+    }
+
     /// Number of shadow pages currently held.
     pub fn len(&self) -> usize {
         self.shadows.len()
@@ -193,35 +188,21 @@ impl Recovery for ShadowPages {
     }
 
     fn forget(&mut self, token: u64) {
-        self.shadows.retain(|(t, _), _| *t != token);
+        while self.pop(token).is_some() {}
     }
 
-    fn rollback(&mut self, token: u64, store: &mut PageStore) -> Vec<PageId> {
-        let keys: Vec<(u64, PageId)> = self
-            .shadows
-            .range((token, PageId::new(crate::ObjectId::new(0), 0))..)
-            .take_while(|((t, _), _)| *t == token)
-            .map(|(k, _)| *k)
-            .collect();
-        let mut restored = Vec::with_capacity(keys.len());
-        for key in keys {
-            let pre = self.shadows.remove(&key).expect("key just enumerated");
-            apply(store, key.1, pre);
-            restored.push(key.1);
+    fn rollback(&mut self, token: u64, store: &mut PageStore) -> usize {
+        let mut restored = 0;
+        while let Some((page, pre)) = self.pop(token) {
+            apply(store, page, pre);
+            restored += 1;
         }
         restored
     }
 
     fn inherit(&mut self, token: u64, parent: u64) {
-        let keys: Vec<(u64, PageId)> = self
-            .shadows
-            .range((token, PageId::new(crate::ObjectId::new(0), 0))..)
-            .take_while(|((t, _), _)| *t == token)
-            .map(|(k, _)| *k)
-            .collect();
-        for key in keys {
-            let pre = self.shadows.remove(&key).expect("key just enumerated");
-            self.shadows.entry((parent, key.1)).or_insert(pre);
+        while let Some((page, pre)) = self.pop(token) {
+            self.shadows.entry((parent, page)).or_insert(pre);
         }
     }
 }
@@ -229,7 +210,7 @@ impl Recovery for ShadowPages {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::ObjectId;
+    use crate::ids::Version;
 
     fn pid(o: u32, i: u16) -> PageId {
         PageId::new(ObjectId::new(o), i)
@@ -237,7 +218,7 @@ mod tests {
 
     fn check_roundtrip<R: Recovery>(mut rec: R) {
         let mut store = PageStore::new(8, 1);
-        store.install(pid(0, 0), Version::new(2), 7u64.to_le_bytes().to_vec());
+        store.install(pid(0, 0), Version::new(2), 7);
         let before = store.chain(pid(0, 0));
 
         rec.before_write(1, &store, pid(0, 0));
@@ -246,8 +227,7 @@ mod tests {
         store.apply_stamp(pid(0, 1), 99);
 
         assert_ne!(store.chain(pid(0, 0)), before);
-        let restored = rec.rollback(1, &mut store);
-        assert_eq!(restored.len(), 2);
+        assert_eq!(rec.rollback(1, &mut store), 2);
         assert_eq!(store.chain(pid(0, 0)), before);
         assert_eq!(store.version_of(pid(0, 0)), Some(Version::new(2)));
         assert!(
@@ -268,7 +248,7 @@ mod tests {
 
     fn check_first_write_wins<R: Recovery>(mut rec: R) {
         let mut store = PageStore::new(8, 1);
-        store.install(pid(0, 0), Version::new(1), 5u64.to_le_bytes().to_vec());
+        store.install(pid(0, 0), Version::new(1), 5);
         let original = store.chain(pid(0, 0));
         rec.before_write(1, &store, pid(0, 0));
         store.apply_stamp(pid(0, 0), 1);
@@ -291,7 +271,7 @@ mod tests {
 
     fn check_inherit_then_parent_abort<R: Recovery>(mut rec: R) {
         let mut store = PageStore::new(8, 1);
-        store.install(pid(0, 0), Version::new(1), 3u64.to_le_bytes().to_vec());
+        store.install(pid(0, 0), Version::new(1), 3);
         let original = store.chain(pid(0, 0));
 
         // Child (token 2) writes, pre-commits; parent (token 1) inherits.
@@ -327,7 +307,7 @@ mod tests {
         store.apply_stamp(pid(0, 0), 1);
         let after = store.chain(pid(0, 0));
         rec.forget(1);
-        assert_eq!(rec.rollback(1, &mut store), vec![]);
+        assert_eq!(rec.rollback(1, &mut store), 0);
         assert_eq!(
             store.chain(pid(0, 0)),
             after,
@@ -336,18 +316,35 @@ mod tests {
     }
 
     #[test]
+    fn shadow_forget_drops_only_its_own_token() {
+        let mut rec = ShadowPages::new();
+        let mut store = PageStore::new(8, 1);
+        for token in 1..=3 {
+            for p in 0..2 {
+                rec.before_write(token, &store, pid(0, p));
+            }
+        }
+        rec.forget(2);
+        assert_eq!(rec.len(), 4);
+        assert_eq!(rec.rollback(2, &mut store), 0);
+        assert_eq!(rec.rollback(1, &mut store), 2);
+        assert_eq!(rec.rollback(3, &mut store), 2);
+        assert!(rec.is_empty());
+    }
+
+    #[test]
     fn rollback_of_unknown_token_is_noop() {
         let mut rec = ShadowPages::new();
         let mut store = PageStore::new(8, 1);
-        assert!(rec.rollback(42, &mut store).is_empty());
+        assert_eq!(rec.rollback(42, &mut store), 0);
     }
 
     #[test]
     fn shadow_rollback_only_touches_own_token() {
         let mut rec = ShadowPages::new();
         let mut store = PageStore::new(8, 1);
-        store.install(pid(0, 0), Version::new(1), 1u64.to_le_bytes().to_vec());
-        store.install(pid(0, 1), Version::new(1), 2u64.to_le_bytes().to_vec());
+        store.install(pid(0, 0), Version::new(1), 1);
+        store.install(pid(0, 1), Version::new(1), 2);
         rec.before_write(1, &store, pid(0, 0));
         rec.before_write(2, &store, pid(0, 1));
         store.apply_stamp(pid(0, 0), 1);

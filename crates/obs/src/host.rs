@@ -65,7 +65,9 @@ pub enum HostRegion {
     PageTransfer = 7,
     /// Installing received pages into a node's cache.
     PageInstall = 8,
-    /// Copy-on-write page mutation on the compute path.
+    /// Page writes on the compute path: UNDO pre-image capture and stamp
+    /// folding. Reports name it `cow_write`, from when a write after a
+    /// pre-image copied the page's payload.
     CowWrite = 9,
     /// Sim-state gauge sampling (the sampler's own cost).
     StateSample = 10,

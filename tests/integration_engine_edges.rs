@@ -40,7 +40,7 @@ fn empty_workload_is_a_clean_noop() {
     oracle::verify(&report).expect("vacuously serializable");
     // Final chains exist (all zero) for every page of every object.
     assert_eq!(report.final_chains.len(), 4);
-    assert!(report.final_chains.values().all(|&c| c == 0));
+    assert!(report.final_chains.iter().all(|(_, &c)| c == 0));
 }
 
 #[test]

@@ -105,11 +105,7 @@ fn recovery_rollback_is_exact_inverse() {
         let mut store = PageStore::new(64, 1);
         // Pre-populate with distinct content.
         for p in 0..8u16 {
-            store.install(PageId::new(object, p), Version::new(1), {
-                let mut d = vec![0u8; 64];
-                d[..8].copy_from_slice(&(p as u64 + 100).to_le_bytes());
-                d
-            });
+            store.install(PageId::new(object, p), Version::new(1), p as u64 + 100);
         }
         let before: Vec<u64> = (0..8u16)
             .map(|p| store.chain(PageId::new(object, p)))
