@@ -605,12 +605,12 @@ fn run_gate() -> ! {
     let p50 = timed
         .report
         .stats
-        .latency_quantile_precise(0.5)
+        .latency_quantile(0.5)
         .map_or(0, |d| d.as_nanos());
     let p99 = timed
         .report
         .stats
-        .latency_quantile_precise(0.99)
+        .latency_quantile(0.99)
         .map_or(0, |d| d.as_nanos());
     let base_p50 = baseline_u64(&baseline, &["gate", "latency_p50_ns"]);
     let base_p99 = baseline_u64(&baseline, &["gate", "latency_p99_ns"]);
@@ -1153,12 +1153,12 @@ fn main() {
         let p50 = timed
             .report
             .stats
-            .latency_quantile_precise(0.5)
+            .latency_quantile(0.5)
             .map_or(0, |d| d.as_nanos());
         let p99 = timed
             .report
             .stats
-            .latency_quantile_precise(0.99)
+            .latency_quantile(0.99)
             .map_or(0, |d| d.as_nanos());
         let mut fields = vec![
             ("scenario", Json::str("fig3-quick/LOTEC")),

@@ -136,12 +136,8 @@ pub fn run_cell(
         demand_fetches: stats.demand_fetches,
         makespan_ns: stats.makespan.as_nanos(),
         mean_latency_ns: stats.mean_latency().map_or(0, |d| d.as_nanos()),
-        p50_ns: stats
-            .latency_quantile_precise(0.5)
-            .map_or(0, |d| d.as_nanos()),
-        p99_ns: stats
-            .latency_quantile_precise(0.99)
-            .map_or(0, |d| d.as_nanos()),
+        p50_ns: stats.latency_quantile(0.5).map_or(0, |d| d.as_nanos()),
+        p99_ns: stats.latency_quantile(0.99).map_or(0, |d| d.as_nanos()),
         messages: report.traffic.total().messages,
         bytes: report.traffic.total().bytes,
         failures,

@@ -245,8 +245,8 @@ pub struct SystemConfig {
     /// after every lock-table mutation the engine's table compares the
     /// incremental graph against a from-scratch rebuild, and every
     /// deadlock-detector call cross-checks its verdict, found cycle, and
-    /// victim against the reference implementation
-    /// ([`lotec_txn::deadlock::reference`]). Purely diagnostic — any
+    /// victim against the from-scratch reference implementation in
+    /// [`lotec_txn::deadlock`]. Purely diagnostic — any
     /// divergence panics, and with no divergence the simulation output
     /// is identical. Off by default (each check is O(whole table)); the
     /// differential oracle suite turns it on.

@@ -1567,7 +1567,6 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         let latency = now.duration_since(runtime.arrival);
         runtime.commit_latency = Some(latency);
         self.stats.total_latency += latency;
-        self.stats.latency_histogram.record(latency.as_nanos());
         self.stats.latency_sketch.record(latency.as_nanos());
         self.stats.makespan = self.stats.makespan.max(now.duration_since(SimTime::ZERO));
         let ops = std::mem::take(&mut runtime.ops);
@@ -1583,10 +1582,11 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
     // ---- forensics ---------------------------------------------------
 
     /// Snapshots the black box at an anomaly: the flight-recorder ring,
-    /// live lock-table occupancy, the waits-for edges (the incremental
-    /// graph, cross-checked here against a from-scratch
-    /// [`lotec_txn::deadlock::reference`] rebuild — a forensics dump must
-    /// be evidence, not a hypothesis), and per-family span state.
+    /// live lock-table occupancy, the waits-for edges of the incremental
+    /// graph, and per-family span state. Under
+    /// [`SystemConfig::lock_graph_validation`] the lock table checks that
+    /// graph against a from-scratch rebuild after every mutation, so a
+    /// dump's edges are cross-checked whenever validation is armed.
     ///
     /// A no-op when the sink carries no [`FlightRecorder`] or the run
     /// already captured [`MAX_FORENSICS_DUMPS`] dumps. Read-only over the
@@ -1601,13 +1601,10 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         let events = recorder.snapshot();
         let recorded = recorder.recorded();
         let dropped = recorder.dropped();
-        let incremental = self.table.waits_for().to_reference();
-        let reference = lotec_txn::deadlock::reference::waits_for(&self.table, &self.tree);
-        assert_eq!(
-            incremental, reference,
-            "incremental waits-for graph diverged from the reference rebuild at forensics capture"
-        );
-        let waits_for: Vec<(u64, Vec<u64>)> = reference
+        let waits_for: Vec<(u64, Vec<u64>)> = self
+            .table
+            .waits_for()
+            .to_reference()
             .iter()
             .map(|(waiter, blockers)| (waiter.get(), blockers.iter().map(|b| b.get()).collect()))
             .collect();

@@ -3,7 +3,6 @@
 use lotec_mem::ObjectId;
 use lotec_net::{NetworkConfig, ObjectTraffic, TrafficLedger};
 use lotec_obs::{PhaseTimes, QuantileSketch};
-use lotec_sim::stats::Histogram;
 use lotec_sim::SimDuration;
 
 /// One family's phase-attributed time, as folded into
@@ -112,15 +111,10 @@ pub struct RunStats {
     pub makespan: SimDuration,
     /// Sum of per-family latencies (start → commit).
     pub total_latency: SimDuration,
-    /// Distribution of per-family commit latencies, in nanoseconds.
-    ///
-    /// Kept alongside [`RunStats::latency_sketch`] because the golden
-    /// differential fingerprints fold its bucket-resolution quantiles;
-    /// new consumers should prefer the sketch.
-    pub latency_histogram: Histogram,
-    /// Streaming quantile sketch of the same per-family commit latencies
-    /// (≤ 1.57% relative error, memory-flat, deterministically mergeable
-    /// across sweep workers). See [`QuantileSketch`].
+    /// Distribution of per-family commit latencies, in nanoseconds: a
+    /// streaming quantile sketch (at most 1/64 relative error,
+    /// memory-flat, deterministically mergeable across sweep workers).
+    /// See [`QuantileSketch`] and [`RunStats::latency_quantile`].
     pub latency_sketch: QuantileSketch,
     /// Phase-attributed latency breakdown (lock wait / transfer / compute
     /// / backoff), aggregate and per family.
@@ -136,27 +130,15 @@ impl RunStats {
         (self.committed_families > 0).then(|| self.total_latency / self.committed_families)
     }
 
-    /// Approximate latency quantile (bucket resolution), e.g. `0.5` for the
-    /// median or `0.99` for the tail that dominates a user-facing
-    /// workload's worst-case response time.
+    /// Commit-latency quantile from [`RunStats::latency_sketch`], e.g.
+    /// `0.5` for the median or `0.99` for the tail that dominates a
+    /// user-facing workload's worst-case response time. Never below the
+    /// exact nearest-rank value, and at most 1/64 above it.
     ///
     /// Returns `None` when no family committed, or when `q` falls outside
     /// `[0, 1]` (including NaN) — an out-of-range quantile is a caller
     /// bug, but a plotting script deserves a `None`, not a panic.
     pub fn latency_quantile(&self, q: f64) -> Option<SimDuration> {
-        if !(0.0..=1.0).contains(&q) {
-            return None;
-        }
-        self.latency_histogram
-            .quantile(q)
-            .map(SimDuration::from_nanos)
-    }
-
-    /// Latency quantile from the streaming sketch — ≤ 1.57% relative
-    /// error at any stream length, versus the log₂ bucket resolution of
-    /// [`RunStats::latency_quantile`]. Same `None` contract: empty run or
-    /// out-of-range `q`.
-    pub fn latency_quantile_precise(&self, q: f64) -> Option<SimDuration> {
         if !(0.0..=1.0).contains(&q) || self.latency_sketch.count() == 0 {
             return None;
         }
@@ -319,19 +301,15 @@ mod tests {
     #[test]
     fn out_of_range_quantiles_are_none_not_panics() {
         let mut stats = RunStats::default();
-        stats.latency_histogram.record(100);
-        assert!(stats.latency_quantile(0.5).is_some());
+        stats.latency_sketch.record(100);
+        assert_eq!(
+            stats.latency_quantile(0.5),
+            Some(SimDuration::from_nanos(100))
+        );
         assert_eq!(stats.latency_quantile(-0.1), None);
         assert_eq!(stats.latency_quantile(1.5), None);
         assert_eq!(stats.latency_quantile(f64::NAN), None);
-        stats.latency_sketch.record(100);
-        assert_eq!(
-            stats.latency_quantile_precise(0.5),
-            Some(SimDuration::from_nanos(100))
-        );
-        assert_eq!(stats.latency_quantile_precise(1.5), None);
-        assert_eq!(stats.latency_quantile_precise(f64::NAN), None);
-        assert_eq!(RunStats::default().latency_quantile_precise(0.5), None);
+        assert_eq!(RunStats::default().latency_quantile(0.5), None);
     }
 
     #[test]

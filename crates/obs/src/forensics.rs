@@ -2,14 +2,15 @@
 //! goes wrong.
 //!
 //! A [`ForensicsDump`] is a deterministic snapshot taken at an anomaly —
-//! deadlock-victim selection, a lock timeout, crash repair, a
-//! serializability-oracle violation, or a perf-gate breach. It bundles:
+//! deadlock-victim selection, a lock timeout, crash repair, or a
+//! serializability-oracle violation. It bundles:
 //!
 //! * the [`FlightRecorder`] ring (the most recent
 //!   event history, oldest first, with eviction accounting),
 //! * the live lock-table occupancy and family-level waits-for edges at
-//!   capture time (the engine cross-checks the incremental graph against
-//!   the from-scratch `deadlock::reference` detector before dumping),
+//!   capture time (the lock table's incremental graph, which its
+//!   validation mode checks against the from-scratch reference detector
+//!   after every mutation),
 //! * per-family span state (phase + restart count), and
 //! * the anomaly itself ([`Anomaly`]).
 //!
@@ -76,15 +77,6 @@ pub enum Anomaly {
         /// The oracle's error message.
         detail: String,
     },
-    /// A perf regression gate failed.
-    PerfGateBreach {
-        /// The gated metric's name.
-        metric: String,
-        /// Measured value.
-        current: u64,
-        /// The floor it fell below.
-        floor: u64,
-    },
 }
 
 impl Anomaly {
@@ -95,7 +87,6 @@ impl Anomaly {
             Anomaly::LockTimeout { .. } => "lock_timeout",
             Anomaly::CrashRepair { .. } => "crash_repair",
             Anomaly::OracleViolation { .. } => "oracle_violation",
-            Anomaly::PerfGateBreach { .. } => "perf_gate_breach",
         }
     }
 
@@ -137,11 +128,6 @@ impl Anomaly {
             Anomaly::OracleViolation { detail } => {
                 format!("serializability oracle violation: {detail}")
             }
-            Anomaly::PerfGateBreach {
-                metric,
-                current,
-                floor,
-            } => format!("perf gate breach: {metric} {current} below floor {floor}"),
         }
     }
 
@@ -182,15 +168,6 @@ impl Anomaly {
             Anomaly::OracleViolation { detail } => {
                 pairs.push(("detail", Json::str(detail)));
             }
-            Anomaly::PerfGateBreach {
-                metric,
-                current,
-                floor,
-            } => {
-                pairs.push(("metric", Json::str(metric)));
-                pairs.uint("current", *current);
-                pairs.uint("floor", *floor);
-            }
         }
         Json::obj(pairs)
     }
@@ -217,11 +194,6 @@ impl Anomaly {
             },
             "oracle_violation" => Anomaly::OracleViolation {
                 detail: j.str("detail")?.to_string(),
-            },
-            "perf_gate_breach" => Anomaly::PerfGateBreach {
-                metric: j.str("metric")?.to_string(),
-                current: j.u64("current")?,
-                floor: j.u64("floor")?,
             },
             other => return Err(JsonError::new(format!("unknown anomaly type `{other}`"))),
         })

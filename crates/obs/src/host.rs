@@ -14,11 +14,11 @@
 //! exists in the binary.
 //!
 //! [`WallProfiler`] is the real implementation: a scope stack plus a fixed
-//! array of per-region accumulators ([`RegionStat`], log₂-histogram
-//! bucketed). Each profiler instance is thread-local by construction — one
-//! per engine run — so accumulation is lock-free; cross-thread aggregation
-//! happens after the runner joins, via the deterministic, index-ordered
-//! [`HostProfile::merge`].
+//! array of per-region accumulators ([`RegionStat`], each with a
+//! [`QuantileSketch`] of self times). Each profiler instance is
+//! thread-local by construction — one per engine run — so accumulation is
+//! lock-free; cross-thread aggregation happens after the runner joins, via
+//! the deterministic, index-ordered [`HostProfile::merge`].
 //!
 //! Self-time accounting: when a scope exits, the elapsed wall time minus
 //! the time spent in *nested* scopes is attributed to the scope's region as
@@ -29,12 +29,11 @@
 
 use std::time::Instant;
 
-use lotec_sim::stats::Histogram;
-
 use crate::event::ObsEvent;
 use crate::json::Json;
 use crate::recorder::FlightRecorder;
 use crate::sink::EventSink;
+use crate::sketch::QuantileSketch;
 
 /// A profiled wall-clock region of the engine.
 ///
@@ -190,8 +189,8 @@ pub struct RegionStat {
     /// Wall nanoseconds exclusive of nested regions. Summing `self_ns`
     /// across regions partitions the covered wall time.
     pub self_ns: u64,
-    /// Log₂-bucketed distribution of per-scope self time.
-    pub hist: Histogram,
+    /// Distribution of per-scope self time.
+    pub hist: QuantileSketch,
 }
 
 impl RegionStat {
@@ -210,18 +209,16 @@ impl RegionStat {
         self.hist.merge(&other.hist);
     }
 
-    /// JSON rendering: counts, totals, and histogram shape markers.
+    /// JSON rendering: counts, totals, and self-time shape markers (all
+    /// 0 for a region that never fired).
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("count", Json::U64(self.count)),
             ("total_ns", Json::U64(self.total_ns)),
             ("self_ns", Json::U64(self.self_ns)),
-            ("min_self_ns", Json::U64(self.hist.min().unwrap_or(0))),
-            ("max_self_ns", Json::U64(self.hist.max().unwrap_or(0))),
-            (
-                "p99_self_ns",
-                Json::U64(self.hist.quantile(0.99).unwrap_or(0)),
-            ),
+            ("min_self_ns", Json::U64(self.hist.min())),
+            ("max_self_ns", Json::U64(self.hist.max())),
+            ("p99_self_ns", Json::U64(self.hist.quantile(0.99))),
         ])
     }
 }

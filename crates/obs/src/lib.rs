@@ -19,9 +19,11 @@
 //!   batches, demand fetches, retransmit stalls).
 //! * [`critical_path`] — per-root-commit latency attribution: the edge
 //!   chain that determined the commit latency, plus per-phase self-time.
-//! * [`registry`] — hand-rolled counters/gauges/log-scale histograms keyed
-//!   by `(metric, object/node label)`, fed from the sink, with top-K
+//! * [`registry`] — hand-rolled counters, gauges and histograms keyed by
+//!   `(metric, object/node label)`, fed from the sink, with top-K
 //!   contention and transfer tables.
+//! * [`sketch`] — [`QuantileSketch`], the one distribution type: run
+//!   commit latencies, registry histograms and host-profiler self times.
 //! * [`report`] — trace summarization: event census, phase-attributed
 //!   time, prediction precision/recall, gather fan-out.
 //! * [`json`] — the dependency-free JSON value type everything above (and

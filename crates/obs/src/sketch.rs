@@ -1,12 +1,13 @@
 //! Mergeable streaming quantile sketch (DDSketch-style, integer-only).
 //!
-//! The log₂ [`Histogram`](lotec_sim::stats::Histogram) that backed the
-//! metrics registry resolves quantiles only to the enclosing power of
-//! two — a p99 of 1.3 ms and one of 2.5 ms land in the same bucket.
-//! [`QuantileSketch`] keeps the memory-flat streaming shape but divides
-//! every octave into [`SUBBUCKETS`] linear subbuckets, bounding the
-//! relative quantile error by `1/SUBBUCKETS` (≈ 1.56 %) at any stream
-//! length.
+//! The workspace's one distribution type: run commit latencies, the
+//! metrics registry's histograms and the host profiler's per-region self
+//! times all record into it. A log₂ histogram resolves quantiles only to
+//! the enclosing power of two — a p99 of 1.3 ms and one of 2.5 ms land in
+//! the same bucket. [`QuantileSketch`] keeps that memory-flat streaming
+//! shape but divides every octave into [`SUBBUCKETS`] linear subbuckets,
+//! bounding the relative quantile error by `1/SUBBUCKETS` (≈ 1.56 %) at
+//! any stream length.
 //!
 //! Design constraints, in order:
 //!
@@ -55,7 +56,7 @@ fn bucket_of(value: u64) -> usize {
 
 /// Inclusive upper bound of bucket `index` — the deterministic
 /// representative [`QuantileSketch::quantile`] reports (clamped to the
-/// observed min/max, mirroring the log₂ histogram's convention).
+/// observed min/max).
 #[inline]
 fn bucket_upper(index: usize) -> u64 {
     if index < SUBBUCKETS as usize {

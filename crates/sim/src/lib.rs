@@ -12,8 +12,7 @@
 //! * [`SimRng`] — a small, fully deterministic PRNG (xoshiro256**) so that
 //!   every experiment is reproducible from a single seed,
 //! * [`FaultPlan`] — a seeded fault-injection schedule (message loss,
-//!   duplication, delay, node crash windows) interpreted by upper layers,
-//! * [`stats`] — counters and histograms used by the instrumentation layer.
+//!   duplication, delay, node crash windows) interpreted by upper layers.
 //!
 //! # Example
 //!
@@ -37,7 +36,6 @@ pub mod event;
 pub mod fault;
 pub mod rng;
 pub mod slab;
-pub mod stats;
 pub mod time;
 
 mod node;

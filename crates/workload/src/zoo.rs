@@ -170,7 +170,7 @@ impl SuccessCriteria {
                 self.max_abort_rate
             ));
         }
-        match stats.latency_quantile_precise(0.99) {
+        match stats.latency_quantile(0.99) {
             Some(p99) if p99 > self.max_p99 => failures.push(format!(
                 "p99 latency {:.1}us above maximum {:.1}us",
                 p99.as_micros_f64(),

@@ -5,7 +5,8 @@
 //! deadlock-check gating) is an *optimization* — not one simulated result
 //! may change. This suite pins golden fingerprints captured from the
 //! pre-overhaul build: the final content chains, the scalar `RunStats`
-//! counters, and the per-protocol transfer totals, across all four
+//! counters, the commit order (each root commit's time and family, in
+//! trace order), and the per-protocol transfer totals, across all four
 //! protocols fault-free and under a sample of the chaos-suite seeds.
 //!
 //! A second table, `EVENT_STREAMS`, pins the probe layer's output: each
@@ -22,6 +23,13 @@
 //! `LOTEC_PRINT_GOLDEN=1 cargo test --test differential_seed -- --nocapture`
 //! and paste the printed rows over `GOLDEN`, `EVENT_STREAMS` and
 //! `REPLAY_TRAFFIC`.
+//!
+//! A change to what a fingerprint folds (not to what the engine does)
+//! re-pins a column without any behaviour change. It is legitimate only
+//! with proof: a copy of the parent commit, given only the new
+//! fingerprint function, must print exactly the rows the change pins.
+//! `stats_hash` was re-pinned that way when it stopped folding the log₂
+//! histogram's p50 and p99 and took the commit order in their place.
 
 use std::collections::BTreeSet;
 use std::fmt::Debug;
@@ -54,8 +62,8 @@ struct Fingerprint {
     total_bytes: u64,
     /// Every page's final content chain folded in deterministic order.
     chain_hash: u64,
-    /// Every scalar `RunStats` counter (and the latency quantiles) folded
-    /// in a fixed order.
+    /// Every scalar `RunStats` counter folded in a fixed order, then
+    /// every root commit's time and family in trace order.
     stats_hash: u64,
 }
 
@@ -88,13 +96,16 @@ fn fingerprint(report: &RunReport) -> Fingerprint {
         s.retransmit_wait.as_nanos(),
         s.makespan.as_nanos(),
         s.total_latency.as_nanos(),
-        s.latency_quantile(0.5).map_or(0, |d| d.as_nanos()),
-        s.latency_quantile(0.99).map_or(0, |d| d.as_nanos()),
         report
             .traffic
             .page_payload_bytes(&SystemConfig::default().sizes, 4096),
     ] {
         stats_hash = mix(stats_hash, v);
+    }
+    for event in report.trace.events() {
+        if let TraceEvent::RootCommit { at, family, .. } = event {
+            stats_hash = mix(mix(stats_hash, at.as_nanos()), *family);
+        }
     }
     Fingerprint {
         committed: s.committed_families,
@@ -648,38 +659,39 @@ const EVENT_STREAMS: &[(&str, EventStream)] = &[
     ("ablation_faults-quick/LOTEC", EventStream { events: 1318, jsonl_hash: 0xf0bda48c68cea9c0 }),
 ];
 
-/// Golden fingerprints captured from the pre-overhaul build.
+/// Golden fingerprints captured from the pre-overhaul build; `stats_hash`
+/// re-pinned by the parent-side proof above when it took the commit order.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, Fingerprint)] = &[
-    ("fig3/COTEC", Fingerprint { committed: 50, makespan_ns: 133668233, total_messages: 448, total_bytes: 4013000, chain_hash: 0xdb311cc69ef168bc, stats_hash: 0x46fa6409d501946d }),
-    ("fig3/OTEC", Fingerprint { committed: 50, makespan_ns: 108651853, total_messages: 432, total_bytes: 2880552, chain_hash: 0xe3bd966d49e1a5d1, stats_hash: 0x65c665201cee7bad }),
-    ("fig3/LOTEC", Fingerprint { committed: 50, makespan_ns: 88727313, total_messages: 501, total_bytes: 2651822, chain_hash: 0xc517c0f9cee501d8, stats_hash: 0x5149120633fe0116 }),
-    ("fig3/RC", Fingerprint { committed: 50, makespan_ns: 61954713, total_messages: 658, total_bytes: 10719290, chain_hash: 0xdf6021209afa1cd1, stats_hash: 0xa09de8c99d0715a9 }),
-    ("chaos/COTEC/101", Fingerprint { committed: 8, makespan_ns: 2846882, total_messages: 63, total_bytes: 163336, chain_hash: 0x9f5451439e5af275, stats_hash: 0x4460177283c61fd0 }),
-    ("chaos/COTEC/138", Fingerprint { committed: 8, makespan_ns: 2551964, total_messages: 47, total_bytes: 101104, chain_hash: 0x3eebb50f137e013a, stats_hash: 0x0ac8eb44f8878659 }),
-    ("chaos/COTEC/175", Fingerprint { committed: 8, makespan_ns: 2231753, total_messages: 40, total_bytes: 117136, chain_hash: 0xca80a0b0a80f2a3b, stats_hash: 0xa7b3915a4357755c }),
-    ("chaos/OTEC/101", Fingerprint { committed: 8, makespan_ns: 1084725, total_messages: 52, total_bytes: 47660, chain_hash: 0x408f04c97c9de0d2, stats_hash: 0xa025322559a7b731 }),
-    ("chaos/OTEC/138", Fingerprint { committed: 8, makespan_ns: 1857184, total_messages: 41, total_bytes: 51510, chain_hash: 0x336bca1d0a24d4c0, stats_hash: 0x07e92cfbd2c29229 }),
-    ("chaos/OTEC/175", Fingerprint { committed: 8, makespan_ns: 1785980, total_messages: 34, total_bytes: 42836, chain_hash: 0xca80a0b0a80f2a3b, stats_hash: 0x4be8c780c3e5290f }),
-    ("chaos/LOTEC/101", Fingerprint { committed: 8, makespan_ns: 989720, total_messages: 47, total_bytes: 18748, chain_hash: 0x6e4209f23eba80c2, stats_hash: 0x21f924b377cf06cc }),
-    ("chaos/LOTEC/138", Fingerprint { committed: 8, makespan_ns: 979492, total_messages: 41, total_bytes: 39144, chain_hash: 0x3eebb50f137e013a, stats_hash: 0xfe71ef0884a8458d }),
-    ("chaos/LOTEC/175", Fingerprint { committed: 8, makespan_ns: 1785980, total_messages: 32, total_bytes: 34526, chain_hash: 0xca80a0b0a80f2a3b, stats_hash: 0xcad4a99c2b0006dd }),
-    ("chaos/RC/101", Fingerprint { committed: 8, makespan_ns: 1028128, total_messages: 70, total_bytes: 109950, chain_hash: 0x408f04c97c9de0d2, stats_hash: 0x566c9322345aafa4 }),
-    ("chaos/RC/138", Fingerprint { committed: 8, makespan_ns: 1857184, total_messages: 50, total_bytes: 101074, chain_hash: 0x336bca1d0a24d4c0, stats_hash: 0x67640f72f6235dba }),
-    ("chaos/RC/175", Fingerprint { committed: 8, makespan_ns: 1771480, total_messages: 41, total_bytes: 112912, chain_hash: 0xca80a0b0a80f2a3b, stats_hash: 0x93ef769d58ad9a4d }),
+    ("fig3/COTEC", Fingerprint { committed: 50, makespan_ns: 133668233, total_messages: 448, total_bytes: 4013000, chain_hash: 0xdb311cc69ef168bc, stats_hash: 0x8fd7280e547772de }),
+    ("fig3/OTEC", Fingerprint { committed: 50, makespan_ns: 108651853, total_messages: 432, total_bytes: 2880552, chain_hash: 0xe3bd966d49e1a5d1, stats_hash: 0x766754d15eb8aea5 }),
+    ("fig3/LOTEC", Fingerprint { committed: 50, makespan_ns: 88727313, total_messages: 501, total_bytes: 2651822, chain_hash: 0xc517c0f9cee501d8, stats_hash: 0x9a655250f5a53543 }),
+    ("fig3/RC", Fingerprint { committed: 50, makespan_ns: 61954713, total_messages: 658, total_bytes: 10719290, chain_hash: 0xdf6021209afa1cd1, stats_hash: 0xbb46408bdf50c7c6 }),
+    ("chaos/COTEC/101", Fingerprint { committed: 8, makespan_ns: 2846882, total_messages: 63, total_bytes: 163336, chain_hash: 0x9f5451439e5af275, stats_hash: 0xc60cb026d0968e5b }),
+    ("chaos/COTEC/138", Fingerprint { committed: 8, makespan_ns: 2551964, total_messages: 47, total_bytes: 101104, chain_hash: 0x3eebb50f137e013a, stats_hash: 0xb9d1447e922ce17c }),
+    ("chaos/COTEC/175", Fingerprint { committed: 8, makespan_ns: 2231753, total_messages: 40, total_bytes: 117136, chain_hash: 0xca80a0b0a80f2a3b, stats_hash: 0x4656332cfe94b444 }),
+    ("chaos/OTEC/101", Fingerprint { committed: 8, makespan_ns: 1084725, total_messages: 52, total_bytes: 47660, chain_hash: 0x408f04c97c9de0d2, stats_hash: 0xe068527dd7e70be0 }),
+    ("chaos/OTEC/138", Fingerprint { committed: 8, makespan_ns: 1857184, total_messages: 41, total_bytes: 51510, chain_hash: 0x336bca1d0a24d4c0, stats_hash: 0x36fca52d3db23485 }),
+    ("chaos/OTEC/175", Fingerprint { committed: 8, makespan_ns: 1785980, total_messages: 34, total_bytes: 42836, chain_hash: 0xca80a0b0a80f2a3b, stats_hash: 0x968d98e326f5ba46 }),
+    ("chaos/LOTEC/101", Fingerprint { committed: 8, makespan_ns: 989720, total_messages: 47, total_bytes: 18748, chain_hash: 0x6e4209f23eba80c2, stats_hash: 0xcbb9f69f7128f2f4 }),
+    ("chaos/LOTEC/138", Fingerprint { committed: 8, makespan_ns: 979492, total_messages: 41, total_bytes: 39144, chain_hash: 0x3eebb50f137e013a, stats_hash: 0xe74ce2ead1867908 }),
+    ("chaos/LOTEC/175", Fingerprint { committed: 8, makespan_ns: 1785980, total_messages: 32, total_bytes: 34526, chain_hash: 0xca80a0b0a80f2a3b, stats_hash: 0xe180030ce551c06b }),
+    ("chaos/RC/101", Fingerprint { committed: 8, makespan_ns: 1028128, total_messages: 70, total_bytes: 109950, chain_hash: 0x408f04c97c9de0d2, stats_hash: 0xf6707350dc33984b }),
+    ("chaos/RC/138", Fingerprint { committed: 8, makespan_ns: 1857184, total_messages: 50, total_bytes: 101074, chain_hash: 0x336bca1d0a24d4c0, stats_hash: 0xdc4815ef2de034eb }),
+    ("chaos/RC/175", Fingerprint { committed: 8, makespan_ns: 1771480, total_messages: 41, total_bytes: 112912, chain_hash: 0xca80a0b0a80f2a3b, stats_hash: 0xf7e14ae06ac7f7ab }),
     // Adaptive-prediction cells (LOTEC + AdaptiveConfig::on()). The fig3
     // chain hash matches the static cell — same committed state, fewer
     // bytes moved.
-    ("fig3/LOTEC+adaptive", Fingerprint { committed: 50, makespan_ns: 88697873, total_messages: 503, total_bytes: 2649860, chain_hash: 0xc517c0f9cee501d8, stats_hash: 0x18fe3323a3ab7645 }),
-    ("chaos/LOTEC+adaptive/101", Fingerprint { committed: 8, makespan_ns: 989720, total_messages: 47, total_bytes: 18748, chain_hash: 0x6e4209f23eba80c2, stats_hash: 0x21f924b377cf06cc }),
-    ("chaos/LOTEC+adaptive/138", Fingerprint { committed: 8, makespan_ns: 979492, total_messages: 41, total_bytes: 39140, chain_hash: 0x3eebb50f137e013a, stats_hash: 0x93dbb90348e7baf5 }),
-    ("chaos/LOTEC+adaptive/175", Fingerprint { committed: 8, makespan_ns: 1784220, total_messages: 32, total_bytes: 34504, chain_hash: 0xca80a0b0a80f2a3b, stats_hash: 0xd623128a1cee7e8d }),
+    ("fig3/LOTEC+adaptive", Fingerprint { committed: 50, makespan_ns: 88697873, total_messages: 503, total_bytes: 2649860, chain_hash: 0xc517c0f9cee501d8, stats_hash: 0x5a9bcee40c7cb365 }),
+    ("chaos/LOTEC+adaptive/101", Fingerprint { committed: 8, makespan_ns: 989720, total_messages: 47, total_bytes: 18748, chain_hash: 0x6e4209f23eba80c2, stats_hash: 0xcbb9f69f7128f2f4 }),
+    ("chaos/LOTEC+adaptive/138", Fingerprint { committed: 8, makespan_ns: 979492, total_messages: 41, total_bytes: 39140, chain_hash: 0x3eebb50f137e013a, stats_hash: 0x1205b754c4bdaa8e }),
+    ("chaos/LOTEC+adaptive/175", Fingerprint { committed: 8, makespan_ns: 1784220, total_messages: 32, total_bytes: 34504, chain_hash: 0xca80a0b0a80f2a3b, stats_hash: 0xe85a107c2709e44f }),
     // Workload-zoo tiny-tier cells, LOTEC static: pins the zoo generator
     // (tenancy, migration rotation, diurnal arrivals, tree shaping).
-    ("zoo/multi_tenant", Fingerprint { committed: 60, makespan_ns: 9867217, total_messages: 345, total_bytes: 213062, chain_hash: 0x7fca76e70f8e6f0f, stats_hash: 0xbdb64dcf20bdf29d }),
-    ("zoo/hotspot_migration", Fingerprint { committed: 48, makespan_ns: 4937062, total_messages: 321, total_bytes: 274366, chain_hash: 0xded1ccfae7488702, stats_hash: 0xfb79a7f0cee5a69c }),
-    ("zoo/diurnal_burst", Fingerprint { committed: 40, makespan_ns: 5833876, total_messages: 224, total_bytes: 122044, chain_hash: 0xa229a22f9678c36a, stats_hash: 0x0fb52f2b68a872b1 }),
-    ("zoo/deep_trees", Fingerprint { committed: 40, makespan_ns: 8591112, total_messages: 374, total_bytes: 328994, chain_hash: 0xbca735e1815906e6, stats_hash: 0x59c4543c6dec6360 }),
-    ("zoo/wide_trees", Fingerprint { committed: 40, makespan_ns: 51958317, total_messages: 1319, total_bytes: 1101986, chain_hash: 0xb1d66e3d77441b0e, stats_hash: 0x5e2039a6e4a56f0b }),
-    ("zoo/scaleout", Fingerprint { committed: 48, makespan_ns: 6143715, total_messages: 376, total_bytes: 214450, chain_hash: 0xe19f08fa3d0159d9, stats_hash: 0x36ac30b12ac4e9fc }),
+    ("zoo/multi_tenant", Fingerprint { committed: 60, makespan_ns: 9867217, total_messages: 345, total_bytes: 213062, chain_hash: 0x7fca76e70f8e6f0f, stats_hash: 0xc8a2f54af8007584 }),
+    ("zoo/hotspot_migration", Fingerprint { committed: 48, makespan_ns: 4937062, total_messages: 321, total_bytes: 274366, chain_hash: 0xded1ccfae7488702, stats_hash: 0x2c306dcbe3c84ed5 }),
+    ("zoo/diurnal_burst", Fingerprint { committed: 40, makespan_ns: 5833876, total_messages: 224, total_bytes: 122044, chain_hash: 0xa229a22f9678c36a, stats_hash: 0x9ccfeafeac7ae6f6 }),
+    ("zoo/deep_trees", Fingerprint { committed: 40, makespan_ns: 8591112, total_messages: 374, total_bytes: 328994, chain_hash: 0xbca735e1815906e6, stats_hash: 0x4496d3cde838a9c0 }),
+    ("zoo/wide_trees", Fingerprint { committed: 40, makespan_ns: 51958317, total_messages: 1319, total_bytes: 1101986, chain_hash: 0xb1d66e3d77441b0e, stats_hash: 0x96588ca685aec974 }),
+    ("zoo/scaleout", Fingerprint { committed: 48, makespan_ns: 6143715, total_messages: 376, total_bytes: 214450, chain_hash: 0xe19f08fa3d0159d9, stats_hash: 0xc0f40dc623b6da71 }),
 ];

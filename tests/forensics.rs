@@ -19,6 +19,9 @@ use lotec_workload::presets;
 /// Seed at which quick-fig3/LOTEC breaks exactly one deadlock.
 const DEADLOCK_SEED: u64 = 11;
 
+/// Validation stays armed so the dumped waits-for edges, read from the
+/// incremental graph, are checked against the from-scratch rebuild after
+/// every lock-table mutation.
 fn deadlock_config(slots: u32) -> (SystemConfig, lotec_workload::Scenario) {
     let scenario = presets::quick(presets::fig3());
     let config = SystemConfig {
@@ -26,6 +29,7 @@ fn deadlock_config(slots: u32) -> (SystemConfig, lotec_workload::Scenario) {
         seed: DEADLOCK_SEED,
         num_nodes: scenario.config.num_nodes,
         page_size: scenario.config.schema.page_size,
+        lock_graph_validation: true,
         ..SystemConfig::default()
     }
     .with_flight_recorder(slots);

@@ -29,7 +29,7 @@ fn recording_sink_does_not_perturb_the_simulation() {
         .expect("probed run");
     assert!(!sink.is_empty(), "a real run must record events");
 
-    // Counters, one by one (RunStats holds histograms, so no blanket Eq).
+    // Counters, one by one (RunStats has no blanket Eq).
     let a = &plain.stats;
     let b = &probed.stats;
     assert_eq!(a.committed_families, b.committed_families);
