@@ -977,7 +977,7 @@ fn main() {
         // The deadlock gate used to rebuild the waits-for graph from an
         // O(entries) scan on every enqueue — ~86% of the full-fig3 wall.
         // With the graph maintained incrementally in the lock table the
-        // gate is an O(1) in-edge lookup plus a reachability-scoped
+        // gate is an O(1) in-edge lookup plus a forward walk before any
         // search; its share must stay collapsed. (The cap is a *share*,
         // so it creeps up whenever other regions get faster — the hot-
         // loop flattening shrank the denominator by ~20% with the gate's

@@ -1662,18 +1662,17 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
     /// between, so the graph is acyclic on entry and any new cycle runs
     /// through `enqueued` — when [`lotec_txn::may_deadlock_through`] (an
     /// O(1) in-edge lookup in the incremental graph) rules that out, the
-    /// detector is skipped entirely; otherwise every pass walks only the
-    /// nodes that can reach `enqueued`
-    /// ([`lotec_txn::find_deadlock_cycle_through`]).
+    /// detector is skipped entirely; otherwise every pass asks whether
+    /// `enqueued` reaches itself and, only if it does, searches every
+    /// blocked family ([`lotec_txn::find_deadlock_cycle_through`]).
     ///
     /// That stays exact after a victim: its abort and the regrants that
     /// follow only remove wait edges. The victim's holds, retentions and
     /// queued request disappear. A regrant admits only families at the
     /// head of a queue, and every waiter left behind such a family
     /// already had a FIFO edge to it, which the grant keeps or drops. So
-    /// every remaining cycle still passes through `enqueued`, and the
-    /// scoped pass returns the full search's cycle, rotation included. A
-    /// pass that finds nothing costs one small forward walk.
+    /// every remaining cycle still passes through `enqueued`, and a pass
+    /// that finds nothing costs one small forward walk.
     fn break_deadlocks(
         &mut self,
         now: SimTime,

@@ -16,12 +16,13 @@
 //! (see [`crate::waits_for::WaitsFor`]): every entry mutation refreshes
 //! only that object's edge contribution, so the functions here read a
 //! materialized graph instead of rebuilding it from an O(entries) scan.
-//! [`may_deadlock_through`] is a single reverse-index lookup and
-//! [`find_deadlock_cycle_through`] walks only the nodes that can reach
-//! the newly enqueued family. The original from-scratch implementation
-//! survives in [`reference`](mod@reference) as the oracle the differential and property
-//! suites (and [`crate::table::LockTable`]'s validation mode) replay
-//! against.
+//! [`may_deadlock_through`] is a single reverse-index lookup, and
+//! [`find_deadlock_cycle_through`] runs the full search only after a
+//! forward walk from the newly enqueued family has proven that a cycle
+//! exists. The original from-scratch implementation survives in
+//! [`reference`](mod@reference) as the oracle the differential and
+//! property suites (and [`crate::table::LockTable`]'s validation mode)
+//! replay against.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -183,8 +184,8 @@ fn cycle_search(
 ///
 /// Returns `false` only when no in-edge exists, i.e. no cycle through
 /// `family` is possible and detection may be skipped. A `true` return
-/// decides nothing: the caller must run [`find_deadlock_cycle_through`]
-/// (reachability is its job).
+/// decides nothing: the caller must run [`find_deadlock_cycle_through`],
+/// which proves or rules out the cycle.
 pub fn may_deadlock_through(table: &LockTable, tree: &TxnTree, family: TxnId) -> bool {
     let verdict = table.waits_for().has_in_edges(family);
     if table.graph_validation() {
@@ -221,41 +222,37 @@ pub fn find_deadlock_cycle(table: &LockTable, tree: &TxnTree) -> Option<Vec<TxnI
     cycle
 }
 
-/// [`find_deadlock_cycle`] restricted to the nodes that can *reach* the
-/// newly enqueued `family`: the detector walks only the backward-reachable
-/// subgraph instead of every blocked family — and only after a forward
+/// [`find_deadlock_cycle`] for the caller that has just enqueued a
+/// request for `family`: the full search runs only after a forward
 /// existence check ([`crate::waits_for::WaitsFor::on_cycle`]) has proven
-/// a cycle is there to find, so the common no-deadlock call returns in
-/// one small DFS.
+/// a cycle through `family` is there to find, so the common
+/// no-deadlock call returns after one small walk.
 ///
 /// Precondition: every cycle in the graph passes through `family`. That
 /// holds when the graph was acyclic before `family`'s request was
 /// enqueued and wait edges have only been removed since — as they are
 /// by a deadlock victim's abort and the regrants it triggers, so the
 /// call stays exact on every pass of a victim loop, not only the first.
-/// Then every node of every cycle reaches `family` and the restriction
-/// loses nothing. The search visits the restricted node set in the same
-/// ascending order the full DFS uses, and the pruned nodes cannot affect
-/// it: a node that does not reach `family` can only ever reach other
-/// such nodes (if it reached a reaching node it would reach `family`),
-/// so the subtrees the full DFS would grow out of them touch neither the
-/// surviving start nodes' paths nor their visited marks. The returned
-/// cycle is therefore byte-identical to the full (and reference)
-/// search's, rotation included.
+/// The precondition makes the skip exact: when `family` does not reach
+/// itself there is no cycle at all. Past the check this *is* the full
+/// search, so the returned cycle is byte-identical to the full (and
+/// reference) search's, rotation included.
+///
+/// # Panics
+///
+/// When the returned cycle misses `family`, i.e. the precondition was
+/// broken: always with the lock table's graph validation armed, and in
+/// debug builds otherwise.
 pub fn find_deadlock_cycle_through(
     table: &LockTable,
     tree: &TxnTree,
     family: TxnId,
 ) -> Option<Vec<TxnId>> {
-    let graph = table.waits_for();
-    // Existence before exactness: by the precondition every cycle passes
-    // through `family`, so "family does not reach itself" already proves
-    // the full search would return `None`.
-    // The forward closure that check walks is much smaller than the
-    // backward-reachable set the exact search needs (waiters fan *in*
+    // Existence before exactness: the forward closure `on_cycle` walks
+    // is much smaller than the set of blocked families (waiters fan *in*
     // towards a blocker: one family blocks many, but is itself blocked
     // by few), and in the common no-deadlock case it is all we pay.
-    if !graph.on_cycle(family) {
+    if !table.waits_for().on_cycle(family) {
         if table.graph_validation() {
             assert_eq!(
                 None,
@@ -266,17 +263,11 @@ pub fn find_deadlock_cycle_through(
         }
         return None;
     }
-    let scope = graph.reaching(family);
-    let cycle = cycle_search(
-        graph.blocked_families().filter(|f| scope.contains(f)),
-        |node| graph.blockers_of(node).collect(),
-        |node| scope.contains(&node) && graph.is_blocked(node),
-    );
-    if table.graph_validation() {
-        let want = reference::find_deadlock_cycle(table, tree);
-        assert_eq!(
-            cycle, want,
-            "scoped cycle search through {family} disagrees with from-scratch rebuild \
+    let cycle = find_deadlock_cycle(table, tree);
+    if table.graph_validation() || cfg!(debug_assertions) {
+        assert!(
+            cycle.as_ref().is_some_and(|c| c.contains(&family)),
+            "deadlock cycle {cycle:?} misses the enqueued family {family} \
              (was the graph acyclic before the enqueue?)"
         );
     }
@@ -347,7 +338,7 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, vec![a, b]);
         assert_eq!(pick_victim(&cycle), b, "youngest family is the victim");
-        // The scoped search through the enqueued family finds the very
+        // The gated search through the enqueued family finds the very
         // same cycle vector.
         assert_eq!(find_deadlock_cycle_through(&table, &tree, b), Some(cycle));
     }
@@ -545,6 +536,29 @@ mod tests {
         assert!(may_deadlock_through(&table, &tree, w));
         assert!(!may_deadlock_through(&table, &tree, r));
         assert_eq!(find_deadlock_cycle(&table, &tree), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "misses the enqueued family")]
+    fn search_through_a_family_off_the_found_cycle_panics() {
+        // Two disjoint cycles, a <-> b and c <-> d, break the precondition
+        // for d: the search finds the lower-id cycle, which misses d.
+        let mut tree = TxnTree::new();
+        let mut table = table_with_validation(4);
+        let fams: Vec<TxnId> = (0..4).map(|i| tree.begin_root(n(i))).collect();
+        for (i, &f) in fams.iter().enumerate() {
+            table
+                .acquire(obj(i as u32), f, LockMode::Write, &tree)
+                .unwrap();
+        }
+        for (i, &f) in fams.iter().enumerate() {
+            // Each family waits on its partner's object: 0 <-> 1, 2 <-> 3.
+            table
+                .acquire(obj((i ^ 1) as u32), f, LockMode::Write, &tree)
+                .unwrap();
+        }
+        assert!(table.waits_for().on_cycle(fams[3]));
+        find_deadlock_cycle_through(&table, &tree, fams[3]);
     }
 
     #[test]

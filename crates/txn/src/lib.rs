@@ -27,10 +27,11 @@
 //!   graph is maintained *incrementally* by the lock table
 //!   ([`waits_for::WaitsFor`]): each entry mutation refreshes only that
 //!   object's edge contribution, the enqueue-time gate is an O(1)
-//!   reverse-index lookup, and the detector walks only the nodes that
-//!   can reach the newly enqueued family. The original from-scratch
-//!   implementation survives in [`deadlock::reference`] as the oracle
-//!   for differential and property testing.
+//!   reverse-index lookup, and the detector searches only once a forward
+//!   walk from the newly enqueued family proves it lies on a cycle. The
+//!   original from-scratch implementation survives in
+//!   [`deadlock::reference`] as the oracle for differential and property
+//!   testing.
 //!
 //! # Example
 //!

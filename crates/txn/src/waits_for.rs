@@ -36,9 +36,8 @@ pub struct WaitsFor {
     /// Forward adjacency: waiter → blocker → number of objects currently
     /// inducing that edge.
     out: BTreeMap<TxnId, BTreeMap<TxnId, u32>>,
-    /// Reverse adjacency: blocker → waiter → same reference count. The
-    /// O(1) deadlock gate ([`WaitsFor::has_in_edges`]) and the backward
-    /// reachability walk live here.
+    /// Reverse adjacency: blocker → waiter → same reference count. It
+    /// serves only the O(1) deadlock gate ([`WaitsFor::has_in_edges`]).
     rev: BTreeMap<TxnId, BTreeMap<TxnId, u32>>,
     /// Per-entry edge contribution as of the last refresh, sorted and
     /// deduplicated, indexed by the entry's position in the lock table's
@@ -178,37 +177,16 @@ impl WaitsFor {
             .flat_map(|m| m.keys().copied())
     }
 
-    /// Every family that can *reach* `target` along wait edges (including
-    /// `target` itself): the backward closure over the reverse index.
-    /// Any cycle through `target` lies entirely inside this set, so the
-    /// detector only needs to walk these nodes.
-    #[must_use]
-    pub fn reaching(&self, target: TxnId) -> BTreeSet<TxnId> {
-        let mut seen = BTreeSet::new();
-        let mut frontier = vec![target];
-        seen.insert(target);
-        while let Some(node) = frontier.pop() {
-            if let Some(preds) = self.rev.get(&node) {
-                for &pred in preds.keys() {
-                    if seen.insert(pred) {
-                        frontier.push(pred);
-                    }
-                }
-            }
-        }
-        seen
-    }
-
     /// True when some cycle passes through `family`, i.e. `family`
     /// reaches itself along wait edges: a forward DFS over out-edges
     /// that early-exits on the first edge back to `family`.
     ///
-    /// This is the cheap *existence* half of scoped detection. The
-    /// forward closure it walks is typically far smaller than the
-    /// backward closure [`Self::reaching`] builds — waiters fan *in*
-    /// towards a blocker (one family blocks many, but is itself blocked
-    /// by few) — so callers can rule out a deadlock without paying for
-    /// the exact, rotation-preserving cycle search.
+    /// This is the cheap *existence* half of gated detection. The
+    /// forward closure it walks is typically far smaller than the set of
+    /// blocked families — waiters fan *in* towards a blocker (one family
+    /// blocks many, but is itself blocked by few) — so callers can rule
+    /// out a deadlock without paying for the exact, rotation-preserving
+    /// cycle search over every blocked family.
     #[must_use]
     pub fn on_cycle(&self, family: TxnId) -> bool {
         let mut seen = BTreeSet::new();
@@ -335,31 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn reaching_walks_reverse_edges_transitively() {
-        let mut tree = TxnTree::new();
-        let mut table = LockTable::new();
-        table.register_object(obj(0), 1, n(0));
-        table.register_object(obj(1), 1, n(0));
-        let a = tree.begin_root(n(1));
-        let b = tree.begin_root(n(2));
-        let c = tree.begin_root(n(3));
-        table.acquire(obj(0), a, LockMode::Write, &tree).unwrap();
-        table.acquire(obj(1), b, LockMode::Write, &tree).unwrap();
-        table.acquire(obj(0), b, LockMode::Write, &tree).unwrap(); // b -> a
-        table.acquire(obj(1), c, LockMode::Write, &tree).unwrap(); // c -> b
-        let g = table.waits_for();
-        assert_eq!(
-            g.reaching(a).into_iter().collect::<Vec<_>>(),
-            vec![a, b, c],
-            "both waiters reach a transitively"
-        );
-        assert_eq!(g.reaching(c).into_iter().collect::<Vec<_>>(), vec![c]);
-        assert!(g.has_in_edges(a));
-        assert!(g.has_in_edges(b));
-        assert!(!g.has_in_edges(c));
-    }
-
-    #[test]
     fn on_cycle_detects_existence_without_the_exact_search() {
         // a holds O0 and queues on O1; b holds O1 and queues on O0:
         // the classic two-object cycle. c queues behind b on O0 and is
@@ -381,5 +334,9 @@ mod tests {
         assert!(g.on_cycle(a));
         assert!(g.on_cycle(b));
         assert!(!g.on_cycle(c), "c waits into the cycle but is not on it");
+        // The in-edge gate: a and b each have a waiter, c has none.
+        assert!(g.has_in_edges(a));
+        assert!(g.has_in_edges(b));
+        assert!(!g.has_in_edges(c));
     }
 }

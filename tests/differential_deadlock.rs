@@ -244,7 +244,7 @@ fn check_against_reference(table: &LockTable, tree: &TxnTree, families: &[TxnId]
             reference::may_deadlock_through(table, tree, family),
             "O(1) guard diverged from reference for {family}"
         );
-        // The scoped search's contract assumes the graph was acyclic
+        // The gated search's contract assumes the graph was acyclic
         // before `family` enqueued, so every cycle passes through it —
         // exercise it exactly where that contract holds.
         let on_cycle = cycle.as_ref().is_some_and(|c| c.contains(&family));
@@ -252,7 +252,7 @@ fn check_against_reference(table: &LockTable, tree: &TxnTree, families: &[TxnId]
             assert_eq!(
                 deadlock::find_deadlock_cycle_through(table, tree, family),
                 cycle.clone().filter(|_| on_cycle),
-                "scoped cycle search diverged from reference for {family}"
+                "gated cycle search diverged from reference for {family}"
             );
         }
     }

@@ -13,19 +13,19 @@
 //! * a `false` from the O(1) enqueue gate implies the reference search
 //!   finds no cycle at all (soundness of skipping detection);
 //! * on every pass of the victim loop — the first search and each
-//!   re-check after a victim — the scoped search through the newly
-//!   enqueued family, the full incremental search, and the reference
-//!   search return the *same* cycle, rotation included;
+//!   re-check after a victim — the gated search through the newly
+//!   enqueued family returns the reference search's cycle, rotation
+//!   included, and that cycle contains the enqueued family;
 //! * the chosen victim is the youngest (largest-id) cycle member.
 //!
 //! The stream mirrors the engine's discipline: every cycle is broken the
 //! moment it forms (youngest victim aborted, waiters cancelled, vacated
-//! objects regranted, then the scoped search again through the same
+//! objects regranted, then the gated search again through the same
 //! enqueued family), which is exactly the acyclic-before-enqueue
-//! invariant the O(1) gate and the scoped search rely on. A victim's
-//! abort and regrants only remove wait edges, so the invariant survives
-//! each victim; the contended streams are dense enough that a re-check
-//! sometimes finds a second cycle.
+//! invariant the O(1) gate and the forward existence check rely on. A
+//! victim's abort and regrants only remove wait edges, so the invariant
+//! survives each victim; the contended streams are dense enough that a
+//! re-check sometimes finds a second cycle.
 
 use lotec::sim::SimRng;
 use lotec_mem::ObjectId;
@@ -149,10 +149,10 @@ impl Harness {
     }
 
     /// The engine's post-enqueue discipline: consult the O(1) gate, and
-    /// if it fires abort youngest victims until the scoped search through
+    /// if it fires abort youngest victims until the gated search through
     /// `enqueued` finds no cycle. Asserts gate soundness, and on every
-    /// pass that the scoped, full and reference searches agree and that
-    /// the victim is the youngest.
+    /// pass that the gated search agrees with the reference, that its
+    /// cycle contains `enqueued`, and that the victim is the youngest.
     fn break_deadlocks_after_enqueue(&mut self, enqueued: TxnId) {
         if !deadlock::may_deadlock_through(&self.table, &self.tree, enqueued) {
             assert_eq!(
@@ -166,15 +166,14 @@ impl Harness {
             let cycle = deadlock::find_deadlock_cycle_through(&self.table, &self.tree, enqueued);
             assert_eq!(
                 cycle,
-                deadlock::find_deadlock_cycle(&self.table, &self.tree),
-                "scoped and full searches disagree on pass {pass}"
-            );
-            assert_eq!(
-                cycle,
                 reference::find_deadlock_cycle(&self.table, &self.tree),
-                "scoped cycle differs from reference on pass {pass} (rotation included)"
+                "gated cycle differs from reference on pass {pass} (rotation included)"
             );
             let Some(cycle) = cycle else { break };
+            assert!(
+                cycle.contains(&enqueued),
+                "cycle {cycle:?} on pass {pass} misses the enqueued family {enqueued}"
+            );
             if pass > 0 {
                 self.second_cycles += 1;
             }
@@ -336,8 +335,8 @@ fn streams_exercise_real_deadlocks() {
 /// The re-check after a victim must run where it can find something.
 /// The sparse streams above never do; on the contended streams some
 /// victim's abort leaves a second cycle through the enqueued family,
-/// and the scoped re-check must return it exactly as the full and
-/// reference searches do.
+/// and the gated re-check must return it exactly as the reference
+/// search does.
 #[test]
 fn contended_streams_recheck_finds_second_cycles() {
     let mut second_cycles = 0u32;
