@@ -22,7 +22,8 @@ fn bench_flat_cycle() {
                 .expect("uncontended");
         }
         tree.commit_root(root);
-        let rel = table.release_root_commit(root, &tree, &[], NodeId::new(1));
+        let mut rel = lotec_txn::CommitRelease::default();
+        table.release_root_commit(root, &tree, &[], NodeId::new(1), &mut rel);
         rel.released.len()
     });
 }
@@ -47,10 +48,11 @@ fn bench_nested_inheritance() {
         }
         for &txn in chain.iter().skip(1).rev() {
             tree.pre_commit(txn);
-            table.release_pre_commit(txn, &tree);
+            table.release_pre_commit(txn, &tree, &mut lotec_txn::PreCommitRelease::default());
         }
         tree.commit_root(root);
-        let rel = table.release_root_commit(root, &tree, &[], NodeId::new(1));
+        let mut rel = lotec_txn::CommitRelease::default();
+        table.release_root_commit(root, &tree, &[], NodeId::new(1), &mut rel);
         rel.released.len()
     });
 }

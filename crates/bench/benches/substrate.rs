@@ -43,7 +43,7 @@ fn bench_pageset() {
 }
 
 fn bench_page_store() {
-    let mut store = PageStore::new(4096, 1);
+    let mut store = PageStore::new(4096, &[20]);
     let object = ObjectId::new(0);
     for p in 0..20u16 {
         store.ensure(PageId::new(object, p));
@@ -64,7 +64,7 @@ fn bench_page_store() {
 fn bench_page_transfer() {
     // The engine's gather loop: read the owner's copy of each page and
     // install its version and chain into another node's store.
-    let mut owner = PageStore::new(4096, 1);
+    let mut owner = PageStore::new(4096, &[20]);
     let object = ObjectId::new(0);
     for p in 0..20u16 {
         let pid = PageId::new(object, p);
@@ -72,7 +72,7 @@ fn bench_page_transfer() {
         owner.apply_stamp(pid, u64::from(p) + 1);
         owner.publish_page(pid, Version::new(1));
     }
-    let mut cache = PageStore::new(4096, 1);
+    let mut cache = PageStore::new(4096, &[20]);
     bench("page_transfer_install_20p", move || {
         for p in 0..20u16 {
             let pid = PageId::new(object, p);
@@ -84,7 +84,7 @@ fn bench_page_transfer() {
 }
 
 fn bench_undo_log() {
-    let mut store = PageStore::new(4096, 1);
+    let mut store = PageStore::new(4096, &[20]);
     let object = ObjectId::new(0);
     for p in 0..20u16 {
         store.ensure(PageId::new(object, p));

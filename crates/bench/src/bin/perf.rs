@@ -414,7 +414,8 @@ fn measure_lock_paths_cell() -> LockPathsBench {
                 assert!(got.is_granted(), "free object must grant immediately");
             }
             tree.commit_root(root);
-            let rel = table.release_root_commit(root, &tree, &[], node);
+            let mut rel = lotec_txn::CommitRelease::default();
+            table.release_root_commit(root, &tree, &[], node, &mut rel);
             assert!(
                 rel.grants.is_empty(),
                 "nobody waits in the uncontended cell"
@@ -445,7 +446,8 @@ fn measure_lock_paths_cell() -> LockPathsBench {
                 assert_eq!(queued, Acquire::Queued, "readers queue behind the writer");
             }
             tree.commit_root(writer);
-            let rel = table.release_root_commit(writer, &tree, &[], node);
+            let mut rel = lotec_txn::CommitRelease::default();
+            table.release_root_commit(writer, &tree, &[], node, &mut rel);
             assert_eq!(
                 rel.grants.len(),
                 CONTENDED_READERS,
@@ -454,7 +456,8 @@ fn measure_lock_paths_cell() -> LockPathsBench {
             checksum = mix(checksum, rel.grants.len() as u64);
             for &reader in &readers {
                 tree.commit_root(reader);
-                let rr = table.release_root_commit(reader, &tree, &[], node);
+                let mut rr = lotec_txn::CommitRelease::default();
+                table.release_root_commit(reader, &tree, &[], node, &mut rr);
                 checksum = mix(checksum, rr.released.len() as u64);
             }
         }

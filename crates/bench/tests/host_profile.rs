@@ -60,12 +60,13 @@ fn wall_profiler_does_not_perturb_the_simulation() {
     assert_eq!(plain.final_chains, profiled.final_chains);
 
     let profile = prof.into_profile();
-    // The run loop's accounting identities: one Setup and one Report
-    // scope per run, one Dispatch per delivered event, and one EventPop
-    // per delivery plus the final empty pop.
+    // The run loop's accounting identities: one Setup, one Report and
+    // one Teardown scope per run, one Dispatch per delivered event, and
+    // one EventPop per delivery plus the final empty pop.
     use lotec_obs::HostRegion;
     assert_eq!(profile.region(HostRegion::Setup).count, 1);
     assert_eq!(profile.region(HostRegion::Report).count, 1);
+    assert_eq!(profile.region(HostRegion::Teardown).count, 1);
     assert_eq!(
         profile.region(HostRegion::Dispatch).count,
         plain.stats.sim_events

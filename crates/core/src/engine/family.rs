@@ -1,47 +1,26 @@
 //! Per-family execution state for the discrete-event engine.
 
 use lotec_mem::{ObjectId, PageIndex};
-use lotec_object::{MethodId, PathId};
 use lotec_obs::PhaseTimes;
 use lotec_sim::{SimDuration, SimTime};
 use lotec_txn::TxnId;
 
-use crate::spec::{FamilySpec, InvocationSpec};
-
-/// Locates an invocation inside a family's spec tree: the sequence of
-/// child indexes from the root.
-pub(crate) type SpecPtr = Vec<usize>;
-
-/// Resolves a [`SpecPtr`] against a family spec.
-pub(crate) fn spec_at<'a>(family: &'a FamilySpec, ptr: &[usize]) -> &'a InvocationSpec {
-    let mut cur = &family.root;
-    for &idx in ptr {
-        cur = &cur.children[idx];
-    }
-    cur
-}
+use crate::spec::InvocationSpec;
 
 /// One frame of a family's invocation stack (the chain of currently active
 /// nested invocations).
-#[derive(Debug, Clone)]
-pub(crate) struct Frame {
-    /// Where in the spec tree this invocation lives.
-    pub ptr: SpecPtr,
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Frame<'a> {
+    /// The invocation, borrowed from the workload: receiver object,
+    /// method, control path, children and programmed fault.
+    pub spec: &'a InvocationSpec,
     /// The transaction executing it.
     pub txn: TxnId,
-    /// Receiver object (cached from the spec).
-    pub object: ObjectId,
-    /// Method (cached from the spec).
-    pub method: MethodId,
-    /// Chosen control path (cached from the spec).
-    pub path: PathId,
     /// Index of the next child invocation to start.
     pub next_child: usize,
-    /// Number of child invocations (cached from the spec, so the per-event
-    /// advance path never re-walks the spec tree).
-    pub num_children: usize,
-    /// Whether this invocation is a programmed fault (cached from the spec).
-    pub abort: bool,
+    /// Lock prefetching: when this invocation began computing, which is
+    /// when its children's lock requests were issued early.
+    pub children_prefetched_at: Option<SimTime>,
 }
 
 /// What the family is currently doing.
@@ -108,13 +87,13 @@ pub(crate) struct AttemptOp {
 
 /// Live execution state of one family.
 #[derive(Debug, Clone)]
-pub(crate) struct FamilyRuntime {
+pub(crate) struct FamilyRuntime<'a> {
     /// Index into the workload's family list.
     pub index: usize,
     /// Root transaction of the current attempt.
     pub root_txn: Option<TxnId>,
     /// The invocation stack (root at position 0).
-    pub frames: Vec<Frame>,
+    pub frames: Vec<Frame<'a>>,
     /// Current phase.
     pub phase: Phase,
     /// Restarts performed so far.
@@ -131,9 +110,6 @@ pub(crate) struct FamilyRuntime {
     /// Extra compute-phase delay accumulated by demand fetches for the
     /// invocation currently being served.
     pub fetch_extra: SimDuration,
-    /// For lock prefetching: when each pending invocation's lock request
-    /// was optimistically issued (keyed by spec pointer).
-    pub prefetch_at: std::collections::BTreeMap<SpecPtr, SimTime>,
     /// When the current phase was entered (phase-latency attribution).
     pub phase_entered: SimTime,
     /// Fault injection: retransmit wait baked into delays of events that
@@ -157,7 +133,7 @@ pub(crate) struct FamilyRuntime {
     pub commit_latency: Option<SimDuration>,
 }
 
-impl FamilyRuntime {
+impl<'a> FamilyRuntime<'a> {
     /// Fresh runtime for family `index` arriving at `arrival`.
     pub fn new(index: usize, arrival: SimTime) -> Self {
         FamilyRuntime {
@@ -170,7 +146,6 @@ impl FamilyRuntime {
             arrival,
             ops: Vec::new(),
             fetch_extra: SimDuration::ZERO,
-            prefetch_at: std::collections::BTreeMap::new(),
             phase_entered: arrival,
             ready_retransmit_wait: SimDuration::ZERO,
             fresh_retransmit_wait: SimDuration::ZERO,
@@ -196,7 +171,7 @@ impl FamilyRuntime {
     /// # Panics
     ///
     /// Panics if the stack is empty.
-    pub fn top(&self) -> &Frame {
+    pub fn top(&self) -> &Frame<'a> {
         self.frames.last().expect("family has no active frame")
     }
 
@@ -205,7 +180,7 @@ impl FamilyRuntime {
     /// # Panics
     ///
     /// Panics if the stack is empty.
-    pub fn top_mut(&mut self) -> &mut Frame {
+    pub fn top_mut(&mut self) -> &mut Frame<'a> {
         self.frames.last_mut().expect("family has no active frame")
     }
 
@@ -218,7 +193,6 @@ impl FamilyRuntime {
         self.frames.clear();
         self.ops.clear();
         self.fetch_extra = SimDuration::ZERO;
-        self.prefetch_at.clear();
         // Invalidate the attempt's in-flight events and drop wait accrued
         // for deliveries that will now never be consumed.
         self.generation += 1;
@@ -233,22 +207,23 @@ impl FamilyRuntime {
     }
 
     /// Dirty info for a root commit: per object, the distinct pages written
-    /// by surviving transactions, objects and pages ascending.
-    pub fn surviving_dirty(&self) -> Vec<(ObjectId, Vec<PageIndex>)> {
-        let mut written: Vec<(ObjectId, PageIndex)> = self
-            .ops
-            .iter()
-            .filter_map(|o| match o.op {
-                FamilyOp::Write { object, page, .. } => Some((object, page)),
-                FamilyOp::Read { .. } => None,
-            })
-            .collect();
+    /// by surviving transactions, objects and pages ascending. `written`
+    /// is scratch space; the result is exactly sized.
+    pub fn surviving_dirty(
+        &self,
+        written: &mut Vec<(ObjectId, PageIndex)>,
+    ) -> Vec<(ObjectId, Vec<PageIndex>)> {
+        written.clear();
+        written.extend(self.ops.iter().filter_map(|o| match o.op {
+            FamilyOp::Write { object, page, .. } => Some((object, page)),
+            FamilyOp::Read { .. } => None,
+        }));
         written.sort_unstable();
         written.dedup();
-        written
-            .chunk_by(|a, b| a.0 == b.0)
-            .map(|run| (run[0].0, run.iter().map(|&(_, page)| page).collect()))
-            .collect()
+        let runs = written.chunk_by(|a, b| a.0 == b.0);
+        let mut dirty = Vec::with_capacity(runs.clone().count());
+        dirty.extend(runs.map(|run| (run[0].0, run.iter().map(|&(_, page)| page).collect())));
+        dirty
     }
 }
 
@@ -279,32 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn spec_at_resolves_pointers() {
-        let leaf = InvocationSpec::leaf(ObjectId::new(2), MethodId::new(0), PathId::new(0));
-        let mid = InvocationSpec {
-            object: ObjectId::new(1),
-            method: MethodId::new(0),
-            path: PathId::new(0),
-            children: vec![leaf],
-            abort: false,
-        };
-        let family = FamilySpec {
-            node: NodeId::new(0),
-            start: SimTime::ZERO,
-            root: InvocationSpec {
-                object: ObjectId::new(0),
-                method: MethodId::new(0),
-                path: PathId::new(0),
-                children: vec![mid],
-                abort: false,
-            },
-        };
-        assert_eq!(spec_at(&family, &[]).object, ObjectId::new(0));
-        assert_eq!(spec_at(&family, &[0]).object, ObjectId::new(1));
-        assert_eq!(spec_at(&family, &[0, 0]).object, ObjectId::new(2));
-    }
-
-    #[test]
     fn surviving_dirty_groups_and_dedups() {
         let mut fam = FamilyRuntime::new(0, SimTime::ZERO);
         let t = mk_txn(0);
@@ -320,8 +269,10 @@ mod tests {
                 chain: 0,
             },
         });
-        let dirty = fam.surviving_dirty();
+        let mut written = Vec::new();
+        let dirty = fam.surviving_dirty(&mut written);
         assert_eq!(dirty.len(), 2);
+        assert_eq!(dirty.capacity(), 2, "exactly sized");
         assert_eq!(dirty[0].0, ObjectId::new(0));
         assert_eq!(dirty[1].1, vec![PageIndex::new(0), PageIndex::new(1)]);
     }

@@ -41,17 +41,22 @@ use lotec_obs::{
     ReleaseCause, SpanOutcome,
 };
 use lotec_sim::{NodeId, SimDuration, SimRng, SimTime, Simulator};
-use lotec_txn::{Acquire, Grant, LockMode, LockTable, TxnId, TxnTree};
+use lotec_txn::{
+    AbortRelease, Acquire, CommitRelease, Grant, LockMode, LockTable, PreCommitRelease, TxnId,
+    TxnTree,
+};
 
 use crate::charge;
 use crate::config::{RecoveryKind, SystemConfig};
 use crate::error::CoreError;
 use crate::metrics::{ProtocolTraffic, RunStats};
-use crate::protocol::{demand_set, plan_transfer, prefetch_set, PlacementView, ProtocolKind};
-use crate::spec::{validate_family, FamilySpec};
+use crate::protocol::{
+    demand_set, plan_transfer, prefetch_set, PlacementView, ProtocolKind, TransferPlan,
+};
+use crate::spec::{validate_family, FamilySpec, InvocationSpec};
 use crate::trace::{ScheduleTrace, TraceEvent};
 
-use family::{spec_at, FamilyRuntime, Frame, Phase};
+use family::{AttemptOp, FamilyRuntime, Frame, Phase};
 
 /// The operations of one *committed* family, in commit order — the input
 /// to the serializability oracle.
@@ -151,9 +156,10 @@ pub struct Engine<'a, S: EventSink = NoopSink, P: HostProfiler = NoopHostProfile
     sim: Simulator<Event>,
     tree: TxnTree,
     table: LockTable,
-    stores: Vec<PageStore>,
+    stores: Vec<PageStore<'a>>,
     recovery: Box<dyn Recovery>,
-    families: Vec<FamilyRuntime>,
+    families: Vec<FamilyRuntime<'a>>,
+    scratch: Scratch<'a>,
     /// Family index per root transaction, dense by raw txn id (the tree
     /// mints ids sequentially; non-root slots stay at the sentinel).
     /// Written once per family attempt, read on every deferred grant.
@@ -190,6 +196,21 @@ pub struct Engine<'a, S: EventSink = NoopSink, P: HostProfiler = NoopHostProfile
     next_sample: SimTime,
 }
 
+/// Storage the engine reuses from event to event instead of allocating
+/// afresh: finished families' invocation stacks and op logs (the next
+/// family to start takes a pair), release results, the transfer plan, the
+/// pages a grant installs and the dirty set a root commit sorts.
+#[derive(Default)]
+struct Scratch<'a> {
+    spare: Vec<(Vec<Frame<'a>>, Vec<AttemptOp>)>,
+    pre_commit: PreCommitRelease,
+    abort: AbortRelease,
+    commit: CommitRelease,
+    plan: TransferPlan,
+    installs: Vec<(PageId, Version, u64)>,
+    written: Vec<(ObjectId, PageIndex)>,
+}
+
 impl<S: EventSink, P: HostProfiler> std::fmt::Debug for Engine<'_, S, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
@@ -205,7 +226,7 @@ impl<S: EventSink, P: HostProfiler> std::fmt::Debug for Engine<'_, S, P> {
 /// from the registry (whole at its home, version 0).
 struct EngineView<'b> {
     table: &'b LockTable,
-    stores: &'b [PageStore],
+    stores: &'b [PageStore<'b>],
     registry: &'b ObjectRegistry,
     last_holder: &'b [u32],
 }
@@ -217,13 +238,13 @@ impl PlacementView for EngineView<'_> {
 
     fn global_version(&self, object: ObjectId, page: PageIndex) -> Version {
         self.table
-            .entry(object)
-            .map_or(Version::INITIAL, |e| e.page_map().location(page).version)
+            .page_map(object)
+            .map_or(Version::INITIAL, |m| m.location(page).version)
     }
 
     fn page_owner(&self, object: ObjectId, page: PageIndex) -> NodeId {
-        match self.table.entry(object) {
-            Ok(e) => e.page_map().location(page).node,
+        match self.table.page_map(object) {
+            Ok(m) => m.location(page).node,
             Err(_) => self.registry.object(object).home,
         }
     }
@@ -367,7 +388,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             table.enable_graph_validation();
         }
         let stores: Vec<PageStore> = (0..config.num_nodes)
-            .map(|_| PageStore::new(config.page_size as usize, registry.num_objects()))
+            .map(|_| PageStore::new(config.page_size as usize, registry.page_counts()))
             .collect();
         // Only a state-sampled run walks the objects here, to count the
         // pages each home holds implicitly.
@@ -411,13 +432,14 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             stores,
             recovery,
             families,
+            scratch: Scratch::default(),
             root_to_family: Vec::new(),
             last_holder: vec![0; registry.num_objects()],
             implied_home_pages,
             ledger: TrafficLedger::new(),
             trace: ScheduleTrace::new(),
             stats: RunStats::default(),
-            committed: Vec::new(),
+            committed: Vec::with_capacity(workload.len()), // one per family at most
             miss_rng: root_rng.fork(0xA11CE),
             jitter_rng: root_rng.fork(0xB0B),
             fault_rng: root_rng.fork(0xFA_17),
@@ -464,54 +486,52 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         self.stats.sim_events = self.sim.delivered();
         let final_chains = self.collect_final_chains();
         self.prof.exit(HostRegion::Report);
-        Ok(RunReport {
+        let report = RunReport {
             protocol: self.config.protocol,
-            stats: self.stats,
-            trace: self.trace,
-            traffic: ProtocolTraffic::new(self.ledger),
-            committed: self.committed,
+            stats: std::mem::take(&mut self.stats),
+            trace: std::mem::take(&mut self.trace),
+            traffic: ProtocolTraffic::new(std::mem::take(&mut self.ledger)),
+            committed: std::mem::take(&mut self.committed),
             final_chains,
-            forensics: self.forensics,
-        })
+            forensics: std::mem::take(&mut self.forensics),
+        };
+        self.prof.enter(HostRegion::Teardown);
+        self.into_profiler().exit(HostRegion::Teardown);
+        Ok(report)
+    }
+
+    /// Drops all of the engine's state but the profiler, which it returns
+    /// so the caller can close the teardown region around the drop.
+    fn into_profiler(self) -> P {
+        self.prof
     }
 
     fn handle(&mut self, now: SimTime, event: Event) -> Result<(), CoreError> {
         match event {
             Event::Start(fam) => self.start_family(now, fam as usize),
-            Event::Restart(fam, gen) => {
-                let fam = fam as usize;
-                if self.is_stale(fam, gen) {
-                    return Ok(());
-                }
-                self.start_family(now, fam)
-            }
-            Event::GrantArrived(fam, gen) => {
-                let fam = fam as usize;
-                if self.is_stale(fam, gen) {
-                    return Ok(());
-                }
-                self.on_grant_arrived(now, fam)
-            }
-            Event::FetchArrived(fam, gen) => {
-                let fam = fam as usize;
-                if !self.is_stale(fam, gen) {
-                    self.begin_compute(now, fam);
-                }
-                Ok(())
-            }
-            Event::ComputeDone(fam, gen) | Event::Continue(fam, gen) => {
-                let fam = fam as usize;
-                if self.is_stale(fam, gen) {
-                    return Ok(());
-                }
-                self.advance(now, fam)
-            }
             Event::NodeCrash(window) => self.on_node_crash(now, window as usize),
             Event::NodeRecover(window) => {
                 self.on_node_recover(now, window as usize);
                 Ok(())
             }
             Event::LockTimeout(fam, gen) => self.on_lock_timeout(now, fam as usize, gen),
+            // Events of an attempt that has since been aborted are dropped.
+            Event::Restart(fam, gen)
+            | Event::GrantArrived(fam, gen)
+            | Event::FetchArrived(fam, gen)
+            | Event::ComputeDone(fam, gen)
+            | Event::Continue(fam, gen)
+                if self.is_stale(fam as usize, gen) =>
+            {
+                Ok(())
+            }
+            Event::Restart(fam, _) => self.start_family(now, fam as usize),
+            Event::GrantArrived(fam, _) => self.on_grant_arrived(now, fam as usize),
+            Event::FetchArrived(fam, _) => {
+                self.begin_compute(now, fam as usize);
+                Ok(())
+            }
+            Event::ComputeDone(fam, _) | Event::Continue(fam, _) => self.advance(now, fam as usize),
         }
     }
 
@@ -572,6 +592,13 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         self.prof.exit(HostRegion::EventPush);
     }
 
+    /// Schedules `event` for `fam`, stamped with the family's current
+    /// attempt generation so an abort in between makes it stale.
+    fn schedule_family(&mut self, at: SimTime, fam: usize, event: fn(u32, u32) -> Event) {
+        let gen = self.families[fam].generation;
+        self.schedule(at, event(fam as u32, gen));
+    }
+
     /// Emits any [`ObsEventKind::StateSample`] gauges whose sample times
     /// fall at or before `now` (the timestamp of the event about to be
     /// handled). Samples are pure probe output: they read engine state and
@@ -619,12 +646,6 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
     /// one). Stale events are dropped without side effects.
     fn is_stale(&self, fam: usize, gen: u32) -> bool {
         self.families[fam].generation != gen
-    }
-
-    /// The current attempt generation of `fam`, stamped onto its timed
-    /// events at scheduling time.
-    fn generation(&self, fam: usize) -> u32 {
-        self.families[fam].generation
     }
 
     // ---- message helpers -------------------------------------------------
@@ -800,49 +821,59 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             self.root_to_family.resize(slot + 1, u32::MAX);
         }
         self.root_to_family[slot] = fam as u32;
-        self.families[fam].root_txn = Some(root);
-        self.start_invocation(now, fam, Vec::new(), None)
+        let runtime = &mut self.families[fam];
+        runtime.root_txn = Some(root);
+        if runtime.frames.capacity() == 0 {
+            (runtime.frames, runtime.ops) = self.scratch.spare.pop().unwrap_or_default();
+        }
+        let workload = self.workload;
+        self.start_invocation(now, fam, &workload[fam].root, None)
+    }
+
+    /// Hands a finished family's invocation stack and op log to the next
+    /// family to start.
+    fn recycle_buffers(&mut self, fam: usize) {
+        let runtime = &mut self.families[fam];
+        runtime.frames.clear();
+        runtime.ops.clear();
+        let buffers = (
+            std::mem::take(&mut runtime.frames),
+            std::mem::take(&mut runtime.ops),
+        );
+        self.scratch.spare.push(buffers);
     }
 
     fn start_invocation(
         &mut self,
         now: SimTime,
         fam: usize,
-        ptr: Vec<usize>,
+        spec: &'a InvocationSpec,
         parent: Option<TxnId>,
     ) -> Result<(), CoreError> {
-        let spec = spec_at(&self.workload[fam], &ptr);
         let txn = match parent {
             None => self.families[fam].root_txn.expect("root txn minted"),
             Some(parent) => self.tree.begin_child(parent),
         };
-        let frame = Frame {
-            ptr,
+        self.families[fam].frames.push(Frame {
+            spec,
             txn,
-            object: spec.object,
-            method: spec.method,
-            path: spec.path,
             next_child: 0,
-            num_children: spec.children.len(),
-            abort: spec.abort,
-        };
+            children_prefetched_at: None,
+        });
         self.probe(now, self.workload[fam].node.index(), |_| {
             ObsEventKind::SpanOpen {
                 family: fam as u64,
                 txn: txn.get(),
                 parent: parent.map(|p| p.get()),
-                object: frame.object.index(),
+                object: spec.object.index(),
             }
         });
-        self.families[fam].frames.push(frame);
         self.request_lock(now, fam)
     }
 
     fn request_lock(&mut self, now: SimTime, fam: usize) -> Result<(), CoreError> {
-        let (txn, object, method) = {
-            let top = self.families[fam].top();
-            (top.txn, top.object, top.method)
-        };
+        let Frame { txn, spec, .. } = *self.families[fam].top();
+        let (object, method) = (spec.object, spec.method);
         let node = self.workload[fam].node;
         let mode = if self.registry.class_of(object).is_read_only(method) {
             LockMode::Read
@@ -899,8 +930,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                     },
                 );
                 let delay = self.config.costs.local_lock_op;
-                let gen = self.generation(fam);
-                self.schedule(now + delay, Event::GrantArrived(fam as u32, gen));
+                self.schedule_family(now + delay, fam, Event::GrantArrived);
             }
             Acquire::GlobalGrant { holders } => {
                 self.stats.global_lock_grants += 1;
@@ -910,10 +940,12 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                     + self.config.costs.gdo_processing
                     + self.send_lossy(grant, Some(fam));
                 // A prefetched request has already been in flight since the
-                // parent started computing; the elapsed time is absorbed.
+                // parent started computing; the elapsed time is absorbed. (A
+                // frame is granted globally at most once per attempt.)
                 if self.config.lock_prefetch {
-                    let ptr = self.families[fam].top().ptr.clone();
-                    if let Some(issued) = self.families[fam].prefetch_at.remove(&ptr) {
+                    let frames = &self.families[fam].frames;
+                    let parent = frames.len().checked_sub(2).map(|i| frames[i]);
+                    if let Some(issued) = parent.and_then(|p| p.children_prefetched_at) {
                         let elapsed = now.saturating_duration_since(issued);
                         let absorbed = delay.saturating_sub(delay.saturating_sub(elapsed));
                         if absorbed > SimDuration::ZERO {
@@ -931,8 +963,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                         holders,
                     },
                 );
-                let gen = self.generation(fam);
-                self.schedule(now + delay, Event::GrantArrived(fam as u32, gen));
+                self.schedule_family(now + delay, fam, Event::GrantArrived);
                 self.replicate_gdo(&request);
             }
             Acquire::Queued => {
@@ -944,10 +975,10 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                 // if no grant arrives in time the waiter gives up and
                 // re-issues (see `on_lock_timeout`).
                 if self.config.faults.lock_timeout > SimDuration::ZERO {
-                    let gen = self.generation(fam);
-                    self.schedule(
+                    self.schedule_family(
                         now + self.config.faults.lock_timeout,
-                        Event::LockTimeout(fam as u32, gen),
+                        fam,
+                        Event::LockTimeout,
                     );
                 }
                 let root = self.families[fam]
@@ -1010,8 +1041,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                 holders: grant.holders,
             },
         );
-        let gen = self.generation(fam);
-        self.schedule(now + delay, Event::GrantArrived(fam as u32, gen));
+        self.schedule_family(now + delay, fam, Event::GrantArrived);
         self.replicate_gdo(&charge::lock_request(self.config, req.node, grant.object));
     }
 
@@ -1019,10 +1049,12 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         let Phase::GrantInFlight { global, holders } = self.families[fam].phase else {
             panic!("grant arrived for family {fam} in wrong phase");
         };
-        let (object, method, path) = {
-            let top = self.families[fam].top();
-            (top.object, top.method, top.path)
-        };
+        let InvocationSpec {
+            object,
+            method,
+            path,
+            ..
+        } = *self.families[fam].top().spec;
         let node = self.workload[fam].node;
         let (config, registry) = (self.config, self.registry);
         let compiled = registry.class_of(object);
@@ -1061,17 +1093,10 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         // Plan against the *pre-grant* placement (last_holder still points
         // at the previous holder), then update placement bookkeeping. The
         // per-class extension can put each class under its own protocol.
-        let plan = {
-            let view = EngineView {
-                table: &self.table,
-                stores: &self.stores,
-                registry,
-                last_holder: &self.last_holder,
-            };
-            let prefetch =
-                prefetch_set(config, kind, &view, object, &predicted, &mut self.miss_rng);
-            plan_transfer(kind, &view, node, object, &prefetch)
-        };
+        let pages = registry.num_pages(object);
+        let prefetch = prefetch_set(config, kind, pages, &predicted, &mut self.miss_rng);
+        let mut plan = std::mem::take(&mut self.scratch.plan);
+        plan_transfer(kind, &self.view(), node, object, &prefetch, &mut plan);
         self.probe(now, node.index(), |_| ObsEventKind::GrantPlan {
             family: fam as u64,
             object: object.index(),
@@ -1096,15 +1121,15 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         }
         self.last_holder[object.index() as usize] = node.index() + 1;
         self.table
-            .entry_mut(object)
+            .page_map_mut(object)
             .expect("registered object")
-            .page_map_mut()
             .record_cached(node);
 
         // Perform the gather (Alg. 4.5): one fetch per source; batches
         // travel in parallel, so the phase ends at the slowest batch.
         let mut max_delay = SimDuration::ZERO;
-        let mut to_install: Vec<(PageId, Version, u64)> = Vec::new();
+        let mut installs = std::mem::take(&mut self.scratch.installs);
+        installs.clear();
         self.prof.enter(HostRegion::PageTransfer);
         for (source, pages) in plan.sources() {
             let [request, transfer] =
@@ -1120,12 +1145,13 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                 delay_ns: d.as_nanos(),
             });
             for &page in pages {
-                to_install.push(self.current_page_copy(object, page));
+                installs.push(self.current_page_copy(object, page));
             }
         }
+        self.scratch.plan = plan;
         self.prof.exit(HostRegion::PageTransfer);
         self.prof.enter(HostRegion::PageInstall);
-        for (pid, version, chain) in to_install {
+        for (pid, version, chain) in installs.drain(..) {
             self.stores[node.index() as usize].install(pid, version, chain);
         }
         self.prof.exit(HostRegion::PageInstall);
@@ -1146,7 +1172,6 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             actual_reads,
             actual_writes,
         );
-        let mut demand_installs = Vec::new();
         for (source, pages) in charge::demand_batches(config, &stale) {
             let [request, transfer] =
                 charge::fetch(config, registry, node, source, object, &pages, true);
@@ -1174,24 +1199,24 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                 demand_delay += d;
             }
             for &page in &pages {
-                demand_installs.push(self.current_page_copy(object, page));
+                installs.push(self.current_page_copy(object, page));
                 self.stats.demand_fetches += 1;
             }
         }
         self.prof.exit(HostRegion::PageTransfer);
         self.prof.enter(HostRegion::PageInstall);
-        for (pid, version, chain) in demand_installs {
+        for (pid, version, chain) in installs.drain(..) {
             self.stores[node.index() as usize].install(pid, version, chain);
         }
         self.prof.exit(HostRegion::PageInstall);
+        self.scratch.installs = installs;
         self.families[fam].fetch_extra = demand_delay;
 
         if max_delay == SimDuration::ZERO {
             self.begin_compute(now, fam);
         } else {
             self.set_phase(now, fam, Phase::Fetching);
-            let gen = self.generation(fam);
-            self.schedule(now + max_delay, Event::FetchArrived(fam as u32, gen));
+            self.schedule_family(now + max_delay, fam, Event::FetchArrived);
         }
         Ok(())
     }
@@ -1212,9 +1237,8 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
     fn current_page_copy(&self, object: ObjectId, page: PageIndex) -> (PageId, Version, u64) {
         let loc = self
             .table
-            .entry(object)
+            .page_map(object)
             .expect("registered object")
-            .page_map()
             .location(page);
         let pid = PageId::new(object, page.get());
         match self.stores[loc.node.index() as usize].get(pid) {
@@ -1238,10 +1262,13 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
     }
 
     fn begin_compute(&mut self, now: SimTime, fam: usize) {
-        let (txn, object, method, path) = {
-            let top = self.families[fam].top();
-            (top.txn, top.object, top.method, top.path)
-        };
+        let Frame { txn, spec, .. } = *self.families[fam].top();
+        let InvocationSpec {
+            object,
+            method,
+            path,
+            ..
+        } = *spec;
         let node = self.workload[fam].node;
         let compiled = self.registry.class_of(object);
         let access = compiled.path_access(method, path);
@@ -1280,18 +1307,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         // lock requests now, overlapping their GDO round trips with this
         // invocation's compute phase.
         if self.config.lock_prefetch {
-            let (ptr, num_children) = {
-                let top = self.families[fam].top();
-                (top.ptr.clone(), top.num_children)
-            };
-            for idx in 0..num_children {
-                let mut child_ptr = ptr.clone();
-                child_ptr.push(idx);
-                self.families[fam]
-                    .prefetch_at
-                    .entry(child_ptr)
-                    .or_insert(now);
-            }
+            self.families[fam].top_mut().children_prefetched_at = Some(now);
         }
 
         let touched = reads.union(writes).len() as u64;
@@ -1300,36 +1316,31 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             + self.families[fam].fetch_extra;
         self.families[fam].fetch_extra = SimDuration::ZERO;
         self.set_phase(now, fam, Phase::Computing);
-        let gen = self.generation(fam);
-        self.schedule(now + duration, Event::ComputeDone(fam as u32, gen));
+        self.schedule_family(now + duration, fam, Event::ComputeDone);
     }
 
     /// After compute or after a child finished: start the next child or
     /// finish the current invocation.
     fn advance(&mut self, now: SimTime, fam: usize) -> Result<(), CoreError> {
-        let (next_child, num_children, txn) = {
-            let top = self.families[fam].top();
-            (top.next_child, top.num_children, top.txn)
-        };
-        if next_child < num_children {
-            let top = self.families[fam].top_mut();
-            top.next_child += 1;
-            let mut child_ptr = top.ptr.clone();
-            child_ptr.push(next_child);
-            return self.start_invocation(now, fam, child_ptr, Some(txn));
+        let Frame {
+            spec,
+            next_child,
+            txn,
+            ..
+        } = *self.families[fam].top();
+        if let Some(child) = spec.children.get(next_child) {
+            self.families[fam].top_mut().next_child += 1;
+            return self.start_invocation(now, fam, child, Some(txn));
         }
         self.finish_invocation(now, fam)
     }
 
     fn finish_invocation(&mut self, now: SimTime, fam: usize) -> Result<(), CoreError> {
-        let (txn, abort) = {
-            let top = self.families[fam].top();
-            (top.txn, top.abort)
-        };
+        let Frame { txn, spec, .. } = *self.families[fam].top();
         let is_root = self.families[fam].frames.len() == 1;
         let node = self.workload[fam].node;
 
-        if abort {
+        if spec.abort {
             if is_root {
                 // Programmed root fault: the family aborts permanently.
                 self.abort_family_attempt(now, fam, false, true)?;
@@ -1343,7 +1354,8 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                 .rollback(txn.get(), &mut self.stores[node.index() as usize]);
             let undo_delay = self.config.costs.undo_per_page * restored as u64;
             self.prof.enter(HostRegion::LockRelease);
-            let rel = self.table.release_abort(txn, &self.tree);
+            let mut rel = std::mem::take(&mut self.scratch.abort);
+            self.table.release_abort(txn, &self.tree, &mut rel);
             self.probe_released(now, node, txn, ReleaseCause::Abort, &rel.released);
             self.probe_grants(now, &rel.grants);
             self.prof.exit(HostRegion::LockRelease);
@@ -1378,11 +1390,12 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             for grant in &rel.grants {
                 self.deliver_grant(now, grant);
             }
+            self.scratch.abort = rel;
             self.families[fam].frames.pop();
-            let gen = self.generation(fam);
-            self.schedule(
+            self.schedule_family(
                 now + undo_delay + self.config.costs.local_lock_op,
-                Event::Continue(fam as u32, gen),
+                fam,
+                Event::Continue,
             );
             return Ok(());
         }
@@ -1397,7 +1410,8 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         // purely local.
         let parent = self.tree.parent(txn).expect("non-root has a parent");
         self.prof.enter(HostRegion::LockRelease);
-        let pre = self.table.release_pre_commit(txn, &self.tree);
+        let mut pre = std::mem::take(&mut self.scratch.pre_commit);
+        self.table.release_pre_commit(txn, &self.tree, &mut pre);
         for object in &pre.inherited {
             self.probe(now, node.index(), |_| ObsEventKind::LockRetained {
                 object: object.index(),
@@ -1405,6 +1419,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                 parent: parent.get(),
             });
         }
+        self.scratch.pre_commit = pre;
         self.prof.exit(HostRegion::LockRelease);
         self.probe(now, node.index(), |_| ObsEventKind::SpanClose {
             family: fam as u64,
@@ -1414,11 +1429,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         self.recovery.inherit(txn.get(), parent.get());
         self.tree.pre_commit(txn);
         self.families[fam].frames.pop();
-        let gen = self.generation(fam);
-        self.schedule(
-            now + self.config.costs.local_lock_op,
-            Event::Continue(fam as u32, gen),
-        );
+        self.schedule_family(now + self.config.costs.local_lock_op, fam, Event::Continue);
         Ok(())
     }
 
@@ -1431,10 +1442,12 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         if self.predictor.is_none() {
             return;
         }
-        let (object, method, path) = {
-            let top = self.families[fam].top();
-            (top.object, top.method, top.path)
-        };
+        let InvocationSpec {
+            object,
+            method,
+            path,
+            ..
+        } = *self.families[fam].top().spec;
         let class = self.registry.object(object).class;
         if !self.config.protocol_for(class).uses_prediction() {
             return;
@@ -1473,12 +1486,12 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
     fn commit_root(&mut self, now: SimTime, fam: usize) -> Result<(), CoreError> {
         let root = self.families[fam].root_txn.expect("root txn exists");
         let node = self.workload[fam].node;
-        let dirty = self.families[fam].surviving_dirty();
+        let dirty = self.families[fam].surviving_dirty(&mut self.scratch.written);
 
         self.prof.enter(HostRegion::LockRelease);
-        let rel = self
-            .table
-            .release_root_commit(root, &self.tree, &dirty, node);
+        let mut rel = std::mem::take(&mut self.scratch.commit);
+        self.table
+            .release_root_commit(root, &self.tree, &dirty, node, &mut rel);
         self.probe_released(now, node, root, ReleaseCause::RootCommit, &rel.released);
         self.probe_grants(now, &rel.grants);
         self.prof.exit(HostRegion::LockRelease);
@@ -1488,9 +1501,8 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             for &page in pages {
                 let v = self
                     .table
-                    .entry(*object)
+                    .page_map(*object)
                     .expect("registered")
-                    .page_map()
                     .location(page)
                     .version;
                 self.stores[node.index() as usize]
@@ -1520,9 +1532,8 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             }
             let sites: Vec<NodeId> = self
                 .table
-                .entry(object)
+                .page_map(object)
                 .expect("registered")
-                .page_map()
                 .caching_sites()
                 .filter(|&s| s != node)
                 .collect();
@@ -1549,11 +1560,12 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             family: root.get(),
             node,
             dirty,
-            released: rel.released.clone(),
+            released: std::mem::take(&mut rel.released),
         });
         for grant in &rel.grants {
             self.deliver_grant(now, grant);
         }
+        self.scratch.commit = rel;
 
         self.probe(now, node.index(), |_| ObsEventKind::SpanClose {
             family: fam as u64,
@@ -1562,20 +1574,18 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         });
         self.set_phase(now, fam, Phase::Done);
         let runtime = &mut self.families[fam];
-        runtime.frames.clear();
         self.stats.committed_families += 1;
         let latency = now.duration_since(runtime.arrival);
         runtime.commit_latency = Some(latency);
         self.stats.total_latency += latency;
         self.stats.latency_sketch.record(latency.as_nanos());
         self.stats.makespan = self.stats.makespan.max(now.duration_since(SimTime::ZERO));
-        let ops = std::mem::take(&mut runtime.ops);
-        let index = runtime.index;
         self.committed.push(CommittedFamily {
             family: root.get(),
-            index,
-            ops: ops.into_iter().map(|o| o.op).collect(),
+            index: runtime.index,
+            ops: runtime.ops.iter().map(|o| o.op.clone()).collect(),
         });
+        self.recycle_buffers(fam);
         Ok(())
     }
 
@@ -1731,16 +1741,17 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         let node = self.workload[fam].node;
         let mut released = Vec::new();
         let mut grants = Vec::new();
+        let mut rel = std::mem::take(&mut self.scratch.abort);
         for txn in self.tree.active_subtree_post_order(root) {
             self.recovery
                 .rollback(txn.get(), &mut self.stores[node.index() as usize]);
             self.prof.enter(HostRegion::LockRelease);
-            let rel = self.table.release_abort(txn, &self.tree);
+            self.table.release_abort(txn, &self.tree, &mut rel);
             self.probe_released(now, node, txn, ReleaseCause::Abort, &rel.released);
             self.probe_grants(now, &rel.grants);
             self.prof.exit(HostRegion::LockRelease);
-            released.extend(rel.released);
-            grants.extend(rel.grants);
+            released.extend_from_slice(&rel.released);
+            grants.append(&mut rel.grants);
             self.tree.abort(txn);
             self.probe(now, node.index(), |_| ObsEventKind::SpanClose {
                 family: fam as u64,
@@ -1752,6 +1763,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                 },
             });
         }
+        self.scratch.abort = rel;
         self.prof.enter(HostRegion::LockRelease);
         let touched = self.table.cancel_family_waiters(root, &self.tree);
         debug_assert!(touched.len() <= 1, "a family has one outstanding request");
@@ -1807,10 +1819,10 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             });
             // Scheduled after `reset_for_restart`, so the event carries the
             // *new* generation and survives the staleness check.
-            let gen = self.generation(fam);
-            self.schedule(now + backoff, Event::Restart(fam as u32, gen));
+            self.schedule_family(now + backoff, fam, Event::Restart);
         } else {
             self.stats.aborted_families += 1;
+            self.recycle_buffers(fam);
         }
         for grant in &grants {
             self.deliver_grant(now, grant);
@@ -1833,10 +1845,8 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         let root = self.families[fam]
             .root_txn
             .expect("waiting family has a root");
-        let (txn, object) = {
-            let top = self.families[fam].top();
-            (top.txn, top.object)
-        };
+        let Frame { txn, spec, .. } = *self.families[fam].top();
+        let object = spec.object;
         let waited = now.saturating_duration_since(self.families[fam].phase_entered);
         self.prof.enter(HostRegion::LockRelease);
         let touched = self.table.cancel_family_waiters(root, &self.tree);
@@ -1923,9 +1933,8 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         // nothing to repoint and nothing to evict.
         let config = self.config;
         let mut repairs: Vec<(ObjectId, PageIndex, NodeId)> = Vec::new();
-        for entry in self.table.entries() {
-            let object = entry.object();
-            for (page, loc) in entry.page_map().entries() {
+        for (object, map) in self.table.page_maps() {
+            for (page, loc) in map.entries() {
                 if loc.node != node {
                     continue;
                 }
@@ -1942,9 +1951,8 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         }
         for &(object, page, survivor) in &repairs {
             self.table
-                .entry_mut(object)
+                .page_map_mut(object)
                 .expect("registered")
-                .page_map_mut()
                 .reassign_owner(page, survivor);
             self.probe(now, node.index(), |_| ObsEventKind::PageMapRepaired {
                 object: object.index(),
@@ -1956,15 +1964,11 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
 
         // Cold caches: evict every page the node no longer owns and fix
         // the caching-site sets.
-        let touched: Vec<ObjectId> = self.table.entries().map(|e| e.object()).collect();
+        let touched: Vec<ObjectId> = self.table.page_maps().map(|(object, _)| object).collect();
         for object in touched {
-            let map = self
-                .table
-                .entry_mut(object)
-                .expect("registered")
-                .page_map_mut();
+            let mut map = self.table.page_map_mut(object).expect("registered");
             let mut still_owner = false;
-            for (page, loc) in map.entries() {
+            for (page, loc) in map.view().entries() {
                 if loc.node == node {
                     still_owner = true;
                 } else {
@@ -2021,11 +2025,11 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         let mut entries = Vec::with_capacity(total);
         entries.extend(registry.objects().flat_map(|inst| {
             let object = inst.id;
-            let entry = self.table.entry(object).ok();
+            let map = self.table.page_map(object).ok();
             (0..registry.num_pages(object)).map(move |p| {
                 let page = PageIndex::new(p);
-                let chain = entry.map_or(0, |e| {
-                    let owner = e.page_map().location(page).node;
+                let chain = map.map_or(0, |m| {
+                    let owner = m.location(page).node;
                     self.stores[owner.index() as usize].chain(PageId::new(object, p))
                 });
                 ((object, page), chain)

@@ -154,7 +154,8 @@ impl<'r> PlacementModel<'r> {
     /// Returns the plan so the caller can charge messages and bytes.
     pub fn on_grant(&mut self, node: NodeId, object: ObjectId, prefetch: &PageSet) -> TransferPlan {
         let kind = self.kind_of(object);
-        let plan = plan_transfer(kind, &*self, node, object, prefetch);
+        let mut plan = TransferPlan::default();
+        plan_transfer(kind, &*self, node, object, prefetch, &mut plan);
         let o = self.placed_mut(object);
         let row = row_mut(&mut o.local, node, o.global.len());
         match kind {

@@ -12,7 +12,6 @@
 //! [`PlacementModel`](crate::placement::PlacementModel)) share one
 //! implementation and can never drift apart.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use lotec_mem::{ObjectId, PageIndex, Version};
@@ -102,37 +101,55 @@ pub trait PlacementView {
 }
 
 /// A planned gather: for each source node, the pages to pull from it
-/// (Algorithm 4.5, `TransferOfUpdatedPages`).
+/// (Algorithm 4.5, `TransferOfUpdatedPages`). Replanning into the same
+/// value allocates nothing once its two flat vectors have grown.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TransferPlan {
-    by_source: BTreeMap<NodeId, Vec<PageIndex>>,
+    /// Every page, grouped by source in ascending node order, each
+    /// source's pages in planning order.
+    pages: Vec<PageIndex>,
+    /// Per source: its node and the end of its run in `pages`.
+    sources: Vec<(NodeId, usize)>,
 }
 
 impl TransferPlan {
     /// No pages to move.
     pub fn is_empty(&self) -> bool {
-        self.by_source.is_empty()
+        self.sources.is_empty()
     }
 
     /// Number of distinct source nodes (each costs one request/transfer
     /// message pair — this is where LOTEC's "more, smaller messages"
     /// behaviour comes from).
     pub fn num_sources(&self) -> usize {
-        self.by_source.len()
+        self.sources.len()
     }
 
     /// Total pages moved.
     pub fn num_pages(&self) -> usize {
-        self.by_source.values().map(Vec::len).sum()
+        self.pages.len()
     }
 
     /// Iterator over `(source node, pages)` in node order.
     pub fn sources(&self) -> impl Iterator<Item = (NodeId, &[PageIndex])> {
-        self.by_source.iter().map(|(&n, v)| (n, v.as_slice()))
+        let mut start = 0;
+        self.sources.iter().map(move |&(node, end)| {
+            let run = &self.pages[start..end];
+            start = end;
+            (node, run)
+        })
     }
 
     fn add(&mut self, source: NodeId, page: PageIndex) {
-        self.by_source.entry(source).or_default().push(page);
+        let i = self.sources.partition_point(|&(n, _)| n < source);
+        if self.sources.get(i).is_none_or(|&(n, _)| n != source) {
+            let start = i.checked_sub(1).map_or(0, |prev| self.sources[prev].1);
+            self.sources.insert(i, (source, start));
+        }
+        self.pages.insert(self.sources[i].1, page);
+        for (_, end) in &mut self.sources[i..] {
+            *end += 1;
+        }
     }
 }
 
@@ -155,20 +172,24 @@ impl TransferPlan {
 ///   caches the object is already current; only never-seen pages move.
 ///   (Operationally identical staleness test; the difference is in the
 ///   placement state RC maintains.)
+///
+/// The plan replaces what `plan` held.
 pub fn plan_transfer(
     kind: ProtocolKind,
     view: &dyn PlacementView,
     node: NodeId,
     object: ObjectId,
     predicted: &PageSet,
-) -> TransferPlan {
-    let mut plan = TransferPlan::default();
+    plan: &mut TransferPlan,
+) {
+    plan.pages.clear();
+    plan.sources.clear();
     let num_pages = view.num_pages(object);
     match kind {
         ProtocolKind::Cotec => {
             let source = view.last_holder(object);
             if source == node {
-                return plan;
+                return;
             }
             for i in 0..num_pages {
                 plan.add(source, PageIndex::new(i));
@@ -204,24 +225,22 @@ pub fn plan_transfer(
             }
         }
     }
-    plan
 }
 
 /// The pages an acquisition under `kind` asks [`plan_transfer`] for: LOTEC
 /// the acquiring method's `predicted` set, each page dropped with
 /// `config.prediction_miss_rate` (the prediction-miss ablation, drawn from
-/// `rng`); every other protocol the object's full page set.
+/// `rng`); every other protocol all `num_pages` pages of the object.
 pub(crate) fn prefetch_set(
     config: &SystemConfig,
     kind: ProtocolKind,
-    view: &dyn PlacementView,
-    object: ObjectId,
+    num_pages: u16,
     predicted: &PageSet,
     rng: &mut SimRng,
 ) -> PageSet {
     let rate = config.prediction_miss_rate;
     if !kind.uses_prediction() {
-        (0..view.num_pages(object)).map(PageIndex::new).collect()
+        (0..num_pages).map(PageIndex::new).collect()
     } else if rate > 0.0 {
         predicted.iter().filter(|_| !rng.chance(rate)).collect()
     } else {
@@ -273,6 +292,8 @@ fn is_stale(view: &dyn PlacementView, node: NodeId, object: ObjectId, page: Page
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     /// A hand-rolled placement for policy tests.
@@ -309,6 +330,48 @@ mod tests {
 
     fn obj() -> ObjectId {
         ObjectId::new(0)
+    }
+
+    /// Plans into a fresh buffer.
+    fn plan_transfer(
+        kind: ProtocolKind,
+        view: &dyn PlacementView,
+        node: NodeId,
+        object: ObjectId,
+        predicted: &PageSet,
+    ) -> TransferPlan {
+        let mut plan = TransferPlan::default();
+        super::plan_transfer(kind, view, node, object, predicted, &mut plan);
+        plan
+    }
+
+    /// Pages added in any order group by ascending source, keep their
+    /// order within a source, and a replan replaces the old plan.
+    #[test]
+    fn plan_groups_by_ascending_source_in_insertion_order() {
+        let mut plan = TransferPlan::default();
+        for (source, page) in [(3, 5), (1, 2), (3, 0), (2, 7), (1, 1), (0, 4)] {
+            plan.add(n(source), PageIndex::new(page));
+        }
+        let grouped: Vec<(u32, Vec<u16>)> = plan
+            .sources()
+            .map(|(s, pages)| (s.index(), pages.iter().map(|p| p.get()).collect()))
+            .collect();
+        assert_eq!(
+            grouped,
+            [(0, vec![4]), (1, vec![2, 1]), (2, vec![7]), (3, vec![5, 0])]
+        );
+        assert_eq!((plan.num_sources(), plan.num_pages()), (4, 6));
+        let v = scattered();
+        super::plan_transfer(
+            ProtocolKind::Cotec,
+            &v,
+            n(2),
+            obj(),
+            &all_pages(4),
+            &mut plan,
+        );
+        assert!(plan.is_empty(), "the last holder replans to nothing");
     }
 
     fn all_pages(n: u16) -> PageSet {

@@ -95,7 +95,8 @@ fn replay_with_model(
                     charge::gdo_replication(config, &request).for_each(&mut record);
                 }
                 let kind = model.kind_of(object);
-                let prefetch = prefetch_set(config, kind, &model, object, predicted, &mut rng);
+                let pages = registry.num_pages(object);
+                let prefetch = prefetch_set(config, kind, pages, predicted, &mut rng);
                 let plan = model.on_grant(node, object, &prefetch);
                 for (source, pages) in plan.sources() {
                     charge::fetch(config, registry, node, source, object, pages, false)

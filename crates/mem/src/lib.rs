@@ -13,16 +13,18 @@
 //!   family's write log,
 //! * [`UndoLog`] / [`ShadowPages`] — the two recovery mechanisms the paper
 //!   names for sub-transaction UNDO (both purely local, no network),
-//! * [`PageMap`] — the GDO-side map from each page of an object to the node
-//!   holding its most up-to-date version (the structure that lets LOTEC
-//!   leave an object's current pages *scattered* across nodes).
+//! * [`PageMaps`] — the GDO-side maps from each page of an object to the
+//!   node holding its most up-to-date version (the structure that lets
+//!   LOTEC leave an object's current pages *scattered* across nodes), one
+//!   [`PageMap`] per object over a shared location arena, with the
+//!   object's caching sites in an inline [`NodeSet`].
 //!
 //! # Example
 //!
 //! ```
 //! use lotec_mem::{ObjectId, PageId, PageStore};
 //!
-//! let mut store = PageStore::new(128, 1);
+//! let mut store = PageStore::new(128, &[4]);
 //! let page = PageId::new(ObjectId::new(0), 3);
 //! store.install(page, lotec_mem::Version::new(1), 0xAB);
 //! assert_eq!(store.version_of(page).unwrap().get(), 1);
@@ -42,6 +44,6 @@ pub mod undo;
 
 pub use ids::{ObjectId, PageId, PageIndex, Version};
 pub use page::{mix, Page};
-pub use pagemap::{PageLocation, PageMap};
+pub use pagemap::{NodeSet, PageLocation, PageMap, PageMapMut, PageMaps};
 pub use store::PageStore;
 pub use undo::{Recovery, ShadowPages, UndoLog};

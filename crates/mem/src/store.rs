@@ -3,68 +3,59 @@
 use crate::ids::{PageId, Version};
 use crate::page::Page;
 
+/// Slots the arena reserves with the first row, so a store caching a few
+/// dozen pages grows its arena once or twice rather than at every
+/// doubling from four.
+const MIN_SLOTS: usize = 64;
+
 /// The local page cache of a single node.
 ///
 /// A zero-initialised `u32` index by object id says where each object's
-/// pages live: 0 when nothing of the object is cached here, else 1 + its
-/// row. A row is created the first time the node caches a page of that
-/// object, holds one slot per page index up to the highest page cached,
-/// and is never dropped: evicting a page empties its slot, and recreating
-/// the page reuses it. Every lookup on the simulation hot path is two
-/// array indexes. A node pays four bytes per registered object, and the
-/// allocator hands the index out as untouched zero pages, so a stretch of
-/// objects the node never caches costs no resident memory.
+/// pages live: 0 when nothing of the object is cached here, else 1 + the
+/// first slot of its row. A row is created the first time the node caches
+/// a page of that object and holds exactly one slot per page of the
+/// object, as the layout the store was built with gives it. Rows lie back
+/// to back in one flat slot arena and are never dropped: evicting a page
+/// empties its slot, and recreating the page reuses it. So caching a new
+/// object's page allocates nothing of the object's own, and every lookup
+/// on the simulation hot path is two array indexes. A node pays four
+/// bytes per registered object, and the allocator hands the index out as
+/// untouched zero pages, so a stretch of objects the node never caches
+/// costs no resident memory.
 ///
 /// Which cached pages a transaction dirtied is not tracked here: the
 /// engine takes the dirty set a global lock release piggybacks (paper
 /// §4.1, Alg. 4.4) from the family's write log.
 #[derive(Debug, Clone)]
-pub struct PageStore {
+pub struct PageStore<'a> {
     page_size: usize,
-    /// Per object id: 0 when no row exists, else 1 + the row's position.
+    /// Page count of every object id, which sizes its row.
+    pages_per_object: &'a [u16],
+    /// Per object id: 0 when no row exists, else 1 + the row's first slot.
     index: Vec<u32>,
-    /// One row per object this node has cached a page of, in first-cache
-    /// order; slot `p` of a row holds page `p` while it is cached.
-    rows: Vec<Vec<Option<Page>>>,
+    /// Every row, back to back in first-cache order; slot `p` of a row
+    /// holds page `p` while it is cached.
+    slots: Vec<Option<Page>>,
     /// Number of cached pages.
     len: usize,
 }
 
-/// The slot of `page`, creating the object's row and growing it to cover
-/// the page if needed.
-fn slot_mut<'a>(
-    index: &mut [u32],
-    rows: &'a mut Vec<Vec<Option<Page>>>,
-    page: PageId,
-) -> &'a mut Option<Page> {
-    let entry = &mut index[page.object().index() as usize];
-    if *entry == 0 {
-        rows.push(Vec::new());
-        *entry = u32::try_from(rows.len()).expect("one row per object id");
-    }
-    let row = &mut rows[*entry as usize - 1];
-    let p = usize::from(page.index().get());
-    if row.len() <= p {
-        row.resize_with(p + 1, || None);
-    }
-    &mut row[p]
-}
-
-impl PageStore {
+impl<'a> PageStore<'a> {
     /// Creates an empty store of `page_size`-byte pages for objects
-    /// `O0..O(num_objects - 1)`.
+    /// `O0..O(n - 1)`, where object `o` spans `pages_per_object[o]` pages.
     ///
     /// # Panics
     ///
     /// Panics if `page_size < 8`: every page must be able to hold its
     /// eight-byte content chain. Every other method panics on an object id
-    /// outside the store's range.
-    pub fn new(page_size: usize, num_objects: usize) -> Self {
+    /// outside the store's range or a page index outside its object.
+    pub fn new(page_size: usize, pages_per_object: &'a [u16]) -> Self {
         assert!(page_size >= 8, "page size must be at least 8 bytes");
         PageStore {
             page_size,
-            index: vec![0; num_objects],
-            rows: Vec::new(),
+            pages_per_object,
+            index: vec![0; pages_per_object.len()],
+            slots: Vec::new(),
             len: 0,
         }
     }
@@ -101,24 +92,50 @@ impl PageStore {
         self.get(page).map(Page::version)
     }
 
-    /// Read-only access to a cached page.
-    pub fn get(&self, page: PageId) -> Option<&Page> {
-        let row = self.index[page.object().index() as usize].checked_sub(1)?;
-        self.rows[row as usize]
-            .get(usize::from(page.index().get()))?
-            .as_ref()
+    /// Position of `page` in its object's row.
+    fn offset(&self, page: PageId) -> usize {
+        let p = page.index().get();
+        let object = page.object().index() as usize;
+        assert!(
+            p < self.pages_per_object[object],
+            "{page} is outside its object's {} pages",
+            self.pages_per_object[object]
+        );
+        usize::from(p)
     }
 
-    /// The slot of `page` if its object has a row and the row covers it.
-    fn existing_slot(&mut self, page: PageId) -> Option<&mut Option<Page>> {
-        let row = self.index[page.object().index() as usize].checked_sub(1)?;
-        self.rows[row as usize].get_mut(usize::from(page.index().get()))
+    /// The slot of `page` if its object has a row here.
+    fn existing(&self, page: PageId) -> Option<usize> {
+        let start = self.index[page.object().index() as usize].checked_sub(1)?;
+        Some(start as usize + self.offset(page))
+    }
+
+    /// The slot of `page`, creating its object's row if needed.
+    fn slot(&mut self, page: PageId) -> usize {
+        let offset = self.offset(page);
+        let object = page.object().index() as usize;
+        if self.index[object] == 0 {
+            let start = self.slots.len();
+            if self.slots.capacity() == 0 {
+                self.slots.reserve(MIN_SLOTS);
+            }
+            self.slots
+                .resize(start + usize::from(self.pages_per_object[object]), None);
+            self.index[object] = u32::try_from(start + 1).expect("slot arena fits u32");
+        }
+        self.index[object] as usize - 1 + offset
+    }
+
+    /// Read-only access to a cached page.
+    pub fn get(&self, page: PageId) -> Option<&Page> {
+        self.slots[self.existing(page)?].as_ref()
     }
 
     /// The cached copy of `page`, creating a zeroed
     /// [`Version::INITIAL`] page if absent.
     fn cached_or_zeroed(&mut self, page: PageId) -> &mut Page {
-        let slot = slot_mut(&mut self.index, &mut self.rows, page);
+        let slot = self.slot(page);
+        let slot = &mut self.slots[slot];
         if slot.is_none() {
             self.len += 1;
         }
@@ -128,8 +145,11 @@ impl PageStore {
     /// Installs (or replaces) a page received from another node: its
     /// version and content chain, copied by value.
     pub fn install(&mut self, page: PageId, version: Version, chain: u64) {
-        let slot = slot_mut(&mut self.index, &mut self.rows, page);
-        if slot.replace(Page::new(version, chain)).is_none() {
+        let slot = self.slot(page);
+        if self.slots[slot]
+            .replace(Page::new(version, chain))
+            .is_none()
+        {
             self.len += 1;
         }
     }
@@ -151,6 +171,17 @@ impl PageStore {
         self.get(page).map_or(0, Page::chain)
     }
 
+    /// The cached page, for an update.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page is not cached, naming `what` was attempted.
+    fn cached_mut(&mut self, page: PageId, what: &str) -> &mut Page {
+        self.existing(page)
+            .and_then(|slot| self.slots[slot].as_mut())
+            .unwrap_or_else(|| panic!("{what} of uncached page"))
+    }
+
     /// Publishes a page at `version` (its family's root has committed).
     /// Pages of one object may carry different version counters, so each
     /// page is published on its own.
@@ -159,10 +190,7 @@ impl PageStore {
     ///
     /// Panics if the page is not cached.
     pub fn publish_page(&mut self, page: PageId, version: Version) {
-        self.existing_slot(page)
-            .and_then(Option::as_mut)
-            .expect("publish of uncached page")
-            .set_version(version);
+        self.cached_mut(page, "publish").set_version(version);
     }
 
     /// Replaces the full contents of `page` (used by UNDO/shadow restore).
@@ -171,18 +199,17 @@ impl PageStore {
     ///
     /// Panics if the page is not cached.
     pub fn restore(&mut self, page: PageId, version: Version, chain: u64) {
-        *self
-            .existing_slot(page)
-            .and_then(Option::as_mut)
-            .expect("restore of uncached page") = Page::new(version, chain);
+        *self.cached_mut(page, "restore") = Page::new(version, chain);
     }
 
     /// Drops `page` from the cache entirely (used by UNDO when the page did
     /// not exist before the aborted transaction touched it). The slot stays
     /// in its row, so recreating the page reuses it.
     pub fn evict(&mut self, page: PageId) {
-        if self.existing_slot(page).and_then(Option::take).is_some() {
-            self.len -= 1;
+        if let Some(slot) = self.existing(page) {
+            if self.slots[slot].take().is_some() {
+                self.len -= 1;
+            }
         }
     }
 }
@@ -200,7 +227,7 @@ mod tests {
 
     #[test]
     fn empty_store() {
-        let s = PageStore::new(64, 1);
+        let s = PageStore::new(64, &[1]);
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
         assert!(!s.contains(pid(0, 0)));
@@ -210,7 +237,7 @@ mod tests {
 
     #[test]
     fn install_and_read_back() {
-        let mut s = PageStore::new(16, 2);
+        let mut s = PageStore::new(16, &[1, 1]);
         s.install(pid(1, 0), Version::new(3), 7);
         assert!(s.contains(pid(1, 0)));
         assert_eq!(s.version_of(pid(1, 0)), Some(Version::new(3)));
@@ -219,7 +246,7 @@ mod tests {
 
     #[test]
     fn publish_page_sets_individual_versions() {
-        let mut s = PageStore::new(8, 1);
+        let mut s = PageStore::new(8, &[2]);
         s.apply_stamp(pid(0, 0), 1);
         s.apply_stamp(pid(0, 1), 1);
         s.publish_page(pid(0, 0), Version::new(4));
@@ -230,7 +257,7 @@ mod tests {
 
     #[test]
     fn restore_and_evict() {
-        let mut s = PageStore::new(8, 1);
+        let mut s = PageStore::new(8, &[1]);
         s.apply_stamp(pid(0, 0), 9);
         s.restore(pid(0, 0), Version::INITIAL, 0);
         assert_eq!(s.chain(pid(0, 0)), 0);
@@ -241,13 +268,43 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 8 bytes")]
     fn tiny_pages_rejected() {
-        PageStore::new(4, 1);
+        PageStore::new(4, &[1]);
     }
 
     #[test]
     #[should_panic]
     fn rejects_objects_outside_the_index() {
-        PageStore::new(8, 2).ensure(pid(2, 0));
+        PageStore::new(8, &[1, 1]).ensure(pid(2, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside its object's 2 pages")]
+    fn rejects_pages_outside_their_object() {
+        PageStore::new(8, &[2, 3]).ensure(pid(0, 2));
+    }
+
+    /// A row is created on an object's first cached page and holds
+    /// exactly that object's pages, right after the rows created before
+    /// it; caching further pages of an object with a row adds no slot.
+    #[test]
+    fn rows_are_exactly_sized_and_back_to_back() {
+        let layout = [3u16, 1, 8, 2];
+        let mut s = PageStore::new(8, &layout);
+        let mut expected = 0;
+        for (object, pages) in [(2u32, 8u16), (0, 3), (3, 2)] {
+            s.ensure(pid(object, pages - 1));
+            expected += usize::from(pages);
+            assert_eq!(s.slots.len(), expected);
+            for p in 0..pages {
+                s.apply_stamp(pid(object, p), u64::from(p) + 1);
+            }
+            assert_eq!(s.slots.len(), expected, "a row never grows");
+        }
+        assert_eq!(s.index, [9, 0, 1, 12]);
+        // Neighbouring rows never see each other's pages.
+        assert_eq!(s.chain(pid(2, 7)), crate::page::mix(0, 8));
+        assert_eq!(s.chain(pid(0, 0)), crate::page::mix(0, 1));
+        assert!(!s.contains(pid(1, 0)));
     }
 
     /// Seeded random streams over every mutator, checked against an
@@ -260,15 +317,17 @@ mod tests {
         const PAGE: usize = 16;
         const SPREAD: u32 = 997;
         let objects: Vec<u32> = (0..6).map(|o| o * SPREAD).collect();
+        // Rows of 1 to 5 pages: an off-by-one between neighbouring rows
+        // would show as a page of one object changing another's.
+        let layout: Vec<u16> = (0..=objects[5]).map(|o| 1 + (o % 5) as u16).collect();
         let pages: Vec<PageId> = objects
             .iter()
-            .flat_map(|&o| (0..5).map(move |p| pid(o, p)))
+            .flat_map(|&o| (0..layout[o as usize]).map(move |p| pid(o, p)))
             .collect();
-        let num_objects = *objects.last().unwrap() as usize + 1;
         let mut recreated = 0;
         for seed in 0..40 {
             let mut rng = lotec_sim::SimRng::seed_from_u64(seed);
-            let mut store = PageStore::new(PAGE, num_objects);
+            let mut store = PageStore::new(PAGE, &layout);
             let mut reference: BTreeMap<PageId, Page> = BTreeMap::new();
             let mut evicted = BTreeSet::new();
             for step in 0..300 {

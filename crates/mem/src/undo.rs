@@ -9,6 +9,8 @@
 
 use std::collections::BTreeMap;
 
+use lotec_sim::KeyedLists;
+
 use crate::ids::{ObjectId, PageId};
 use crate::page::Page;
 use crate::store::PageStore;
@@ -23,7 +25,7 @@ use crate::store::PageStore;
 pub trait Recovery {
     /// Records the pre-image of `page` for transaction `token` if this is
     /// the transaction's first write to that page.
-    fn before_write(&mut self, token: u64, store: &PageStore, page: PageId);
+    fn before_write(&mut self, token: u64, store: &PageStore<'_>, page: PageId);
 
     /// Discards transaction `token`'s pre-images (it pre-committed; its
     /// parent — or the root commit — now owns the fate of the data).
@@ -31,7 +33,7 @@ pub trait Recovery {
 
     /// Restores every page `token` touched to its pre-image and returns how
     /// many pages it restored.
-    fn rollback(&mut self, token: u64, store: &mut PageStore) -> usize;
+    fn rollback(&mut self, token: u64, store: &mut PageStore<'_>) -> usize;
 
     /// Moves `token`'s pre-images to `parent` *underneath* any pre-image the
     /// parent already holds (the parent's pre-image is older and wins).
@@ -46,11 +48,11 @@ pub trait Recovery {
 /// value, or `None` when the page did not exist locally before the write.
 type PreImage = Option<Page>;
 
-fn capture(store: &PageStore, page: PageId) -> PreImage {
+fn capture(store: &PageStore<'_>, page: PageId) -> PreImage {
     store.get(page).copied()
 }
 
-fn apply(store: &mut PageStore, page: PageId, pre: PreImage) {
+fn apply(store: &mut PageStore<'_>, page: PageId, pre: PreImage) {
     match pre {
         None => store.evict(page),
         Some(p) if store.contains(page) => store.restore(page, p.version(), p.chain()),
@@ -64,7 +66,7 @@ fn apply(store: &mut PageStore, page: PageId, pre: PreImage) {
 /// ```
 /// use lotec_mem::{ObjectId, PageId, PageStore, Recovery, UndoLog};
 ///
-/// let mut store = PageStore::new(64, 1);
+/// let mut store = PageStore::new(64, &[1]);
 /// let mut undo = UndoLog::new();
 /// let page = PageId::new(ObjectId::new(0), 0);
 /// store.ensure(page);
@@ -79,10 +81,12 @@ fn apply(store: &mut PageStore, page: PageId, pre: PreImage) {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct UndoLog {
-    // token -> (page, pre-image) pairs in first-write order (first write
+    // Per token: (page, pre-image) pairs in first-write order (first write
     // wins). A transaction touches a handful of pages, so a linear scan of
-    // a flat Vec beats a tree walk on the per-write hot path.
-    logs: BTreeMap<u64, Vec<(PageId, PreImage)>>,
+    // its list beats a tree walk on the per-write hot path. Tokens are raw
+    // transaction ids, minted densely from zero, so a token is its list's
+    // key, and every list links through one recycled node arena.
+    logs: KeyedLists<(PageId, PreImage)>,
 }
 
 impl UndoLog {
@@ -93,46 +97,45 @@ impl UndoLog {
 
     /// Number of transactions with live log entries.
     pub fn active_transactions(&self) -> usize {
-        self.logs.len()
+        self.logs.non_empty()
     }
 
     /// Number of pre-images held for `token`.
     pub fn entries_for(&self, token: u64) -> usize {
-        self.logs.get(&token).map_or(0, Vec::len)
+        self.logs.iter(token as usize).count()
     }
 }
 
 impl Recovery for UndoLog {
-    fn before_write(&mut self, token: u64, store: &PageStore, page: PageId) {
-        let log = self.logs.entry(token).or_default();
-        if !log.iter().any(|(p, _)| *p == page) {
-            log.push((page, capture(store, page)));
+    fn before_write(&mut self, token: u64, store: &PageStore<'_>, page: PageId) {
+        let key = token as usize;
+        if !self.logs.iter(key).any(|(p, _)| p == page) {
+            self.logs.push(key, (page, capture(store, page)));
         }
     }
 
     fn forget(&mut self, token: u64) {
-        self.logs.remove(&token);
+        let mut log = self.logs.detach(token as usize);
+        while self.logs.pop(&mut log).is_some() {}
     }
 
-    fn rollback(&mut self, token: u64, store: &mut PageStore) -> usize {
-        let Some(log) = self.logs.remove(&token) else {
-            return 0;
-        };
-        for &(page, pre) in &log {
+    fn rollback(&mut self, token: u64, store: &mut PageStore<'_>) -> usize {
+        let mut log = self.logs.detach(token as usize);
+        let mut restored = 0;
+        while let Some((page, pre)) = self.logs.pop(&mut log) {
             apply(store, page, pre);
+            restored += 1;
         }
-        log.len()
+        restored
     }
 
     fn inherit(&mut self, token: u64, parent: u64) {
-        let Some(child) = self.logs.remove(&token) else {
-            return;
-        };
-        let parent_log = self.logs.entry(parent).or_default();
-        for (page, pre) in child {
+        let mut child = self.logs.detach(token as usize);
+        let parent = parent as usize;
+        while let Some((page, pre)) = self.logs.pop(&mut child) {
             // The parent's existing pre-image (if any) is older: keep it.
-            if !parent_log.iter().any(|(p, _)| *p == page) {
-                parent_log.push((page, pre));
+            if !self.logs.iter(parent).any(|(p, _)| p == page) {
+                self.logs.push(parent, (page, pre));
             }
         }
     }
@@ -181,7 +184,7 @@ impl ShadowPages {
 }
 
 impl Recovery for ShadowPages {
-    fn before_write(&mut self, token: u64, store: &PageStore, page: PageId) {
+    fn before_write(&mut self, token: u64, store: &PageStore<'_>, page: PageId) {
         self.shadows
             .entry((token, page))
             .or_insert_with(|| capture(store, page));
@@ -191,7 +194,7 @@ impl Recovery for ShadowPages {
         while self.pop(token).is_some() {}
     }
 
-    fn rollback(&mut self, token: u64, store: &mut PageStore) -> usize {
+    fn rollback(&mut self, token: u64, store: &mut PageStore<'_>) -> usize {
         let mut restored = 0;
         while let Some((page, pre)) = self.pop(token) {
             apply(store, page, pre);
@@ -217,7 +220,7 @@ mod tests {
     }
 
     fn check_roundtrip<R: Recovery>(mut rec: R) {
-        let mut store = PageStore::new(8, 1);
+        let mut store = PageStore::new(8, &[2]);
         store.install(pid(0, 0), Version::new(2), 7);
         let before = store.chain(pid(0, 0));
 
@@ -247,7 +250,7 @@ mod tests {
     }
 
     fn check_first_write_wins<R: Recovery>(mut rec: R) {
-        let mut store = PageStore::new(8, 1);
+        let mut store = PageStore::new(8, &[2]);
         store.install(pid(0, 0), Version::new(1), 5);
         let original = store.chain(pid(0, 0));
         rec.before_write(1, &store, pid(0, 0));
@@ -270,7 +273,7 @@ mod tests {
     }
 
     fn check_inherit_then_parent_abort<R: Recovery>(mut rec: R) {
-        let mut store = PageStore::new(8, 1);
+        let mut store = PageStore::new(8, &[2]);
         store.install(pid(0, 0), Version::new(1), 3);
         let original = store.chain(pid(0, 0));
 
@@ -302,7 +305,7 @@ mod tests {
     #[test]
     fn forget_discards_preimages() {
         let mut rec = UndoLog::new();
-        let mut store = PageStore::new(8, 1);
+        let mut store = PageStore::new(8, &[2]);
         rec.before_write(1, &store, pid(0, 0));
         store.apply_stamp(pid(0, 0), 1);
         let after = store.chain(pid(0, 0));
@@ -315,10 +318,31 @@ mod tests {
         );
     }
 
+    /// Logs of several tokens interleave in one arena; draining one (by
+    /// rollback, inheritance or forgetting) leaves the others intact.
+    #[test]
+    fn undo_logs_of_interleaved_tokens_stay_apart() {
+        let mut rec = UndoLog::new();
+        let mut store = PageStore::new(8, &[2]);
+        rec.before_write(1, &store, pid(0, 0));
+        rec.before_write(3, &store, pid(0, 0));
+        rec.before_write(1, &store, pid(0, 1));
+        assert_eq!(rec.active_transactions(), 2);
+        assert_eq!(rec.rollback(1, &mut store), 2);
+        assert_eq!(rec.active_transactions(), 1);
+        rec.before_write(4, &store, pid(0, 1));
+        rec.before_write(4, &store, pid(0, 0));
+        rec.inherit(4, 3);
+        assert_eq!(rec.entries_for(3), 2, "page 0 kept its older pre-image");
+        assert_eq!(rec.entries_for(4), 0);
+        rec.forget(3);
+        assert_eq!(rec.active_transactions(), 0);
+    }
+
     #[test]
     fn shadow_forget_drops_only_its_own_token() {
         let mut rec = ShadowPages::new();
-        let mut store = PageStore::new(8, 1);
+        let mut store = PageStore::new(8, &[2]);
         for token in 1..=3 {
             for p in 0..2 {
                 rec.before_write(token, &store, pid(0, p));
@@ -335,14 +359,14 @@ mod tests {
     #[test]
     fn rollback_of_unknown_token_is_noop() {
         let mut rec = ShadowPages::new();
-        let mut store = PageStore::new(8, 1);
+        let mut store = PageStore::new(8, &[2]);
         assert_eq!(rec.rollback(42, &mut store), 0);
     }
 
     #[test]
     fn shadow_rollback_only_touches_own_token() {
         let mut rec = ShadowPages::new();
-        let mut store = PageStore::new(8, 1);
+        let mut store = PageStore::new(8, &[2]);
         store.install(pid(0, 0), Version::new(1), 1);
         store.install(pid(0, 1), Version::new(1), 2);
         rec.before_write(1, &store, pid(0, 0));

@@ -78,6 +78,9 @@ pub struct ObjectRegistry {
     page_size: u32,
     classes: Vec<CompiledClass>,
     objects: Vec<ObjectInstance>,
+    /// Pages per object, by object id: the layout every node's page store
+    /// sizes its rows by.
+    page_counts: Vec<u16>,
 }
 
 impl ObjectRegistry {
@@ -131,10 +134,15 @@ impl ObjectRegistry {
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
+        let page_counts = objects
+            .iter()
+            .map(|o| compiled[o.class.index() as usize].layout().num_pages())
+            .collect();
         Ok(ObjectRegistry {
             page_size,
             classes: compiled,
             objects,
+            page_counts,
         })
     }
 
@@ -186,7 +194,12 @@ impl ObjectRegistry {
     ///
     /// Panics if `object` is out of range.
     pub fn num_pages(&self, object: ObjectId) -> u16 {
-        self.class_of(object).layout().num_pages()
+        self.page_counts[object.index() as usize]
+    }
+
+    /// Pages per object, indexed by object id.
+    pub fn page_counts(&self) -> &[u16] {
+        &self.page_counts
     }
 
     /// Iterator over all object instances.

@@ -54,6 +54,13 @@ pub fn set_current_region(slot: usize) {
     let _ = CURRENT_SLOT.try_with(|c| c.set(slot));
 }
 
+/// The current thread's attribution slot (region index + 1, or 0 outside
+/// any scope).
+#[inline]
+pub fn current_region() -> usize {
+    CURRENT_SLOT.try_with(Cell::get).unwrap_or(0)
+}
+
 /// True when `LOTEC_PROFILE_ALLOC=1` was set at first use.
 pub fn profiling_enabled() -> bool {
     match STATE.load(Ordering::Relaxed) {
@@ -87,7 +94,7 @@ fn record(bytes: usize) {
     if !profiling_enabled() {
         return;
     }
-    let slot = CURRENT_SLOT.try_with(Cell::get).unwrap_or(0);
+    let slot = current_region();
     ALLOC_COUNTS[slot].fetch_add(1, Ordering::Relaxed);
     ALLOC_BYTES[slot].fetch_add(bytes as u64, Ordering::Relaxed);
 }
@@ -251,6 +258,34 @@ mod tests {
             assert!(delta.allocs[slot] >= 1, "allocs {:?}", delta.allocs);
             assert!(delta.bytes[slot] >= 128, "bytes {:?}", delta.bytes);
             assert_eq!(AllocSnapshot::slot_name(slot), "cow_write");
+        });
+    }
+
+    /// A sink's profiler closing its scope inside an engine region must
+    /// hand the slot back to that region, not to "unattributed".
+    #[test]
+    fn allocation_after_an_inner_profilers_scope_lands_in_the_outer_region() {
+        use crate::host::{HostProfiler, WallProfiler};
+        with_forced(true, || {
+            set_current_region(0);
+            let mut engine = WallProfiler::new();
+            let mut sink = WallProfiler::new();
+            engine.enter(HostRegion::Dispatch);
+            sink.enter(HostRegion::ObsRecord);
+            sink.exit(HostRegion::ObsRecord);
+            let before = snapshot();
+            let a = CountingAlloc;
+            let layout = Layout::from_size_align(32, 8).unwrap();
+            unsafe {
+                let p = a.alloc(layout);
+                assert!(!p.is_null());
+                a.dealloc(p, layout);
+            }
+            let delta = snapshot().delta_since(&before);
+            engine.exit(HostRegion::Dispatch);
+            assert_eq!(delta.allocs[HostRegion::Dispatch.index() + 1], 1);
+            assert_eq!(delta.allocs[0], 0, "nothing unattributed");
+            assert_eq!(current_region(), 0, "outermost exit restores slot 0");
         });
     }
 

@@ -74,10 +74,13 @@ pub enum HostRegion {
     ObsRecord = 11,
     /// End-of-run reporting: phase stats, final chain collection.
     Report = 12,
+    /// Dropping the engine state the report does not take (page stores,
+    /// lock table, transaction tree, family runtimes) as `run` returns.
+    Teardown = 13,
 }
 
 /// Number of distinct [`HostRegion`] values.
-pub const HOST_REGION_COUNT: usize = 13;
+pub const HOST_REGION_COUNT: usize = 14;
 
 impl HostRegion {
     /// All regions, in index order.
@@ -95,6 +98,7 @@ impl HostRegion {
         HostRegion::StateSample,
         HostRegion::ObsRecord,
         HostRegion::Report,
+        HostRegion::Teardown,
     ];
 
     /// Stable wire name, used in JSON output and reports.
@@ -113,6 +117,7 @@ impl HostRegion {
             HostRegion::StateSample => "state_sample",
             HostRegion::ObsRecord => "obs_record",
             HostRegion::Report => "report",
+            HostRegion::Teardown => "teardown",
         }
     }
 
@@ -319,6 +324,11 @@ struct Frame {
     start_ns: u64,
     /// Wall time consumed by already-closed nested scopes.
     child_ns: u64,
+    /// The thread's allocation-attribution slot when the scope opened,
+    /// restored when it closes. A second profiler's scope (a
+    /// [`ProfiledSink`]'s, inside an engine region) then hands the slot
+    /// back to the region it interrupted instead of to "unattributed".
+    outer_slot: usize,
 }
 
 /// A recording [`HostProfiler`]: scope stack plus per-region accumulators.
@@ -400,6 +410,7 @@ impl HostProfiler for WallProfiler {
             region,
             start_ns,
             child_ns: 0,
+            outer_slot: crate::alloc::current_region(),
         });
         crate::alloc::set_current_region(region.index() + 1);
     }
@@ -415,13 +426,10 @@ impl HostProfiler for WallProfiler {
         let elapsed = end_ns.saturating_sub(frame.start_ns);
         let self_ns = elapsed.saturating_sub(frame.child_ns);
         self.stats[frame.region.index()].record(elapsed, self_ns);
-        match self.stack.last_mut() {
-            Some(parent) => {
-                parent.child_ns += elapsed;
-                crate::alloc::set_current_region(parent.region.index() + 1);
-            }
-            None => crate::alloc::set_current_region(0),
+        if let Some(parent) = self.stack.last_mut() {
+            parent.child_ns += elapsed;
         }
+        crate::alloc::set_current_region(frame.outer_slot);
     }
 }
 

@@ -58,9 +58,13 @@ const BUCKET_WIDTH_NS: u64 = 1 << BUCKET_WIDTH_SHIFT;
 const NUM_BUCKETS: usize = 256;
 /// Nanoseconds covered by the whole ring.
 const SPAN_NS: u64 = (NUM_BUCKETS as u64) << BUCKET_WIDTH_SHIFT;
+/// Entries a ring bucket keeps in place. A fuller bucket spills further
+/// entries into the overflow heap, which every pop compares with the ring
+/// anyway, so the bound changes no pop order.
+const BUCKET_SLOTS: usize = 8;
 
 /// A queue index entry: everything pop ordering needs, payload elsewhere.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Pending {
     time: u64,
     seq: u64,
@@ -101,11 +105,14 @@ impl Ord for Pending {
 /// (see [`reference::HeapQueue`], the retained differential oracle).
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// Near-future calendar ring; `buckets[i]` holds in-window entries
-    /// whose home index is `i`. Bucket vectors keep their capacity across
-    /// pops, so steady-state operation does not allocate.
-    buckets: Vec<Vec<Pending>>,
-    /// Far-future entries, beyond `ring_start + SPAN_NS` at push time.
+    /// Near-future calendar ring, one allocation for every bucket: bucket
+    /// `i` keeps the in-window entries whose home index is `i`, unordered,
+    /// in `ring[i * BUCKET_SLOTS..][..lens[i]]`.
+    ring: Vec<Pending>,
+    /// Entries held by each ring bucket.
+    lens: Vec<u8>,
+    /// Far-future entries, beyond `ring_start + SPAN_NS` at push time,
+    /// and entries that found their bucket full.
     overflow: BinaryHeap<Pending>,
     /// Payload arena; `Pending::slot` keys into it.
     payloads: Slab<E>,
@@ -137,7 +144,8 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         Self {
-            buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            ring: vec![Pending::default(); NUM_BUCKETS * BUCKET_SLOTS],
+            lens: vec![0; NUM_BUCKETS],
             overflow: BinaryHeap::new(),
             payloads: Slab::new(),
             ring_start: 0,
@@ -171,8 +179,20 @@ impl<E> EventQueue<E> {
         } else {
             bucket_of(time)
         };
-        self.buckets[idx].push(entry);
+        let len = usize::from(self.lens[idx]);
+        if len == BUCKET_SLOTS {
+            self.overflow.push(entry);
+            return;
+        }
+        self.ring[idx * BUCKET_SLOTS + len] = entry;
+        self.lens[idx] += 1;
         self.ring_len += 1;
+    }
+
+    /// The entries ring bucket `idx` holds.
+    #[inline]
+    fn bucket(&self, idx: usize) -> &[Pending] {
+        &self.ring[idx * BUCKET_SLOTS..][..usize::from(self.lens[idx])]
     }
 
     /// Advances the cursor to the first non-empty bucket and returns the
@@ -184,13 +204,13 @@ impl<E> EventQueue<E> {
             return None;
         }
         let mut idx = bucket_of(self.ring_start);
-        while self.buckets[idx].is_empty() {
+        while self.lens[idx] == 0 {
             // Bounded: some bucket is non-empty and every ring entry is
             // inside the window, at most NUM_BUCKETS - 1 steps away.
             self.ring_start += BUCKET_WIDTH_NS;
             idx = bucket_of(self.ring_start);
         }
-        let bucket = &self.buckets[idx];
+        let bucket = self.bucket(idx);
         let mut best = 0;
         for (pos, entry) in bucket.iter().enumerate().skip(1) {
             if entry.key() < bucket[best].key() {
@@ -209,14 +229,18 @@ impl<E> EventQueue<E> {
             (Some(_), None) => false,
             // The window's advance can leave the global minimum in the
             // overflow heap, so the tiers are always compared head-to-head.
-            (&Some((idx, pos)), Some(over)) => over.key() < self.buckets[idx][pos].key(),
+            (&Some((idx, pos)), Some(over)) => over.key() < self.bucket(idx)[pos].key(),
         };
         let entry = if from_overflow {
             self.overflow.pop().expect("peeked entry")
         } else {
             let (idx, pos) = ring.expect("ring candidate");
             self.ring_len -= 1;
-            self.buckets[idx].swap_remove(pos)
+            self.lens[idx] -= 1;
+            let base = idx * BUCKET_SLOTS;
+            let entry = self.ring[base + pos];
+            self.ring[base + pos] = self.ring[base + usize::from(self.lens[idx])];
+            entry
         };
         let event = self.payloads.remove(entry.slot);
         Some((SimTime::from_nanos(entry.time), event))
@@ -228,7 +252,7 @@ impl<E> EventQueue<E> {
         if self.ring_len > 0 {
             let start = bucket_of(self.ring_start);
             for step in 0..NUM_BUCKETS {
-                let bucket = &self.buckets[(start + step) & (NUM_BUCKETS - 1)];
+                let bucket = self.bucket((start + step) & (NUM_BUCKETS - 1));
                 if bucket.is_empty() {
                     continue;
                 }
@@ -255,9 +279,7 @@ impl<E> EventQueue<E> {
     /// Drops every pending event. Capacity (and the sequence counter) is
     /// retained.
     pub fn clear(&mut self) {
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
+        self.lens.fill(0);
         self.overflow.clear();
         self.payloads.clear();
         self.ring_len = 0;
@@ -453,6 +475,39 @@ mod tests {
         assert_eq!(q.peek_time(), Some(t(SPAN_NS + 10)));
         assert_eq!(q.pop(), Some((t(SPAN_NS + 10), 'b')));
         assert_eq!(q.pop(), Some((t(SPAN_NS + 500_000), 'c')));
+    }
+
+    /// A bucket holds `BUCKET_SLOTS` entries in place and spills the rest
+    /// into the overflow heap; pops still come out in `(time, seq)` order,
+    /// ties FIFO, while the ring keeps filling the bucket as it drains.
+    #[test]
+    fn full_bucket_spills_without_reordering() {
+        let mut q = EventQueue::new();
+        let mut expect = Vec::new();
+        for tag in 0..3 * BUCKET_SLOTS as u32 {
+            // Alternate two times inside one bucket, plus a later bucket.
+            let time = [5, 3, BUCKET_WIDTH_NS + 1][tag as usize % 3];
+            q.push(t(time), tag);
+            expect.push((time, tag));
+        }
+        assert_eq!(usize::from(q.lens[0]), BUCKET_SLOTS);
+        assert!(q.overflow.len() >= BUCKET_SLOTS);
+        assert_eq!(q.len(), expect.len());
+        let mut pops = 0;
+        while !expect.is_empty() {
+            expect.sort_by_key(|&(time, tag)| (time, tag));
+            let (etime, etag) = expect.remove(0);
+            assert_eq!(q.pop(), Some((t(etime), etag)), "pop {pops}");
+            pops += 1;
+            // Refill the drained bucket while the spill is still queued.
+            if pops == 3 {
+                for (time, tag) in [(4, 100), (3, 101)] {
+                    q.push(t(time), tag);
+                    expect.push((time, tag));
+                }
+            }
+        }
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //!   nanoseconds are the natural unit),
 //! * [`NodeId`] — the identity of a simulated site (processor/workstation),
 //! * [`EventQueue`] — a deterministic future-event list,
+//! * [`KeyedLists`] — many short per-key FIFO lists sharing one recycled
+//!   node arena (per-transaction bookkeeping without a vector each),
 //! * [`Simulator`] — clock + queue glue with run-loop helpers,
 //! * [`SimRng`] — a small, fully deterministic PRNG (xoshiro256**) so that
 //!   every experiment is reproducible from a single seed,
@@ -34,6 +36,7 @@
 
 pub mod event;
 pub mod fault;
+pub mod lists;
 pub mod rng;
 pub mod slab;
 pub mod time;
@@ -42,6 +45,7 @@ mod node;
 
 pub use event::EventQueue;
 pub use fault::{CrashWindow, FaultPlan};
+pub use lists::KeyedLists;
 pub use node::NodeId;
 pub use rng::SimRng;
 pub use slab::Slab;

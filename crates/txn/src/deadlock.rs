@@ -414,7 +414,7 @@ mod tests {
         let ac = tree.begin_child(a);
         table.acquire(obj(0), ac, LockMode::Write, &tree).unwrap();
         tree.pre_commit(ac);
-        table.release_pre_commit(ac, &tree);
+        table.release_pre_commit(ac, &tree, &mut crate::PreCommitRelease::default());
         // Family b holds O1 and waits on retained O0.
         let b = tree.begin_root(n(2));
         table.acquire(obj(1), b, LockMode::Write, &tree).unwrap();
@@ -501,7 +501,7 @@ mod tests {
         let ac = tree.begin_child(a);
         table.acquire(obj(0), ac, LockMode::Write, &tree).unwrap();
         tree.pre_commit(ac);
-        table.release_pre_commit(ac, &tree);
+        table.release_pre_commit(ac, &tree, &mut crate::PreCommitRelease::default());
         let b = tree.begin_root(n(2));
         table.acquire(obj(1), b, LockMode::Write, &tree).unwrap();
         table.acquire(obj(0), b, LockMode::Write, &tree).unwrap();

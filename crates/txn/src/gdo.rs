@@ -2,17 +2,22 @@
 //!
 //! Each entry mirrors Figure 1 of the paper: a `LockState` flag, a
 //! `ReadCount`, the holder list (`HolderPtr` — `<TID, NID>` pairs of the
-//! transactions currently holding the lock), the per-family non-holder
+//! transactions currently holding the lock) and the per-family non-holder
 //! waiter lists (`NonHoldersPtr` — a list of lists, one per waiting
-//! family), and the object's page map.
+//! family). The object's page map lives beside the entry, in the lock
+//! table's [`lotec_mem::PageMaps`].
+//!
+//! Every list keeps its first element inline ([`SmallList`]), so an entry
+//! with one holder, one retainer and one waiting family owns no heap
+//! memory.
 
 use std::fmt;
 
-use lotec_mem::{ObjectId, PageMap};
+use lotec_mem::ObjectId;
 use lotec_sim::NodeId;
 
 use crate::lock::LockMode;
-use crate::smallq::SmallQueue;
+use crate::small_list::SmallList;
 use crate::tree::TxnId;
 
 /// The status flag of a GDO lock entry (paper Figure 1).
@@ -69,38 +74,32 @@ pub struct FamilyWaiters {
     pub family: TxnId,
     /// Queued requests from that family, FIFO. A family almost always has
     /// exactly one outstanding request, which the queue stores inline.
-    pub requests: SmallQueue<QueuedRequest>,
+    pub requests: SmallList<QueuedRequest>,
 }
 
 /// A per-object GDO entry.
 #[derive(Debug, Clone)]
 pub struct GdoEntry {
     object: ObjectId,
-    holders: Vec<Holder>,
+    holders: SmallList<Holder>,
     // retainer -> strongest mode retained, sorted ascending by id so the
     // iteration order matches the previous ordered-map layout. Retainers
     // are always ancestors of (former) holders within the owning
-    // family/families, so the list stays short — a sorted vector beats a
-    // tree both on lookup and on per-pre-commit insertion.
-    retainers: Vec<(TxnId, LockMode)>,
-    waiting: SmallQueue<FamilyWaiters>,
-    page_map: PageMap,
+    // family/families, so the list stays short — a linear scan of a
+    // sorted list beats a tree both on lookup and on per-pre-commit
+    // insertion.
+    retainers: SmallList<(TxnId, LockMode)>,
+    waiting: SmallList<FamilyWaiters>,
 }
 
 impl GdoEntry {
-    /// Creates the entry for an object of `num_pages` pages homed at
-    /// `home`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_pages` is zero.
-    pub fn new(object: ObjectId, num_pages: u16, home: NodeId) -> Self {
+    /// Creates the (free) entry for `object`.
+    pub fn new(object: ObjectId) -> Self {
         GdoEntry {
             object,
-            holders: Vec::new(),
-            retainers: Vec::new(),
-            waiting: SmallQueue::new(),
-            page_map: PageMap::new(num_pages, home),
+            holders: SmallList::new(),
+            retainers: SmallList::new(),
+            waiting: SmallList::new(),
         }
     }
 
@@ -127,8 +126,8 @@ impl GdoEntry {
         self.holders.iter().filter(|h| !h.mode.is_write()).count()
     }
 
-    /// Current holders (the `HolderPtr` list).
-    pub fn holders(&self) -> &[Holder] {
+    /// Current holders (the `HolderPtr` list), in grant order.
+    pub fn holders(&self) -> &SmallList<Holder> {
         &self.holders
     }
 
@@ -150,17 +149,26 @@ impl GdoEntry {
 
     /// True if `txn` retains the lock.
     pub fn is_retained_by(&self, txn: TxnId) -> bool {
-        self.retainers
-            .binary_search_by_key(&txn, |&(t, _)| t)
-            .is_ok()
+        self.retained_mode(txn).is_some()
     }
 
     /// The mode `txn` retains, if it retains.
     pub fn retained_mode(&self, txn: TxnId) -> Option<LockMode> {
         self.retainers
-            .binary_search_by_key(&txn, |&(t, _)| t)
-            .ok()
-            .map(|i| self.retainers[i].1)
+            .iter()
+            .find(|&&(t, _)| t == txn)
+            .map(|&(_, mode)| mode)
+    }
+
+    /// Where `txn` sits in the ascending retainer list: `Ok` with its
+    /// position, or `Err` with the position it would take.
+    fn retainer_position(&self, txn: TxnId) -> Result<usize, usize> {
+        for (i, &(t, _)) in self.retainers.iter().enumerate() {
+            if t >= txn {
+                return if t == txn { Ok(i) } else { Err(i) };
+            }
+        }
+        Err(self.retainers.len())
     }
 
     /// The queued family waiter lists (the `NonHoldersPtr` structure).
@@ -173,17 +181,6 @@ impl GdoEntry {
         self.waiting.iter().map(|f| f.requests.len()).sum()
     }
 
-    /// The object's page map.
-    pub fn page_map(&self) -> &PageMap {
-        &self.page_map
-    }
-
-    /// Mutable access to the page map (dirty-info piggybacked on releases
-    /// updates it; grants read it).
-    pub fn page_map_mut(&mut self) -> &mut PageMap {
-        &mut self.page_map
-    }
-
     // ---- mutation primitives used by the lock table ----
 
     pub(crate) fn add_holder(&mut self, holder: Holder) {
@@ -193,7 +190,7 @@ impl GdoEntry {
             holder.txn,
             self.object
         );
-        self.holders.push(holder);
+        self.holders.push_back(holder);
     }
 
     /// Removes `txn` from the holder list, returning its holder record.
@@ -214,9 +211,9 @@ impl GdoEntry {
 
     /// Adds (or strengthens) a retainer.
     pub(crate) fn add_retainer(&mut self, txn: TxnId, mode: LockMode) {
-        match self.retainers.binary_search_by_key(&txn, |&(t, _)| t) {
+        match self.retainer_position(txn) {
             Ok(i) => {
-                let m = &mut self.retainers[i].1;
+                let (_, m) = &mut self.retainers[i];
                 *m = (*m).max(mode);
             }
             Err(i) => self.retainers.insert(i, (txn, mode)),
@@ -225,8 +222,7 @@ impl GdoEntry {
 
     /// Removes a retainer, returning its mode.
     pub(crate) fn remove_retainer(&mut self, txn: TxnId) -> Option<LockMode> {
-        self.retainers
-            .binary_search_by_key(&txn, |&(t, _)| t)
+        self.retainer_position(txn)
             .ok()
             .map(|i| self.retainers.remove(i).1)
     }
@@ -239,7 +235,7 @@ impl GdoEntry {
         } else {
             self.waiting.push_back(FamilyWaiters {
                 family,
-                requests: SmallQueue::one(request),
+                requests: SmallList::one(request),
             });
         }
     }
@@ -255,13 +251,13 @@ impl GdoEntry {
     }
 
     /// Removes every queued request of `family` (used when a deadlock
-    /// victim family is aborted while waiting). Returns the removed
-    /// requests.
-    pub(crate) fn remove_family_waiters(&mut self, family: TxnId) -> Vec<QueuedRequest> {
-        let mut removed = Vec::new();
+    /// victim family is aborted while waiting). Returns how many requests
+    /// it removed.
+    pub(crate) fn remove_family_waiters(&mut self, family: TxnId) -> usize {
+        let mut removed = 0;
         self.waiting.retain_mut(|fw| {
             if fw.family == family {
-                removed.extend(std::mem::take(&mut fw.requests));
+                removed += fw.requests.len();
                 false
             } else {
                 true
@@ -292,7 +288,7 @@ mod tests {
     use super::*;
 
     fn entry() -> GdoEntry {
-        GdoEntry::new(ObjectId::new(5), 4, NodeId::new(0))
+        GdoEntry::new(ObjectId::new(5))
     }
 
     fn tid(n: u64) -> TxnId {
@@ -311,7 +307,6 @@ mod tests {
         assert_eq!(e.lock_state(), LockState::Free);
         assert_eq!(e.read_count(), 0);
         assert_eq!(e.num_waiting(), 0);
-        assert_eq!(e.page_map().num_pages(), 4);
     }
 
     #[test]
@@ -377,7 +372,7 @@ mod tests {
         e.enqueue(f1, req(f1));
         e.enqueue(f2, req(f2));
         let removed = e.remove_family_waiters(f1);
-        assert_eq!(removed.len(), 1);
+        assert_eq!(removed, 1);
         assert_eq!(e.num_waiting(), 1);
         assert_eq!(e.peek_next_family().unwrap().family, f2);
     }

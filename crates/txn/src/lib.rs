@@ -10,7 +10,9 @@
 //! * [`LockTable`] — the lock half of the Global Directory of Objects
 //!   (GDO). Each per-object entry mirrors Figure 1 of the paper:
 //!   `LockState`, `ReadCount`, the holder list (`HolderPtr`), the
-//!   per-family waiter lists (`NonHoldersPtr`) and the page map.
+//!   per-family waiter lists (`NonHoldersPtr`) and the page map, which
+//!   the table keeps beside the entry in one arena-backed
+//!   [`lotec_mem::PageMaps`].
 //! * Nested object two-phase locking (**O2PL**), rules 1–5 of §4.1:
 //!   acquisition respects holders and retainers; pre-commit makes the
 //!   parent inherit and retain the child's locks; abort returns locks to
@@ -56,7 +58,7 @@
 pub mod deadlock;
 pub mod gdo;
 pub mod lock;
-pub mod smallq;
+pub mod small_list;
 pub mod table;
 pub mod tree;
 pub mod waits_for;
@@ -66,7 +68,7 @@ pub use deadlock::{
 };
 pub use gdo::{gdo_home, GdoEntry, LockState, QueuedRequest};
 pub use lock::LockMode;
-pub use smallq::SmallQueue;
+pub use small_list::SmallList;
 pub use table::{
     AbortRelease, Acquire, CommitRelease, Grant, LockError, LockOccupancy, LockTable,
     PreCommitRelease,

@@ -29,11 +29,12 @@
 
 use std::fmt;
 
-use lotec_mem::{ObjectId, PageIndex};
-use lotec_sim::NodeId;
+use lotec_mem::{ObjectId, PageIndex, PageMap, PageMapMut, PageMaps};
+use lotec_sim::{KeyedLists, NodeId};
 
 use crate::gdo::{GdoEntry, Holder, QueuedRequest};
 use crate::lock::LockMode;
+use crate::small_list::SmallList;
 use crate::tree::{TxnId, TxnTree};
 use crate::waits_for::WaitsFor;
 
@@ -112,16 +113,21 @@ impl std::error::Error for LockError {}
 pub struct Grant {
     /// The object whose lock was granted.
     pub object: ObjectId,
-    /// The granted requests (all from one family).
-    pub requests: Vec<QueuedRequest>,
+    /// The granted requests (all from one family): the family's queued
+    /// list itself, moved out of the entry.
+    pub requests: SmallList<QueuedRequest>,
     /// Holder-list length at grant time (sizes the grant message).
     pub holders: usize,
 }
 
 /// Result of a pre-commit release (Alg. 4.3, first case). Purely local.
+///
+/// Like the other release results, the caller owns it and lends it to
+/// each release, which clears and refills it: a caller that keeps one
+/// buffer per kind releases without allocating at steady state.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PreCommitRelease {
-    /// Objects whose locks the parent inherited.
+    /// Objects whose locks the parent inherited, ascending.
     pub inherited: Vec<ObjectId>,
 }
 
@@ -134,6 +140,14 @@ pub struct AbortRelease {
     pub released: Vec<ObjectId>,
     /// Grants to other families unblocked by the release.
     pub grants: Vec<Grant>,
+}
+
+impl AbortRelease {
+    fn clear(&mut self) {
+        self.returned_to_ancestor.clear();
+        self.released.clear();
+        self.grants.clear();
+    }
 }
 
 /// Result of a root-commit release (Alg. 4.4).
@@ -158,15 +172,18 @@ pub struct LockOccupancy {
     pub waiting: u32,
 }
 
-/// The lock table: every registered object's GDO entry plus reverse
-/// indexes.
+/// The lock table: every registered object's GDO entry and page map plus
+/// reverse indexes.
 ///
 /// Entries live in a compact arena in registration order, reached through
 /// a per-object slot index: the per-acquisition entry lookup on the
 /// simulation hot path is two array indexes, and an object no lock
 /// request has reached costs four bytes of index and no entry. Every walk
 /// goes through the index, so iteration visits objects in ascending id
-/// order whatever order they were registered in.
+/// order whatever order they were registered in. Neither an entry nor its
+/// page map owns heap memory of its own in the common case (see
+/// [`GdoEntry`] and [`PageMaps`]), so registering an object allocates
+/// nothing per object.
 #[derive(Debug, Clone, Default)]
 pub struct LockTable {
     /// Per object id: 0 while unregistered, else 1 + its entry's position
@@ -175,8 +192,12 @@ pub struct LockTable {
     /// GDO entries in registration order. The waits-for graph keys each
     /// object's edge contribution by the same position.
     arena: Vec<GdoEntry>,
+    /// Every entry's page map, at the entry's arena position.
+    page_maps: PageMaps,
     held_by: TxnObjects,
     retained_by: TxnObjects,
+    /// Recycled buffer for the objects a release walks.
+    scratch: Vec<ObjectId>,
     /// Family-level waits-for graph, refreshed at every entry mutation
     /// (see [`WaitsFor`]); the deadlock detector reads it instead of
     /// rebuilding from an O(entries) scan.
@@ -189,53 +210,53 @@ pub struct LockTable {
 }
 
 /// Reverse index from transactions to the objects they hold (or retain),
-/// stored densely: [`crate::TxnTree`] mints ids sequentially from zero, so
-/// the raw transaction id doubles as the vector slot. Per-transaction
-/// lists are in insertion order; the release paths sort-and-dedup on
-/// drain to reproduce the ascending-object-id order of the ordered-set
-/// layout this replaces, so the hot path itself only ever appends.
+/// keyed densely: [`crate::TxnTree`] mints ids sequentially from zero, so
+/// the raw transaction id is the list's key. Per-transaction lists are in
+/// insertion order; the release paths sort-and-dedup on drain to
+/// reproduce the ascending-object-id order of the ordered-set layout this
+/// replaces, so the hot path itself only ever appends. Every list links
+/// through one recycled node arena, so at steady state the index
+/// allocates nothing.
 #[derive(Debug, Clone, Default)]
 struct TxnObjects {
-    by_txn: Vec<Vec<ObjectId>>,
+    lists: KeyedLists<ObjectId>,
 }
 
 impl TxnObjects {
-    /// Records `txn` → `object`, ignoring a duplicate registration (only
-    /// the retainer index ever produces one — a parent re-inherits an
-    /// object from each pre-committing child that touched it).
+    /// Records `txn` → `object`, which the index must not list yet (a
+    /// transaction acquires an object once).
     fn insert(&mut self, txn: TxnId, object: ObjectId) {
-        let idx = txn.get() as usize;
-        if idx >= self.by_txn.len() {
-            self.by_txn.resize_with(idx + 1, Vec::new);
-        }
-        let slot = &mut self.by_txn[idx];
-        if !slot.contains(&object) {
-            slot.push(object);
+        debug_assert!(!self.get(txn).any(|o| o == object), "{txn} already listed");
+        self.lists.push(txn.get() as usize, object);
+    }
+
+    /// Records `txn` → `object` unless already listed: a parent re-inherits
+    /// an object from each pre-committing child that touched it.
+    fn insert_once(&mut self, txn: TxnId, object: ObjectId) {
+        if !self.get(txn).any(|o| o == object) {
+            self.insert(txn, object);
         }
     }
 
-    /// Removes and returns `txn`'s object list, in insertion order.
-    fn take(&mut self, txn: TxnId) -> Vec<ObjectId> {
-        match self.by_txn.get_mut(txn.get() as usize) {
-            Some(list) => std::mem::take(list),
-            None => Vec::new(),
+    /// Appends `txn`'s objects to `out`, in insertion order, and empties
+    /// its list.
+    fn drain_into(&mut self, txn: TxnId, out: &mut Vec<ObjectId>) {
+        let mut list = self.lists.detach(txn.get() as usize);
+        while let Some(object) = self.lists.pop(&mut list) {
+            out.push(object);
         }
     }
 
     /// `txn`'s objects, in insertion order.
-    fn get(&self, txn: TxnId) -> &[ObjectId] {
-        self.by_txn
-            .get(txn.get() as usize)
-            .map_or(&[], Vec::as_slice)
+    fn get(&self, txn: TxnId) -> impl Iterator<Item = ObjectId> + '_ {
+        self.lists.iter(txn.get() as usize)
     }
 
     /// All non-empty `(txn, objects)` pairs, ascending by id.
-    fn iter(&self) -> impl Iterator<Item = (TxnId, &[ObjectId])> {
-        self.by_txn
-            .iter()
-            .enumerate()
-            .filter(|(_, list)| !list.is_empty())
-            .map(|(idx, list)| (TxnId::from_raw(idx as u64), list.as_slice()))
+    fn iter(&self) -> impl Iterator<Item = (TxnId, impl Iterator<Item = ObjectId> + '_)> {
+        (0..self.lists.keys())
+            .filter(|&key| !self.lists.is_empty(key))
+            .map(|key| (TxnId::from_raw(key as u64), self.lists.iter(key)))
     }
 }
 
@@ -259,7 +280,9 @@ impl LockTable {
         }
         assert!(self.slot[id] == 0, "object {object} registered twice");
         let pos = self.arena.len();
-        self.arena.push(GdoEntry::new(object, num_pages, home));
+        self.arena.push(GdoEntry::new(object));
+        let map = self.page_maps.push(num_pages, home);
+        debug_assert_eq!(map, pos, "page maps follow the entry arena");
         self.slot[id] = u32::try_from(pos + 1).expect("lock table size fits u32");
         self.graph.ensure_slot(pos);
     }
@@ -335,27 +358,45 @@ impl LockTable {
             .ok_or(LockError::UnknownObject(object))
     }
 
-    /// Mutable GDO entry access (page-map updates by the engine).
+    /// The page map of `object` (grants read it).
     ///
     /// # Errors
     ///
     /// Returns [`LockError::UnknownObject`] if unregistered.
-    pub fn entry_mut(&mut self, object: ObjectId) -> Result<&mut GdoEntry, LockError> {
+    pub fn page_map(&self, object: ObjectId) -> Result<PageMap<'_>, LockError> {
         self.position(object)
-            .map(|pos| &mut self.arena[pos])
+            .map(|pos| self.page_maps.get(pos))
+            .ok_or(LockError::UnknownObject(object))
+    }
+
+    /// Every registered object's page map, in ascending object id order.
+    pub fn page_maps(&self) -> impl Iterator<Item = (ObjectId, PageMap<'_>)> {
+        self.positions()
+            .map(|pos| (self.arena[pos].object(), self.page_maps.get(pos)))
+    }
+
+    /// The page map of `object`, for updates (transfers record caching
+    /// sites, crash repair repoints owners).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LockError::UnknownObject`] if unregistered.
+    pub fn page_map_mut(&mut self, object: ObjectId) -> Result<PageMapMut<'_>, LockError> {
+        self.position(object)
+            .map(|pos| self.page_maps.get_mut(pos))
             .ok_or(LockError::UnknownObject(object))
     }
 
     /// Objects currently held by `txn`, ascending by id.
     pub fn held_objects(&self, txn: TxnId) -> impl Iterator<Item = ObjectId> + '_ {
-        let mut objects = self.held_by.get(txn).to_vec();
+        let mut objects: Vec<ObjectId> = self.held_by.get(txn).collect();
         objects.sort_unstable();
         objects.into_iter()
     }
 
     /// Objects currently retained by `txn`, ascending by id.
     pub fn retained_objects(&self, txn: TxnId) -> impl Iterator<Item = ObjectId> + '_ {
-        let mut objects = self.retained_by.get(txn).to_vec();
+        let mut objects: Vec<ObjectId> = self.retained_by.get(txn).collect();
         objects.sort_unstable();
         objects.into_iter()
     }
@@ -564,21 +605,29 @@ impl LockTable {
     // ---------------------------------------------------------------
 
     /// Pre-commit of sub-transaction `txn`: its parent inherits and retains
-    /// every lock `txn` holds or retains (rule 3). Purely local.
+    /// every lock `txn` holds or retains (rule 3). Purely local. `out` is
+    /// cleared and receives the inherited objects.
     ///
     /// # Panics
     ///
     /// Panics if `txn` is a root (roots use
     /// [`LockTable::release_root_commit`]).
-    pub fn release_pre_commit(&mut self, txn: TxnId, tree: &TxnTree) -> PreCommitRelease {
+    pub fn release_pre_commit(&mut self, txn: TxnId, tree: &TxnTree, out: &mut PreCommitRelease) {
         let parent = tree.parent(txn).expect("pre-commit of a root transaction");
-        let mut inherited = Vec::new();
-
-        for object in self.held_by.take(txn) {
+        let mut objects = std::mem::take(&mut self.scratch);
+        objects.clear();
+        self.held_by.drain_into(txn, &mut objects);
+        let held = objects.len();
+        self.retained_by.drain_into(txn, &mut objects);
+        for (i, &object) in objects.iter().enumerate() {
             let entry = self.registered_mut(object);
-            let holder = entry.remove_holder(txn).expect("index said txn holds");
-            entry.add_retainer(parent, holder.mode);
-            self.retained_by.insert(parent, object);
+            let mode = if i < held {
+                entry.remove_holder(txn).expect("index said txn holds").mode
+            } else {
+                entry.remove_retainer(txn).expect("index said txn retains")
+            };
+            entry.add_retainer(parent, mode);
+            self.retained_by.insert_once(parent, object);
             // Inheritance moves the lock within the family at the same
             // (or merged, hence stronger-or-equal) mode. Edges are pairs
             // of *families*, and `conflicts_with(a.max(b))` equals
@@ -589,38 +638,30 @@ impl LockTable {
             if self.validate_graph {
                 self.refresh_graph(object, tree);
             }
-            inherited.push(object);
         }
-        for object in self.retained_by.take(txn) {
-            let entry = self.registered_mut(object);
-            let mode = entry.remove_retainer(txn).expect("index said txn retains");
-            entry.add_retainer(parent, mode);
-            self.retained_by.insert(parent, object);
-            // Same family, same-or-merged mode: contribution unchanged
-            // (see the holder loop above).
-            if self.validate_graph {
-                self.refresh_graph(object, tree);
-            }
-            inherited.push(object);
-        }
-        inherited.sort_unstable();
-        inherited.dedup();
-        PreCommitRelease { inherited }
+        out.inherited.clear();
+        out.inherited.extend_from_slice(&objects);
+        out.inherited.sort_unstable();
+        out.inherited.dedup();
+        self.scratch = objects;
     }
 
     /// Abort of [sub-]transaction `txn` (rule 4): locks return to a
     /// retaining ancestor when one exists, otherwise they are released —
-    /// possibly unblocking waiting families.
-    pub fn release_abort(&mut self, txn: TxnId, tree: &TxnTree) -> AbortRelease {
-        let mut out = AbortRelease::default();
+    /// possibly unblocking waiting families. `out` is cleared and receives
+    /// the outcome.
+    pub fn release_abort(&mut self, txn: TxnId, tree: &TxnTree, out: &mut AbortRelease) {
+        out.clear();
         // The index lists are in insertion order; restore the ascending
         // dedup'd order the ordered-set layout produced — released order
         // is observable downstream (messages, traces).
-        let mut objects = self.held_by.take(txn);
-        objects.extend(self.retained_by.take(txn));
+        let mut objects = std::mem::take(&mut self.scratch);
+        objects.clear();
+        self.held_by.drain_into(txn, &mut objects);
+        self.retained_by.drain_into(txn, &mut objects);
         objects.sort_unstable();
         objects.dedup();
-        for object in objects {
+        for &object in &objects {
             let entry = self.registered_mut(object);
             entry.remove_holder(txn);
             entry.remove_retainer(txn);
@@ -644,15 +685,16 @@ impl LockTable {
                 out.released.push(object);
             }
         }
+        self.scratch = objects;
         // Collect grants after all of txn's presence is gone.
         for &object in &out.released {
             self.try_grant_next(object, tree, &mut out.grants);
         }
-        out
     }
 
     /// Root commit of `root` (rule 5 / Alg. 4.4): every lock held or
     /// retained by the root is released and waiting families are granted.
+    /// `out` is cleared and receives the outcome.
     ///
     /// `dirty` carries the piggybacked dirty-page information: for each
     /// object, the pages the family updated. The GDO page map records the
@@ -667,23 +709,25 @@ impl LockTable {
         tree: &TxnTree,
         dirty: &[(ObjectId, Vec<PageIndex>)],
         node: NodeId,
-    ) -> CommitRelease {
+        out: &mut CommitRelease,
+    ) {
         assert!(tree.parent(root).is_none(), "{root} is not a root");
         // Record dirty info in the page maps first (Alg. 4.4's first loop).
         for (object, pages) in dirty {
-            let entry = self.registered_mut(*object);
+            let mut map = self.page_map_mut(*object).expect("object registered");
             for &page in pages {
-                entry.page_map_mut().record_update(page, node);
+                map.record_update(page, node);
             }
         }
 
-        let mut out = CommitRelease::default();
+        out.released.clear();
+        out.grants.clear();
         // Ascending dedup'd order, as in `release_abort`.
-        let mut objects = self.held_by.take(root);
-        objects.extend(self.retained_by.take(root));
-        objects.sort_unstable();
-        objects.dedup();
-        for object in objects {
+        self.held_by.drain_into(root, &mut out.released);
+        self.retained_by.drain_into(root, &mut out.released);
+        out.released.sort_unstable();
+        out.released.dedup();
+        for &object in &out.released {
             let entry = self.registered_mut(object);
             entry.remove_holder(root);
             entry.remove_retainer(root);
@@ -697,12 +741,10 @@ impl LockTable {
             if self.validate_graph {
                 self.refresh_graph(object, tree);
             }
-            out.released.push(object);
         }
         for &object in &out.released {
             self.try_grant_next(object, tree, &mut out.grants);
         }
-        out
     }
 
     /// After a release, grants the next waiting family's requests if they
@@ -734,9 +776,8 @@ impl LockTable {
             }
             let fw = entry.dequeue_next_family().expect("peeked family vanished");
             debug_assert_eq!(fw.family, family);
-            let mut requests = Vec::with_capacity(fw.requests.len());
             let mut wrote = false;
-            for req in fw.requests {
+            for &req in &fw.requests {
                 wrote |= req.mode.is_write();
                 if entry.is_held_by(req.txn) {
                     // A queued read→write upgrade (`acquire` queues a
@@ -752,12 +793,11 @@ impl LockTable {
                     });
                     held_by.insert(req.txn, object);
                 }
-                requests.push(req);
             }
             let holders = entry.holders().len();
             grants.push(Grant {
                 object,
-                requests,
+                requests: fw.requests,
                 holders,
             });
             // Read batching: if the grant was read-only, the following
@@ -791,7 +831,7 @@ impl LockTable {
                 continue;
             };
             let entry = &mut self.arena[pos as usize];
-            if !entry.remove_family_waiters(family).is_empty() {
+            if entry.remove_family_waiters(family) > 0 {
                 let object = entry.object();
                 // Dropping a queue entry removes the family's outgoing
                 // edges on that object and any FIFO edges other waiters
@@ -840,19 +880,19 @@ impl LockTable {
                 }
             }
             for h in entry.holders() {
-                if !self.held_by.get(h.txn).contains(&object) {
+                if !self.held_by.get(h.txn).any(|o| o == object) {
                     return Err(format!("{object}: holder {} missing from index", h.txn));
                 }
             }
             for (r, _) in entry.retainers() {
-                if !self.retained_by.get(r).contains(&object) {
+                if !self.retained_by.get(r).any(|o| o == object) {
                     return Err(format!("{object}: retainer {r} missing from index"));
                 }
             }
         }
         for (txn, objects) in self.held_by.iter() {
             for object in objects {
-                let entry = self.entry(*object).map_err(|_| "indexed object missing")?;
+                let entry = self.entry(object).map_err(|_| "indexed object missing")?;
                 if !entry.is_held_by(txn) {
                     return Err(format!("index says {txn} holds {object}, entry disagrees"));
                 }
@@ -1033,7 +1073,7 @@ mod tests {
         let c1 = tree.begin_child(r);
         table.acquire(obj(0), c1, LockMode::Write, &tree).unwrap();
         tree.pre_commit(c1);
-        table.release_pre_commit(c1, &tree);
+        table.release_pre_commit(c1, &tree, &mut PreCommitRelease::default());
         // Parent now retains; a second child acquires locally.
         let c2 = tree.begin_child(r);
         let got = table.acquire(obj(0), c2, LockMode::Write, &tree).unwrap();
@@ -1048,7 +1088,7 @@ mod tests {
         let c = tree.begin_child(r);
         table.acquire(obj(0), c, LockMode::Write, &tree).unwrap();
         tree.pre_commit(c);
-        table.release_pre_commit(c, &tree);
+        table.release_pre_commit(c, &tree, &mut PreCommitRelease::default());
         let foreign = tree.begin_root(n(2));
         assert_eq!(
             table
@@ -1066,7 +1106,7 @@ mod tests {
         let c = tree.begin_child(r);
         table.acquire(obj(0), c, LockMode::Read, &tree).unwrap();
         tree.pre_commit(c);
-        table.release_pre_commit(c, &tree);
+        table.release_pre_commit(c, &tree, &mut PreCommitRelease::default());
         let reader = tree.begin_root(n(2));
         assert!(table
             .acquire(obj(0), reader, LockMode::Read, &tree)
@@ -1092,7 +1132,8 @@ mod tests {
             Acquire::Queued
         );
         tree.commit_root(a);
-        let rel = table.release_root_commit(a, &tree, &[], n(1));
+        let mut rel = CommitRelease::default();
+        table.release_root_commit(a, &tree, &[], n(1), &mut rel);
         assert_eq!(rel.released, vec![obj(0)]);
         assert_eq!(rel.grants.len(), 1);
         let grant = &rel.grants[0];
@@ -1111,10 +1152,10 @@ mod tests {
         let g = tree.begin_child(c);
         table.acquire(obj(0), g, LockMode::Write, &tree).unwrap();
         tree.pre_commit(g);
-        table.release_pre_commit(g, &tree);
+        table.release_pre_commit(g, &tree, &mut PreCommitRelease::default());
         assert!(table.entry(obj(0)).unwrap().is_retained_by(c));
         tree.pre_commit(c);
-        table.release_pre_commit(c, &tree);
+        table.release_pre_commit(c, &tree, &mut PreCommitRelease::default());
         assert!(table.entry(obj(0)).unwrap().is_retained_by(r));
         assert!(!table.entry(obj(0)).unwrap().is_retained_by(c));
         // Only root commit frees it for others.
@@ -1126,7 +1167,8 @@ mod tests {
             Acquire::Queued
         );
         tree.commit_root(r);
-        let rel = table.release_root_commit(r, &tree, &[], n(1));
+        let mut rel = CommitRelease::default();
+        table.release_root_commit(r, &tree, &[], n(1), &mut rel);
         assert_eq!(rel.grants.len(), 1);
         assert_eq!(rel.grants[0].requests[0].txn, foreign);
     }
@@ -1138,12 +1180,13 @@ mod tests {
         let c1 = tree.begin_child(r);
         table.acquire(obj(0), c1, LockMode::Write, &tree).unwrap();
         tree.pre_commit(c1);
-        table.release_pre_commit(c1, &tree);
+        table.release_pre_commit(c1, &tree, &mut PreCommitRelease::default());
         // c2 acquires from r's retention, then aborts.
         let c2 = tree.begin_child(r);
         table.acquire(obj(0), c2, LockMode::Write, &tree).unwrap();
         tree.abort(c2);
-        let rel = table.release_abort(c2, &tree);
+        let mut rel = AbortRelease::default();
+        table.release_abort(c2, &tree, &mut rel);
         assert_eq!(rel.returned_to_ancestor, vec![obj(0)]);
         assert!(rel.released.is_empty());
         assert!(
@@ -1167,7 +1210,8 @@ mod tests {
             Acquire::Queued
         );
         tree.abort(c);
-        let rel = table.release_abort(c, &tree);
+        let mut rel = AbortRelease::default();
+        table.release_abort(c, &tree, &mut rel);
         assert_eq!(rel.released, vec![obj(0)]);
         assert_eq!(rel.grants.len(), 1, "foreign family granted after abort");
         assert_eq!(rel.grants[0].requests[0].txn, foreign);
@@ -1185,7 +1229,8 @@ mod tests {
         table.acquire(obj(0), r2, LockMode::Read, &tree).unwrap();
         table.acquire(obj(0), w2, LockMode::Write, &tree).unwrap();
         tree.commit_root(w);
-        let rel = table.release_root_commit(w, &tree, &[], n(1));
+        let mut rel = CommitRelease::default();
+        table.release_root_commit(w, &tree, &[], n(1), &mut rel);
         // Both reader families granted together; writer still waits.
         assert_eq!(rel.grants.len(), 2);
         assert_eq!(table.entry(obj(0)).unwrap().read_count(), 2);
@@ -1222,7 +1267,7 @@ mod tests {
         let c1 = tree.begin_child(r);
         table.acquire(obj(0), c1, LockMode::Write, &tree).unwrap();
         tree.pre_commit(c1);
-        table.release_pre_commit(c1, &tree);
+        table.release_pre_commit(c1, &tree, &mut PreCommitRelease::default());
         // Foreign family queues on the retained lock.
         let foreign = tree.begin_root(n(2));
         assert_eq!(
@@ -1317,24 +1362,26 @@ mod tests {
 
         // B's commit admits A's upgrade: A's read holder becomes a write
         // holder, and the grant counts one holder, not two records of A.
-        let release = table.release_root_commit(b, &tree, &[], n(2));
+        let mut release = CommitRelease::default();
+        table.release_root_commit(b, &tree, &[], n(2), &mut release);
         tree.commit_root(b);
         assert_eq!(release.grants.len(), 1);
         assert_eq!(release.grants[0].requests[0].txn, a);
         assert_eq!(release.grants[0].holders, 1);
         assert_eq!(
             table.entry(obj(0)).unwrap().holders(),
-            &[Holder {
+            &SmallList::one(Holder {
                 txn: a,
                 node: n(1),
                 mode: LockMode::Write
-            }]
+            })
         );
         table.check_invariants(&tree).unwrap();
 
         // A's root commit leaves nothing behind, so the next writer is
         // granted at once.
-        let release = table.release_root_commit(a, &tree, &[], n(1));
+        let mut release = CommitRelease::default();
+        table.release_root_commit(a, &tree, &[], n(1), &mut release);
         tree.commit_root(a);
         assert_eq!(release.released, vec![obj(0)]);
         assert!(table.entry(obj(0)).unwrap().holders().is_empty());
@@ -1378,8 +1425,8 @@ mod tests {
         table.acquire(obj(0), r, LockMode::Write, &tree).unwrap();
         tree.commit_root(r);
         let dirty = vec![(obj(0), vec![PageIndex::new(1), PageIndex::new(2)])];
-        table.release_root_commit(r, &tree, &dirty, n(3));
-        let map = table.entry(obj(0)).unwrap().page_map();
+        table.release_root_commit(r, &tree, &dirty, n(3), &mut CommitRelease::default());
+        let map = table.page_map(obj(0)).unwrap();
         assert_eq!(map.location(PageIndex::new(1)).node, n(3));
         assert_eq!(map.location(PageIndex::new(1)).version.get(), 1);
         assert_eq!(
@@ -1432,7 +1479,7 @@ mod tests {
         let c1 = tree.begin_child(r);
         table.acquire(obj(1), c1, LockMode::Read, &tree).unwrap();
         tree.pre_commit(c1);
-        table.release_pre_commit(c1, &tree);
+        table.release_pre_commit(c1, &tree, &mut PreCommitRelease::default());
         let f = tree.begin_root(n(5));
         assert!(table
             .acquire(obj(1), f, LockMode::Read, &tree)
@@ -1482,13 +1529,14 @@ mod tests {
         let g = tree.begin_child(c1);
         table.acquire(obj(2), g, LockMode::Write, &tree).unwrap();
         tree.pre_commit(g);
-        table.release_pre_commit(g, &tree);
+        table.release_pre_commit(g, &tree, &mut PreCommitRelease::default());
         table.check_invariants(&tree).unwrap();
         tree.pre_commit(c1);
-        table.release_pre_commit(c1, &tree);
+        table.release_pre_commit(c1, &tree, &mut PreCommitRelease::default());
         table.check_invariants(&tree).unwrap();
         tree.commit_root(r);
-        let rel = table.release_root_commit(r, &tree, &[], n(0));
+        let mut rel = CommitRelease::default();
+        table.release_root_commit(r, &tree, &[], n(0), &mut rel);
         assert_eq!(rel.released.len(), 3);
         table.check_invariants(&tree).unwrap();
         for i in 0..3 {

@@ -44,14 +44,41 @@ pub enum TxnState {
     Committed,
 }
 
+/// Raw id marking an absent link.
+const NO_TXN: u64 = u64::MAX;
+
+fn link(raw: u64) -> Option<TxnId> {
+    (raw != NO_TXN).then_some(TxnId(raw))
+}
+
+/// One transaction. Children hang off first-child / next-sibling links
+/// (plus a last-child link for O(1) appends), so a record owns no heap
+/// memory and a family's tree lives entirely in the tree's one vector.
 #[derive(Debug, Clone)]
 struct TxnRecord {
     parent: Option<TxnId>,
     root: TxnId,
     node: NodeId,
     state: TxnState,
-    children: Vec<TxnId>,
     depth: u32,
+    first_child: u64,
+    last_child: u64,
+    next_sibling: u64,
+}
+
+impl TxnRecord {
+    fn new(parent: Option<TxnId>, root: TxnId, node: NodeId, depth: u32) -> Self {
+        TxnRecord {
+            parent,
+            root,
+            node,
+            state: TxnState::Active,
+            depth,
+            first_child: NO_TXN,
+            last_child: NO_TXN,
+            next_sibling: NO_TXN,
+        }
+    }
 }
 
 /// All transaction families known to the system.
@@ -78,14 +105,7 @@ impl TxnTree {
     /// executing at `node`. The whole family will execute at that site.
     pub fn begin_root(&mut self, node: NodeId) -> TxnId {
         let id = TxnId(self.records.len() as u64);
-        self.records.push(TxnRecord {
-            parent: None,
-            root: id,
-            node,
-            state: TxnState::Active,
-            children: Vec::new(),
-            depth: 0,
-        });
+        self.records.push(TxnRecord::new(None, id, node, 0));
         id
     }
 
@@ -101,15 +121,13 @@ impl TxnTree {
             (p.root, p.node, p.depth + 1)
         };
         let id = TxnId(self.records.len() as u64);
-        self.records.push(TxnRecord {
-            parent: Some(parent),
-            root,
-            node,
-            state: TxnState::Active,
-            children: Vec::new(),
-            depth,
-        });
-        self.records[parent.0 as usize].children.push(id);
+        self.records
+            .push(TxnRecord::new(Some(parent), root, node, depth));
+        let last = std::mem::replace(&mut self.records[parent.0 as usize].last_child, id.0);
+        match last {
+            NO_TXN => self.records[parent.0 as usize].first_child = id.0,
+            prev => self.records[prev as usize].next_sibling = id.0,
+        }
         id
     }
 
@@ -173,8 +191,13 @@ impl TxnTree {
     /// # Panics
     ///
     /// Panics if `txn` is unknown.
-    pub fn children(&self, txn: TxnId) -> &[TxnId] {
-        &self.record(txn).children
+    pub fn children(&self, txn: TxnId) -> impl Iterator<Item = TxnId> + '_ {
+        let mut next = self.record(txn).first_child;
+        std::iter::from_fn(move || {
+            let child = link(next)?;
+            next = self.records[child.0 as usize].next_sibling;
+            Some(child)
+        })
     }
 
     /// True if `a` and `b` belong to the same family.
@@ -241,10 +264,8 @@ impl TxnTree {
 
     fn transition(&mut self, txn: TxnId, to: TxnState) {
         let active_children = self
-            .record(txn)
-            .children
-            .iter()
-            .filter(|&&c| self.record(c).state == TxnState::Active)
+            .children(txn)
+            .filter(|&c| self.record(c).state == TxnState::Active)
             .count();
         assert_eq!(
             active_children, 0,
@@ -268,7 +289,7 @@ impl TxnTree {
     }
 
     fn post_order_into(&self, txn: TxnId, out: &mut Vec<TxnId>) {
-        for &child in &self.record(txn).children {
+        for child in self.children(txn) {
             self.post_order_into(child, out);
         }
         out.push(txn);
@@ -277,10 +298,9 @@ impl TxnTree {
     /// Members of the subtree rooted at `txn` that are not yet terminal
     /// (active), post order.
     pub fn active_subtree_post_order(&self, txn: TxnId) -> Vec<TxnId> {
-        self.subtree_post_order(txn)
-            .into_iter()
-            .filter(|&t| self.record(t).state == TxnState::Active)
-            .collect()
+        let mut members = self.subtree_post_order(txn);
+        members.retain(|&t| self.record(t).state == TxnState::Active);
+        members
     }
 
     /// Total number of transactions ever begun.
@@ -332,7 +352,9 @@ mod tests {
         let g = tree.begin_child(c1);
         assert_eq!(tree.root_of(g), r);
         assert_eq!(tree.depth(g), 2);
-        assert_eq!(tree.children(r), &[c1, c2]);
+        assert_eq!(tree.children(r).collect::<Vec<_>>(), [c1, c2]);
+        assert_eq!(tree.children(c1).collect::<Vec<_>>(), [g]);
+        assert_eq!(tree.children(g).count(), 0);
         assert!(tree.same_family(g, c2));
         let other = tree.begin_root(n(1));
         assert!(!tree.same_family(g, other));

@@ -289,7 +289,7 @@ mod tests {
         let ac = tree.begin_child(a);
         table.acquire(obj(0), ac, LockMode::Write, &tree).unwrap();
         tree.pre_commit(ac);
-        table.release_pre_commit(ac, &tree);
+        table.release_pre_commit(ac, &tree, &mut crate::PreCommitRelease::default());
         table.acquire(obj(1), a, LockMode::Write, &tree).unwrap();
         let b = tree.begin_root(n(2));
         table.acquire(obj(0), b, LockMode::Write, &tree).unwrap();
@@ -307,7 +307,7 @@ mod tests {
         assert_eq!(g.blockers_of(c).collect::<Vec<_>>(), vec![a]);
         // Releasing one contribution keeps the edge alive.
         tree.commit_root(a);
-        table.release_root_commit(a, &tree, &[], n(1));
+        table.release_root_commit(a, &tree, &[], n(1), &mut crate::CommitRelease::default());
         // Root commit drops both contributions and grants c; graph empty.
         assert!(table.waits_for().is_empty());
     }

@@ -264,7 +264,8 @@ fn check_against_reference(table: &LockTable, tree: &TxnTree, families: &[TxnId]
 fn abort_family(table: &mut LockTable, tree: &mut TxnTree, root: TxnId) -> Vec<ObjectId> {
     let mut vacated = Vec::new();
     for txn in tree.active_subtree_post_order(root) {
-        let release = table.release_abort(txn, tree);
+        let mut release = lotec_txn::AbortRelease::default();
+        table.release_abort(txn, tree, &mut release);
         vacated.extend(release.released);
         tree.abort(txn);
     }
@@ -354,14 +355,16 @@ fn pre_commit_retention_and_root_commit_release_track_reference() {
     assert!(table.waits_for().is_blocked(b), "B waits on A's family");
 
     // Child pre-commits: the parent inherits; B's edge must persist.
-    let release = table.release_pre_commit(child, &tree);
+    let mut release = lotec_txn::PreCommitRelease::default();
+    table.release_pre_commit(child, &tree, &mut release);
     tree.pre_commit(child);
     assert_eq!(release.inherited, vec![obj(0)]);
     check_against_reference(&table, &tree, &fams);
     assert!(table.waits_for().is_blocked(b), "edge survives pre-commit");
 
     // Root commit finally releases; B is granted and the graph empties.
-    let release = table.release_root_commit(a, &tree, &[], node(1));
+    let mut release = lotec_txn::CommitRelease::default();
+    table.release_root_commit(a, &tree, &[], node(1), &mut release);
     tree.commit_root(a);
     assert_eq!(release.released, vec![obj(0)]);
     assert_eq!(release.grants.len(), 1, "B granted on release");
@@ -387,7 +390,7 @@ fn abort_return_to_ancestor_keeps_foreign_edges() {
         .acquire(obj(0), child1, LockMode::Write, &tree)
         .expect("acquire")
         .is_granted());
-    table.release_pre_commit(child1, &tree);
+    table.release_pre_commit(child1, &tree, &mut lotec_txn::PreCommitRelease::default());
     tree.pre_commit(child1);
 
     // child2 re-acquires from the retaining ancestor (local grant), then
@@ -406,7 +409,8 @@ fn abort_return_to_ancestor_keeps_foreign_edges() {
     // child2 aborts: the lock returns to the retaining root; B still
     // waits on the same family — the graph must be unchanged.
     let before = table.waits_for().to_reference();
-    let release = table.release_abort(child2, &tree);
+    let mut release = lotec_txn::AbortRelease::default();
+    table.release_abort(child2, &tree, &mut release);
     tree.abort(child2);
     assert_eq!(release.returned_to_ancestor, vec![obj(0)]);
     assert!(release.released.is_empty());
@@ -516,7 +520,8 @@ fn crash_eviction_tracks_reference_at_every_member_release() {
     // Evict A step by step, checking after every member's release.
     let mut vacated = Vec::new();
     for txn in tree.active_subtree_post_order(a) {
-        let release = table.release_abort(txn, &tree);
+        let mut release = lotec_txn::AbortRelease::default();
+        table.release_abort(txn, &tree, &mut release);
         vacated.extend(release.released);
         tree.abort(txn);
         check_against_reference(&table, &tree, &fams);
@@ -576,13 +581,31 @@ fn waiting_chain_is_not_reported_as_deadlock() {
     assert!(deadlock::find_deadlock_cycle(&table, &tree).is_none());
 
     // Drain the chain front to back; the graph must empty out.
-    table.release_root_commit(a, &tree, &[], node(1));
+    table.release_root_commit(
+        a,
+        &tree,
+        &[],
+        node(1),
+        &mut lotec_txn::CommitRelease::default(),
+    );
     tree.commit_root(a);
     check_against_reference(&table, &tree, &fams);
-    table.release_root_commit(b, &tree, &[], node(2));
+    table.release_root_commit(
+        b,
+        &tree,
+        &[],
+        node(2),
+        &mut lotec_txn::CommitRelease::default(),
+    );
     tree.commit_root(b);
     check_against_reference(&table, &tree, &fams);
-    table.release_root_commit(c, &tree, &[], node(3));
+    table.release_root_commit(
+        c,
+        &tree,
+        &[],
+        node(3),
+        &mut lotec_txn::CommitRelease::default(),
+    );
     tree.commit_root(c);
     check_against_reference(&table, &tree, &fams);
     assert!(table.waits_for().is_empty());

@@ -231,7 +231,8 @@ impl State {
     fn abort_family(&mut self, slot: usize) {
         let root = self.families[slot].root;
         for txn in self.tree.active_subtree_post_order(root) {
-            let release = self.table.release_abort(txn, &self.tree);
+            let mut release = lotec_txn::AbortRelease::default();
+            self.table.release_abort(txn, &self.tree, &mut release);
             self.tree.abort(txn);
             self.apply_grants(&release.grants);
             self.check(false);
@@ -287,14 +288,18 @@ impl State {
                 self.families[slot].stack.push(child);
             }
             Op::PreCommit if depth > 0 => {
-                self.table.release_pre_commit(top, &self.tree);
+                self.table.release_pre_commit(
+                    top,
+                    &self.tree,
+                    &mut lotec_txn::PreCommitRelease::default(),
+                );
                 self.tree.pre_commit(top);
                 self.families[slot].stack.pop();
             }
             Op::CommitRoot if depth == 0 => {
-                let release = self
-                    .table
-                    .release_root_commit(root, &self.tree, &[], NodeId::new(0));
+                let mut release = lotec_txn::CommitRelease::default();
+                self.table
+                    .release_root_commit(root, &self.tree, &[], NodeId::new(0), &mut release);
                 self.tree.commit_root(root);
                 self.apply_grants(&release.grants);
                 self.restart(slot);

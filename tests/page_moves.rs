@@ -30,8 +30,8 @@ fn page_moves_allocate_nothing_once_rows_exist() {
     let object = ObjectId::new(1);
     let page = PageId::new(object, 1);
     let neighbour = PageId::new(object, 0);
-    let mut owner = PageStore::new(4096, 2);
-    let mut cache = PageStore::new(4096, 2);
+    let mut owner = PageStore::new(4096, &[1, 2]);
+    let mut cache = PageStore::new(4096, &[1, 2]);
     owner.apply_stamp(page, 7);
     owner.publish_page(page, Version::new(1));
     // Both stores already hold a row covering `page`.

@@ -134,7 +134,8 @@ impl Harness {
     /// oracle after every member's release.
     fn abort_family(&mut self, root: TxnId) {
         for txn in self.tree.active_subtree_post_order(root) {
-            let release = self.table.release_abort(txn, &self.tree);
+            let mut release = lotec_txn::AbortRelease::default();
+            self.table.release_abort(txn, &self.tree, &mut release);
             self.tree.abort(txn);
             self.apply_grants(&release.grants);
             self.check();
@@ -260,14 +261,19 @@ impl Harness {
             }
             // Pre-commit the top sub-transaction.
             5 | 6 if depth > 1 => {
-                self.table.release_pre_commit(top, &self.tree);
+                self.table.release_pre_commit(
+                    top,
+                    &self.tree,
+                    &mut lotec_txn::PreCommitRelease::default(),
+                );
                 self.tree.pre_commit(top);
                 self.families[idx].stack.pop();
                 self.check();
             }
             // Abort the top sub-transaction.
             7 if depth > 1 => {
-                let release = self.table.release_abort(top, &self.tree);
+                let mut release = lotec_txn::AbortRelease::default();
+                self.table.release_abort(top, &self.tree, &mut release);
                 self.tree.abort(top);
                 self.families[idx].stack.pop();
                 self.apply_grants(&release.grants);
@@ -275,9 +281,9 @@ impl Harness {
             }
             // Root commit: the family's work is done.
             5..=7 => {
-                let release = self
-                    .table
-                    .release_root_commit(root, &self.tree, &[], NodeId::new(0));
+                let mut release = lotec_txn::CommitRelease::default();
+                self.table
+                    .release_root_commit(root, &self.tree, &[], NodeId::new(0), &mut release);
                 self.tree.commit_root(root);
                 self.apply_grants(&release.grants);
                 self.check();

@@ -350,7 +350,11 @@ fn deadlock_detector_victim_iff_cycle() {
                 match table.acquire(object, child, mode, &tree) {
                     Ok(Acquire::Queued) => blocked[f] = true,
                     Ok(_) => {
-                        table.release_pre_commit(child, &tree);
+                        table.release_pre_commit(
+                            child,
+                            &tree,
+                            &mut lotec::txn::PreCommitRelease::default(),
+                        );
                         tree.pre_commit(child);
                     }
                     Err(_) => tree.abort(child),

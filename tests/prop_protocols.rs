@@ -6,7 +6,7 @@
 
 use std::collections::BTreeMap;
 
-use lotec::core::protocol::{plan_transfer, PlacementView, ProtocolKind};
+use lotec::core::protocol::{PlacementView, ProtocolKind, TransferPlan};
 use lotec::mem::{ObjectId, PageIndex, Version};
 use lotec::object::PageSet;
 use lotec::sim::{NodeId, SimRng};
@@ -81,7 +81,20 @@ fn random_view(rng: &mut SimRng) -> (RandomView, PageSet) {
     )
 }
 
-fn pages_of(plan: &lotec::core::protocol::TransferPlan) -> Vec<u16> {
+/// Plans into a fresh buffer.
+fn plan_transfer(
+    kind: ProtocolKind,
+    view: &dyn PlacementView,
+    node: NodeId,
+    object: ObjectId,
+    predicted: &PageSet,
+) -> TransferPlan {
+    let mut plan = TransferPlan::default();
+    lotec::core::protocol::plan_transfer(kind, view, node, object, predicted, &mut plan);
+    plan
+}
+
+fn pages_of(plan: &TransferPlan) -> Vec<u16> {
     let mut v: Vec<u16> = plan
         .sources()
         .flat_map(|(_, pages)| pages.iter().map(|p| p.get()))

@@ -5,7 +5,7 @@
 //! sample.
 
 use lotec::mem::{
-    ObjectId, PageId, PageIndex, PageMap, PageStore, Recovery, ShadowPages, UndoLog, Version,
+    ObjectId, PageId, PageIndex, PageMaps, PageStore, Recovery, ShadowPages, UndoLog, Version,
 };
 use lotec::object::{ClassBuilder, PageSet};
 use lotec::sim::{EventQueue, NodeId, SimRng, SimTime};
@@ -102,7 +102,7 @@ fn recovery_rollback_is_exact_inverse() {
             .collect();
         let use_shadow = rng.chance(0.5);
         let object = ObjectId::new(0);
-        let mut store = PageStore::new(64, 1);
+        let mut store = PageStore::new(64, &[8]);
         // Pre-populate with distinct content.
         for p in 0..8u16 {
             store.install(PageId::new(object, p), Version::new(1), p as u64 + 100);
@@ -179,15 +179,18 @@ fn page_map_versions_monotone_and_owned() {
         let updates: Vec<(u16, u32)> = (0..rng.next_below(60))
             .map(|_| (rng.next_below(6) as u16, rng.next_below(4) as u32))
             .collect();
-        let mut map = PageMap::new(6, NodeId::new(0));
+        let mut maps = PageMaps::new();
+        let map = maps.push(6, NodeId::new(0));
         let mut expect = [0u64; 6];
         for &(page, node) in &updates {
-            let v = map.record_update(PageIndex::new(page), NodeId::new(node));
+            let v = maps
+                .get_mut(map)
+                .record_update(PageIndex::new(page), NodeId::new(node));
             expect[page as usize] += 1;
             assert_eq!(v.get(), expect[page as usize]);
         }
         for p in 0..6u16 {
-            let loc = map.location(PageIndex::new(p));
+            let loc = maps.get(map).location(PageIndex::new(p));
             assert_eq!(loc.version.get(), expect[p as usize]);
             if expect[p as usize] == 0 {
                 assert_eq!(loc.node, NodeId::new(0), "untouched pages stay at home");
@@ -241,10 +244,18 @@ fn lock_table_invariants_under_random_ops() {
                             match table.acquire(ObjectId::new(obj), child, LockMode::Write, &tree) {
                                 Ok(acq) if acq.is_granted() => {
                                     tree.pre_commit(child);
-                                    table.release_pre_commit(child, &tree);
+                                    table.release_pre_commit(
+                                        child,
+                                        &tree,
+                                        &mut lotec::txn::PreCommitRelease::default(),
+                                    );
                                 }
                                 _ => {
-                                    table.release_abort(child, &tree);
+                                    table.release_abort(
+                                        child,
+                                        &tree,
+                                        &mut lotec::txn::AbortRelease::default(),
+                                    );
                                     table.cancel_family_waiters(tree.root_of(child), &tree);
                                     tree.abort(child);
                                 }
@@ -259,7 +270,11 @@ fn lock_table_invariants_under_random_ops() {
                         if tree.state(root) == lotec::txn::TxnState::Active {
                             // Abort instead when it still waits somewhere.
                             for t in tree.active_subtree_post_order(root) {
-                                table.release_abort(t, &tree);
+                                table.release_abort(
+                                    t,
+                                    &tree,
+                                    &mut lotec::txn::AbortRelease::default(),
+                                );
                                 tree.abort(t);
                             }
                             table.cancel_family_waiters(root, &tree);
@@ -271,7 +286,11 @@ fn lock_table_invariants_under_random_ops() {
                     if let Some(root) = live_roots.pop() {
                         if tree.state(root) == lotec::txn::TxnState::Active {
                             for t in tree.active_subtree_post_order(root) {
-                                table.release_abort(t, &tree);
+                                table.release_abort(
+                                    t,
+                                    &tree,
+                                    &mut lotec::txn::AbortRelease::default(),
+                                );
                                 tree.abort(t);
                             }
                             table.cancel_family_waiters(root, &tree);
