@@ -4,7 +4,7 @@
 
 use lotec_bench::harness::{bench, opaque};
 use lotec_core::config::RecoveryKind;
-use lotec_core::engine::run_engine;
+use lotec_core::engine::Engine;
 use lotec_core::protocol::ProtocolKind;
 use lotec_core::SystemConfig;
 use lotec_workload::presets;
@@ -20,7 +20,9 @@ fn bench_engine_per_protocol() {
             ..SystemConfig::default()
         };
         bench(&format!("engine_run/{protocol}"), || {
-            let report = run_engine(opaque(&config), &registry, &families).expect("runs");
+            let report = Engine::new(opaque(&config), &registry, &families)
+                .and_then(Engine::run)
+                .expect("runs");
             report.stats.committed_families
         });
     }
@@ -40,7 +42,9 @@ fn bench_recovery_ablation() {
             ..SystemConfig::default()
         };
         bench(&format!("recovery/{label}"), || {
-            let report = run_engine(opaque(&config), &registry, &families).expect("runs");
+            let report = Engine::new(opaque(&config), &registry, &families)
+                .and_then(Engine::run)
+                .expect("runs");
             report.stats.subtxn_aborts
         });
     }

@@ -23,11 +23,11 @@
 
 use lotec_bench::runner;
 use lotec_core::config::FaultConfig;
-use lotec_core::engine::{run_engine, run_engine_recorded, RunReport};
+use lotec_core::engine::{Engine, RunReport};
 use lotec_core::oracle;
 use lotec_core::protocol::ProtocolKind;
 use lotec_core::SystemConfig;
-use lotec_obs::{ForensicsDump, Json, QuantileSketch};
+use lotec_obs::{FlightRecorder, ForensicsDump, Json, QuantileSketch};
 use lotec_sim::{CrashWindow, FaultPlan, SimDuration, SimTime};
 use lotec_workload::presets;
 
@@ -89,8 +89,10 @@ fn inject_violation(stem: &str) {
         faults: fault_config(0.10),
         ..SystemConfig::default()
     };
-    let (mut report, recorder) =
-        run_engine_recorded(&config, &registry, &families).expect("engine runs");
+    let mut recorder = FlightRecorder::new(config.flight_recorder.slots as usize);
+    let mut report = Engine::with_probe(&config, &registry, &families, &mut recorder)
+        .and_then(Engine::run)
+        .expect("engine runs");
     oracle::verify(&report).expect("uncorrupted run must pass the oracle");
 
     let key = *report
@@ -170,7 +172,8 @@ fn main() {
             faults: fault_config(drop),
             ..base(protocol)
         };
-        let report = run_engine(&config, &registry, &families)
+        let report = Engine::new(&config, &registry, &families)
+            .and_then(Engine::run)
             .unwrap_or_else(|e| panic!("{protocol} drop={drop}: {e}"));
         oracle::verify(&report).unwrap_or_else(|e| panic!("{protocol} drop={drop}: oracle: {e}"));
         assert_eq!(
@@ -228,7 +231,9 @@ fn main() {
     // Calibration and crash run stay paired inside one cell.
     let crash_reports = runner::run_indexed(ProtocolKind::PAPER_TRIO.len(), |i| {
         let protocol = ProtocolKind::PAPER_TRIO[i];
-        let plain = run_engine(&base(protocol), &registry, &families).expect("calibration");
+        let plain = Engine::new(&base(protocol), &registry, &families)
+            .and_then(Engine::run)
+            .expect("calibration");
         let makespan = plain.stats.makespan;
         let nodes = scenario.config.num_nodes;
         let config = SystemConfig {
@@ -253,7 +258,8 @@ fn main() {
             },
             ..base(protocol)
         };
-        let report = run_engine(&config, &registry, &families)
+        let report = Engine::new(&config, &registry, &families)
+            .and_then(Engine::run)
             .unwrap_or_else(|e| panic!("{protocol} crash: {e}"));
         oracle::verify(&report).unwrap_or_else(|e| panic!("{protocol} crash: oracle: {e}"));
         assert_eq!(

@@ -62,13 +62,15 @@ use std::time::Instant;
 
 use lotec_bench::runner;
 use lotec_core::config::FaultConfig;
-use lotec_core::engine::{run_engine, Engine, RunReport};
+use lotec_core::engine::{Engine, RunReport};
 use lotec_core::oracle;
 use lotec_core::protocol::ProtocolKind;
-use lotec_core::{AdaptiveConfig, SystemConfig};
+use lotec_core::{AdaptiveConfig, CoreError, FamilySpec, SystemConfig};
 use lotec_mem::{mix, ObjectId};
+use lotec_object::ObjectRegistry;
 use lotec_obs::{
-    alloc, CountingAlloc, FlightRecorder, Json, NoopSink, RecordingSink, WallProfiler,
+    alloc, CountingAlloc, EventSink, FlightRecorder, HostProfiler, Json, NoopHostProfiler,
+    NoopSink, RecordingSink, WallProfiler,
 };
 use lotec_sim::event::reference::HeapQueue;
 use lotec_sim::{EventQueue, FaultPlan, NodeId, SimDuration, SimRng, SimTime};
@@ -94,18 +96,31 @@ const GATE_REPEATS: usize = 25;
 /// default 0.20 = ±20 %).
 const GATE_TOL_ENV: &str = "LOTEC_PERF_GATE_TOL";
 
-/// Environment variable (`=1`) arming `lock_graph_validation` in every
-/// engine cell: each lock-table mutation is then cross-checked against
-/// the from-scratch reference detector. CI's perf-gate job runs the
-/// quick preset this way, replaying the fused release/grant fast paths
-/// under the oracle on every push. Timings measured with validation on
-/// are not comparable to the committed baseline — don't regenerate
-/// `BENCH_perf.json` with this set (simulated outputs are unaffected;
-/// validation is assert-only).
+/// Environment variable (`=1`) arming `Engine::validate_lock_graph` on
+/// every engine perf builds: each lock-table mutation is then
+/// cross-checked against the from-scratch reference detector. CI's
+/// perf-gate job runs the quick preset this way, replaying the fused
+/// release/grant fast paths under the oracle on every push. Timings
+/// measured with validation on are not comparable to the committed
+/// baseline — don't regenerate `BENCH_perf.json` with this set (simulated
+/// outputs are unaffected; validation is assert-only).
 const LOCK_VALIDATION_ENV: &str = "LOTEC_LOCK_GRAPH_VALIDATION";
 
-fn validation_armed() -> bool {
-    std::env::var_os(LOCK_VALIDATION_ENV).is_some_and(|v| v == "1")
+/// Builds and runs one engine. Every engine perf runs is built here, so
+/// [`LOCK_VALIDATION_ENV`] arms validation on all of them.
+fn simulate<S: EventSink, P: HostProfiler>(
+    config: &SystemConfig,
+    registry: &ObjectRegistry,
+    families: &[FamilySpec],
+    sink: S,
+    prof: P,
+) -> Result<RunReport, CoreError> {
+    let engine = Engine::with_instruments(config, registry, families, sink, prof)?;
+    if std::env::var_os(LOCK_VALIDATION_ENV).is_some_and(|v| v == "1") {
+        engine.validate_lock_graph().run()
+    } else {
+        engine.run()
+    }
 }
 
 /// Folds a report's simulated outputs into one order-sensitive hash.
@@ -177,7 +192,6 @@ fn fig3_config(scenario: &Scenario, protocol: ProtocolKind) -> SystemConfig {
         seed: 0xF163,
         num_nodes: scenario.config.num_nodes,
         page_size: scenario.config.schema.page_size,
-        lock_graph_validation: validation_armed(),
         ..SystemConfig::default()
     }
 }
@@ -219,7 +233,7 @@ fn measure_gate_cell() -> Timed {
     let (registry, families) = scenario.generate().expect("gate workload generates");
     let config = fig3_config(&scenario, ProtocolKind::Lotec);
     let timed = time_cell(GATE_REPEATS, || {
-        run_engine(&config, &registry, &families).expect("gate cell runs")
+        simulate(&config, &registry, &families, NoopSink, NoopHostProfiler).expect("gate cell runs")
     });
     oracle::verify(&timed.report).expect("gate cell serializable");
     timed
@@ -245,10 +259,9 @@ fn measure_gate_cell_recorded() -> Timed {
     let recorder =
         std::cell::RefCell::new(FlightRecorder::new(config.flight_recorder.slots as usize));
     let timed = time_cell(GATE_REPEATS, || {
-        let mut recorder = recorder.borrow_mut();
-        recorder.clear();
-        Engine::with_probe(&config, &registry, &families, &mut *recorder)
-            .and_then(Engine::run)
+        let mut ring = recorder.borrow_mut();
+        ring.clear();
+        simulate(&config, &registry, &families, &mut *ring, NoopHostProfiler)
             .expect("recorded gate cell runs")
     });
     oracle::verify(&timed.report).expect("recorded gate cell serializable");
@@ -513,7 +526,8 @@ fn measure_gate_alloc() -> (u64, u64, f64) {
     let config = fig3_config(&scenario, ProtocolKind::Lotec);
     alloc::force_profiling(Some(true));
     let before = alloc::snapshot();
-    let report = run_engine(&config, &registry, &families).expect("gate cell runs");
+    let report = simulate(&config, &registry, &families, NoopSink, NoopHostProfiler)
+        .expect("gate cell runs");
     let delta = alloc::snapshot().delta_since(&before);
     alloc::force_profiling(None);
     let events = report.stats.sim_events;
@@ -707,9 +721,7 @@ fn run_gate() -> ! {
     let (registry, families) = scenario.generate().expect("gate workload generates");
     let config = fig3_config(&scenario, ProtocolKind::Lotec);
     let mut prof = WallProfiler::new();
-    Engine::with_instruments(&config, &registry, &families, NoopSink, &mut prof)
-        .and_then(Engine::run)
-        .expect("profiled gate cell runs");
+    simulate(&config, &registry, &families, NoopSink, &mut prof).expect("profiled gate cell runs");
     let profile = prof.into_profile();
     let total = profile.total_self_ns().max(1) as f64;
     let base_total =
@@ -778,7 +790,8 @@ fn main() {
     for protocol in ProtocolKind::PAPER_TRIO {
         let config = fig3_config(&scenario, protocol);
         let timed = time_cell(repeats, || {
-            run_engine(&config, &registry, &families).expect("engine runs")
+            simulate(&config, &registry, &families, NoopSink, NoopHostProfiler)
+                .expect("engine runs")
         });
         oracle::verify(&timed.report).expect("serializable");
         if protocol == ProtocolKind::Lotec {
@@ -803,7 +816,8 @@ fn main() {
             ..fig3_config(&scenario, ProtocolKind::Lotec)
         };
         let timed = time_cell(repeats, || {
-            run_engine(&config, &registry, &families).expect("chaos cell runs")
+            simulate(&config, &registry, &families, NoopSink, NoopHostProfiler)
+                .expect("chaos cell runs")
         });
         oracle::verify(&timed.report).expect("serializable under faults");
         let events = timed.report.stats.sim_events;
@@ -832,7 +846,8 @@ fn main() {
             ..fig3_config(&scenario, ProtocolKind::Lotec)
         };
         let timed = time_cell(repeats, || {
-            run_engine(&config, &registry, &families).expect("adaptive cell runs")
+            simulate(&config, &registry, &families, NoopSink, NoopHostProfiler)
+                .expect("adaptive cell runs")
         });
         oracle::verify(&timed.report).expect("adaptive run stays serializable");
         let events = timed.report.stats.sim_events;
@@ -900,8 +915,7 @@ fn main() {
         let config = fig3_config(&scenario, ProtocolKind::Lotec);
         let timed = time_cell(repeats, || {
             let mut sink = RecordingSink::new();
-            Engine::with_probe(&config, &registry, &families, &mut sink)
-                .and_then(Engine::run)
+            simulate(&config, &registry, &families, &mut sink, NoopHostProfiler)
                 .expect("probed run")
         });
         let (plain_min_ns, plain_hash) = lotec_plain.expect("LOTEC plain cell ran");
@@ -940,9 +954,7 @@ fn main() {
             let alloc_before = alloc::snapshot();
             let wall_start = Instant::now();
             let report =
-                Engine::with_instruments(&config, &registry, &families, NoopSink, &mut prof)
-                    .and_then(Engine::run)
-                    .expect("profiled run");
+                simulate(&config, &registry, &families, NoopSink, &mut prof).expect("profiled run");
             let wall_ns = wall_start.elapsed().as_nanos() as u64;
             let alloc_delta = alloc::snapshot().delta_since(&alloc_before);
             assert_eq!(
@@ -1030,10 +1042,9 @@ fn main() {
             seed,
             num_nodes: s.config.num_nodes,
             page_size: s.config.schema.page_size,
-            lock_graph_validation: validation_armed(),
             ..SystemConfig::default()
         };
-        let report = run_engine(&config, &reg, &fams).expect("sweep run");
+        let report = simulate(&config, &reg, &fams, NoopSink, NoopHostProfiler).expect("sweep run");
         chain_hash(&report)
     };
     let serial_start = Instant::now();

@@ -6,7 +6,7 @@
 
 use lotec_bench::experiments::Ctx;
 use lotec_core::compare::compare_protocols;
-use lotec_core::engine::run_engine;
+use lotec_core::engine::Engine;
 use lotec_core::protocol::ProtocolKind;
 use lotec_core::SystemConfig;
 use lotec_obs::Json;
@@ -63,7 +63,9 @@ fn main() {
             page_size: scenario.config.schema.page_size,
             ..SystemConfig::default()
         };
-        let report = run_engine(&config, &registry, &families).unwrap();
+        let report = Engine::new(&config, &registry, &families)
+            .and_then(Engine::run)
+            .unwrap();
         let stats = &report.stats;
         let ns = |d: Option<lotec_sim::SimDuration>| Json::U64(d.map_or(0, |d| d.as_nanos()));
         protocols.push((

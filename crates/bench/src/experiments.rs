@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 use lotec_core::analysis::TraceAnalysis;
 use lotec_core::compare::{compare_protocols, ProtocolComparison};
 use lotec_core::config::{GdoPlacement, RecoveryKind};
-use lotec_core::engine::{run_engine, Engine, RunReport};
+use lotec_core::engine::{Engine, RunReport};
 use lotec_core::protocol::ProtocolKind;
 use lotec_core::{oracle, FamilySpec, SystemConfig};
 use lotec_mem::ObjectId;
@@ -123,7 +123,9 @@ impl Ctx {
         registry: &ObjectRegistry,
         families: &[FamilySpec],
     ) -> RunReport {
-        let report = run_engine(config, registry, families).expect("engine runs");
+        let report = Engine::new(config, registry, families)
+            .and_then(Engine::run)
+            .expect("engine runs");
         oracle::verify(&report).expect("serializable");
         report
     }

@@ -17,7 +17,7 @@
 //! after the index-ordered merge, so `BENCH_scenarios.json` is
 //! byte-identical at any `LOTEC_BENCH_THREADS`.
 
-use lotec_core::engine::run_engine;
+use lotec_core::engine::Engine;
 use lotec_core::oracle;
 use lotec_core::protocol::ProtocolKind;
 use lotec_obs::Json;
@@ -119,7 +119,8 @@ pub fn run_cell(
 ) -> CellSummary {
     let name = scenario.name();
     let config = scenario.cell_config(protocol, adaptive);
-    let report = run_engine(&config, registry, families)
+    let report = Engine::new(&config, registry, families)
+        .and_then(Engine::run)
         .unwrap_or_else(|e| panic!("{name} {protocol} adaptive={adaptive}: {e}"));
     oracle::verify(&report)
         .unwrap_or_else(|e| panic!("{name} {protocol} adaptive={adaptive}: oracle: {e}"));

@@ -6,7 +6,8 @@
 
 use lotec_bench::runner;
 use lotec_core::protocol::ProtocolKind;
-use lotec_core::{run_engine_recorded, SystemConfig};
+use lotec_core::{Engine, SystemConfig};
+use lotec_obs::FlightRecorder;
 use lotec_workload::presets;
 
 /// Seeds at which quick-fig3/LOTEC breaks at least one deadlock, so every
@@ -23,8 +24,10 @@ fn cell_dumps(seed: u64) -> Vec<String> {
         page_size: scenario.config.schema.page_size,
         ..SystemConfig::default()
     };
-    let (report, _recorder) =
-        run_engine_recorded(&config, &registry, &families).expect("recorded run");
+    let mut recorder = FlightRecorder::new(config.flight_recorder.slots as usize);
+    let report = Engine::with_probe(&config, &registry, &families, &mut recorder)
+        .and_then(Engine::run)
+        .expect("recorded run");
     assert!(
         !report.forensics.is_empty(),
         "seed {seed}: scenario must capture at least one dump"

@@ -13,7 +13,7 @@
 
 use lotec_bench::runner;
 use lotec_core::config::SystemConfig;
-use lotec_core::engine::{run_engine, Engine, RunReport};
+use lotec_core::engine::{Engine, RunReport};
 use lotec_core::protocol::ProtocolKind;
 use lotec_obs::{jsonl_encode, HostProfile, NoopSink, ObsEventKind, RecordingSink, WallProfiler};
 use lotec_sim::SimDuration;
@@ -51,7 +51,9 @@ fn sim_outputs(report: &RunReport) -> (u64, u64, u64, u64) {
 #[test]
 fn wall_profiler_does_not_perturb_the_simulation() {
     let (config, registry, families) = cell_inputs(7);
-    let plain = run_engine(&config, &registry, &families).expect("plain run");
+    let plain = Engine::new(&config, &registry, &families)
+        .and_then(Engine::run)
+        .expect("plain run");
     let mut prof = WallProfiler::new();
     let profiled = Engine::with_instruments(&config, &registry, &families, NoopSink, &mut prof)
         .and_then(Engine::run)
@@ -121,10 +123,10 @@ fn state_sample_series_is_identical_across_worker_counts() {
     // regardless of how the sweep was scheduled onto workers.
     let series = |workers: usize| -> Vec<String> {
         runner::run_indexed_profiled_on(workers, 4, |i| {
-            let (mut config, registry, families) = cell_inputs(i as u64);
-            config.state_sample_interval = SimDuration::from_micros(50);
+            let (config, registry, families) = cell_inputs(i as u64);
             let mut sink = RecordingSink::new();
             Engine::with_probe(&config, &registry, &families, &mut sink)
+                .map(|engine| engine.sample_state_every(SimDuration::from_micros(50)))
                 .and_then(Engine::run)
                 .expect("sampled run");
             let samples: Vec<_> = sink
@@ -144,11 +146,12 @@ fn state_sample_series_is_identical_across_worker_counts() {
 #[test]
 fn state_sampling_does_not_perturb_the_simulation() {
     let (config, registry, families) = cell_inputs(3);
-    let plain = run_engine(&config, &registry, &families).expect("plain run");
-    let mut sampled_config = config;
-    sampled_config.state_sample_interval = SimDuration::from_micros(20);
+    let plain = Engine::new(&config, &registry, &families)
+        .and_then(Engine::run)
+        .expect("plain run");
     let mut sink = RecordingSink::new();
-    let sampled = Engine::with_probe(&sampled_config, &registry, &families, &mut sink)
+    let sampled = Engine::with_probe(&config, &registry, &families, &mut sink)
+        .map(|engine| engine.sample_state_every(SimDuration::from_micros(20)))
         .and_then(Engine::run)
         .expect("sampled run");
     assert_eq!(sim_outputs(&plain), sim_outputs(&sampled));

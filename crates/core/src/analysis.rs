@@ -10,7 +10,6 @@
 use std::collections::BTreeMap;
 
 use lotec_mem::{ObjectId, PageIndex};
-use lotec_obs::PredictionTotals;
 use lotec_sim::{SimDuration, SimTime};
 use lotec_txn::LockMode;
 
@@ -48,13 +47,12 @@ impl ObjectProfile {
 ///
 /// ```
 /// use lotec_core::analysis::TraceAnalysis;
-/// use lotec_core::engine::run_engine;
 /// use lotec_core::spec::demo_workload;
-/// use lotec_core::SystemConfig;
+/// use lotec_core::{Engine, SystemConfig};
 ///
 /// let config = SystemConfig::default();
 /// let (registry, families) = demo_workload(&config, 7);
-/// let report = run_engine(&config, &registry, &families)?;
+/// let report = Engine::new(&config, &registry, &families)?.run()?;
 /// let analysis = TraceAnalysis::of(&report.trace);
 /// let (hottest, grants) = analysis.hottest()[0];
 /// assert!(grants >= 1);
@@ -163,19 +161,6 @@ impl TraceAnalysis {
     }
 }
 
-/// Prediction quality of the compile-time page-access analysis, recovered
-/// from a trace's `Grant` events: how well `predicted` anticipated
-/// `actual_reads ∪ actual_writes`. This is the quantity LOTEC bets on —
-/// low recall shows up as demand fetches, low precision as pages shipped
-/// for nothing.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PredictionReport {
-    /// Whole-trace totals.
-    pub totals: PredictionTotals,
-    /// Per-object totals (objects with at least one grant).
-    pub per_object: BTreeMap<ObjectId, PredictionTotals>,
-}
-
 /// Number of maximal runs of adjacent page indices in a sorted page list.
 /// A coalesced page request encodes one ranged entry per run, so this is
 /// the quantity that decides whether the ranged encoding beats the plain
@@ -191,46 +176,18 @@ pub fn adjacent_run_count(pages: &[PageIndex]) -> usize {
         .count()
 }
 
-/// Builds a [`PredictionReport`] from a schedule trace.
-pub fn prediction_report(trace: &ScheduleTrace) -> PredictionReport {
-    let mut report = PredictionReport::default();
-    for event in trace.events() {
-        let TraceEvent::Grant {
-            object,
-            predicted,
-            actual_reads,
-            actual_writes,
-            ..
-        } = event
-        else {
-            continue;
-        };
-        let actual = actual_reads.union(actual_writes);
-        let tp = predicted.iter().filter(|&p| actual.contains(p)).count() as u64;
-        for totals in [
-            &mut report.totals,
-            report.per_object.entry(*object).or_default(),
-        ] {
-            totals.grants += 1;
-            totals.predicted += predicted.len() as u64;
-            totals.actual += actual.len() as u64;
-            totals.true_positives += tp;
-        }
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_engine;
     use crate::spec::demo_workload;
-    use crate::SystemConfig;
+    use crate::{Engine, SystemConfig};
 
     fn analyzed() -> TraceAnalysis {
         let config = SystemConfig::default();
         let (registry, families) = demo_workload(&config, 55);
-        let report = run_engine(&config, &registry, &families).unwrap();
+        let report = Engine::new(&config, &registry, &families)
+            .and_then(Engine::run)
+            .unwrap();
         TraceAnalysis::of(&report.trace)
     }
 
@@ -274,27 +231,6 @@ mod tests {
         let a = analyzed();
         let span = a.mean_family_span().expect("families committed");
         assert!(span > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn prediction_report_is_consistent() {
-        let config = SystemConfig::default();
-        let (registry, families) = demo_workload(&config, 55);
-        let report = run_engine(&config, &registry, &families).unwrap();
-        let pred = prediction_report(&report.trace);
-        assert_eq!(pred.totals.grants, report.trace.num_grants() as u64);
-        assert!(pred.totals.true_positives <= pred.totals.predicted);
-        assert!(pred.totals.true_positives <= pred.totals.actual);
-        // Per-object totals partition the whole-trace totals.
-        let sum: u64 = pred.per_object.values().map(|t| t.grants).sum();
-        assert_eq!(sum, pred.totals.grants);
-        if let (Some(p), Some(r)) = (pred.totals.precision(), pred.totals.recall()) {
-            assert!((0.0..=1.0).contains(&p));
-            assert!((0.0..=1.0).contains(&r));
-        }
-        // The demo workload's predictions are conservative supersets, so
-        // recall must be perfect.
-        assert_eq!(pred.totals.recall(), Some(1.0));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use lotec_object::ObjectRegistry;
 use lotec_sim::SimDuration;
 
 use crate::config::SystemConfig;
-use crate::engine::{run_engine, RunReport};
+use crate::engine::{Engine, RunReport};
 use crate::error::CoreError;
 use crate::metrics::ProtocolTraffic;
 use crate::oracle;
@@ -105,7 +105,7 @@ pub fn compare_protocols(
     registry: &ObjectRegistry,
     workload: &[FamilySpec],
 ) -> Result<ProtocolComparison, CoreError> {
-    let report = run_engine(config, registry, workload)?;
+    let report = Engine::new(config, registry, workload)?.run()?;
     oracle::verify(&report)?;
     let per_protocol = ProtocolKind::ALL
         .iter()

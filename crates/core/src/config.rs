@@ -148,13 +148,16 @@ impl AdaptiveConfig {
 ///
 /// The recorder is a fixed-capacity ring of compact fixed-width event
 /// records ([`lotec_obs::FlightRecorder`]) that the forensics pipeline
-/// snapshots on anomaly. The config only sizes the ring; whether a
-/// recorder runs at all is decided by the sink the caller passes to the
-/// engine (e.g. via [`run_engine_recorded`](crate::run_engine_recorded)).
+/// snapshots on anomaly. The engine never reads this config: it sizes the
+/// ring a caller builds with [`FlightRecorder::new`] and lends to
+/// [`Engine::with_probe`](crate::Engine::with_probe).
+///
+/// [`FlightRecorder::new`]: lotec_obs::FlightRecorder::new
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightRecorderConfig {
     /// Ring capacity in records (each record is a fixed 176 bytes, so
-    /// the default keeps under 1 MiB resident). Must be at least 1.
+    /// the default keeps under 1 MiB resident). `FlightRecorder::new`
+    /// rejects zero.
     pub slots: u32,
 }
 
@@ -232,27 +235,7 @@ pub struct SystemConfig {
     /// Seed for the engine's internal randomness (backoff jitter,
     /// prediction-miss draws). Workload generation has its own seed.
     pub seed: u64,
-    /// Sim-time interval between state samples
-    /// ([`ObsEventKind::StateSample`](lotec_obs::ObsEventKind)): gauge
-    /// snapshots of queue depth, lock-table occupancy, in-flight work and
-    /// per-node cache bytes. Samples are emitted *inline* by the run loop
-    /// at sample-period boundaries — never as scheduled events — so
-    /// enabling them cannot perturb the simulation. `ZERO` (the default)
-    /// disables sampling; it is also skipped when the probe sink is a
-    /// no-op.
-    pub state_sample_interval: SimDuration,
-    /// Oracle mode for the incrementally maintained waits-for graph:
-    /// after every lock-table mutation the engine's table compares the
-    /// incremental graph against a from-scratch rebuild, and every
-    /// deadlock-detector call cross-checks its verdict, found cycle, and
-    /// victim against the from-scratch reference implementation in
-    /// [`lotec_txn::deadlock`]. Purely diagnostic — any
-    /// divergence panics, and with no divergence the simulation output
-    /// is identical. Off by default (each check is O(whole table)); the
-    /// differential oracle suite turns it on.
-    pub lock_graph_validation: bool,
-    /// Flight-recorder ring sizing; see [`FlightRecorderConfig`]. Only
-    /// consulted when the run actually attaches a recorder sink.
+    /// Flight-recorder ring sizing; see [`FlightRecorderConfig`].
     pub flight_recorder: FlightRecorderConfig,
     /// Retain the per-family phase-time rows
     /// ([`RunStats::phases`](crate::metrics::PhaseBreakdown)`::per_family`)
@@ -286,8 +269,6 @@ impl Default for SystemConfig {
             faults: FaultConfig::default(),
             adaptive: AdaptiveConfig::default(),
             seed: 0,
-            state_sample_interval: SimDuration::ZERO,
-            lock_graph_validation: false,
             flight_recorder: FlightRecorderConfig::default(),
             per_family_phases: true,
         }
@@ -299,35 +280,6 @@ impl SystemConfig {
     #[must_use]
     pub fn with_protocol(mut self, protocol: ProtocolKind) -> Self {
         self.protocol = protocol;
-        self
-    }
-
-    /// Convenience: the same config with a different network.
-    #[must_use]
-    pub fn with_network(mut self, network: NetworkConfig) -> Self {
-        self.network = network;
-        self
-    }
-
-    /// Convenience: the same config with a fault-injection setup.
-    #[must_use]
-    pub fn with_faults(mut self, faults: FaultConfig) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Convenience: the same config with an adaptive-prediction setup.
-    #[must_use]
-    pub fn with_adaptive(mut self, adaptive: AdaptiveConfig) -> Self {
-        self.adaptive = adaptive;
-        self
-    }
-
-    /// Convenience: the same config with a flight-recorder ring of
-    /// `slots` records.
-    #[must_use]
-    pub fn with_flight_recorder(mut self, slots: u32) -> Self {
-        self.flight_recorder = FlightRecorderConfig { slots };
         self
     }
 
@@ -403,10 +355,6 @@ impl SystemConfig {
             !self.adaptive.enabled || self.adaptive.window > 0,
             "adaptive confidence window must be positive"
         );
-        assert!(
-            self.flight_recorder.slots >= 1,
-            "flight recorder needs at least one slot"
-        );
         self.faults.validate(self.num_nodes);
     }
 }
@@ -428,7 +376,10 @@ mod tests {
             lotec_net::Bandwidth::gigabit(),
             lotec_net::SoftwareCost::NANOS_500,
         );
-        let cfg = cfg.with_network(net);
+        let cfg = SystemConfig {
+            network: net,
+            ..cfg
+        };
         assert_eq!(cfg.network, net);
     }
 
@@ -436,10 +387,13 @@ mod tests {
     fn fault_config_defaults_to_disabled() {
         let cfg = SystemConfig::default();
         assert!(!cfg.faults.enabled());
-        let cfg = cfg.with_faults(FaultConfig {
-            lock_timeout: SimDuration::from_millis(5),
-            ..FaultConfig::default()
-        });
+        let cfg = SystemConfig {
+            faults: FaultConfig {
+                lock_timeout: SimDuration::from_millis(5),
+                ..FaultConfig::default()
+            },
+            ..cfg
+        };
         assert!(cfg.faults.enabled());
         cfg.validate();
     }
@@ -468,7 +422,10 @@ mod tests {
     fn adaptive_defaults_to_disabled() {
         let cfg = SystemConfig::default();
         assert!(!cfg.adaptive.enabled);
-        let cfg = cfg.with_adaptive(AdaptiveConfig::on());
+        let cfg = SystemConfig {
+            adaptive: AdaptiveConfig::on(),
+            ..cfg
+        };
         assert!(cfg.adaptive.enabled);
         assert_eq!(cfg.adaptive.window, 4);
         cfg.validate();
@@ -488,18 +445,14 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_defaults_and_builder() {
+    fn flight_recorder_defaults_and_override() {
         let cfg = SystemConfig::default();
         assert_eq!(cfg.flight_recorder.slots, 4096);
-        let cfg = cfg.with_flight_recorder(16);
+        let cfg = SystemConfig {
+            flight_recorder: FlightRecorderConfig { slots: 16 },
+            ..cfg
+        };
         assert_eq!(cfg.flight_recorder.slots, 16);
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one slot")]
-    fn zero_recorder_slots_rejected() {
-        let cfg = SystemConfig::default().with_flight_recorder(0);
         cfg.validate();
     }
 

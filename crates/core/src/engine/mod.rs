@@ -36,9 +36,9 @@ use lotec_mem::{PageStore, Version};
 use lotec_net::{plan_delivery, Message, TrafficLedger};
 use lotec_object::{AdaptivePredictor, ObjectRegistry};
 use lotec_obs::{
-    Anomaly, EventSink, FamilySnapshot, FlightRecorder, ForensicsDump, HostProfiler, HostRegion,
-    NoopHostProfiler, NoopSink, ObsEvent, ObsEventKind, ObsLockMode, ObsPhase, OccupancySnapshot,
-    ReleaseCause, SpanOutcome,
+    Anomaly, EventSink, FamilySnapshot, ForensicsDump, HostProfiler, HostRegion, NoopHostProfiler,
+    NoopSink, ObsEvent, ObsEventKind, ObsLockMode, ObsPhase, OccupancySnapshot, ReleaseCause,
+    SpanOutcome,
 };
 use lotec_sim::{NodeId, SimDuration, SimRng, SimTime, Simulator};
 use lotec_txn::{
@@ -88,8 +88,9 @@ pub struct RunReport {
     pub final_chains: FinalChains,
     /// Forensics dumps captured at anomalies (deadlock-victim selection,
     /// lock timeouts, crash repair). Empty unless the run's sink carries a
-    /// [`FlightRecorder`] — without a black box there is nothing to dump —
-    /// and capped at [`MAX_FORENSICS_DUMPS`] per run.
+    /// [`FlightRecorder`](lotec_obs::FlightRecorder) — without a black box
+    /// there is nothing to dump — and capped at [`MAX_FORENSICS_DUMPS`]
+    /// per run.
     pub forensics: Vec<ForensicsDump>,
 }
 
@@ -137,6 +138,13 @@ const _: () = assert!(std::mem::size_of::<Event>() <= 12);
 
 /// The discrete-event engine. See the [module docs](self).
 ///
+/// One way to run it: build with [`Engine::new`], [`Engine::with_probe`]
+/// or [`Engine::with_instruments`], optionally arm the diagnostics
+/// switches [`Engine::validate_lock_graph`] and
+/// [`Engine::sample_state_every`], then call [`Engine::run`]. A recorded
+/// run lends a [`FlightRecorder`](lotec_obs::FlightRecorder) as its sink
+/// and reads the ring after `run` returns.
+///
 /// Generic over an [`EventSink`] probe; the default [`NoopSink`] reports
 /// `enabled() == false` from a constant, so every probe site (and the
 /// event construction behind it) monomorphizes away — observability is
@@ -173,6 +181,9 @@ pub struct Engine<'a, S: EventSink = NoopSink, P: HostProfiler = NoopHostProfile
     /// store does not hold yet; the state sampler adds them to the node's
     /// cache bytes. Empty unless state sampling is on.
     implied_home_pages: Vec<u64>,
+    /// Sim-time period of the state sampler; [`SimDuration::ZERO`] (the
+    /// default) leaves it off. Set by [`Engine::sample_state_every`].
+    sample_interval: SimDuration,
     ledger: TrafficLedger,
     trace: ScheduleTrace,
     stats: RunStats,
@@ -190,9 +201,9 @@ pub struct Engine<'a, S: EventSink = NoopSink, P: HostProfiler = NoopHostProfile
     /// Stays empty — and costs nothing — when the sink has no recorder.
     forensics: Vec<ForensicsDump>,
     /// Next sim-time boundary the state sampler fires at. Only consulted
-    /// when the sink is enabled *and* `config.state_sample_interval` is
-    /// non-zero; samples are emitted inline by the run loop (never as
-    /// scheduled sim events), so sampling cannot perturb the simulation.
+    /// when the sink is enabled *and* `sample_interval` is non-zero;
+    /// samples are emitted inline by the run loop (never as scheduled sim
+    /// events), so sampling cannot perturb the simulation.
     next_sample: SimTime,
 }
 
@@ -383,23 +394,9 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         // No per-object state is built here: until the first lock request
         // reaches an object (`Engine::touch`), it is whole at its home,
         // version 0, zero-filled and unlocked, and has no GDO entry.
-        let mut table = LockTable::new();
-        if config.lock_graph_validation {
-            table.enable_graph_validation();
-        }
         let stores: Vec<PageStore> = (0..config.num_nodes)
             .map(|_| PageStore::new(config.page_size as usize, registry.page_counts()))
             .collect();
-        // Only a state-sampled run walks the objects here, to count the
-        // pages each home holds implicitly.
-        let mut implied_home_pages = Vec::new();
-        if sink.enabled() && config.state_sample_interval > SimDuration::ZERO {
-            implied_home_pages = vec![0; config.num_nodes as usize];
-            for inst in registry.objects() {
-                implied_home_pages[inst.home.index() as usize] +=
-                    u64::from(registry.num_pages(inst.id));
-            }
-        }
         let recovery: Box<dyn Recovery> = match config.recovery {
             RecoveryKind::UndoLog => Box::new(UndoLog::new()),
             RecoveryKind::ShadowPages => Box::new(ShadowPages::new()),
@@ -428,14 +425,15 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             workload,
             sim,
             tree: TxnTree::new(),
-            table,
+            table: LockTable::new(),
             stores,
             recovery,
             families,
             scratch: Scratch::default(),
             root_to_family: Vec::new(),
             last_holder: vec![0; registry.num_objects()],
-            implied_home_pages,
+            implied_home_pages: Vec::new(),
+            sample_interval: SimDuration::ZERO,
             ledger: TrafficLedger::new(),
             trace: ScheduleTrace::new(),
             stats: RunStats::default(),
@@ -454,6 +452,58 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         })
     }
 
+    /// Arms the lock table's oracle mode: after every lock-table mutation
+    /// the incremental waits-for graph is compared against a from-scratch
+    /// rebuild, and every deadlock-detector call cross-checks its verdict,
+    /// found cycle and victim against the reference implementation in
+    /// [`lotec_txn::deadlock`]. Purely diagnostic: any divergence panics,
+    /// and with none the simulation output is identical. Each check is
+    /// O(whole table), so only the differential suites and
+    /// `LOTEC_LOCK_GRAPH_VALIDATION=1 perf` arm it.
+    ///
+    /// ```
+    /// use lotec_core::engine::Engine;
+    /// use lotec_core::spec::demo_workload;
+    /// use lotec_core::SystemConfig;
+    ///
+    /// let config = SystemConfig::default();
+    /// let (registry, families) = demo_workload(&config, 7);
+    /// let report = Engine::new(&config, &registry, &families)?
+    ///     .validate_lock_graph()
+    ///     .run()?;
+    /// assert_eq!(report.stats.committed_families as usize, families.len());
+    /// # Ok::<(), lotec_core::CoreError>(())
+    /// ```
+    #[must_use]
+    pub fn validate_lock_graph(mut self) -> Self {
+        self.table.enable_graph_validation();
+        self
+    }
+
+    /// Emits [`ObsEventKind::StateSample`] gauges every `interval` of sim
+    /// time: queue depth, lock-table occupancy, in-flight work and
+    /// per-node cache bytes. The run loop emits them inline at period
+    /// boundaries, never as scheduled events, so sampling cannot perturb
+    /// the simulation. A zero `interval` leaves sampling off, and so does
+    /// a disabled sink: the switch then walks nothing.
+    #[must_use]
+    pub fn sample_state_every(mut self, interval: SimDuration) -> Self {
+        if !self.sink.enabled() || interval == SimDuration::ZERO {
+            return self;
+        }
+        self.prof.enter(HostRegion::Setup);
+        // Count the pages each home holds implicitly; `touch` subtracts
+        // an object's pages once its home store holds them.
+        let mut implied = vec![0; self.config.num_nodes as usize];
+        for inst in self.registry.objects() {
+            implied[inst.home.index() as usize] += u64::from(self.registry.num_pages(inst.id));
+        }
+        self.implied_home_pages = implied;
+        self.sample_interval = interval;
+        self.prof.exit(HostRegion::Setup);
+        self
+    }
+
     /// Runs the simulation to completion and returns the report.
     ///
     /// # Errors
@@ -462,7 +512,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
     /// workload should never produce (a workload/engine bug) or a family
     /// exhausts its restart budget.
     pub fn run(mut self) -> Result<RunReport, CoreError> {
-        let sampling = self.sink.enabled() && self.config.state_sample_interval > SimDuration::ZERO;
+        let sampling = self.sink.enabled() && self.sample_interval > SimDuration::ZERO;
         loop {
             self.prof.enter(HostRegion::EventPop);
             let next = self.sim.next_event();
@@ -605,7 +655,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
     /// write to the sink, never touching the event queue, so determinism
     /// of the simulation proper is untouched.
     fn emit_state_samples(&mut self, now: SimTime) {
-        let interval = self.config.state_sample_interval;
+        let interval = self.sample_interval;
         while self.next_sample <= now {
             self.prof.enter(HostRegion::StateSample);
             let at = self.next_sample;
@@ -1594,12 +1644,13 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
     /// Snapshots the black box at an anomaly: the flight-recorder ring,
     /// live lock-table occupancy, the waits-for edges of the incremental
     /// graph, and per-family span state. Under
-    /// [`SystemConfig::lock_graph_validation`] the lock table checks that
-    /// graph against a from-scratch rebuild after every mutation, so a
-    /// dump's edges are cross-checked whenever validation is armed.
+    /// [`Engine::validate_lock_graph`] the lock table checks that graph
+    /// against a from-scratch rebuild after every mutation, so a dump's
+    /// edges are cross-checked whenever validation is armed.
     ///
-    /// A no-op when the sink carries no [`FlightRecorder`] or the run
-    /// already captured [`MAX_FORENSICS_DUMPS`] dumps. Read-only over the
+    /// A no-op when the sink carries no
+    /// [`FlightRecorder`](lotec_obs::FlightRecorder) or the run already
+    /// captured [`MAX_FORENSICS_DUMPS`] dumps. Read-only over the
     /// simulation state, so capture can never perturb the run.
     fn capture_forensics(&mut self, now: SimTime, anomaly: Anomaly) {
         let Some(recorder) = self.sink.recorder() else {
@@ -2039,66 +2090,6 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
     }
 }
 
-/// Convenience wrapper: build and run an engine in one call.
-///
-/// ```
-/// use lotec_core::engine::run_engine;
-/// use lotec_core::spec::demo_workload;
-/// use lotec_core::{oracle, SystemConfig};
-///
-/// let config = SystemConfig::default();
-/// let (registry, families) = demo_workload(&config, 7);
-/// let report = run_engine(&config, &registry, &families)?;
-/// oracle::verify(&report)?;
-/// assert_eq!(report.stats.committed_families as usize, families.len());
-/// # Ok::<(), lotec_core::CoreError>(())
-/// ```
-///
-/// # Errors
-///
-/// See [`Engine::new`] and [`Engine::run`].
-pub fn run_engine(
-    config: &SystemConfig,
-    registry: &ObjectRegistry,
-    workload: &[FamilySpec],
-) -> Result<RunReport, CoreError> {
-    Engine::new(config, registry, workload)?.run()
-}
-
-/// Like [`run_engine`], but with an always-on black box: the run records
-/// into a [`FlightRecorder`] ring sized by
-/// [`SystemConfig::flight_recorder`], and any anomaly (deadlock-victim
-/// selection, lock timeout, crash repair) snapshots it into
-/// [`RunReport::forensics`]. Returns the recorder alongside the report so
-/// callers can also dump post-run anomalies (e.g. an oracle violation)
-/// from the same ring.
-///
-/// ```
-/// use lotec_core::engine::run_engine_recorded;
-/// use lotec_core::spec::demo_workload;
-/// use lotec_core::SystemConfig;
-///
-/// let config = SystemConfig::default().with_flight_recorder(512);
-/// let (registry, families) = demo_workload(&config, 7);
-/// let (report, recorder) = run_engine_recorded(&config, &registry, &families)?;
-/// assert_eq!(report.stats.committed_families as usize, families.len());
-/// assert!(recorder.recorded() > 0, "a run emits events");
-/// # Ok::<(), lotec_core::CoreError>(())
-/// ```
-///
-/// # Errors
-///
-/// See [`Engine::new`] and [`Engine::run`].
-pub fn run_engine_recorded(
-    config: &SystemConfig,
-    registry: &ObjectRegistry,
-    workload: &[FamilySpec],
-) -> Result<(RunReport, FlightRecorder), CoreError> {
-    let mut recorder = FlightRecorder::new(config.flight_recorder.slots as usize);
-    let report = Engine::with_probe(config, registry, workload, &mut recorder)?.run()?;
-    Ok((report, recorder))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2113,7 +2104,9 @@ mod tests {
             ..SystemConfig::default()
         };
         let (registry, families) = demo_workload(&config, seed);
-        run_engine(&config, &registry, &families).expect("demo runs")
+        Engine::new(&config, &registry, &families)
+            .and_then(Engine::run)
+            .expect("demo runs")
     }
 
     #[test]
@@ -2130,7 +2123,9 @@ mod tests {
     fn final_chains_list_every_registered_page_once_in_key_order() {
         let config = SystemConfig::default();
         let (registry, families) = demo_workload(&config, 3);
-        let report = run_engine(&config, &registry, &families).expect("demo runs");
+        let report = Engine::new(&config, &registry, &families)
+            .and_then(Engine::run)
+            .expect("demo runs");
         let registered: Vec<PageKey> = registry
             .objects()
             .flat_map(|inst| {
@@ -2170,7 +2165,9 @@ mod tests {
                 ..SystemConfig::default()
             };
             let (registry, families) = demo_workload(&config, 3);
-            let report = run_engine(&config, &registry, &families).unwrap();
+            let report = Engine::new(&config, &registry, &families)
+                .and_then(Engine::run)
+                .unwrap();
             let replayed = crate::replay::replay_trace(protocol, &report.trace, &registry, &config);
             assert_eq!(
                 report.traffic.total(),
@@ -2197,7 +2194,9 @@ mod tests {
             .with_class_protocol(ClassId::new(1), ProtocolKind::ReleaseConsistency);
         assert!(config.is_mixed_protocol());
         let (registry, families) = crate::spec::demo_workload(&config, 6);
-        let report = run_engine(&config, &registry, &families).unwrap();
+        let report = Engine::new(&config, &registry, &families)
+            .and_then(Engine::run)
+            .unwrap();
         crate::oracle::verify(&report).expect("mixed protocols stay serializable");
 
         // Engine accounting must equal the assignment-aware replay.
@@ -2238,7 +2237,9 @@ mod tests {
             ..SystemConfig::default()
         };
         let (registry, families) = demo_workload(&config, 11);
-        let report = run_engine(&config, &registry, &families).unwrap();
+        let report = Engine::new(&config, &registry, &families)
+            .and_then(Engine::run)
+            .unwrap();
         assert_eq!(report.stats.committed_families, 8);
         oracle::verify(&report).expect("adaptive runs stay serializable");
         let replayed = crate::replay::replay_run(&report.trace, &registry, &config);
@@ -2270,7 +2271,9 @@ mod tests {
             ..SystemConfig::default()
         };
         let (registry, families) = demo_workload(&config, 11);
-        let report = run_engine(&config, &registry, &families).unwrap();
+        let report = Engine::new(&config, &registry, &families)
+            .and_then(Engine::run)
+            .unwrap();
         // The static predictions are conservative supersets of every
         // path's access set, so on a path-varying workload learning must
         // trim something; no crashes means no resets.
@@ -2293,8 +2296,12 @@ mod tests {
         };
         let implicit = SystemConfig::default();
         let (registry, families) = demo_workload(&implicit, 9);
-        let a = run_engine(&explicit, &registry, &families).unwrap();
-        let b = run_engine(&implicit, &registry, &families).unwrap();
+        let a = Engine::new(&explicit, &registry, &families)
+            .and_then(Engine::run)
+            .unwrap();
+        let b = Engine::new(&implicit, &registry, &families)
+            .and_then(Engine::run)
+            .unwrap();
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.traffic.total(), b.traffic.total());
         assert_eq!(a.stats.makespan, b.stats.makespan);
@@ -2319,12 +2326,16 @@ mod tests {
             ..SystemConfig::default()
         };
         let (registry, families) = crate::spec::demo_workload(&base, 9);
-        let plain = run_engine(&base, &registry, &families).unwrap();
+        let plain = Engine::new(&base, &registry, &families)
+            .and_then(Engine::run)
+            .unwrap();
         let pre_cfg = SystemConfig {
             lock_prefetch: true,
             ..base
         };
-        let prefetched = run_engine(&pre_cfg, &registry, &families).unwrap();
+        let prefetched = Engine::new(&pre_cfg, &registry, &families)
+            .and_then(Engine::run)
+            .unwrap();
 
         crate::oracle::verify(&prefetched).expect("prefetching preserves correctness");
         assert!(
@@ -2353,12 +2364,16 @@ mod tests {
             ..SystemConfig::default()
         };
         let (registry, families) = crate::spec::demo_workload(&unicast, 12);
-        let uni = run_engine(&unicast, &registry, &families).unwrap();
+        let uni = Engine::new(&unicast, &registry, &families)
+            .and_then(Engine::run)
+            .unwrap();
         let multicast_cfg = SystemConfig {
             multicast: true,
             ..unicast.clone()
         };
-        let multi = run_engine(&multicast_cfg, &registry, &families).unwrap();
+        let multi = Engine::new(&multicast_cfg, &registry, &families)
+            .and_then(Engine::run)
+            .unwrap();
         crate::oracle::verify(&multi).expect("multicast preserves correctness");
 
         let uni_push = uni.traffic.ledger().kind(MessageKind::UpdatePush);
@@ -2382,12 +2397,16 @@ mod tests {
             ..SystemConfig::default()
         };
         let (registry, families) = crate::spec::demo_workload(&page_cfg, 21);
-        let page_run = run_engine(&page_cfg, &registry, &families).unwrap();
+        let page_run = Engine::new(&page_cfg, &registry, &families)
+            .and_then(Engine::run)
+            .unwrap();
         let dsd_cfg = SystemConfig {
             dsd_transfers: true,
             ..page_cfg
         };
-        let dsd_run = run_engine(&dsd_cfg, &registry, &families).unwrap();
+        let dsd_run = Engine::new(&dsd_cfg, &registry, &families)
+            .and_then(Engine::run)
+            .unwrap();
         crate::oracle::verify(&dsd_run).expect("dsd mode stays serializable");
 
         assert!(
@@ -2413,12 +2432,16 @@ mod tests {
             ..SystemConfig::default()
         };
         let (registry, families) = crate::spec::demo_workload(&part_cfg, 31);
-        let part = run_engine(&part_cfg, &registry, &families).unwrap();
+        let part = Engine::new(&part_cfg, &registry, &families)
+            .and_then(Engine::run)
+            .unwrap();
         let central_cfg = SystemConfig {
             gdo_placement: GdoPlacement::Central(NodeId::new(0)),
             ..part_cfg
         };
-        let central = run_engine(&central_cfg, &registry, &families).unwrap();
+        let central = Engine::new(&central_cfg, &registry, &families)
+            .and_then(Engine::run)
+            .unwrap();
         crate::oracle::verify(&central).expect("central GDO stays serializable");
         let replayed = crate::replay::replay_run(&central.trace, &registry, &central_cfg);
         assert_eq!(central.traffic.total(), replayed.total());
@@ -2454,12 +2477,16 @@ mod tests {
             ..SystemConfig::default()
         };
         let (registry, families) = crate::spec::demo_workload(&plain, 41);
-        let unreplicated = run_engine(&plain, &registry, &families).unwrap();
+        let unreplicated = Engine::new(&plain, &registry, &families)
+            .and_then(Engine::run)
+            .unwrap();
         let repl_cfg = SystemConfig {
             gdo_replication: 3,
             ..plain
         };
-        let replicated = run_engine(&repl_cfg, &registry, &families).unwrap();
+        let replicated = Engine::new(&repl_cfg, &registry, &families)
+            .and_then(Engine::run)
+            .unwrap();
         crate::oracle::verify(&replicated).expect("replication is pure accounting");
 
         let repl = replicated.traffic.ledger().kind(MessageKind::GdoReplicate);
@@ -2487,7 +2514,9 @@ mod tests {
             ..SystemConfig::default()
         };
         let (registry, families) = demo_workload(&config, 7);
-        let plain = run_engine(&config, &registry, &families).unwrap();
+        let plain = Engine::new(&config, &registry, &families)
+            .and_then(Engine::run)
+            .unwrap();
         let mut sink = lotec_obs::RecordingSink::new();
         let probed = Engine::with_probe(&config, &registry, &families, &mut sink)
             .and_then(Engine::run)
@@ -2509,6 +2538,9 @@ mod tests {
         }
         let summary = lotec_obs::TraceSummary::of(events);
         assert_eq!(summary.aggregate, probed.stats.phases.aggregate);
+        // The demo workload's predictions are conservative supersets of
+        // what each grant touches, so recall is perfect.
+        assert_eq!(summary.prediction.recall(), Some(1.0));
         assert_eq!(summary.family_phases.len(), families.len());
         assert_eq!(
             summary
@@ -2527,18 +2559,72 @@ mod tests {
     }
 
     #[test]
+    fn validate_lock_graph_arms_the_table_and_a_plain_build_does_not() {
+        let config = SystemConfig::default();
+        let (registry, families) = demo_workload(&config, 7);
+        let plain = Engine::new(&config, &registry, &families).unwrap();
+        assert!(!plain.table.graph_validation());
+        let armed = plain.validate_lock_graph();
+        assert!(armed.table.graph_validation());
+        // Validation only checks; the armed run simulates the same schedule.
+        let validated = armed.run().unwrap();
+        let plain = Engine::new(&config, &registry, &families).and_then(Engine::run);
+        assert_eq!(validated.trace, plain.unwrap().trace);
+    }
+
+    #[test]
+    fn sample_state_every_is_off_behind_a_noop_sink_or_a_zero_interval() {
+        let config = SystemConfig::default();
+        let (registry, families) = demo_workload(&config, 7);
+        let interval = SimDuration::from_micros(20);
+        let is_sample = |e: &ObsEvent| matches!(e.kind, ObsEventKind::StateSample { .. });
+
+        let quiet = Engine::with_probe(&config, &registry, &families, NoopSink)
+            .unwrap()
+            .sample_state_every(interval);
+        assert!(quiet.implied_home_pages.is_empty(), "no registry walk");
+        assert_eq!(quiet.sample_interval, SimDuration::ZERO, "no sampler");
+
+        let mut sink = lotec_obs::RecordingSink::new();
+        Engine::with_probe(&config, &registry, &families, &mut sink)
+            .unwrap()
+            .sample_state_every(SimDuration::ZERO)
+            .run()
+            .unwrap();
+        assert!(!sink.is_empty());
+        assert!(!sink.events().iter().any(is_sample));
+
+        let mut sink = lotec_obs::RecordingSink::new();
+        let sampled = Engine::with_probe(&config, &registry, &families, &mut sink)
+            .unwrap()
+            .sample_state_every(interval);
+        let pages: u64 = registry
+            .objects()
+            .map(|inst| u64::from(registry.num_pages(inst.id)))
+            .sum();
+        assert_eq!(sampled.implied_home_pages.len(), config.num_nodes as usize);
+        assert_eq!(sampled.implied_home_pages.iter().sum::<u64>(), pages);
+        sampled.run().unwrap();
+        assert!(sink.events().iter().any(is_sample));
+    }
+
+    #[test]
     fn per_family_phases_off_drops_rows_and_nothing_else() {
         let base = SystemConfig {
             seed: 7,
             ..SystemConfig::default()
         };
         let (registry, families) = demo_workload(&base, 7);
-        let with_rows = run_engine(&base, &registry, &families).unwrap();
+        let with_rows = Engine::new(&base, &registry, &families)
+            .and_then(Engine::run)
+            .unwrap();
         let flat_cfg = SystemConfig {
             per_family_phases: false,
             ..base
         };
-        let flat = run_engine(&flat_cfg, &registry, &families).unwrap();
+        let flat = Engine::new(&flat_cfg, &registry, &families)
+            .and_then(Engine::run)
+            .unwrap();
 
         // The flag is end-of-run bookkeeping: the simulation itself — the
         // schedule, the traffic, every aggregate stat — is untouched.
@@ -2583,7 +2669,9 @@ mod tests {
                 ..SystemConfig::default()
             };
             let (registry, families) = demo_workload(&config, 11);
-            let report = run_engine(&config, &registry, &families).unwrap();
+            let report = Engine::new(&config, &registry, &families)
+                .and_then(Engine::run)
+                .unwrap();
             assert_eq!(report.stats.committed_families, 8, "{protocol}");
             oracle::verify(&report).unwrap_or_else(|e| panic!("{protocol}: {e}"));
             assert!(report.stats.retransmits > 0, "{protocol}: drops must bite");
@@ -2602,7 +2690,9 @@ mod tests {
                 ..SystemConfig::default()
             };
             let (registry, families) = demo_workload(&config, 13);
-            run_engine(&config, &registry, &families).unwrap()
+            Engine::new(&config, &registry, &families)
+                .and_then(Engine::run)
+                .unwrap()
         };
         let (a, b) = (run(), run());
         assert_eq!(a.trace, b.trace);
@@ -2623,7 +2713,9 @@ mod tests {
             ..SystemConfig::default()
         };
         let (registry, families) = demo_workload(&config, 17);
-        let report = run_engine(&config, &registry, &families).unwrap();
+        let report = Engine::new(&config, &registry, &families)
+            .and_then(Engine::run)
+            .unwrap();
         assert_eq!(report.stats.committed_families, 8);
         assert!(report.stats.retransmit_wait > SimDuration::ZERO);
         // The stall a family spends waiting on retransmissions is booked
@@ -2658,7 +2750,9 @@ mod tests {
             ..SystemConfig::default()
         };
         let (registry, families) = demo_workload(&base, 19);
-        let plain = run_engine(&base, &registry, &families).unwrap();
+        let plain = Engine::new(&base, &registry, &families)
+            .and_then(Engine::run)
+            .unwrap();
         let makespan = plain.stats.makespan;
         let at = SimTime::ZERO + makespan / 8;
         let until = SimTime::ZERO + makespan / 2;
@@ -2679,7 +2773,9 @@ mod tests {
                 },
                 ..base.clone()
             };
-            let report = run_engine(&config, &registry, &families).unwrap();
+            let report = Engine::new(&config, &registry, &families)
+                .and_then(Engine::run)
+                .unwrap();
             assert_eq!(report.stats.crashes, 1, "node {node}");
             assert_eq!(
                 report.stats.committed_families, 8,
@@ -2706,7 +2802,9 @@ mod tests {
             ..SystemConfig::default()
         };
         let (registry, families) = demo_workload(&config, 23);
-        let report = run_engine(&config, &registry, &families).unwrap();
+        let report = Engine::new(&config, &registry, &families)
+            .and_then(Engine::run)
+            .unwrap();
         assert!(
             report.stats.lock_timeouts > 0,
             "a tight timeout must fire on contended queues"

@@ -80,7 +80,7 @@ pub mod trace;
 
 pub use compare::{compare_protocols, ProtocolComparison};
 pub use config::{AdaptiveConfig, CostModel, FlightRecorderConfig, SystemConfig};
-pub use engine::{run_engine_recorded, Engine, RunReport};
+pub use engine::{Engine, RunReport};
 pub use error::CoreError;
 pub use protocol::ProtocolKind;
 pub use spec::{FamilySpec, InvocationSpec};

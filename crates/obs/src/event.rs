@@ -458,10 +458,11 @@ pub enum ObsEventKind {
         waited_ns: u64,
     },
     /// Periodic sim-state gauge sample from the engine's state sampler
-    /// (enabled by `state_sample_interval`). Samples are emitted inline by
-    /// the run loop at fixed sim-time boundaries — never as scheduled sim
-    /// events — so enabling them cannot perturb the simulation. The
-    /// event's `node` is always 0; per-node data rides in `cache_bytes`.
+    /// (armed by `Engine::sample_state_every`). Samples are emitted
+    /// inline by the run loop at fixed sim-time boundaries — never as
+    /// scheduled sim events — so enabling them cannot perturb the
+    /// simulation. The event's `node` is always 0; per-node data rides in
+    /// `cache_bytes`.
     StateSample {
         /// Events pending in the future-event list.
         queue_depth: u64,

@@ -16,9 +16,9 @@
 //! copies scalars into fixed arrays (variable-length event payloads are
 //! truncated to the record's inline capacity, with the original length
 //! preserved so a dump can report the truncation), and the ring slot is
-//! overwritten in place. Capacity comes from
-//! `SystemConfig::flight_recorder.slots`; the engine wrapper
-//! `run_engine_recorded` wires the two together.
+//! overwritten in place. The caller picks the capacity
+//! (`SystemConfig::flight_recorder.slots` by convention) and lends the
+//! ring to the engine as its sink (`Engine::with_probe(.., &mut recorder)`).
 //!
 //! Decoding ([`FlightRecorder::snapshot`]) reverses the encoding into
 //! ordinary [`ObsEvent`]s (oldest first) for the forensics pipeline —

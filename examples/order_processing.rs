@@ -135,7 +135,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         });
     }
 
-    let report = run_engine(&config, &registry, &families)?;
+    let report = Engine::new(&config, &registry, &families)?.run()?;
     oracle::verify(&report)?;
 
     println!(

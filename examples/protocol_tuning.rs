@@ -78,7 +78,9 @@ fn workload(num_nodes: u32) -> Vec<FamilySpec> {
 }
 
 fn measure(label: &str, config: &SystemConfig, registry: &ObjectRegistry, families: &[FamilySpec]) {
-    let report = run_engine(config, registry, families).expect("engine runs");
+    let report = Engine::new(config, registry, families)
+        .and_then(Engine::run)
+        .expect("engine runs");
     oracle::verify(&report).expect("serializable");
     let t = report.traffic.total();
     println!(

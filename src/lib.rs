@@ -63,7 +63,7 @@ pub use lotec_workload as workload;
 pub mod prelude {
     pub use lotec_core::compare::{compare_protocols, ProtocolComparison};
     pub use lotec_core::config::SystemConfig;
-    pub use lotec_core::engine::{run_engine, Engine, RunReport};
+    pub use lotec_core::engine::{Engine, RunReport};
     pub use lotec_core::oracle;
     pub use lotec_core::protocol::ProtocolKind;
     pub use lotec_core::spec::{FamilySpec, InvocationSpec};

@@ -40,7 +40,8 @@ fn config_for(protocol: ProtocolKind, seed: u64, faults: FaultConfig) -> SystemC
 fn calibrate_makespan(protocol: ProtocolKind, seed: u64) -> SimDuration {
     let config = config_for(protocol, seed, FaultConfig::default());
     let (registry, families) = demo_workload(&config, seed);
-    run_engine(&config, &registry, &families)
+    Engine::new(&config, &registry, &families)
+        .and_then(Engine::run)
         .expect("fault-free calibration run")
         .stats
         .makespan
@@ -64,10 +65,13 @@ fn check_scenario(protocol: ProtocolKind, seed: u64, faults: FaultConfig, label:
 fn check_config(config: &SystemConfig, seed: u64, label: &str) -> RunReport {
     let protocol = config.protocol;
     let (registry, families) = demo_workload(config, seed);
-    let a = run_engine(config, &registry, &families)
+    let a = Engine::new(config, &registry, &families)
+        .and_then(Engine::run)
         .unwrap_or_else(|e| panic!("{label}/{protocol}/seed {seed}: run failed: {e}"));
-    let (b, recorder) =
-        lotec_core::run_engine_recorded(config, &registry, &families).expect("second run");
+    let mut recorder = lotec_obs::FlightRecorder::new(config.flight_recorder.slots as usize);
+    let b = Engine::with_probe(config, &registry, &families, &mut recorder)
+        .and_then(Engine::run)
+        .expect("second run");
 
     // (a) Deterministic from the seed: both runs are byte-identical.
     assert_eq!(a.trace, b.trace, "{label}/{protocol}/seed {seed}");
@@ -267,7 +271,9 @@ fn fault_free_engine_matches_figure_replay_per_protocol() {
         for seed in [3u64, 14] {
             let config = config_for(protocol, seed, FaultConfig::default());
             let (registry, families) = demo_workload(&config, seed);
-            let report = run_engine(&config, &registry, &families).expect("fault-free run");
+            let report = Engine::new(&config, &registry, &families)
+                .and_then(Engine::run)
+                .expect("fault-free run");
             let replayed =
                 lotec_core::replay::replay_trace(protocol, &report.trace, &registry, &config);
             assert_eq!(
@@ -310,7 +316,9 @@ fn replay_misses_only_retransmissions_and_reissued_requests() {
                         ..config_for(protocol, seed, faults)
                     };
                     let (registry, families) = demo_workload(&config, seed);
-                    let report = run_engine(&config, &registry, &families).expect("chaos run");
+                    let report = Engine::new(&config, &registry, &families)
+                        .and_then(Engine::run)
+                        .expect("chaos run");
                     let replayed = lotec_core::replay::replay_trace(
                         protocol,
                         &report.trace,

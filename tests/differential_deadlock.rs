@@ -5,7 +5,7 @@
 //!
 //! 1. **Engine replays.** The fault-free fig3 cells, a sample of chaos
 //!    cells and a deadlock-storm zoo cell run twice — once normally, once
-//!    with `SystemConfig::lock_graph_validation` set. In validation mode the
+//!    armed with `Engine::validate_lock_graph`. In validation mode the
 //!    lock table cross-checks the incremental graph against a from-scratch
 //!    rebuild after *every* entry mutation, and every detector call is
 //!    compared against [`lotec_txn::deadlock::reference`] (panicking on
@@ -67,6 +67,22 @@ fn fingerprint(report: &RunReport) -> Fingerprint {
     }
 }
 
+/// Runs one engine with no probe, arming validation when `validate`.
+fn run(
+    config: &SystemConfig,
+    registry: &ObjectRegistry,
+    families: &[FamilySpec],
+    validate: bool,
+) -> RunReport {
+    let engine = Engine::new(config, registry, families).expect("workload validates");
+    let engine = if validate {
+        engine.validate_lock_graph()
+    } else {
+        engine
+    };
+    engine.run().expect("engine runs")
+}
+
 fn fig3_cell(protocol: ProtocolKind, validate: bool) -> Fingerprint {
     let scenario = presets::quick(presets::fig3());
     let (registry, families) = scenario.generate().expect("workload generates");
@@ -75,10 +91,9 @@ fn fig3_cell(protocol: ProtocolKind, validate: bool) -> Fingerprint {
         seed: 0xF163,
         num_nodes: scenario.config.num_nodes,
         page_size: scenario.config.schema.page_size,
-        lock_graph_validation: validate,
         ..SystemConfig::default()
     };
-    let report = run_engine(&config, &registry, &families).expect("fig3 run");
+    let report = run(&config, &registry, &families, validate);
     oracle::verify(&report).expect("serializable");
     fingerprint(&report)
 }
@@ -99,11 +114,10 @@ fn chaos_cell(protocol: ProtocolKind, seed: u64, validate: bool) -> Fingerprint 
         protocol,
         seed,
         faults,
-        lock_graph_validation: validate,
         ..SystemConfig::default()
     };
     let (registry, families) = demo_workload(&config, seed);
-    let report = run_engine(&config, &registry, &families).expect("chaos run");
+    let report = run(&config, &registry, &families, validate);
     oracle::verify(&report).expect("serializable");
     fingerprint(&report)
 }
@@ -152,17 +166,14 @@ fn chaos_validated_replay_matches_plain_run() {
 fn storm_validated_replay_rechecks_after_victims() {
     let scenario = zoo::by_name("wide_trees", Tier::Quick).expect("wide_trees is a zoo family");
     let (registry, families) = scenario.generate().expect("zoo workload generates");
-    let plain = scenario.cell_config(ProtocolKind::Lotec, false);
-    let validated = SystemConfig {
-        lock_graph_validation: true,
-        ..plain.clone()
-    };
+    let config = scenario.cell_config(ProtocolKind::Lotec, false);
     let mut sink = RecordingSink::new();
-    let report = Engine::with_probe(&validated, &registry, &families, &mut sink)
+    let report = Engine::with_probe(&config, &registry, &families, &mut sink)
+        .map(Engine::validate_lock_graph)
         .and_then(Engine::run)
         .expect("validated storm run");
     oracle::verify(&report).expect("serializable");
-    let plain_report = run_engine(&plain, &registry, &families).expect("plain storm run");
+    let plain_report = run(&config, &registry, &families, false);
     assert_eq!(
         fingerprint(&report),
         fingerprint(&plain_report),

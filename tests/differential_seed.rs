@@ -136,7 +136,9 @@ fn fig3_cell(protocol: ProtocolKind, adaptive: bool) -> Fingerprint {
         },
         ..SystemConfig::default()
     };
-    let report = run_engine(&config, &registry, &families).expect("fig3 run");
+    let report = Engine::new(&config, &registry, &families)
+        .and_then(Engine::run)
+        .expect("fig3 run");
     oracle::verify(&report).expect("serializable");
     fingerprint(&report)
 }
@@ -167,7 +169,9 @@ fn chaos_cell(protocol: ProtocolKind, seed: u64, adaptive: bool) -> Fingerprint 
         ..SystemConfig::default()
     };
     let (registry, families) = demo_workload(&config, seed);
-    let report = run_engine(&config, &registry, &families).expect("chaos run");
+    let report = Engine::new(&config, &registry, &families)
+        .and_then(Engine::run)
+        .expect("chaos run");
     oracle::verify(&report).expect("serializable");
     fingerprint(&report)
 }
@@ -178,7 +182,9 @@ fn chaos_cell(protocol: ProtocolKind, seed: u64, adaptive: bool) -> Fingerprint 
 fn zoo_cell(scenario: &lotec_workload::ZooScenario) -> Fingerprint {
     let (registry, families) = scenario.generate().expect("zoo workload generates");
     let config = scenario.cell_config(ProtocolKind::Lotec, false);
-    let report = run_engine(&config, &registry, &families).expect("zoo run");
+    let report = Engine::new(&config, &registry, &families)
+        .and_then(Engine::run)
+        .expect("zoo run");
     oracle::verify(&report).expect("serializable");
     fingerprint(&report)
 }
@@ -318,10 +324,12 @@ fn stream_cell(
     config: &SystemConfig,
     registry: &ObjectRegistry,
     families: &[FamilySpec],
+    sample_every: SimDuration,
     kinds: &mut BTreeSet<&'static str>,
 ) -> EventStream {
     let mut sink = RecordingSink::new();
     let report = Engine::with_probe(config, registry, families, &mut sink)
+        .map(|engine| engine.sample_state_every(sample_every))
         .and_then(Engine::run)
         .expect("recorded run");
     oracle::verify(&report).expect("serializable");
@@ -336,15 +344,16 @@ fn stream_cell(
 }
 
 /// The chaos suite's combined mode on the demo workload: lossy links, two
-/// crash windows placed inside the fault-free makespan, lock-request
-/// timeouts, and the state sampler on.
+/// crash windows placed inside the fault-free makespan, and lock-request
+/// timeouts. Its event-stream cell also turns the state sampler on.
 fn combined_chaos_config(seed: u64) -> SystemConfig {
     let base = SystemConfig {
         seed,
         ..SystemConfig::default()
     };
     let (registry, families) = demo_workload(&base, seed);
-    let makespan = run_engine(&base, &registry, &families)
+    let makespan = Engine::new(&base, &registry, &families)
+        .and_then(Engine::run)
         .expect("calibration run")
         .stats
         .makespan;
@@ -373,7 +382,6 @@ fn combined_chaos_config(seed: u64) -> SystemConfig {
             plan,
             lock_timeout: SimDuration::from_micros(150),
         },
-        state_sample_interval: SimDuration::from_micros(100),
         ..base
     }
 }
@@ -391,7 +399,8 @@ fn probe_event_streams_match_their_goldens() {
     let seed = 138;
     let config = combined_chaos_config(seed);
     let (registry, families) = demo_workload(&config, seed);
-    let stream = stream_cell(&config, &registry, &families, &mut kinds);
+    let sample_every = SimDuration::from_micros(100);
+    let stream = stream_cell(&config, &registry, &families, sample_every, &mut kinds);
     check_row(
         format!("chaos-combined/LOTEC/{seed}"),
         stream,
@@ -415,7 +424,7 @@ fn probe_event_streams_match_their_goldens() {
             },
             ..scenario.system_config()
         };
-        let stream = stream_cell(&config, &registry, &families, &mut kinds);
+        let stream = stream_cell(&config, &registry, &families, SimDuration::ZERO, &mut kinds);
         let label = if adaptive { "adaptive" } else { "static" };
         check_row(
             format!("fig3-quick/LOTEC+{label}/miss25"),
@@ -427,7 +436,8 @@ fn probe_event_streams_match_their_goldens() {
 
     let scenario = presets::quick(presets::ablation_faults());
     let (registry, families) = scenario.generate().expect("ablation generates");
-    let stream = stream_cell(&scenario.system_config(), &registry, &families, &mut kinds);
+    let config = scenario.system_config();
+    let stream = stream_cell(&config, &registry, &families, SimDuration::ZERO, &mut kinds);
     check_row(
         "ablation_faults-quick/LOTEC".to_string(),
         stream,
@@ -491,7 +501,9 @@ fn replay_cell(
     own_assignment: bool,
     variants: &mut BTreeSet<&'static str>,
 ) {
-    let report = run_engine(config, registry, families).expect("schedule run");
+    let report = Engine::new(config, registry, families)
+        .and_then(Engine::run)
+        .expect("schedule run");
     oracle::verify(&report).expect("serializable");
     variants.extend(report.trace.events().iter().map(|e| match e {
         TraceEvent::Grant { .. } => "grant",

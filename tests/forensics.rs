@@ -7,21 +7,19 @@
 //! a configuration verified to break exactly one deadlock — so every
 //! assertion here is exact, not probabilistic.
 
-use lotec_core::engine::{run_engine, Engine, MAX_FORENSICS_DUMPS};
+use lotec_core::engine::{Engine, MAX_FORENSICS_DUMPS};
 use lotec_core::protocol::ProtocolKind;
-use lotec_core::{oracle, run_engine_recorded, SystemConfig};
+use lotec_core::{oracle, FamilySpec, FlightRecorderConfig, SystemConfig};
+use lotec_object::ObjectRegistry;
 use lotec_obs::{
-    find_cycle, Anomaly, CompactRecord, FlightRecorder, ForensicsDump, ProfiledSink, RecordingSink,
-    WallProfiler,
+    find_cycle, Anomaly, CompactRecord, EventSink, FlightRecorder, ForensicsDump, NoopSink,
+    ProfiledSink, RecordingSink, WallProfiler,
 };
 use lotec_workload::presets;
 
 /// Seed at which quick-fig3/LOTEC breaks exactly one deadlock.
 const DEADLOCK_SEED: u64 = 11;
 
-/// Validation stays armed so the dumped waits-for edges, read from the
-/// incremental graph, are checked against the from-scratch rebuild after
-/// every lock-table mutation.
 fn deadlock_config(slots: u32) -> (SystemConfig, lotec_workload::Scenario) {
     let scenario = presets::quick(presets::fig3());
     let config = SystemConfig {
@@ -29,17 +27,34 @@ fn deadlock_config(slots: u32) -> (SystemConfig, lotec_workload::Scenario) {
         seed: DEADLOCK_SEED,
         num_nodes: scenario.config.num_nodes,
         page_size: scenario.config.schema.page_size,
-        lock_graph_validation: true,
+        flight_recorder: FlightRecorderConfig { slots },
         ..SystemConfig::default()
-    }
-    .with_flight_recorder(slots);
+    };
     (config, scenario)
 }
 
-fn run_recorded(slots: u32) -> (lotec_core::RunReport, lotec_obs::FlightRecorder) {
+/// Every engine here runs with validation armed, so the dumped waits-for
+/// edges, read from the incremental graph, are checked against the
+/// from-scratch rebuild after every lock-table mutation.
+fn validated<'a, S: EventSink>(
+    config: &'a SystemConfig,
+    registry: &'a ObjectRegistry,
+    families: &'a [FamilySpec],
+    sink: S,
+) -> Engine<'a, S> {
+    Engine::with_probe(config, registry, families, sink)
+        .expect("workload validates")
+        .validate_lock_graph()
+}
+
+fn run_recorded(slots: u32) -> (lotec_core::RunReport, FlightRecorder) {
     let (config, scenario) = deadlock_config(slots);
     let (registry, families) = scenario.generate().expect("workload generates");
-    run_engine_recorded(&config, &registry, &families).expect("recorded run")
+    let mut recorder = FlightRecorder::new(config.flight_recorder.slots as usize);
+    let report = validated(&config, &registry, &families, &mut recorder)
+        .run()
+        .expect("recorded run");
+    (report, recorder)
 }
 
 /// The pinned scenario produces a deadlock-victim dump whose anomaly,
@@ -119,9 +134,10 @@ fn deadlock_victim_dump_is_byte_deterministic() {
 fn recorder_does_not_perturb_the_simulation() {
     let (config, scenario) = deadlock_config(4096);
     let (registry, families) = scenario.generate().expect("workload generates");
-    let plain = run_engine(&config, &registry, &families).expect("plain run");
-    let (recorded, recorder) =
-        run_engine_recorded(&config, &registry, &families).expect("recorded run");
+    let plain = validated(&config, &registry, &families, NoopSink)
+        .run()
+        .expect("plain run");
+    let (recorded, recorder) = run_recorded(4096);
     assert_eq!(plain.trace, recorded.trace);
     assert_eq!(plain.final_chains, recorded.final_chains);
     assert_eq!(plain.traffic.total(), recorded.traffic.total());
@@ -136,14 +152,14 @@ fn recorder_does_not_perturb_the_simulation() {
 fn profiled_recorder_captures_the_same_dumps() {
     let (config, scenario) = deadlock_config(4096);
     let (registry, families) = scenario.generate().expect("workload generates");
-    let (bare, _) = run_engine_recorded(&config, &registry, &families).expect("bare run");
+    let (bare, _) = run_recorded(4096);
     assert!(!bare.forensics.is_empty(), "the pinned cell dumps");
 
     let mut recorder = FlightRecorder::new(config.flight_recorder.slots as usize);
     let mut prof = WallProfiler::new();
     let sink = ProfiledSink::new(&mut recorder, &mut prof);
-    let wrapped = Engine::with_probe(&config, &registry, &families, sink)
-        .and_then(Engine::run)
+    let wrapped = validated(&config, &registry, &families, sink)
+        .run()
         .expect("wrapped run");
     assert_eq!(wrapped.forensics, bare.forensics);
 }
@@ -156,8 +172,8 @@ fn tiny_ring_keeps_exactly_the_tail() {
     let (config, scenario) = deadlock_config(4096);
     let (registry, families) = scenario.generate().expect("workload generates");
     let mut full = RecordingSink::new();
-    Engine::with_probe(&config, &registry, &families, &mut full)
-        .and_then(Engine::run)
+    validated(&config, &registry, &families, &mut full)
+        .run()
         .expect("full-capture run");
     let all = full.into_events();
     assert!(

@@ -33,7 +33,9 @@ fn family(node: u32, start_us: u64, object: u32, method: u32) -> FamilySpec {
 fn empty_workload_is_a_clean_noop() {
     let config = Cfg::default();
     let registry = two_object_registry(config.num_nodes, config.page_size);
-    let report = run_engine(&config, &registry, &[]).expect("empty run");
+    let report = Engine::new(&config, &registry, &[])
+        .and_then(Engine::run)
+        .expect("empty run");
     assert_eq!(report.stats.committed_families, 0);
     assert_eq!(report.traffic.total().messages, 0);
     assert!(report.trace.is_empty());
@@ -53,7 +55,9 @@ fn single_node_cluster_sends_no_messages() {
     let families: Vec<FamilySpec> = (0..10)
         .map(|i| family(0, i * 10, (i % 2) as u32, 0))
         .collect();
-    let report = run_engine(&config, &registry, &families).expect("runs");
+    let report = Engine::new(&config, &registry, &families)
+        .and_then(Engine::run)
+        .expect("runs");
     assert_eq!(report.stats.committed_families, 10);
     assert_eq!(
         report.traffic.total().messages,
@@ -108,7 +112,7 @@ fn restart_budget_exhaustion_is_reported_not_hung() {
         },
     };
     let families = vec![cross(0, 0, 1), cross(1, 1, 0)];
-    match run_engine(&config, &registry, &families) {
+    match Engine::new(&config, &registry, &families).and_then(Engine::run) {
         Err(lotec_core::CoreError::RestartBudgetExhausted { restarts, .. }) => {
             assert_eq!(restarts, 1);
         }
@@ -123,7 +127,9 @@ fn root_fault_aborts_family_permanently_and_cleanly() {
     let mut doomed = family(0, 0, 0, 0);
     doomed.root.abort = true;
     let families = vec![doomed, family(1, 50, 0, 0), family(2, 100, 1, 0)];
-    let report = run_engine(&config, &registry, &families).expect("runs");
+    let report = Engine::new(&config, &registry, &families)
+        .and_then(Engine::run)
+        .expect("runs");
     assert_eq!(report.stats.aborted_families, 1);
     assert_eq!(report.stats.committed_families, 2);
     oracle::verify(&report).expect("aborted family left no trace in the data");
@@ -140,7 +146,9 @@ fn read_only_workload_shares_locks_and_moves_nothing_after_warmup() {
     let families: Vec<FamilySpec> = (0..12)
         .map(|i| family(i % 4, i as u64 * 20, i % 2, 1))
         .collect();
-    let report = run_engine(&config, &registry, &families).expect("runs");
+    let report = Engine::new(&config, &registry, &families)
+        .and_then(Engine::run)
+        .expect("runs");
     assert_eq!(report.stats.committed_families, 12);
     let ledger = report.traffic.ledger();
     assert_eq!(
@@ -157,8 +165,12 @@ fn simultaneous_arrivals_are_deterministic() {
     let config = Cfg::default();
     let registry = two_object_registry(config.num_nodes, config.page_size);
     let families: Vec<FamilySpec> = (0..8).map(|i| family(i % 4, 0, i % 2, 0)).collect();
-    let a = run_engine(&config, &registry, &families).expect("run a");
-    let b = run_engine(&config, &registry, &families).expect("run b");
+    let a = Engine::new(&config, &registry, &families)
+        .and_then(Engine::run)
+        .expect("run a");
+    let b = Engine::new(&config, &registry, &families)
+        .and_then(Engine::run)
+        .expect("run b");
     assert_eq!(a.trace, b.trace);
     assert_eq!(a.final_chains, b.final_chains);
 }
@@ -174,7 +186,9 @@ fn tiny_pages_and_many_nodes_work() {
     let families: Vec<FamilySpec> = (0..20)
         .map(|i| family(i % 32, i as u64 * 7, i % 2, 0))
         .collect();
-    let report = run_engine(&config, &registry, &families).expect("runs");
+    let report = Engine::new(&config, &registry, &families)
+        .and_then(Engine::run)
+        .expect("runs");
     assert_eq!(report.stats.committed_families, 20);
     oracle::verify(&report).expect("serializable");
 }
@@ -185,7 +199,9 @@ fn zero_arrival_gap_burst_still_commits_everything() {
     scenario.config.mean_arrival_gap = SimDuration::from_nanos(1);
     let (registry, families) = scenario.generate().expect("generates");
     let config = scenario.system_config();
-    let report = run_engine(&config, &registry, &families).expect("runs");
+    let report = Engine::new(&config, &registry, &families)
+        .and_then(Engine::run)
+        .expect("runs");
     assert_eq!(report.stats.committed_families as usize, families.len());
     oracle::verify(&report).expect("serializable under burst arrival");
 }

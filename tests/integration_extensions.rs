@@ -24,7 +24,9 @@ fn all_extensions_compose_serializably() {
     let scenario = lotec::workload::presets::quick(lotec::workload::presets::ablation_faults());
     let (registry, families) = scenario.generate().expect("generates");
     let config = everything_enabled(&scenario);
-    let report = run_engine(&config, &registry, &families).expect("kitchen-sink run");
+    let report = Engine::new(&config, &registry, &families)
+        .and_then(Engine::run)
+        .expect("kitchen-sink run");
     oracle::verify(&report).expect("all extensions together stay serializable");
     assert!(report.stats.committed_families > 0);
     assert!(report.stats.subtxn_aborts > 0, "faults must fire");
@@ -35,8 +37,12 @@ fn all_extensions_stay_deterministic() {
     let scenario = lotec::workload::presets::quick(lotec::workload::presets::fig3());
     let (registry, families) = scenario.generate().expect("generates");
     let config = everything_enabled(&scenario);
-    let a = run_engine(&config, &registry, &families).expect("run a");
-    let b = run_engine(&config, &registry, &families).expect("run b");
+    let a = Engine::new(&config, &registry, &families)
+        .and_then(Engine::run)
+        .expect("run a");
+    let b = Engine::new(&config, &registry, &families)
+        .and_then(Engine::run)
+        .expect("run b");
     assert_eq!(a.trace, b.trace);
     assert_eq!(a.traffic.total(), b.traffic.total());
     assert_eq!(a.final_chains, b.final_chains);
@@ -47,7 +53,9 @@ fn all_extensions_match_replay_accounting() {
     let scenario = lotec::workload::presets::quick(lotec::workload::presets::fig2());
     let (registry, families) = scenario.generate().expect("generates");
     let config = everything_enabled(&scenario);
-    let report = run_engine(&config, &registry, &families).expect("runs");
+    let report = Engine::new(&config, &registry, &families)
+        .and_then(Engine::run)
+        .expect("runs");
     let replayed = lotec_core::replay::replay_run(&report.trace, &registry, &config);
     assert_eq!(report.traffic.total(), replayed.total());
 }
@@ -83,7 +91,9 @@ fn dsd_never_increases_any_objects_bytes_on_the_same_schedule() {
     let scenario = lotec::workload::presets::quick(lotec::workload::presets::fig2());
     let (registry, families) = scenario.generate().expect("generates");
     let base = scenario.system_config();
-    let report = run_engine(&base, &registry, &families).expect("schedule run");
+    let report = Engine::new(&base, &registry, &families)
+        .and_then(Engine::run)
+        .expect("schedule run");
     let page = lotec_core::replay::replay_run(&report.trace, &registry, &base);
     let dsd_cfg = Cfg {
         dsd_transfers: true,

@@ -71,7 +71,9 @@ fn closedness_foreign_reader_waits_for_root_commit() {
         start: SimTime::from_micros(100),
         root: leaf(0, 1),
     };
-    let report = run_engine(&config, &registry, &[family_a, family_b]).expect("runs");
+    let report = Engine::new(&config, &registry, &[family_a, family_b])
+        .and_then(Engine::run)
+        .expect("runs");
     oracle::verify(&report).expect("serializable");
 
     let mut a_commit = None;
@@ -119,7 +121,9 @@ fn sibling_reuses_retained_lock_locally() {
             abort: false,
         },
     };
-    let report = run_engine(&config, &registry, &[family]).expect("runs");
+    let report = Engine::new(&config, &registry, &[family])
+        .and_then(Engine::run)
+        .expect("runs");
     oracle::verify(&report).expect("serializable");
     assert_eq!(
         report.stats.local_lock_grants, 1,
@@ -157,7 +161,9 @@ fn aborted_child_work_is_invisible_but_siblings_survive() {
             abort: false,
         },
     };
-    let report = run_engine(&config, &registry, &[family]).expect("runs");
+    let report = Engine::new(&config, &registry, &[family])
+        .and_then(Engine::run)
+        .expect("runs");
     oracle::verify(&report).expect("serializable");
     assert_eq!(report.stats.subtxn_aborts, 1);
     assert_eq!(report.stats.committed_families, 1);
@@ -184,7 +190,10 @@ fn two_phase_rule_no_lock_released_before_root_commit() {
     // granted any of its objects in between (strictness).
     let scenario = lotec::workload::presets::quick(lotec::workload::presets::fig2());
     let (registry, families) = scenario.generate().expect("generates");
-    let report = run_engine(&scenario.system_config(), &registry, &families).expect("runs");
+    let config = scenario.system_config();
+    let report = Engine::new(&config, &registry, &families)
+        .and_then(Engine::run)
+        .expect("runs");
     oracle::verify(&report).expect("serializable");
 
     use std::collections::BTreeMap;
@@ -250,7 +259,9 @@ fn read_only_family_never_appears_in_dirty_info() {
         start: SimTime::from_micros(1),
         root: leaf(0, 1),
     };
-    let report = run_engine(&config, &registry, &[writer, reader]).expect("runs");
+    let report = Engine::new(&config, &registry, &[writer, reader])
+        .and_then(Engine::run)
+        .expect("runs");
     oracle::verify(&report).expect("serializable");
     let mut commits = 0;
     for event in report.trace.events() {

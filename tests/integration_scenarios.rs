@@ -7,7 +7,7 @@
 //! enforces, checked here in the plain test suite so a regression fails
 //! `cargo test` before it fails a bench gate.
 
-use lotec_core::engine::run_engine;
+use lotec_core::engine::Engine;
 use lotec_core::{oracle, ProtocolKind};
 use lotec_workload::zoo::{self, Tier};
 
@@ -26,7 +26,8 @@ fn quick_cells_are_serializable_and_meet_criteria() {
         );
         for protocol in ProtocolKind::ALL {
             let config = scenario.cell_config(protocol, false);
-            let report = run_engine(&config, &registry, &families)
+            let report = Engine::new(&config, &registry, &families)
+                .and_then(Engine::run)
                 .unwrap_or_else(|e| panic!("{} {protocol}: {e}", scenario.name()));
             oracle::verify(&report)
                 .unwrap_or_else(|e| panic!("{} {protocol}: oracle: {e}", scenario.name()));

@@ -12,7 +12,9 @@ fn engine_report(scenario: &lotec::workload::Scenario, protocol: ProtocolKind) -
         protocol,
         ..scenario.system_config()
     };
-    run_engine(&config, &registry, &families).expect("engine runs")
+    Engine::new(&config, &registry, &families)
+        .and_then(Engine::run)
+        .expect("engine runs")
 }
 
 #[test]
@@ -94,7 +96,9 @@ fn prediction_misses_force_demand_fetches_but_not_corruption() {
         prediction_miss_rate: 0.4,
         ..scenario.system_config()
     };
-    let report = run_engine(&config, &registry, &families).expect("runs");
+    let report = Engine::new(&config, &registry, &families)
+        .and_then(Engine::run)
+        .expect("runs");
     assert!(
         report.stats.demand_fetches > 0,
         "40% misses must cause demand fetches"
@@ -108,7 +112,7 @@ fn recovery_mechanisms_are_interchangeable() {
     let scenario = presets::quick(presets::ablation_faults());
     let (registry, families) = scenario.generate().expect("generates");
     let base = scenario.system_config();
-    let undo = run_engine(
+    let undo = Engine::new(
         &Cfg {
             recovery: RecoveryKind::UndoLog,
             ..base.clone()
@@ -116,8 +120,9 @@ fn recovery_mechanisms_are_interchangeable() {
         &registry,
         &families,
     )
+    .and_then(Engine::run)
     .expect("undo run");
-    let shadow = run_engine(
+    let shadow = Engine::new(
         &Cfg {
             recovery: RecoveryKind::ShadowPages,
             ..base
@@ -125,6 +130,7 @@ fn recovery_mechanisms_are_interchangeable() {
         &registry,
         &families,
     )
+    .and_then(Engine::run)
     .expect("shadow run");
     assert_eq!(undo.trace, shadow.trace);
     assert_eq!(undo.final_chains, shadow.final_chains);

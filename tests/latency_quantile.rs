@@ -25,7 +25,9 @@ fn latency_quantile_is_within_a_sixty_fourth_of_the_exact_rank() {
             page_size: scenario.config.schema.page_size,
             ..SystemConfig::default()
         };
-        let report = run_engine(&config, &registry, &families).expect("fig3 run");
+        let report = Engine::new(&config, &registry, &families)
+            .and_then(Engine::run)
+            .expect("fig3 run");
         let stats = &report.stats;
         let mut exact: Vec<u64> = stats
             .phases

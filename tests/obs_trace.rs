@@ -22,7 +22,9 @@ fn quickstart() -> (SystemConfig, ObjectRegistry, Vec<FamilySpec>) {
 #[test]
 fn recording_sink_does_not_perturb_the_simulation() {
     let (config, registry, families) = quickstart();
-    let plain = run_engine(&config, &registry, &families).expect("plain run");
+    let plain = Engine::new(&config, &registry, &families)
+        .and_then(Engine::run)
+        .expect("plain run");
     let mut sink = RecordingSink::new();
     let probed = Engine::with_probe(&config, &registry, &families, &mut sink)
         .and_then(Engine::run)

@@ -101,7 +101,9 @@ fn serializability_universal() {
         }
         let protocol = ProtocolKind::ALL[rng.next_below(4) as usize];
         let config = system_for(w, protocol);
-        let report = run_engine(&config, &registry, &families).expect("engine runs");
+        let report = Engine::new(&config, &registry, &families)
+            .and_then(Engine::run)
+            .expect("engine runs");
         assert!(
             oracle::verify(&report).is_ok(),
             "oracle rejected {protocol} for {w:?}"
@@ -125,8 +127,12 @@ fn determinism_universal() {
             return;
         }
         let config = system_for(w, ProtocolKind::Lotec);
-        let a = run_engine(&config, &registry, &families).expect("run a");
-        let b = run_engine(&config, &registry, &families).expect("run b");
+        let a = Engine::new(&config, &registry, &families)
+            .and_then(Engine::run)
+            .expect("run a");
+        let b = Engine::new(&config, &registry, &families)
+            .and_then(Engine::run)
+            .expect("run b");
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.final_chains, b.final_chains);
         assert_eq!(a.traffic.total(), b.traffic.total());
@@ -208,7 +214,9 @@ fn engine_matches_replay_universal() {
                 .with_class_protocol(ClassId::new(last), ProtocolKind::ReleaseConsistency)
                 .with_class_protocol(ClassId::new(last - 1), ProtocolKind::Otec);
         }
-        let report = run_engine(&config, &registry, &families).expect("engine runs");
+        let report = Engine::new(&config, &registry, &families)
+            .and_then(Engine::run)
+            .expect("engine runs");
         let replayed = lotec_core::replay::replay_run(&report.trace, &registry, &config);
         let case = format!(
             "{} with {:?}, features {features:07b}",

@@ -13,7 +13,9 @@ fn healthy_report(seed: u64) -> RunReport {
     let (registry, families) = scenario.generate().expect("generates");
     let mut config = scenario.system_config();
     config.seed = seed;
-    let report = run_engine(&config, &registry, &families).expect("runs");
+    let report = Engine::new(&config, &registry, &families)
+        .and_then(Engine::run)
+        .expect("runs");
     oracle::verify(&report).expect("healthy run verifies");
     report
 }

@@ -88,8 +88,12 @@ fn untouched_objects_cost_no_construction_and_change_nothing() {
          more than {per_object} per object"
     );
 
-    let small_run = run_engine(&config, &small, &families).expect("small run");
-    let large_run = run_engine(&config, &large, &families).expect("large run");
+    let small_run = Engine::new(&config, &small, &families)
+        .and_then(Engine::run)
+        .expect("small run");
+    let large_run = Engine::new(&config, &large, &families)
+        .and_then(Engine::run)
+        .expect("large run");
     let committed =
         |report: &RunReport| -> Vec<usize> { report.committed.iter().map(|f| f.index).collect() };
     assert_eq!(committed(&small_run), committed(&large_run));
