@@ -66,7 +66,7 @@ use lotec_core::engine::{Engine, RunReport};
 use lotec_core::oracle;
 use lotec_core::protocol::ProtocolKind;
 use lotec_core::{AdaptiveConfig, CoreError, FamilySpec, SystemConfig};
-use lotec_mem::{mix, ObjectId};
+use lotec_mem::{mix, ObjectId, PageIndex};
 use lotec_object::ObjectRegistry;
 use lotec_obs::{
     alloc, CountingAlloc, EventSink, FlightRecorder, HostProfiler, Json, NoopHostProfiler,
@@ -123,25 +123,29 @@ fn simulate<S: EventSink, P: HostProfiler>(
     }
 }
 
-/// Folds a report's simulated outputs into one order-sensitive hash.
-fn chain_hash(report: &RunReport) -> u64 {
+/// Folds the final chain of every page of `registry`'s layout, in key
+/// order, into one order-sensitive hash. A page the report does not list
+/// (its object was never touched) reads as chain 0.
+fn chain_hash(report: &RunReport, registry: &ObjectRegistry) -> u64 {
     let mut h = 0u64;
-    for (&(object, page), &chain) in &report.final_chains {
-        h = mix(h, u64::from(object.index()));
-        h = mix(h, u64::from(page.get()));
-        h = mix(h, chain);
+    for inst in registry.objects() {
+        for page in (0..registry.num_pages(inst.id)).map(PageIndex::new) {
+            h = mix(h, u64::from(inst.id.index()));
+            h = mix(h, u64::from(page.get()));
+            h = mix(h, report.final_chains[&(inst.id, page)]);
+        }
     }
     h
 }
 
 /// The simulated-output fingerprint of one cell (no timings).
-fn cell_fingerprint(report: &RunReport) -> Json {
+fn cell_fingerprint(report: &RunReport, registry: &ObjectRegistry) -> Json {
     Json::obj(vec![
         ("committed", Json::U64(report.stats.committed_families)),
         ("makespan_ns", Json::U64(report.stats.makespan.as_nanos())),
         ("total_messages", Json::U64(report.traffic.total().messages)),
         ("total_bytes", Json::U64(report.traffic.total().bytes)),
-        ("chain_hash", Json::U64(chain_hash(report))),
+        ("chain_hash", Json::U64(chain_hash(report, registry))),
     ])
 }
 
@@ -241,10 +245,10 @@ fn measure_gate_cell() -> Timed {
 
 /// The gate cell once more with the always-on flight recorder riding
 /// along — the cost of bounded capture on the hot path. The simulated
-/// outputs must match the recorder-off cell exactly. Most of the ratio
-/// is the probe plane itself (constructing `ObsEvent`s, the same cost
-/// any enabled sink pays — compare `fig3/LOTEC+recording`); the ring
-/// encode adds ~40 ns/event on top. `--gate` regression-checks the
+/// outputs must match the recorder-off cell exactly. Part of the ratio
+/// is the probe plane itself (building the borrowed `ObsEvent`s, the
+/// same cost any enabled sink pays); the rest is the in-place ring
+/// encode and the forensics dumps. `--gate` regression-checks the
 /// recorded cell's events/s against its committed baseline like every
 /// other cell, and soft-warns when the overhead *ratio* grows beyond
 /// the committed one by more than the tolerance.
@@ -646,8 +650,7 @@ fn run_gate() -> ! {
     // numbers) is a soft budget relative to the committed ratio.
     let recorded = measure_gate_cell_recorded();
     assert_eq!(
-        chain_hash(&recorded.report),
-        chain_hash(&timed.report),
+        recorded.report.final_chains, timed.report.final_chains,
         "flight recorder perturbed the gate cell's simulated outputs"
     );
     let recorder_ratio = recorded.min_ns as f64 / timed.min_ns.max(1) as f64;
@@ -795,7 +798,7 @@ fn main() {
         });
         oracle::verify(&timed.report).expect("serializable");
         if protocol == ProtocolKind::Lotec {
-            lotec_plain = Some((timed.min_ns, chain_hash(&timed.report)));
+            lotec_plain = Some((timed.min_ns, chain_hash(&timed.report, &registry)));
             lotec_static_report = Some(timed.report.clone());
         }
         let events = timed.report.stats.sim_events;
@@ -808,7 +811,7 @@ fn main() {
         );
         let label = format!("fig3/{protocol}");
         engine_section.push((label.clone(), Json::obj(cell_json(&timed))));
-        fingerprint_cells.push((label, cell_fingerprint(&timed.report)));
+        fingerprint_cells.push((label, cell_fingerprint(&timed.report, &registry)));
     }
     {
         let config = SystemConfig {
@@ -830,7 +833,7 @@ fn main() {
         );
         let label = "chaos/LOTEC/drop=0.10".to_string();
         engine_section.push((label.clone(), Json::obj(cell_json(&timed))));
-        fingerprint_cells.push((label, cell_fingerprint(&timed.report)));
+        fingerprint_cells.push((label, cell_fingerprint(&timed.report, &registry)));
     }
 
     // Adaptive-prediction sweep: static vs adaptive LOTEC on the
@@ -860,7 +863,7 @@ fn main() {
         );
         let label = "fig3/LOTEC+adaptive".to_string();
         engine_section.push((label.clone(), Json::obj(cell_json(&timed))));
-        fingerprint_cells.push((label, cell_fingerprint(&timed.report)));
+        fingerprint_cells.push((label, cell_fingerprint(&timed.report, &registry)));
 
         let side = |report: &RunReport, cfg: &SystemConfig| {
             Json::obj(vec![
@@ -920,7 +923,7 @@ fn main() {
         });
         let (plain_min_ns, plain_hash) = lotec_plain.expect("LOTEC plain cell ran");
         assert_eq!(
-            chain_hash(&timed.report),
+            chain_hash(&timed.report, &registry),
             plain_hash,
             "recording perturbed the simulation"
         );
@@ -934,7 +937,7 @@ fn main() {
         let mut fields = cell_json(&timed);
         fields.push(("overhead_vs_noop", Json::F64(overhead)));
         engine_section.push((label.clone(), Json::obj(fields)));
-        fingerprint_cells.push((label, cell_fingerprint(&timed.report)));
+        fingerprint_cells.push((label, cell_fingerprint(&timed.report, &registry)));
     }
 
     // Host-profile cell: the LOTEC fig3 run once more, this time under a
@@ -958,7 +961,7 @@ fn main() {
             let wall_ns = wall_start.elapsed().as_nanos() as u64;
             let alloc_delta = alloc::snapshot().delta_since(&alloc_before);
             assert_eq!(
-                chain_hash(&report),
+                chain_hash(&report, &registry),
                 plain_hash,
                 "host profiling perturbed the simulation"
             );
@@ -1045,7 +1048,7 @@ fn main() {
             ..SystemConfig::default()
         };
         let report = simulate(&config, &reg, &fams, NoopSink, NoopHostProfiler).expect("sweep run");
-        chain_hash(&report)
+        chain_hash(&report, &reg)
     };
     let serial_start = Instant::now();
     let serial_hashes = runner::run_indexed_on(1, sweep_seeds as usize, |i| run_seed(i as u64));
@@ -1154,8 +1157,7 @@ fn main() {
         // --gate).
         let recorded = measure_gate_cell_recorded();
         assert_eq!(
-            chain_hash(&recorded.report),
-            chain_hash(&timed.report),
+            recorded.report.final_chains, timed.report.final_chains,
             "flight recorder perturbed the gate cell's simulated outputs"
         );
         let recorder_ratio = recorded.min_ns as f64 / timed.min_ns.max(1) as f64;

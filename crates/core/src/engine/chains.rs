@@ -1,4 +1,4 @@
-//! The final content chain of every registered page.
+//! The final content chain of every page a run touched.
 
 use std::ops::Index;
 
@@ -7,12 +7,17 @@ use lotec_mem::{ObjectId, PageIndex};
 /// An object and one of its pages: the key of a [`FinalChains`] entry.
 pub type PageKey = (ObjectId, PageIndex);
 
-/// The final content chain of every page, in ascending `(object, page)`
-/// order: what the serializability oracle checks against its serial
-/// replay.
+/// Final content chains in ascending `(object, page)` order: what the
+/// serializability oracle checks against its serial replay.
+///
+/// The engine lists every page of every object the run touched, which
+/// covers every page a write can reach. A page it does not list was never
+/// written: indexing reads it as chain 0, the chain of a zero-filled page
+/// no write has folded into.
 ///
 /// One flat vector of `(key, chain)` pairs, looked up by binary search. It
-/// reads like an ordered map from key to chain:
+/// reads like an ordered map from key to chain whose absent keys index as
+/// 0:
 ///
 /// ```
 /// use lotec_core::engine::FinalChains;
@@ -22,6 +27,8 @@ pub type PageKey = (ObjectId, PageIndex);
 /// let mut chains: FinalChains = [(key(1, 0), 7), (key(0, 2), 5)].into_iter().collect();
 /// *chains.get_mut(&key(1, 0)).unwrap() ^= 1;
 /// assert_eq!(chains[&key(1, 0)], 6);
+/// assert_eq!(chains.get(&key(2, 0)), None);
+/// assert_eq!(chains[&key(2, 0)], 0, "unlisted: never written");
 /// let order: Vec<_> = chains.iter().map(|(&k, &c)| (k, c)).collect();
 /// assert_eq!(order, [(key(0, 2), 5), (key(1, 0), 6)]);
 /// ```
@@ -85,11 +92,10 @@ impl FromIterator<(PageKey, u64)> for FinalChains {
 impl Index<&PageKey> for FinalChains {
     type Output = u64;
 
-    /// # Panics
-    ///
-    /// Panics if the page is not listed.
+    /// The page's final chain; 0 when the page is not listed, since an
+    /// unlisted page was never written.
     fn index(&self, key: &PageKey) -> &u64 {
-        self.get(key).expect("page has no final chain")
+        self.get(key).unwrap_or(&0)
     }
 }
 
@@ -173,6 +179,7 @@ mod tests {
         assert_eq!(chains[&key(2, 1)], 21 ^ 0xFF);
         assert_eq!(chains[&key(2, 0)], 20, "neighbours untouched");
         assert_eq!(chains.get(&key(4, 0)), None);
+        assert_eq!(chains[&key(4, 0)], 0, "unlisted reads as chain 0");
         assert!(chains.get_mut(&key(0, 3)).is_none());
     }
 }

@@ -31,14 +31,16 @@ mod family;
 pub use chains::{FinalChains, Iter as FinalChainsIter, PageKey};
 pub use family::FamilyOp;
 
+use std::cell::RefCell;
+
 use lotec_mem::{ObjectId, PageId, PageIndex, Recovery, ShadowPages, UndoLog};
 use lotec_mem::{PageStore, Version};
 use lotec_net::{plan_delivery, Message, TrafficLedger};
 use lotec_object::{AdaptivePredictor, ObjectRegistry};
 use lotec_obs::{
-    Anomaly, EventSink, FamilySnapshot, ForensicsDump, HostProfiler, HostRegion, NoopHostProfiler,
-    NoopSink, ObsEvent, ObsEventKind, ObsLockMode, ObsPhase, OccupancySnapshot, ReleaseCause,
-    SpanOutcome,
+    Anomaly, Borrowed, EventSink, FamilySnapshot, ForensicsDump, HostProfiler, HostRegion,
+    NoopHostProfiler, NoopSink, ObsEvent, ObsEventKind, ObsLockMode, ObsPhase, OccupancySnapshot,
+    ReleaseCause, SpanOutcome,
 };
 use lotec_sim::{NodeId, SimDuration, SimRng, SimTime, Simulator};
 use lotec_txn::{
@@ -83,8 +85,10 @@ pub struct RunReport {
     pub traffic: ProtocolTraffic,
     /// Committed families in commit order (oracle input).
     pub committed: Vec<CommittedFamily>,
-    /// Final content chain of every registered page, read from the page's
-    /// owner node (oracle cross-check).
+    /// Final content chain of every page of every object the run touched
+    /// (every object a lock request reached), read from the page's owner
+    /// node (oracle cross-check). A page it does not list was never
+    /// written and reads as chain 0.
     pub final_chains: FinalChains,
     /// Forensics dumps captured at anomalies (deadlock-victim selection,
     /// lock timeouts, crash repair). Empty unless the run's sink carries a
@@ -210,7 +214,8 @@ pub struct Engine<'a, S: EventSink = NoopSink, P: HostProfiler = NoopHostProfile
 /// Storage the engine reuses from event to event instead of allocating
 /// afresh: finished families' invocation stacks and op logs (the next
 /// family to start takes a pair), release results, the transfer plan, the
-/// pages a grant installs and the dirty set a root commit sorts.
+/// pages a grant installs, the dirty set a root commit sorts and the
+/// lists of probe events.
 #[derive(Default)]
 struct Scratch<'a> {
     spare: Vec<(Vec<Frame<'a>>, Vec<AttemptOp>)>,
@@ -220,6 +225,23 @@ struct Scratch<'a> {
     plan: TransferPlan,
     installs: Vec<(PageId, Version, u64)>,
     written: Vec<(ObjectId, PageIndex)>,
+    probe: RefCell<ProbeLists>,
+}
+
+/// The buffers a probe event's lists are borrowed from (see
+/// [`Engine::probe`]): transaction ids and byte counts, and page indices,
+/// up to three lists of each per event.
+#[derive(Default)]
+struct ProbeLists {
+    ids: [Vec<u64>; 3],
+    pages: [Vec<u16>; 3],
+}
+
+/// Refills `buf` from `items` and lends it out as an event list.
+fn fill<T>(buf: &mut Vec<T>, items: impl IntoIterator<Item = T>) -> &[T] {
+    buf.clear();
+    buf.extend(items);
+    buf
 }
 
 impl<S: EventSink, P: HostProfiler> std::fmt::Debug for Engine<'_, S, P> {
@@ -588,13 +610,23 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
     /// The engine's one probe point: every event reaches the sink through
     /// here. `kind` builds the payload and runs only when the sink is
     /// recording, so with a [`NoopSink`] the whole call compiles away. It
-    /// reads engine state through its argument, since it cannot borrow
-    /// `self` while the gate holds it mutably.
+    /// reads engine state through its first argument, since it cannot
+    /// borrow `self` while the gate holds it mutably. A kind with lists
+    /// writes them into the reused buffers of its second argument and
+    /// borrows them from there, so emitting allocates nothing once the
+    /// buffers have grown. The buffers sit in a `RefCell`, so the gate
+    /// lends them mutably beside that shared borrow without moving them.
     #[inline(always)]
-    fn probe(&mut self, at: SimTime, node: u32, kind: impl FnOnce(&Self) -> ObsEventKind) {
+    fn probe(
+        &mut self,
+        at: SimTime,
+        node: u32,
+        kind: impl for<'l> FnOnce(&Self, &'l mut ProbeLists) -> ObsEventKind<Borrowed<'l>>,
+    ) {
         if self.sink.enabled() {
-            let kind = kind(self);
-            self.sink.emit(ObsEvent { at, node, kind });
+            let mut lists = self.scratch.probe.borrow_mut();
+            let kind = kind(self, &mut lists);
+            self.sink.emit(&ObsEvent { at, node, kind });
         }
     }
 
@@ -602,7 +634,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
     fn probe_grants(&mut self, at: SimTime, grants: &[Grant]) {
         for grant in grants {
             for req in &grant.requests {
-                self.probe(at, req.node.index(), |_| ObsEventKind::LockGranted {
+                self.probe(at, req.node.index(), |_, _| ObsEventKind::LockGranted {
                     object: grant.object.index(),
                     txn: req.txn.get(),
                     mode: obs_mode(req.mode),
@@ -624,7 +656,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         released: &[ObjectId],
     ) {
         for object in released {
-            self.probe(at, node.index(), |_| ObsEventKind::LockReleased {
+            self.probe(at, node.index(), |_, _| ObsEventKind::LockReleased {
                 object: object.index(),
                 txn: txn.get(),
                 cause,
@@ -669,22 +701,20 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                     _ => {}
                 }
             }
-            self.probe(at, 0, |e| ObsEventKind::StateSample {
+            self.probe(at, 0, |e, l| ObsEventKind::StateSample {
                 queue_depth: e.sim.pending() as u64,
                 locks_held: occ.held,
                 locks_retained: occ.retained,
                 locks_waiting: occ.waiting,
                 inflight_messages: inflight,
                 blocked_families: blocked,
-                cache_bytes: e
-                    .stores
-                    .iter()
-                    .enumerate()
-                    .map(|(n, store)| {
+                cache_bytes: fill(
+                    &mut l.ids[0],
+                    e.stores.iter().enumerate().map(|(n, store)| {
                         let implied = e.implied_home_pages[n] * u64::from(e.config.page_size);
                         store.cached_bytes() + implied
-                    })
-                    .collect(),
+                    }),
+                ),
             });
             self.next_sample = at + interval;
             self.prof.exit(HostRegion::StateSample);
@@ -748,7 +778,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             }
         }
         if report.attempts > 1 || report.duplicates > 0 {
-            self.probe(now, src.index(), |_| ObsEventKind::Retransmit {
+            self.probe(now, src.index(), |_, _| ObsEventKind::Retransmit {
                 dst: dst.index(),
                 attempts: report.attempts,
                 duplicates: report.duplicates,
@@ -800,7 +830,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         runtime.phase_entered = now;
         if new != old {
             if let Some(entered) = new {
-                self.probe(now, node, |_| ObsEventKind::PhaseEnter {
+                self.probe(now, node, |_, _| ObsEventKind::PhaseEnter {
                     family: fam as u64,
                     phase: entered,
                 });
@@ -910,7 +940,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             next_child: 0,
             children_prefetched_at: None,
         });
-        self.probe(now, self.workload[fam].node.index(), |_| {
+        self.probe(now, self.workload[fam].node.index(), |_, _| {
             ObsEventKind::SpanOpen {
                 family: fam as u64,
                 txn: txn.get(),
@@ -935,26 +965,26 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         let outcome = self.table.acquire(object, txn, mode, &self.tree);
         match &outcome {
             Ok(Acquire::Queued) => {
-                self.probe(now, node.index(), |e| ObsEventKind::LockQueued {
+                self.probe(now, node.index(), |e, _| ObsEventKind::LockQueued {
                     object: object.index(),
                     txn: txn.get(),
                     mode: obs_mode(mode),
                     waiters: e.table.entry(object).expect("just queued").num_waiting() as u32,
                 });
-                self.probe(now, node.index(), |e| {
-                    let (holders, retainers, queued_behind) =
-                        e.table.blockers(object, txn, mode, &e.tree);
+                self.probe(now, node.index(), |e, l| {
+                    e.table.blockers(object, txn, mode, &e.tree, &mut l.ids);
+                    let [holders, retainers, queued_behind] = &l.ids;
                     ObsEventKind::LockBlocked {
                         object: object.index(),
                         txn: txn.get(),
-                        holders: holders.into_iter().map(TxnId::get).collect(),
-                        retainers: retainers.into_iter().map(TxnId::get).collect(),
-                        queued_behind: queued_behind.into_iter().map(TxnId::get).collect(),
+                        holders,
+                        retainers,
+                        queued_behind,
                     }
                 });
             }
             Ok(grant) => {
-                self.probe(now, node.index(), |e| ObsEventKind::LockGranted {
+                self.probe(now, node.index(), |e, _| ObsEventKind::LockGranted {
                     object: object.index(),
                     txn: txn.get(),
                     mode: obs_mode(mode),
@@ -1147,17 +1177,20 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         let prefetch = prefetch_set(config, kind, pages, &predicted, &mut self.miss_rng);
         let mut plan = std::mem::take(&mut self.scratch.plan);
         plan_transfer(kind, &self.view(), node, object, &prefetch, &mut plan);
-        self.probe(now, node.index(), |_| ObsEventKind::GrantPlan {
-            family: fam as u64,
-            object: object.index(),
-            predicted: predicted.iter().map(|p| p.get()).collect(),
-            actual_reads: actual_reads.iter().map(|p| p.get()).collect(),
-            actual_writes: actual_writes.iter().map(|p| p.get()).collect(),
-            planned_pages: plan.num_pages() as u32,
-            sources: plan.num_sources() as u32,
+        self.probe(now, node.index(), |_, l| {
+            let [p, r, w] = &mut l.pages;
+            ObsEventKind::GrantPlan {
+                family: fam as u64,
+                object: object.index(),
+                predicted: fill(p, predicted.iter().map(PageIndex::get)),
+                actual_reads: fill(r, actual_reads.iter().map(PageIndex::get)),
+                actual_writes: fill(w, actual_writes.iter().map(PageIndex::get)),
+                planned_pages: plan.num_pages() as u32,
+                sources: plan.num_sources() as u32,
+            }
         });
         if kind.uses_prediction() {
-            self.probe(now, node.index(), |_| {
+            self.probe(now, node.index(), |_, _| {
                 let actual_set = actual_reads.union(actual_writes);
                 ObsEventKind::PredictionSample {
                     class: class.index(),
@@ -1186,7 +1219,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                 charge::fetch(config, registry, node, source, object, pages, false);
             let d = self.send_lossy(request, Some(fam)) + self.send_lossy(transfer, Some(fam));
             max_delay = max_delay.max(d);
-            self.probe(now, node.index(), |_| ObsEventKind::GatherBatch {
+            self.probe(now, node.index(), |_, _| ObsEventKind::GatherBatch {
                 family: fam as u64,
                 object: object.index(),
                 source: source.index(),
@@ -1226,7 +1259,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             let [request, transfer] =
                 charge::fetch(config, registry, node, source, object, &pages, true);
             if !batched {
-                self.probe(now, node.index(), |_| ObsEventKind::DemandFetch {
+                self.probe(now, node.index(), |_, _| ObsEventKind::DemandFetch {
                     family: fam as u64,
                     object: object.index(),
                     page: pages[0].get(),
@@ -1237,11 +1270,11 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             let d = self.send_lossy(request, Some(fam)) + self.send_lossy(transfer, Some(fam));
             if batched {
                 demand_delay = demand_delay.max(d);
-                self.probe(now, node.index(), |_| ObsEventKind::DemandBatch {
+                self.probe(now, node.index(), |_, l| ObsEventKind::DemandBatch {
                     family: fam as u64,
                     object: object.index(),
                     source: source.index(),
-                    pages: pages.iter().map(|p| p.get()).collect(),
+                    pages: fill(&mut l.pages[0], pages.iter().map(|p| p.get())),
                     bytes: transfer.bytes(),
                     delay_ns: d.as_nanos(),
                 });
@@ -1412,12 +1445,12 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             self.tree.abort(txn);
             self.families[fam].discard_subtree_effects(&subtree);
             self.stats.subtxn_aborts += 1;
-            self.probe(now, node.index(), |_| ObsEventKind::SubAbort {
+            self.probe(now, node.index(), |_, _| ObsEventKind::SubAbort {
                 family: fam as u64,
                 txn: txn.get(),
                 released: rel.released.len() as u32,
             });
-            self.probe(now, node.index(), |_| ObsEventKind::SpanClose {
+            self.probe(now, node.index(), |_, _| ObsEventKind::SpanClose {
                 family: fam as u64,
                 txn: txn.get(),
                 outcome: SpanOutcome::Abort,
@@ -1463,7 +1496,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         let mut pre = std::mem::take(&mut self.scratch.pre_commit);
         self.table.release_pre_commit(txn, &self.tree, &mut pre);
         for object in &pre.inherited {
-            self.probe(now, node.index(), |_| ObsEventKind::LockRetained {
+            self.probe(now, node.index(), |_, _| ObsEventKind::LockRetained {
                 object: object.index(),
                 txn: txn.get(),
                 parent: parent.get(),
@@ -1471,7 +1504,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         }
         self.scratch.pre_commit = pre;
         self.prof.exit(HostRegion::LockRelease);
-        self.probe(now, node.index(), |_| ObsEventKind::SpanClose {
+        self.probe(now, node.index(), |_, _| ObsEventKind::SpanClose {
             family: fam as u64,
             txn: txn.get(),
             outcome: SpanOutcome::PreCommit,
@@ -1515,17 +1548,18 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         self.stats.profile_expansions += delta.expanded.len() as u64;
         self.stats.profile_shrinks += delta.shrunk.len() as u64;
         if !delta.is_empty() {
-            self.probe(now, self.workload[fam].node.index(), |e| {
+            self.probe(now, self.workload[fam].node.index(), |e, l| {
                 let profile = e
                     .predictor
                     .as_ref()
                     .expect("checked above")
                     .profile(class, method);
+                let [expanded, shrunk, _] = &mut l.pages;
                 ObsEventKind::ProfileUpdate {
                     class: class.index(),
                     method: method.index(),
-                    expanded: delta.expanded.iter().map(|p| p.get()).collect(),
-                    shrunk: delta.shrunk.iter().map(|p| p.get()).collect(),
+                    expanded: fill(expanded, delta.expanded.iter().map(PageIndex::get)),
+                    shrunk: fill(shrunk, delta.shrunk.iter().map(PageIndex::get)),
                     predicted: profile.predicted().len() as u32,
                     observations: profile.observations(),
                 }
@@ -1617,7 +1651,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         }
         self.scratch.commit = rel;
 
-        self.probe(now, node.index(), |_| ObsEventKind::SpanClose {
+        self.probe(now, node.index(), |_, _| ObsEventKind::SpanClose {
             family: fam as u64,
             txn: root.get(),
             outcome: SpanOutcome::Commit,
@@ -1750,8 +1784,8 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                 return Ok(());
             };
             let victim_root = lotec_txn::pick_victim(&cycle);
-            self.probe(now, detector.index(), |_| ObsEventKind::Deadlock {
-                cycle: cycle.iter().map(|t| t.get()).collect(),
+            self.probe(now, detector.index(), |_, l| ObsEventKind::Deadlock {
+                cycle: fill(&mut l.ids[0], cycle.iter().map(|t| t.get())),
                 victim: victim_root.get(),
             });
             self.stats.deadlocks += 1;
@@ -1804,7 +1838,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             released.extend_from_slice(&rel.released);
             grants.append(&mut rel.grants);
             self.tree.abort(txn);
-            self.probe(now, node.index(), |_| ObsEventKind::SpanClose {
+            self.probe(now, node.index(), |_, _| ObsEventKind::SpanClose {
                 family: fam as u64,
                 txn: txn.get(),
                 outcome: if node_alive {
@@ -1863,7 +1897,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             let base = self.config.costs.retry_backoff_base;
             let backoff = base * (1u64 << (restarts - 1).min(10))
                 + SimDuration::from_nanos(self.jitter_rng.next_below(base.as_nanos().max(1)));
-            self.probe(now, node.index(), |_| ObsEventKind::Restart {
+            self.probe(now, node.index(), |_, _| ObsEventKind::Restart {
                 family: fam as u64,
                 attempt: restarts,
                 backoff_ns: backoff.as_nanos(),
@@ -1906,7 +1940,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
         self.probe_grants(now, &grants);
         self.prof.exit(HostRegion::LockRelease);
         self.stats.lock_timeouts += 1;
-        self.probe(now, self.workload[fam].node.index(), |_| {
+        self.probe(now, self.workload[fam].node.index(), |_, _| {
             ObsEventKind::LockTimeout {
                 object: object.index(),
                 txn: txn.get(),
@@ -2005,7 +2039,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
                 .page_map_mut(object)
                 .expect("registered")
                 .reassign_owner(page, survivor);
-            self.probe(now, node.index(), |_| ObsEventKind::PageMapRepaired {
+            self.probe(now, node.index(), |_, _| ObsEventKind::PageMapRepaired {
                 object: object.index(),
                 page: page.get(),
                 from: node.index(),
@@ -2034,7 +2068,7 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
             }
         }
 
-        self.probe(now, node.index(), |_| ObsEventKind::NodeCrashed {
+        self.probe(now, node.index(), |_, _| ObsEventKind::NodeCrashed {
             aborted_families: victims.len() as u32,
         });
         if self.sink.recorder().is_some() {
@@ -2055,43 +2089,44 @@ impl<'a, S: EventSink, P: HostProfiler> Engine<'a, S, P> {
     /// the blackout arithmetic itself lives in the fault plan.
     fn on_node_recover(&mut self, _now: SimTime, window: usize) {
         let w = self.config.faults.plan.crashes[window];
-        self.probe(w.until, w.node.index(), |_| ObsEventKind::NodeRecovered {
-            outage_ns: w.until.duration_since(w.at).as_nanos(),
+        self.probe(w.until, w.node.index(), |_, _| {
+            ObsEventKind::NodeRecovered {
+                outage_ns: w.until.duration_since(w.at).as_nanos(),
+            }
         });
     }
 
     // ---- reporting ----------------------------------------------------
 
-    /// The final chain of every registered page, read from its owner. An
-    /// untouched object's pages were never written: chain 0, which is what
-    /// a store reports for a page it does not hold.
+    /// The final chain of every page of every object the run touched,
+    /// read from the page's owner. Only an object a lock request reached
+    /// has a GDO entry, and only such an object can have been written, so
+    /// the list leaves out pages that read as chain 0 anyway (see
+    /// [`FinalChains`]).
     fn collect_final_chains(&self) -> FinalChains {
-        let registry = self.registry;
-        let total = registry
-            .objects()
-            .map(|inst| usize::from(registry.num_pages(inst.id)))
+        let total = self
+            .table
+            .page_maps()
+            .map(|(_, map)| usize::from(map.num_pages()))
             .sum();
         // Objects ascend and pages ascend within each, so the pairs arrive
         // in key order and the list keeps this exactly-sized buffer.
         let mut entries = Vec::with_capacity(total);
-        entries.extend(registry.objects().flat_map(|inst| {
-            let object = inst.id;
-            let map = self.table.page_map(object).ok();
-            (0..registry.num_pages(object)).map(move |p| {
-                let page = PageIndex::new(p);
-                let chain = map.map_or(0, |m| {
-                    let owner = m.location(page).node;
-                    self.stores[owner.index() as usize].chain(PageId::new(object, p))
-                });
+        for (object, map) in self.table.page_maps() {
+            entries.extend(map.entries().map(|(page, loc)| {
+                let chain =
+                    self.stores[loc.node.index() as usize].chain(PageId::new(object, page.get()));
                 ((object, page), chain)
-            })
-        }));
+            }));
+        }
         FinalChains::from_iter(entries)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::oracle;
     use crate::spec::demo_workload;
@@ -2120,22 +2155,53 @@ mod tests {
     }
 
     #[test]
-    fn final_chains_list_every_registered_page_once_in_key_order() {
+    fn final_chains_list_exactly_the_touched_objects_pages_in_key_order() {
         let config = SystemConfig::default();
         let (registry, families) = demo_workload(&config, 3);
         let report = Engine::new(&config, &registry, &families)
             .and_then(Engine::run)
             .expect("demo runs");
-        let registered: Vec<PageKey> = registry
-            .objects()
-            .flat_map(|inst| {
-                (0..registry.num_pages(inst.id)).map(move |p| (inst.id, PageIndex::new(p)))
+        // Every family commits, so the objects some lock request reached
+        // (those with a GDO entry) are exactly the objects granted.
+        assert_eq!(report.stats.committed_families as usize, families.len());
+        let granted: BTreeSet<ObjectId> = report
+            .trace
+            .events()
+            .iter()
+            .filter_map(|event| match event {
+                TraceEvent::Grant { object, .. } => Some(*object),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            granted.len() < registry.num_objects(),
+            "some object stays untouched"
+        );
+        let touched_pages: Vec<PageKey> = granted
+            .iter()
+            .flat_map(|&object| {
+                (0..registry.num_pages(object)).map(move |p| (object, PageIndex::new(p)))
             })
             .collect();
         let listed: Vec<PageKey> = report.final_chains.iter().map(|(&k, _)| k).collect();
-        assert_eq!(listed, registered);
+        assert_eq!(listed, touched_pages);
         assert!(listed.windows(2).all(|w| w[0] < w[1]), "strictly ascending");
-        assert!(report.final_chains.iter().any(|(_, &c)| c != 0));
+        // Every page a committed operation wrote is listed, with its chain.
+        for op in report.committed.iter().flat_map(|family| &family.ops) {
+            if let FamilyOp::Write { object, page, .. } = *op {
+                let chain = report.final_chains.get(&(object, page));
+                assert!(chain.is_some_and(|&c| c != 0), "{object}/{page} listed");
+            }
+        }
+        // An unlisted page reads as chain 0.
+        let untouched = registry
+            .objects()
+            .map(|inst| inst.id)
+            .find(|object| !granted.contains(object))
+            .expect("an untouched object");
+        let key = (untouched, PageIndex::new(0));
+        assert_eq!(report.final_chains.get(&key), None);
+        assert_eq!(report.final_chains[&key], 0);
     }
 
     #[test]

@@ -126,14 +126,29 @@ pub fn verify(report: &RunReport) -> Result<(), CoreError> {
         }
     }
 
-    for (&(object, page), &final_chain) in &report.final_chains {
-        let expected = model[atlas.slot(object, page)];
-        if final_chain != expected {
-            return Err(CoreError::OracleViolation(format!(
-                "final state of {object}/{page} is {final_chain:#x}, serial replay gives {expected:#x}"
-            )));
+    // Every page the model numbers, in key order, against the report's
+    // list: a listed page must end at the model's chain, and an unlisted
+    // one reads as chain 0, so a write whose page the report lost is
+    // caught too.
+    let mut listed = report.final_chains.iter().peekable();
+    for (o, &pages) in pages_per_object.iter().enumerate() {
+        let object = ObjectId::new(o as u32);
+        for page in (0..pages).map(PageIndex::new) {
+            let final_chain = listed
+                .next_if(|&(&key, _)| key == (object, page))
+                .map_or(0, |(_, &chain)| chain);
+            let expected = model[atlas.slot(object, page)];
+            if final_chain != expected {
+                return Err(CoreError::OracleViolation(format!(
+                    "final state of {object}/{page} is {final_chain:#x}, serial replay gives {expected:#x}"
+                )));
+            }
         }
     }
+    debug_assert!(
+        listed.next().is_none(),
+        "the model numbers every listed page"
+    );
     Ok(())
 }
 
@@ -253,6 +268,20 @@ mod tests {
         // Final state still 0: the write vanished.
         let err = verify(&report(committed, vec![((0, 0), 0)])).unwrap_err();
         assert!(err.to_string().contains("final state"));
+    }
+
+    #[test]
+    fn written_page_missing_from_the_report_is_a_lost_update() {
+        let committed = vec![CommittedFamily {
+            family: 1,
+            index: 0,
+            ops: vec![w(0, 0, 7), w(2, 1, 8)],
+        }];
+        // An unlisted page reads as chain 0, which the writes contradict.
+        let err = verify(&report(committed.clone(), vec![((0, 0), mix(0, 7))])).unwrap_err();
+        assert!(err.to_string().contains("final state of O2/p1"), "{err}");
+        let finals = vec![((0, 0), mix(0, 7)), ((2, 0), 0), ((2, 1), mix(0, 8))];
+        verify(&report(committed, finals)).expect("every written page listed");
     }
 
     #[test]

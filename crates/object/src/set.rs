@@ -123,10 +123,16 @@ impl BitSet {
                 .all(|(i, a)| a & !other.rest.get(i).copied().unwrap_or(0) == 0)
     }
 
+    /// Members in increasing order, one step per member: each word's
+    /// lowest set bit is taken and cleared until the word is empty.
     fn iter(&self) -> impl Iterator<Item = u16> + '_ {
         (0..self.num_words()).flat_map(move |wi| {
-            let w = self.word(wi);
-            (0..64).filter_map(move |b| (w & (1 << b) != 0).then_some((wi * 64 + b) as u16))
+            let mut w = self.word(wi);
+            std::iter::from_fn(move || {
+                let bit = w.trailing_zeros();
+                w &= w.wrapping_sub(1);
+                (bit < 64).then_some((wi * 64) as u16 + bit as u16)
+            })
         })
     }
 }

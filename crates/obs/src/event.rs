@@ -15,18 +15,31 @@
 //! [`ObsEventKind::read_fields`] over a [`FieldSink`] / [`FieldSource`].
 //! JSONL export and the flight recorder's fixed-width slots are each one
 //! sink/source pair over these walks.
+//!
+//! An event holds its list fields in one of two [`Lists`] forms. A probe
+//! site lends [`Borrowed`] slices of buffers it owns to
+//! [`EventSink::emit`](crate::EventSink::emit), so emitting allocates
+//! nothing; decoding, JSONL import and buffering sinks keep [`Owned`]
+//! vectors, the default form `ObsEvent` and `ObsEventKind` name.
+
+use std::fmt;
+use std::marker::PhantomData;
 
 use lotec_sim::SimTime;
 
 /// A field-less enum on the probe wire. JSONL carries its
-/// [`name`](WireEnum::name); a flight-recorder slot carries its index in
-/// [`ALL`](WireEnum::ALL).
+/// [`name`](WireEnum::name); a flight-recorder slot carries its
+/// [`index`](WireEnum::index) in [`ALL`](WireEnum::ALL).
 pub trait WireEnum: Copy + PartialEq + 'static {
     /// Every variant, in declaration order.
     const ALL: &'static [Self];
 
     /// Stable wire name.
     fn name(self) -> &'static str;
+
+    /// The variant's position in [`ALL`](WireEnum::ALL): its declaration
+    /// index.
+    fn index(self) -> usize;
 }
 
 /// Lock mode as seen by the probe layer (mirrors `lotec_txn::LockMode`).
@@ -47,6 +60,10 @@ impl WireEnum for ObsLockMode {
             ObsLockMode::Write => "write",
         }
     }
+
+    fn index(self) -> usize {
+        self as usize
+    }
 }
 
 /// Why a lock left a holder's possession.
@@ -66,6 +83,10 @@ impl WireEnum for ReleaseCause {
             ReleaseCause::RootCommit => "root_commit",
             ReleaseCause::Abort => "abort",
         }
+    }
+
+    fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -99,6 +120,10 @@ impl WireEnum for SpanOutcome {
             SpanOutcome::Abort => "abort",
             SpanOutcome::CrashAbort => "crash_abort",
         }
+    }
+
+    fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -140,6 +165,10 @@ impl WireEnum for ObsPhase {
             ObsPhase::Committed => "committed",
             ObsPhase::Failed => "failed",
         }
+    }
+
+    fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -204,10 +233,37 @@ pub trait FieldSource {
     }
 }
 
-/// What happened. See module docs for the id conventions. Each kind's
-/// [`tag`](ObsEventKind::tag) is its declaration index.
+/// How an event holds its list fields: see the [module docs](self).
+pub trait Lists {
+    /// A list of `u64` values (transaction ids, byte counts).
+    type U64s: AsRef<[u64]> + fmt::Debug + Clone + PartialEq;
+    /// A list of `u16` page indices.
+    type Pages: AsRef<[u16]> + fmt::Debug + Clone + PartialEq;
+}
+
+/// Lists in vectors: the form decoding and buffering produce, and the
+/// default one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Owned {}
+
+impl Lists for Owned {
+    type U64s = Vec<u64>;
+    type Pages = Vec<u16>;
+}
+
+/// Lists borrowed from the emitter's buffers: the form a sink receives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Borrowed<'a>(PhantomData<&'a ()>);
+
+impl<'a> Lists for Borrowed<'a> {
+    type U64s = &'a [u64];
+    type Pages = &'a [u16];
+}
+
+/// What happened. See module docs for the id conventions and the list
+/// forms. Each kind's [`tag`](ObsEventKind::tag) is its declaration index.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ObsEventKind {
+pub enum ObsEventKind<L: Lists = Owned> {
     /// A lock request had to queue behind conflicting holders at the GDO.
     LockQueued {
         /// Object index.
@@ -253,12 +309,12 @@ pub enum ObsEventKind {
         /// The blocked (sub)transaction id.
         txn: u64,
         /// Transactions holding the lock in a conflicting mode.
-        holders: Vec<u64>,
+        holders: L::U64s,
         /// Foreign retainers blocking the request (retained locks of
         /// non-ancestors, Algorithm 4.1 rule 1).
-        retainers: Vec<u64>,
+        retainers: L::U64s,
         /// Root transactions of families queued ahead (FIFO fairness).
-        queued_behind: Vec<u64>,
+        queued_behind: L::U64s,
     },
     /// A lock left the table for good.
     LockReleased {
@@ -272,7 +328,7 @@ pub enum ObsEventKind {
     /// The GDO detected a waits-for cycle and chose a victim.
     Deadlock {
         /// Root transaction ids forming the cycle, in detection order.
-        cycle: Vec<u64>,
+        cycle: L::U64s,
         /// The victim root (youngest in the cycle).
         victim: u64,
     },
@@ -331,11 +387,11 @@ pub enum ObsEventKind {
         /// Object index.
         object: u32,
         /// Predicted page indices (compile-time estimate).
-        predicted: Vec<u16>,
+        predicted: L::Pages,
         /// Pages the method actually read.
-        actual_reads: Vec<u16>,
+        actual_reads: L::Pages,
         /// Pages the method actually wrote.
-        actual_writes: Vec<u16>,
+        actual_writes: L::Pages,
         /// Pages the planner decided to move now.
         planned_pages: u32,
         /// Distinct source sites in the gather (fan-out).
@@ -384,9 +440,9 @@ pub enum ObsEventKind {
         /// Method index within the class.
         method: u32,
         /// Pages added to the prediction.
-        expanded: Vec<u16>,
+        expanded: L::Pages,
         /// Pages dropped from the prediction.
-        shrunk: Vec<u16>,
+        shrunk: L::Pages,
         /// Size of the prediction after the update.
         predicted: u32,
         /// Observations fed to this profile so far.
@@ -402,7 +458,7 @@ pub enum ObsEventKind {
         /// Site the pages are fetched from.
         source: u32,
         /// The missed pages, in page order.
-        pages: Vec<u16>,
+        pages: L::Pages,
         /// Transfer-message bytes of the batch.
         bytes: u64,
         /// Round-trip delay of the batch, in sim nanoseconds.
@@ -478,7 +534,7 @@ pub enum ObsEventKind {
         /// Families blocked waiting for a lock grant.
         blocked_families: u32,
         /// Cached bytes per node, indexed by node id.
-        cache_bytes: Vec<u64>,
+        cache_bytes: L::U64s,
     },
     /// Fault injection recovery: a page whose owner crashed was repointed
     /// in the GDO page map to a surviving same-version copy.
@@ -521,7 +577,7 @@ pub const KIND_NAMES: [&str; 23] = [
     "page_map_repaired",
 ];
 
-impl ObsEventKind {
+impl<L: Lists> ObsEventKind<L> {
     /// The kind's tag: its declaration index, which indexes
     /// [`KIND_NAMES`] and is what a flight-recorder slot stores.
     pub const fn tag(&self) -> u8 {
@@ -560,6 +616,7 @@ impl ObsEventKind {
     /// Writes the kind's fields to `out` in declaration order. With
     /// [`read_fields`](Self::read_fields), this is the one definition of
     /// each kind's wire schema.
+    #[inline(always)]
     pub fn write_fields(&self, out: &mut impl FieldSink) {
         match self {
             ObsEventKind::LockQueued {
@@ -604,9 +661,9 @@ impl ObsEventKind {
             } => {
                 out.uint("object", (*object).into());
                 out.uint("txn", *txn);
-                out.u64s("holders", holders);
-                out.u64s("retainers", retainers);
-                out.u64s("queued_behind", queued_behind);
+                out.u64s("holders", holders.as_ref());
+                out.u64s("retainers", retainers.as_ref());
+                out.u64s("queued_behind", queued_behind.as_ref());
             }
             ObsEventKind::LockReleased { object, txn, cause } => {
                 out.uint("object", (*object).into());
@@ -614,7 +671,7 @@ impl ObsEventKind {
                 out.wire("cause", *cause);
             }
             ObsEventKind::Deadlock { cycle, victim } => {
-                out.u64s("cycle", cycle);
+                out.u64s("cycle", cycle.as_ref());
                 out.uint("victim", *victim);
             }
             ObsEventKind::SpanOpen {
@@ -670,9 +727,9 @@ impl ObsEventKind {
             } => {
                 out.uint("family", *family);
                 out.uint("object", (*object).into());
-                out.pages("predicted", predicted);
-                out.pages("actual_reads", actual_reads);
-                out.pages("actual_writes", actual_writes);
+                out.pages("predicted", predicted.as_ref());
+                out.pages("actual_reads", actual_reads.as_ref());
+                out.pages("actual_writes", actual_writes.as_ref());
                 out.uint("planned_pages", (*planned_pages).into());
                 out.uint("sources", (*sources).into());
             }
@@ -714,8 +771,8 @@ impl ObsEventKind {
             } => {
                 out.uint("class", (*class).into());
                 out.uint("method", (*method).into());
-                out.pages("expanded", expanded);
-                out.pages("shrunk", shrunk);
+                out.pages("expanded", expanded.as_ref());
+                out.pages("shrunk", shrunk.as_ref());
                 out.uint("predicted", (*predicted).into());
                 out.uint("observations", *observations);
             }
@@ -730,7 +787,7 @@ impl ObsEventKind {
                 out.uint("family", *family);
                 out.uint("object", (*object).into());
                 out.uint("source", (*source).into());
-                out.pages("pages", pages);
+                out.pages("pages", pages.as_ref());
                 out.uint("bytes", *bytes);
                 out.uint("delay_ns", *delay_ns);
             }
@@ -788,7 +845,7 @@ impl ObsEventKind {
                 out.uint("locks_waiting", (*locks_waiting).into());
                 out.uint("inflight_messages", (*inflight_messages).into());
                 out.uint("blocked_families", (*blocked_families).into());
-                out.u64s("cache_bytes", cache_bytes);
+                out.u64s("cache_bytes", cache_bytes.as_ref());
             }
             ObsEventKind::PageMapRepaired {
                 object,
@@ -804,6 +861,98 @@ impl ObsEventKind {
         }
     }
 
+    /// The same kind with every list converted by `u64s` or `pages`; the
+    /// one place that lists each kind's fields outside the schema walks.
+    #[rustfmt::skip]
+    fn map_lists<'s, M: Lists>(
+        &'s self,
+        u64s: impl Fn(&'s [u64]) -> M::U64s,
+        pages: impl Fn(&'s [u16]) -> M::Pages,
+    ) -> ObsEventKind<M> {
+        use ObsEventKind as K;
+        match self {
+            &K::LockQueued { object, txn, mode, waiters } =>
+                K::LockQueued { object, txn, mode, waiters },
+            &K::LockGranted { object, txn, mode, global, holders } =>
+                K::LockGranted { object, txn, mode, global, holders },
+            &K::LockRetained { object, txn, parent } => K::LockRetained { object, txn, parent },
+            K::LockBlocked { object, txn, holders, retainers, queued_behind } => K::LockBlocked {
+                object: *object,
+                txn: *txn,
+                holders: u64s(holders.as_ref()),
+                retainers: u64s(retainers.as_ref()),
+                queued_behind: u64s(queued_behind.as_ref()),
+            },
+            &K::LockReleased { object, txn, cause } => K::LockReleased { object, txn, cause },
+            K::Deadlock { cycle, victim } =>
+                K::Deadlock { cycle: u64s(cycle.as_ref()), victim: *victim },
+            &K::SpanOpen { family, txn, parent, object } =>
+                K::SpanOpen { family, txn, parent, object },
+            &K::SpanClose { family, txn, outcome } => K::SpanClose { family, txn, outcome },
+            &K::PhaseEnter { family, phase } => K::PhaseEnter { family, phase },
+            &K::SubAbort { family, txn, released } => K::SubAbort { family, txn, released },
+            &K::Restart { family, attempt, backoff_ns } =>
+                K::Restart { family, attempt, backoff_ns },
+            K::GrantPlan {
+                family, object, predicted, actual_reads, actual_writes, planned_pages, sources,
+            } =>
+                K::GrantPlan {
+                    family: *family,
+                    object: *object,
+                    predicted: pages(predicted.as_ref()),
+                    actual_reads: pages(actual_reads.as_ref()),
+                    actual_writes: pages(actual_writes.as_ref()),
+                    planned_pages: *planned_pages,
+                    sources: *sources,
+                },
+            &K::GatherBatch { family, object, source, pages, bytes, delay_ns } =>
+                K::GatherBatch { family, object, source, pages, bytes, delay_ns },
+            &K::PredictionSample { class, method, predicted, actual, true_positives } =>
+                K::PredictionSample { class, method, predicted, actual, true_positives },
+            K::ProfileUpdate { class, method, expanded, shrunk, predicted, observations } =>
+                K::ProfileUpdate {
+                    class: *class,
+                    method: *method,
+                    expanded: pages(expanded.as_ref()),
+                    shrunk: pages(shrunk.as_ref()),
+                    predicted: *predicted,
+                    observations: *observations,
+                },
+            K::DemandBatch { family, object, source, pages: list, bytes, delay_ns } =>
+                K::DemandBatch {
+                    family: *family,
+                    object: *object,
+                    source: *source,
+                    pages: pages(list.as_ref()),
+                    bytes: *bytes,
+                    delay_ns: *delay_ns,
+                },
+            &K::DemandFetch { family, object, page, source, bytes } =>
+                K::DemandFetch { family, object, page, source, bytes },
+            &K::Retransmit { dst, attempts, duplicates, wait_ns, family } =>
+                K::Retransmit { dst, attempts, duplicates, wait_ns, family },
+            &K::NodeCrashed { aborted_families } => K::NodeCrashed { aborted_families },
+            &K::NodeRecovered { outage_ns } => K::NodeRecovered { outage_ns },
+            &K::LockTimeout { object, txn, waited_ns } => K::LockTimeout { object, txn, waited_ns },
+            K::StateSample {
+                queue_depth, locks_held, locks_retained, locks_waiting,
+                inflight_messages, blocked_families, cache_bytes,
+            } => K::StateSample {
+                queue_depth: *queue_depth,
+                locks_held: *locks_held,
+                locks_retained: *locks_retained,
+                locks_waiting: *locks_waiting,
+                inflight_messages: *inflight_messages,
+                blocked_families: *blocked_families,
+                cache_bytes: u64s(cache_bytes.as_ref()),
+            },
+            &K::PageMapRepaired { object, page, from, to } =>
+                K::PageMapRepaired { object, page, from, to },
+        }
+    }
+}
+
+impl ObsEventKind {
     /// Rebuilds the kind tagged `tag` from `src`. Each arm reads its
     /// fields in the order [`write_fields`](Self::write_fields) writes
     /// them (struct-literal fields evaluate in source order), so a
@@ -958,15 +1107,37 @@ impl ObsEventKind {
     }
 }
 
-/// One observability event: where and when, plus what happened.
+/// One observability event: where and when, plus what happened, with its
+/// lists in form `L` (see the [module docs](self)).
 #[derive(Debug, Clone, PartialEq)]
-pub struct ObsEvent {
+pub struct ObsEvent<L: Lists = Owned> {
     /// Simulated time of the event.
     pub at: SimTime,
     /// Site the event occurred at.
     pub node: u32,
     /// The event payload.
-    pub kind: ObsEventKind,
+    pub kind: ObsEventKind<L>,
+}
+
+impl<L: Lists> ObsEvent<L> {
+    /// A copy that owns its lists: what a sink that keeps events stores.
+    pub fn owned(&self) -> ObsEvent {
+        ObsEvent {
+            at: self.at,
+            node: self.node,
+            kind: self.kind.map_lists(<[u64]>::to_vec, <[u16]>::to_vec),
+        }
+    }
+
+    /// A view that borrows this event's lists, as
+    /// [`EventSink::emit`](crate::EventSink::emit) takes it.
+    pub fn borrowed(&self) -> ObsEvent<Borrowed<'_>> {
+        ObsEvent {
+            at: self.at,
+            node: self.node,
+            kind: self.kind.map_lists(|ids| ids, |pages| pages),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1221,12 +1392,12 @@ pub(crate) mod tests {
 
     #[test]
     fn wire_enums_list_variants_in_declaration_order() {
-        fn indices<T: WireEnum>(index: fn(T) -> usize) -> Vec<usize> {
-            T::ALL.iter().map(|&v| index(v)).collect()
+        fn indices<T: WireEnum>() -> Vec<usize> {
+            T::ALL.iter().map(|&v| v.index()).collect()
         }
-        assert_eq!(indices(|m: ObsLockMode| m as usize), [0, 1]);
-        assert_eq!(indices(|c: ReleaseCause| c as usize), [0, 1]);
-        assert_eq!(indices(|o: SpanOutcome| o as usize), [0, 1, 2, 3]);
-        assert_eq!(indices(|p: ObsPhase| p as usize), [0, 1, 2, 3, 4, 5]);
+        assert_eq!(indices::<ObsLockMode>(), [0, 1]);
+        assert_eq!(indices::<ReleaseCause>(), [0, 1]);
+        assert_eq!(indices::<SpanOutcome>(), [0, 1, 2, 3]);
+        assert_eq!(indices::<ObsPhase>(), [0, 1, 2, 3, 4, 5]);
     }
 }

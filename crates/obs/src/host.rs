@@ -29,7 +29,7 @@
 
 use std::time::Instant;
 
-use crate::event::ObsEvent;
+use crate::event::{Borrowed, ObsEvent};
 use crate::json::Json;
 use crate::recorder::FlightRecorder;
 use crate::sink::EventSink;
@@ -462,7 +462,7 @@ impl<S: EventSink> EventSink for ProfiledSink<'_, S> {
         self.inner.enabled()
     }
 
-    fn emit(&mut self, event: ObsEvent) {
+    fn emit(&mut self, event: &ObsEvent<Borrowed<'_>>) {
         self.prof.enter(HostRegion::ObsRecord);
         self.inner.emit(event);
         self.prof.exit(HostRegion::ObsRecord);
@@ -559,7 +559,7 @@ mod tests {
             let mut sink = ProfiledSink::new(RecordingSink::new(), &mut prof);
             assert!(sink.enabled());
             for at in 0..5 {
-                sink.emit(ObsEvent {
+                sink.emit(&ObsEvent {
                     at: SimTime::from_nanos(at),
                     node: 0,
                     kind: ObsEventKind::PhaseEnter {
@@ -580,7 +580,7 @@ mod tests {
         let mut recorder = FlightRecorder::new(8);
         {
             let mut sink = ProfiledSink::new(&mut recorder, &mut prof);
-            sink.emit(ObsEvent {
+            sink.emit(&ObsEvent {
                 at: SimTime::from_nanos(3),
                 node: 0,
                 kind: ObsEventKind::PhaseEnter {

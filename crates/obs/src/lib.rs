@@ -10,6 +10,8 @@
 //!   nothing (zero cost when disabled).
 //! * [`ObsEvent`] — structured, sim-time-stamped events with primitive
 //!   ids, so this crate sits below `txn`/`core` in the dependency graph.
+//!   A probe site lends each event with [`Borrowed`] lists; sinks that
+//!   keep it copy what they keep.
 //! * [`export`] — lossless JSONL round-trip plus Chrome trace-event JSON
 //!   loadable in Perfetto (one track per node, one slice per family
 //!   phase, nested span slices per transaction tree, critical-path flow
@@ -58,7 +60,8 @@ pub use critical_path::{
     critical_paths, critical_paths_json, partial_paths, CriticalPath, PathEdge, PathEdgeKind,
 };
 pub use event::{
-    ObsEvent, ObsEventKind, ObsLockMode, ObsPhase, ReleaseCause, SpanOutcome, WireEnum,
+    Borrowed, Lists, ObsEvent, ObsEventKind, ObsLockMode, ObsPhase, Owned, ReleaseCause,
+    SpanOutcome, WireEnum,
 };
 pub use export::{chrome_trace, event_from_json, event_to_json, jsonl_decode, jsonl_encode};
 pub use forensics::{find_cycle, Anomaly, FamilySnapshot, ForensicsDump, OccupancySnapshot};

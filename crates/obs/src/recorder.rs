@@ -4,30 +4,32 @@
 //! The [`RecordingSink`](crate::RecordingSink) keeps every event and
 //! grows without bound — fine for a one-off trace export, wrong for an
 //! always-on black box. [`FlightRecorder`] instead encodes each
-//! [`ObsEvent`] into a fixed-width [`CompactRecord`] and writes it into
-//! a preallocated ring: when the ring is full the oldest record is
+//! [`ObsEvent`] into a fixed-width [`CompactRecord`] slot of a
+//! preallocated ring: when the ring is full the oldest record is
 //! overwritten, so memory is bounded by the slot count forever and the
 //! ring always holds the *most recent* history — exactly what a
 //! post-mortem wants.
 //!
-//! The record path is allocation-free. Encoding walks the event's fields
+//! The record path is allocation-free and copies nothing twice. The
+//! recorder takes the probe site's borrowed event and walks its fields
 //! through the same schema walk JSONL export uses
-//! ([`ObsEventKind::write_fields`]), with a slot cursor as the sink that
-//! copies scalars into fixed arrays (variable-length event payloads are
-//! truncated to the record's inline capacity, with the original length
-//! preserved so a dump can report the truncation), and the ring slot is
-//! overwritten in place. The caller picks the capacity
-//! (`SystemConfig::flight_recorder.slots` by convention) and lends the
-//! ring to the engine as its sink (`Engine::with_probe(.., &mut recorder)`).
+//! ([`ObsEventKind::write_fields`]), with a cursor over the ring slot
+//! itself as the sink: scalars land in the slot's fixed arrays, and
+//! variable-length payloads are truncated to the record's inline
+//! capacity, with the original length preserved so a dump can report the
+//! truncation. No temporary record is built and no record is copied. The
+//! caller picks the capacity (`SystemConfig::flight_recorder.slots` by
+//! convention) and lends the ring to the engine as its sink
+//! (`Engine::with_probe(.., &mut recorder)`).
 //!
 //! Decoding ([`FlightRecorder::snapshot`]) reverses the encoding into
-//! ordinary [`ObsEvent`]s (oldest first) for the forensics pipeline —
+//! ordinary owned [`ObsEvent`]s (oldest first) for the forensics pipeline —
 //! trace export, the critical-path walker, and the triage report all
 //! consume the snapshot unchanged.
 
 use std::convert::Infallible;
 
-use crate::event::{FieldSink, FieldSource, ObsEvent, ObsEventKind, WireEnum};
+use crate::event::{Borrowed, FieldSink, FieldSource, Lists, ObsEvent, ObsEventKind, WireEnum};
 use crate::sink::EventSink;
 use lotec_sim::SimTime;
 
@@ -47,7 +49,13 @@ const SEGS: usize = 3;
 
 /// One fixed-width encoded event. 176 bytes, `Copy`, no heap pointers —
 /// the ring is a flat `Vec<CompactRecord>` written in place.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+///
+/// A reused slot keeps whatever scalars and list entries of its previous
+/// record the new one does not overwrite. Nothing reads them: the kind's
+/// schema says how many scalars are live and the segment lengths how many
+/// list entries, so compare records by what they [`decode`](Self::decode)
+/// to, not field by field.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CompactRecord {
     /// Simulated time, nanoseconds.
     at_ns: u64,
@@ -71,17 +79,26 @@ pub struct CompactRecord {
 const _: () = assert!(std::mem::size_of::<CompactRecord>() <= 176);
 
 impl CompactRecord {
-    /// Encodes an event. Allocation-free; list payloads are truncated to
-    /// the record's inline capacity (original lengths preserved).
-    pub fn encode(event: &ObsEvent) -> CompactRecord {
-        let mut slots = Slots::new(CompactRecord {
-            at_ns: event.at.as_nanos(),
-            node: event.node,
-            tag: event.kind.tag(),
-            ..CompactRecord::default()
-        });
-        event.kind.write_fields(&mut slots);
-        slots.record
+    /// Encodes an event into a fresh record. Allocation-free; list
+    /// payloads are truncated to the record's inline capacity (original
+    /// lengths preserved).
+    pub fn encode<L: Lists>(event: &ObsEvent<L>) -> CompactRecord {
+        let mut record = CompactRecord::default();
+        record.overwrite(event);
+        record
+    }
+
+    /// Encodes `event` over this record in place: one schema walk writes
+    /// each field straight into its slot. Only the segment bookkeeping is
+    /// reset first, so [`truncated`](Self::truncated) sees no stale list.
+    #[inline(always)]
+    fn overwrite<L: Lists>(&mut self, event: &ObsEvent<L>) {
+        self.at_ns = event.at.as_nanos();
+        self.node = event.node;
+        self.tag = event.kind.tag();
+        self.seg_len = [0; SEGS];
+        self.seg_total = [0; SEGS];
+        event.kind.write_fields(&mut Slots::new(self));
     }
 
     /// Decodes back into an [`ObsEvent`]. Lists that were truncated at
@@ -125,7 +142,8 @@ impl<R> Slots<R> {
     }
 }
 
-impl Slots<CompactRecord> {
+impl Slots<&mut CompactRecord> {
+    #[inline]
     fn push(&mut self, value: u64) {
         self.record.scalars[self.scalar] = value;
         self.scalar += 1;
@@ -133,6 +151,7 @@ impl Slots<CompactRecord> {
 
     /// Fills the next segment from `values`, truncating to the remaining
     /// inline capacity.
+    #[inline]
     fn push_list(&mut self, values: impl ExactSizeIterator<Item = u64>) {
         let total = values.len();
         let take = total.min(ARGS - self.arg);
@@ -149,29 +168,34 @@ impl Slots<CompactRecord> {
     }
 }
 
-impl FieldSink for Slots<CompactRecord> {
+impl FieldSink for Slots<&mut CompactRecord> {
+    #[inline]
     fn uint(&mut self, _: &'static str, value: u64) {
         self.push(value);
     }
 
+    #[inline]
     fn flag(&mut self, _: &'static str, value: bool) {
         self.push(value.into());
     }
 
+    #[inline]
     fn wire<T: WireEnum>(&mut self, _: &'static str, value: T) {
-        let index = T::ALL.iter().position(|&v| v == value);
-        self.push(index.expect("`ALL` lists every variant") as u64);
+        self.push(value.index() as u64);
     }
 
+    #[inline]
     fn opt(&mut self, _: &'static str, value: Option<u64>) {
         self.push(value.is_some().into());
         self.push(value.unwrap_or(0));
     }
 
+    #[inline]
     fn u64s(&mut self, _: &'static str, values: &[u64]) {
         self.push_list(values.iter().copied());
     }
 
+    #[inline]
     fn pages(&mut self, _: &'static str, values: &[u16]) {
         self.push_list(values.iter().map(|&page| u64::from(page)));
     }
@@ -304,10 +328,12 @@ impl EventSink for FlightRecorder {
         true
     }
 
-    /// Encodes into the ring in place — no allocation on this path. The
-    /// wrap is a branch, not a modulo: this runs once per observed event.
-    fn emit(&mut self, event: ObsEvent) {
-        self.ring[self.head] = CompactRecord::encode(&event);
+    /// Encodes into the ring slot in place — no allocation and no record
+    /// copy on this path. The wrap is a branch, not a modulo: this runs
+    /// once per observed event.
+    #[inline]
+    fn emit(&mut self, event: &ObsEvent<Borrowed<'_>>) {
+        self.ring[self.head].overwrite(event);
         self.head += 1;
         if self.head == self.ring.len() {
             self.head = 0;
@@ -340,7 +366,7 @@ mod tests {
 
     #[test]
     fn oversized_lists_truncate_and_report_it() {
-        let event = ObsEvent {
+        let event: ObsEvent = ObsEvent {
             at: SimTime::from_nanos(1),
             node: 0,
             kind: ObsEventKind::LockBlocked {
@@ -368,13 +394,65 @@ mod tests {
         assert!(queued_behind.is_empty());
     }
 
+    /// A `LockBlocked` whose lists overflow the inline args.
+    fn oversized_blockers() -> ObsEvent {
+        ObsEvent {
+            at: SimTime::from_nanos(7),
+            node: 1,
+            kind: ObsEventKind::LockBlocked {
+                object: 4,
+                txn: 5,
+                holders: (100..105).collect(),
+                retainers: (200..210).collect(),
+                queued_behind: vec![300],
+            },
+        }
+    }
+
+    #[test]
+    fn in_place_encode_decodes_like_encode_over_any_previous_record() {
+        let mut fixtures = every_kind();
+        fixtures.push(oversized_blockers());
+        // Each primer fills what the fixture may not overwrite: six
+        // scalars and all twelve args, or three truncated segments.
+        let primers = [
+            ObsEvent {
+                at: SimTime::from_nanos(1),
+                node: 9,
+                kind: ObsEventKind::StateSample {
+                    queue_depth: u64::MAX,
+                    locks_held: u32::MAX,
+                    locks_retained: u32::MAX,
+                    locks_waiting: u32::MAX,
+                    inflight_messages: u32::MAX,
+                    blocked_families: u32::MAX,
+                    cache_bytes: vec![u64::MAX; 20],
+                },
+            },
+            oversized_blockers(),
+        ];
+        for fixture in &fixtures {
+            let expect = CompactRecord::encode(fixture);
+            for primer in &primers {
+                // One slot: the fixture's record lands on the primer's.
+                let mut rec = FlightRecorder::new(1);
+                rec.emit(&primer.borrowed());
+                rec.emit(&fixture.borrowed());
+                let name = fixture.kind.name();
+                assert_eq!(rec.snapshot(), [expect.decode()], "{name}");
+                assert_eq!(rec.ring[0].truncated(), expect.truncated(), "{name}");
+            }
+        }
+        assert!(CompactRecord::encode(&oversized_blockers()).truncated());
+    }
+
     #[test]
     fn ring_keeps_the_newest_events_at_tiny_capacities() {
         for cap in [1usize, 2, 3, 5] {
             let mut rec = FlightRecorder::new(cap);
             let events = every_kind();
             for e in &events {
-                rec.emit(e.clone());
+                rec.emit(&e.borrowed());
             }
             assert_eq!(rec.recorded(), events.len() as u64);
             assert_eq!(rec.len(), cap.min(events.len()));
@@ -390,7 +468,7 @@ mod tests {
         let mut rec = FlightRecorder::new(100);
         let events = every_kind();
         for e in &events {
-            rec.emit(e.clone());
+            rec.emit(&e.borrowed());
         }
         assert_eq!(rec.dropped(), 0);
         assert_eq!(rec.snapshot(), events);

@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 
 use lotec_sim::SimTime;
 
-use crate::event::{ObsEvent, ObsEventKind, ObsPhase, SpanOutcome};
+use crate::event::{Borrowed, Lists, ObsEvent, ObsEventKind, ObsPhase, SpanOutcome};
 use crate::json::Json;
 use crate::sink::EventSink;
 use crate::sketch::QuantileSketch;
@@ -124,8 +124,9 @@ impl MetricsRegistry {
             .record(value);
     }
 
-    /// Updates the registry from one event.
-    pub fn record(&mut self, event: &ObsEvent) {
+    /// Updates the registry from one event, whichever form its lists
+    /// take.
+    pub fn record<L: Lists>(&mut self, event: &ObsEvent<L>) {
         let at = event.at;
         match &event.kind {
             ObsEventKind::LockQueued {
@@ -256,8 +257,12 @@ impl MetricsRegistry {
                     method: *method,
                 };
                 self.add("profile_updates", label, 1);
-                self.add("profile_expanded_pages", label, expanded.len() as u64);
-                self.add("profile_shrunk_pages", label, shrunk.len() as u64);
+                self.add(
+                    "profile_expanded_pages",
+                    label,
+                    expanded.as_ref().len() as u64,
+                );
+                self.add("profile_shrunk_pages", label, shrunk.as_ref().len() as u64);
                 self.gauge_set("profile_predicted_pages", label, *predicted as u64);
             }
             ObsEventKind::DemandBatch {
@@ -270,7 +275,7 @@ impl MetricsRegistry {
                 self.add(
                     "demand_fetches",
                     MetricLabel::Object(*object),
-                    pages.len() as u64,
+                    pages.as_ref().len() as u64,
                 );
                 self.add("demand_batches", MetricLabel::Object(*object), 1);
                 self.add("transfer_bytes", MetricLabel::Node(*source), *bytes);
@@ -340,7 +345,7 @@ impl MetricsRegistry {
                     MetricLabel::Global,
                     *blocked_families as u64,
                 );
-                for (node, bytes) in cache_bytes.iter().enumerate() {
+                for (node, bytes) in cache_bytes.as_ref().iter().enumerate() {
                     self.gauge_set("cache_bytes", MetricLabel::Node(node as u32), *bytes);
                 }
             }
@@ -544,8 +549,8 @@ impl EventSink for MetricsRegistry {
         true
     }
 
-    fn emit(&mut self, event: ObsEvent) {
-        self.record(&event);
+    fn emit(&mut self, event: &ObsEvent<Borrowed<'_>>) {
+        self.record(event);
     }
 }
 

@@ -8,8 +8,14 @@
 //! DESIGN.md documents; a property test (`tests/obs_trace.rs` in the
 //! facade crate) additionally proves that *enabling* a recording sink
 //! changes no simulation outcome.
+//!
+//! There is one emit path, and it borrows: a probe site lends the sink an
+//! [`ObsEvent`] whose lists are slices of buffers the site owns
+//! ([`Borrowed`]). A sink that keeps events copies what it keeps — the
+//! flight recorder encodes the event straight into its ring slot, and only
+//! [`RecordingSink`] makes an owned copy.
 
-use crate::event::ObsEvent;
+use crate::event::{Borrowed, ObsEvent};
 use crate::recorder::FlightRecorder;
 
 /// Receives structured events from the instrumented engine.
@@ -20,10 +26,10 @@ pub trait EventSink {
     /// delete disabled probe sites entirely.
     fn enabled(&self) -> bool;
 
-    /// Delivers one event. Only called when [`EventSink::enabled`] is true
-    /// (probe sites guard on it), but implementations must tolerate being
-    /// called anyway.
-    fn emit(&mut self, event: ObsEvent);
+    /// Delivers one event, lent for the duration of the call. Only called
+    /// when [`EventSink::enabled`] is true (probe sites guard on it), but
+    /// implementations must tolerate being called anyway.
+    fn emit(&mut self, event: &ObsEvent<Borrowed<'_>>);
 
     /// The [`FlightRecorder`] behind this sink, when there is one.
     ///
@@ -46,10 +52,10 @@ impl EventSink for NoopSink {
     }
 
     #[inline(always)]
-    fn emit(&mut self, _event: ObsEvent) {}
+    fn emit(&mut self, _event: &ObsEvent<Borrowed<'_>>) {}
 }
 
-/// A sink that buffers every event in memory, in emission order.
+/// A sink that buffers an owned copy of every event, in emission order.
 ///
 /// Emission order is deterministic (the simulator is), so two runs with
 /// the same seed record byte-identical traces.
@@ -91,8 +97,8 @@ impl EventSink for RecordingSink {
         true
     }
 
-    fn emit(&mut self, event: ObsEvent) {
-        self.events.push(event);
+    fn emit(&mut self, event: &ObsEvent<Borrowed<'_>>) {
+        self.events.push(event.owned());
     }
 }
 
@@ -105,7 +111,7 @@ impl<T: EventSink + ?Sized> EventSink for &mut T {
     }
 
     #[inline(always)]
-    fn emit(&mut self, event: ObsEvent) {
+    fn emit(&mut self, event: &ObsEvent<Borrowed<'_>>) {
         (**self).emit(event);
     }
 
@@ -136,7 +142,7 @@ mod tests {
     fn noop_is_disabled_and_silent() {
         let mut sink = NoopSink;
         assert!(!sink.enabled());
-        sink.emit(sample(5));
+        sink.emit(&sample(5).borrowed());
     }
 
     #[test]
@@ -144,7 +150,7 @@ mod tests {
         let mut sink = RecordingSink::new();
         assert!(sink.is_empty());
         for at in [3u64, 1, 2] {
-            sink.emit(sample(at));
+            sink.emit(&sample(at).borrowed());
         }
         assert_eq!(sink.len(), 3);
         let ats: Vec<u64> = sink.events().iter().map(|e| e.at.as_nanos()).collect();
@@ -157,7 +163,7 @@ mod tests {
         {
             let lent = &mut sink;
             assert!(lent.enabled());
-            lent.emit(sample(9));
+            lent.emit(&sample(9).borrowed());
         }
         assert_eq!(sink.len(), 1);
     }

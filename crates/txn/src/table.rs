@@ -558,20 +558,23 @@ impl LockTable {
     }
 
     /// Who stands between `txn`'s `mode` request on `object` and its
-    /// grant, as `(holders, retainers, queued_behind)`: the holders whose
-    /// mode conflicts with `mode`, the retainers that block it, and every
-    /// other family queued on `object`, in queue order.
+    /// grant, written into caller-owned buffers (cleared first, so a
+    /// caller reusing them allocates only when one grows): the holders
+    /// whose mode conflicts with `mode`, the retainers that block it, and
+    /// every other family queued on `object`, in queue order. The ids
+    /// land as `T`, so a probe can fill its raw `u64` lists directly.
     ///
     /// # Panics
     ///
     /// Panics if `object` is not registered.
-    pub fn blockers(
+    pub fn blockers<T: From<TxnId>>(
         &self,
         object: ObjectId,
         txn: TxnId,
         mode: LockMode,
         tree: &TxnTree,
-    ) -> (Vec<TxnId>, Vec<TxnId>, Vec<TxnId>) {
+        [holders, retainers, queued_behind]: &mut [Vec<T>; 3],
+    ) {
         let entry = self
             .entry(object)
             .expect("blockers of an unregistered object");
@@ -581,23 +584,28 @@ impl LockTable {
         // descendants re-acquire it), and `queued_behind` lists the
         // families already in line.
         let family = tree.root_of(txn);
-        let holders = entry
-            .holders()
-            .iter()
-            .filter(|h| h.mode.conflicts_with(mode))
-            .map(|h| h.txn)
-            .collect();
-        let retainers = entry
-            .retainers()
-            .filter(|&(r, m)| m.conflicts_with(mode) && !tree.is_ancestor(r, txn))
-            .map(|(r, _)| r)
-            .collect();
-        let queued_behind = entry
-            .waiting()
-            .filter(|fw| fw.family != family)
-            .map(|fw| fw.family)
-            .collect();
-        (holders, retainers, queued_behind)
+        holders.clear();
+        holders.extend(
+            entry
+                .holders()
+                .iter()
+                .filter(|h| h.mode.conflicts_with(mode))
+                .map(|h| h.txn.into()),
+        );
+        retainers.clear();
+        retainers.extend(
+            entry
+                .retainers()
+                .filter(|&(r, m)| m.conflicts_with(mode) && !tree.is_ancestor(r, txn))
+                .map(|(r, _)| r.into()),
+        );
+        queued_behind.clear();
+        queued_behind.extend(
+            entry
+                .waiting()
+                .filter(|fw| fw.family != family)
+                .map(|fw| fw.family.into()),
+        );
     }
 
     // ---------------------------------------------------------------
@@ -1468,10 +1476,9 @@ mod tests {
         }
         // The conflicting holder is named, and so is the other queued
         // family — but not the requester's own.
-        assert_eq!(
-            table.blockers(obj(0), x, LockMode::Read, &tree),
-            (vec![w], vec![], vec![y])
-        );
+        let mut out: [Vec<TxnId>; 3] = Default::default();
+        table.blockers(obj(0), x, LockMode::Read, &tree, &mut out);
+        assert_eq!(out, [vec![w], vec![], vec![y]]);
 
         // O1: root `r` retains Read through a pre-committed child, and a
         // foreign reader `f` holds Read.
@@ -1492,10 +1499,8 @@ mod tests {
             table.acquire(obj(1), c2, LockMode::Write, &tree).unwrap(),
             Acquire::Queued
         );
-        assert_eq!(
-            table.blockers(obj(1), c2, LockMode::Write, &tree),
-            (vec![f], vec![], vec![])
-        );
+        table.blockers(obj(1), c2, LockMode::Write, &tree, &mut out);
+        assert_eq!(out, [vec![f], vec![], vec![]]);
         // A foreign reader queues by FIFO alone: the compatible read
         // holder and read retainer are not named, r's queued family is.
         let g = tree.begin_root(n(6));
@@ -1503,20 +1508,16 @@ mod tests {
             table.acquire(obj(1), g, LockMode::Read, &tree).unwrap(),
             Acquire::Queued
         );
-        assert_eq!(
-            table.blockers(obj(1), g, LockMode::Read, &tree),
-            (vec![], vec![], vec![r])
-        );
+        table.blockers(obj(1), g, LockMode::Read, &tree, &mut out);
+        assert_eq!(out, [vec![], vec![], vec![r]]);
         // A foreign writer is blocked by both, and by r's retention too.
         let h = tree.begin_root(n(7));
         assert_eq!(
             table.acquire(obj(1), h, LockMode::Write, &tree).unwrap(),
             Acquire::Queued
         );
-        assert_eq!(
-            table.blockers(obj(1), h, LockMode::Write, &tree),
-            (vec![f], vec![r], vec![r, g])
-        );
+        table.blockers(obj(1), h, LockMode::Write, &tree, &mut out);
+        assert_eq!(out, [vec![f], vec![r], vec![r, g]]);
     }
 
     #[test]

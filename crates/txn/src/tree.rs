@@ -23,6 +23,12 @@ impl TxnId {
     }
 }
 
+impl From<TxnId> for u64 {
+    fn from(txn: TxnId) -> u64 {
+        txn.get()
+    }
+}
+
 impl fmt::Display for TxnId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "T{}", self.0)

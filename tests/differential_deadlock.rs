@@ -25,7 +25,7 @@ use lotec::sim::FaultPlan;
 use lotec_core::config::FaultConfig;
 use lotec_core::engine::RunReport;
 use lotec_core::spec::demo_workload;
-use lotec_mem::mix;
+use lotec_mem::{mix, PageIndex};
 use lotec_obs::ObsEventKind;
 use lotec_txn::deadlock::{self, reference};
 use lotec_txn::{Acquire, LockMode, LockTable, TxnId, TxnTree};
@@ -50,12 +50,16 @@ struct Fingerprint {
     chain_hash: u64,
 }
 
-fn fingerprint(report: &RunReport) -> Fingerprint {
+fn fingerprint(report: &RunReport, registry: &ObjectRegistry) -> Fingerprint {
+    // Every page of the layout in key order; an unlisted page (of an
+    // object the run never touched) reads as chain 0.
     let mut chain_hash = 0u64;
-    for (&(object, page), &chain) in &report.final_chains {
-        chain_hash = mix(chain_hash, u64::from(object.index()));
-        chain_hash = mix(chain_hash, u64::from(page.get()));
-        chain_hash = mix(chain_hash, chain);
+    for inst in registry.objects() {
+        for page in (0..registry.num_pages(inst.id)).map(PageIndex::new) {
+            chain_hash = mix(chain_hash, u64::from(inst.id.index()));
+            chain_hash = mix(chain_hash, u64::from(page.get()));
+            chain_hash = mix(chain_hash, report.final_chains[&(inst.id, page)]);
+        }
     }
     let s = &report.stats;
     Fingerprint {
@@ -95,7 +99,7 @@ fn fig3_cell(protocol: ProtocolKind, validate: bool) -> Fingerprint {
     };
     let report = run(&config, &registry, &families, validate);
     oracle::verify(&report).expect("serializable");
-    fingerprint(&report)
+    fingerprint(&report, &registry)
 }
 
 fn chaos_cell(protocol: ProtocolKind, seed: u64, validate: bool) -> Fingerprint {
@@ -119,7 +123,7 @@ fn chaos_cell(protocol: ProtocolKind, seed: u64, validate: bool) -> Fingerprint 
     let (registry, families) = demo_workload(&config, seed);
     let report = run(&config, &registry, &families, validate);
     oracle::verify(&report).expect("serializable");
-    fingerprint(&report)
+    fingerprint(&report, &registry)
 }
 
 /// Fault-free fig3 under per-mutation validation, all four protocols.
@@ -175,8 +179,8 @@ fn storm_validated_replay_rechecks_after_victims() {
     oracle::verify(&report).expect("serializable");
     let plain_report = run(&config, &registry, &families, false);
     assert_eq!(
-        fingerprint(&report),
-        fingerprint(&plain_report),
+        fingerprint(&report, &registry),
+        fingerprint(&plain_report, &registry),
         "storm: graph validation changed behaviour"
     );
 

@@ -44,7 +44,7 @@ use lotec_core::replay::{replay_run, replay_trace};
 use lotec_core::spec::demo_workload;
 use lotec_core::trace::TraceEvent;
 use lotec_core::AdaptiveConfig;
-use lotec_mem::mix;
+use lotec_mem::{mix, PageIndex};
 use lotec_net::MessageKind;
 use lotec_workload::presets;
 
@@ -60,19 +60,25 @@ struct Fingerprint {
     makespan_ns: u64,
     total_messages: u64,
     total_bytes: u64,
-    /// Every page's final content chain folded in deterministic order.
+    /// Every page's final content chain folded in key order.
     chain_hash: u64,
     /// Every scalar `RunStats` counter folded in a fixed order, then
     /// every root commit's time and family in trace order.
     stats_hash: u64,
 }
 
-fn fingerprint(report: &RunReport) -> Fingerprint {
+/// Folds every page of `registry`'s layout, in key order, with its final
+/// chain. The report lists only the pages of objects the run touched; an
+/// unlisted page reads as chain 0, so the fold is the one a complete list
+/// would give.
+fn fingerprint(report: &RunReport, registry: &ObjectRegistry) -> Fingerprint {
     let mut chain_hash = 0u64;
-    for (&(object, page), &chain) in &report.final_chains {
-        chain_hash = mix(chain_hash, u64::from(object.index()));
-        chain_hash = mix(chain_hash, u64::from(page.get()));
-        chain_hash = mix(chain_hash, chain);
+    for inst in registry.objects() {
+        for page in (0..registry.num_pages(inst.id)).map(PageIndex::new) {
+            chain_hash = mix(chain_hash, u64::from(inst.id.index()));
+            chain_hash = mix(chain_hash, u64::from(page.get()));
+            chain_hash = mix(chain_hash, report.final_chains[&(inst.id, page)]);
+        }
     }
     let s = &report.stats;
     let mut stats_hash = 0u64;
@@ -140,7 +146,7 @@ fn fig3_cell(protocol: ProtocolKind, adaptive: bool) -> Fingerprint {
         .and_then(Engine::run)
         .expect("fig3 run");
     oracle::verify(&report).expect("serializable");
-    fingerprint(&report)
+    fingerprint(&report, &registry)
 }
 
 /// The chaos cells: lossy-link fault plan from the chaos suite over the
@@ -173,7 +179,7 @@ fn chaos_cell(protocol: ProtocolKind, seed: u64, adaptive: bool) -> Fingerprint 
         .and_then(Engine::run)
         .expect("chaos run");
     oracle::verify(&report).expect("serializable");
-    fingerprint(&report)
+    fingerprint(&report, &registry)
 }
 
 /// The workload-zoo cells: one tiny-tier cell per scenario family, LOTEC
@@ -186,7 +192,7 @@ fn zoo_cell(scenario: &lotec_workload::ZooScenario) -> Fingerprint {
         .and_then(Engine::run)
         .expect("zoo run");
     oracle::verify(&report).expect("serializable");
-    fingerprint(&report)
+    fingerprint(&report, &registry)
 }
 
 fn print_golden(label: &str, fp: &Fingerprint) {
